@@ -16,7 +16,7 @@ from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
 from .mobility import Fleet, MobilityConfig, init_scenario, step, warm_up
 from .protocol import (Cluster, FileSpec, LinkBudget, Models, TransferOutcome,
                        VehicleState, assign_fragments, build_cluster,
-                       direct_feasible, forwarding_feasible, link_budget,
+                       forwarding_feasible, link_budget,
                        prospective_link_budget, run_cft, run_direct_baseline,
                        select_resource)
 from .config import Config, ConfigError, load_config

@@ -16,8 +16,12 @@ import sys
 from . import simulator
 from .config import ConfigError, describe, load_config
 
-METRIC_COMMANDS = ("connection-time", "throughput", "capacity",
-                   "max-volume", "cluster-size", "rate-curve")
+METRIC_COMMANDS = tuple(simulator.SWEEPS)
+
+# Every seed count in the config; --seeds N sets each of them to N.
+SEED_KEYS = ("experiments.seeds", "experiments.max_volume.seeds",
+             "experiments.max_volume.direct_seeds",
+             "experiments.cluster_size.seeds")
 
 
 class UsageError(Exception):
@@ -55,24 +59,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_metric(command: str, args) -> int:
+def _load(args):
+    """The config after --set overrides, then the --seeds expansion."""
     overrides = list(args.overrides)
     if args.seeds is not None:
         if args.seeds < 1:
             raise UsageError("--seeds must be at least 1")
-        overrides += [
-            f"experiments.seeds={args.seeds}",
-            f"experiments.max_volume.seeds={args.seeds}",
-            f"experiments.cluster_size.seeds={args.seeds}",
-        ]
-    cfg = load_config(args.config, overrides)
-    if command == "max-volume":
-        result = simulator.max_transfer_volume(cfg, "direct")
-        cft = simulator.max_transfer_volume(cfg, "cft")
-        result.rows.extend(cft.rows)
-        result.records.update(cft.records)
-    else:
-        result = simulator.run_sweep(cfg, command)
+        overrides += [f"{key}={args.seeds}" for key in SEED_KEYS]
+    return load_config(args.config, overrides)
+
+
+def _run_metric(command: str, args) -> int:
+    cfg = _load(args)
+    result = simulator.run_sweep(cfg, command)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{command}.csv")
     simulator.write_csv(out_path, result)
@@ -91,8 +90,7 @@ def main(argv=None) -> int:
             raise UsageError("a command is required "
                              f"(one of: {', '.join(METRIC_COMMANDS)}, validate-config)")
         if args.command == "validate-config":
-            cfg = load_config(args.config, list(args.overrides))
-            print(describe(cfg))
+            print(describe(_load(args)))
             return 0
         return _run_metric(args.command, args)
     except UsageError as e:

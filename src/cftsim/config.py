@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import yaml
@@ -34,6 +34,30 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key '{key}' in section '{where}'")
     return section[key]
+
+
+class _Section(dict):
+    """A config mapping that records the keys looked up in it."""
+
+    def __init__(self, raw: dict):
+        super().__init__({k: _Section(v) if isinstance(v, dict) else v
+                          for k, v in raw.items()})
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def unread(self, prefix: str = ""):
+        """Dotted paths of the keys nothing looked up."""
+        for key, value in self.items():
+            if key not in self.read:
+                yield prefix + str(key)
+            elif isinstance(value, _Section):
+                yield from value.unread(f"{prefix}{key}.")
 
 
 @dataclass(frozen=True)
@@ -93,29 +117,17 @@ class Config:
 
     def mobility(self, density_per_km: float,
                  safety_distance_m: float | None = None) -> MobilityConfig:
-        d = self.mobility_defaults
         return MobilityConfig(
             density_per_km=density_per_km,
-            v_min_mps=d["v_min_mps"],
-            v_max_mps=d["v_max_mps"],
             safety_distance_m=(self.experiments.safety_distance_m
                                if safety_distance_m is None else safety_distance_m),
-            lane_length_m=d["lane_length_m"],
-            lane_width_m=d["lane_width_m"],
-            lanes_per_direction=d["lanes_per_direction"],
-            accel_mps2=d["accel_mps2"],
-            step_s=d["step_s"],
+            **self.mobility_defaults,
         )
 
     def mac_for(self, comm_range_m: float, density_per_km: float) -> MacParams:
-        b = self.mac_base
-        return MacParams(
-            w=b.w, lp_bits=b.lp_bits, t_slot_s=b.t_slot_s, t_rts_s=b.t_rts_s,
-            t_cts_s=b.t_cts_s, t_difs_s=b.t_difs_s, t_sifs_s=b.t_sifs_s,
-            t_ack_s=b.t_ack_s,
-            rcs_m=self.carrier_sense_factor * comm_range_m,
-            rho_per_m=density_per_km / 1000.0,
-        )
+        return replace(self.mac_base,
+                       rcs_m=self.carrier_sense_factor * comm_range_m,
+                       rho_per_m=density_per_km / 1000.0)
 
     def models(self, comm_range_m: float, density_per_km: float,
                horizon_s: float | None = None,
@@ -173,7 +185,11 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def resolve(raw: dict) -> Config:
-    """Convert a raw config document to typed SI-unit objects."""
+    """Convert a raw config document to typed SI-unit objects.
+
+    A key this function never reads is a ConfigError.
+    """
+    raw = _Section(raw)
     try:
         mob = _require(raw, "mobility", "root")
         cha = _require(raw, "channel", "root")
@@ -269,6 +285,9 @@ def resolve(raw: dict) -> Config:
         )
         # Instantiating one mobility config exercises its validation too.
         cfg.mobility(settings.densities_per_km[0])
+        unknown = list(raw.unread())
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cfg
     except ConfigError:
         raise
@@ -289,7 +308,6 @@ def describe(cfg: Config) -> str:
     lines = [
         "mobility:",
         *(f"  {k} = {v}" for k, v in cfg.mobility_defaults.items()),
-        f"  safety_distance_m = {e.safety_distance_m}",
         "channel:",
         f"  tx_power_w = {cfg.channel.tx_power_w}",
         f"  noise_w = {cfg.channel.noise_w:.6e}",
@@ -309,14 +327,8 @@ def describe(cfg: Config) -> str:
         f"  t_ack_s = {cfg.mac_base.t_ack_s}",
         f"  carrier_sense_factor = {cfg.carrier_sense_factor}",
         "experiments:",
-        f"  comm_ranges_m = {list(e.comm_ranges_m)}",
-        f"  densities_per_km = {list(e.densities_per_km)}",
-        f"  seeds = {e.seeds}",
-        f"  base_seed = {e.base_seed}",
-        f"  warmup_steps = {e.warmup_steps}",
-        f"  horizon_s = {e.horizon_s}",
-        f"  fragment_bytes = {e.fragment_bytes}",
-        f"  nominal_mac_rate_bps = {e.nominal_mac_rate_bps}",
-        f"  success_fraction = {e.success_fraction}",
     ]
+    for f in fields(e):
+        v = getattr(e, f.name)
+        lines.append(f"  {f.name} = {list(v) if isinstance(v, tuple) else v}")
     return "\n".join(lines)

@@ -75,10 +75,6 @@ class Fleet:
     def vx(self) -> np.ndarray:
         return self.speed * self.direction
 
-    @property
-    def vy(self) -> np.ndarray:
-        return np.zeros_like(self.speed)
-
     def copy(self) -> "Fleet":
         return Fleet(self.x.copy(), self.y.copy(), self.speed.copy(),
                      self.direction.copy(), self.lane.copy())
@@ -88,13 +84,6 @@ def ring_delta(x_from: np.ndarray, x_to: np.ndarray, length: float) -> np.ndarra
     """Signed shortest displacement from x_from to x_to on the ring."""
     d = np.asarray(x_to) - np.asarray(x_from)
     return (d + length / 2.0) % length - length / 2.0
-
-
-def distance(fleet: Fleet, i: int, j: int, length: float) -> float:
-    """Euclidean separation of vehicles i and j with ring wraparound in x."""
-    dx = ring_delta(fleet.x[i], fleet.x[j], length)
-    dy = fleet.y[j] - fleet.y[i]
-    return float(np.hypot(dx, dy))
 
 
 def _lane_y(direction: int, lane: int, cfg: MobilityConfig) -> float:

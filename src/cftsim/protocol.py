@@ -109,7 +109,6 @@ class LinkBudget:
     t0_s: float
     t_resid_s: float
     t_start_s: float = 0.0
-    rep_distance_m: float = 0.0
 
 
 def _relative(a: VehicleState, b: VehicleState, models: Models):
@@ -124,10 +123,9 @@ def _budget_from_window(duration_s: float, distance_m: float, file: FileSpec,
     frag_bits = 8.0 * file.s_bytes
     if math.isinf(duration_s):
         return LinkBudget(duration_s, e_c, math.inf, math.inf, 0.0, math.inf,
-                          t_start_s, distance_m)
+                          t_start_s)
     if e_c <= 0.0:
-        return LinkBudget(duration_s, e_c, 0, 0.0, 0.0, duration_s,
-                          t_start_s, distance_m)
+        return LinkBudget(duration_s, e_c, 0, 0.0, 0.0, duration_s, t_start_s)
     n = int(e_c * duration_s / frag_bits)
     t0 = n * frag_bits / e_c
     return LinkBudget(
@@ -138,7 +136,6 @@ def _budget_from_window(duration_s: float, distance_m: float, file: FileSpec,
         t0_s=t0,
         t_resid_s=duration_s - t0,
         t_start_s=t_start_s,
-        rep_distance_m=distance_m,
     )
 
 
@@ -176,16 +173,34 @@ def prospective_link_budget(i: VehicleState, source: VehicleState,
     if math.hypot(dx, dy) <= models.range_m:
         return link_budget(i, source, file, models)
     window = range_window(dx, dy, dvx, dvy, models.range_m)
-    if window is None:
-        return _budget_from_window(0.0, models.range_m, file, models)
-    t_in, t_out = window
+    t_in, t_out = (0.0, 0.0) if window is None else window
     t_out = min(t_out, models.horizon_s)
     if t_out <= t_in:
         return _budget_from_window(0.0, models.range_m, file, models, t_start_s=t_in)
-    t_mid = 0.5 * (t_in + t_out)
-    d_mid = math.hypot(dx + dvx * t_mid, dy + dvy * t_mid)
-    d_mid = max(d_mid, 1e-6)
+    d_mid = _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out)
     return _budget_from_window(t_out - t_in, d_mid, file, models, t_start_s=t_in)
+
+
+def _mid_contact_distance(dx: float, dy: float, dvx: float, dvy: float,
+                          t_in: float, t_out: float) -> float:
+    """Pair separation halfway through its contact window, clamped off zero.
+
+    A future contact is out of range right now by construction, so links
+    are rated at this distance, not the present one.
+    """
+    t_mid = 0.5 * (t_in + t_out)
+    return max(math.hypot(dx + dvx * t_mid, dy + dvy * t_mid), 1e-6)
+
+
+def _mid_contact_throughput(dx: float, dy: float, dvx: float, dvy: float,
+                            t_in: float, t_out: float, models: Models,
+                            rho_per_m: float | None) -> float:
+    """Forwarding MAC throughput in bit/s; zero when no rate is usable."""
+    d_mid = _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out)
+    rate = expected_rate(d_mid, models.channel, models.rates)
+    if rate <= 0:
+        return 0.0
+    return throughput(rho_per_m, models.mac, rate)
 
 
 def select_resource(request: VehicleState, responders: list[VehicleState],
@@ -211,12 +226,6 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
         raise NoResourceError("no responder within communication range")
     scored.sort(key=lambda t: t[:3])
     return scored[0][3]
-
-
-def direct_feasible(request: VehicleState, resource: VehicleState,
-                    file: FileSpec, models: Models) -> bool:
-    """True when the whole file fits through the direct link."""
-    return link_budget(request, resource, file, models).capacity_bytes >= file.v_file_bytes
 
 
 @dataclass
@@ -280,14 +289,7 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
     e_c = budget.e_c_bps
     if e_c <= 0:
         return 0.0
-    # Representative forwarding distance: the pair mid-contact, not now
-    # (a future contact is out of range right now by construction).
-    t_mid = 0.5 * (t_in + t_out)
-    d_mid = math.hypot(dx + dvx * t_mid, dy + dvy * t_mid)
-    fwd_rate = expected_rate(max(d_mid, 1e-6), models.channel, models.rates)
-    if fwd_rate <= 0:
-        return 0.0
-    r_thr = throughput(None, models.mac, fwd_rate)
+    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models, None)
     if r_thr <= 0:
         return 0.0
     # Forwarding cannot start before the download ends (t_start + 8b/e_c)
@@ -323,10 +325,6 @@ class Cluster:
     def n_c(self) -> int:
         return len(self.members)
 
-    @property
-    def total_capacity_bytes(self) -> float:
-        return sum(m.budget.capacity_bytes for m in self.members)
-
     def total_planned_bytes(self, s_bytes: float) -> float:
         return sum(s_bytes * m.planned_frags for m in self.members)
 
@@ -353,7 +351,6 @@ def build_cluster(head: VehicleState, resource: VehicleState,
     anything.  Raises InsufficientCapacityError when every reachable
     candidate together still cannot cover the file.
     """
-    states = {v.vid: v for v in fleet}
     members: list[ClusterMember] = []
     covered = 0.0
 
@@ -468,12 +465,8 @@ def forwarding_feasible(member: VehicleState, head: VehicleState,
     dt = t_out - t_in
     if dt <= 0:
         return False
-    t_mid = 0.5 * (t_in + t_out)
-    d_mid = math.hypot(dx + dvx * t_mid, dy + dvy * t_mid)
-    e_c = expected_rate(max(d_mid, 1e-6), models.channel, models.rates)
-    if e_c <= 0:
-        return False
-    r_thr = throughput(rho_per_m, models.mac, e_c)
+    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models,
+                                    rho_per_m)
     return dt * r_thr / 8.0 >= assigned_bytes
 
 
@@ -574,6 +567,27 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
     )
 
 
+def _try_direct(request: VehicleState, states: dict, file: FileSpec,
+                models: Models, holders: list[int]):
+    """Pick the resource; return (resource, outcome) with a failed outcome
+    when no holder is reachable, a direct one when its link carries the
+    file, and None when the file needs more than that link."""
+    responders = [states[h] for h in holders if h in states and h != request.vid]
+    try:
+        resource = select_resource(request, responders, file, models)
+    except NoResourceError:
+        return None, TransferOutcome(mode="failed", bytes_delivered=0.0)
+    rs = link_budget(request, resource, file, models)
+    if rs.capacity_bytes >= file.v_file_bytes:
+        duration = (file.v_file_bytes * 8.0 / rs.e_c_bps) if file.v_file_bytes else 0.0
+        return resource, TransferOutcome(
+            mode="direct",
+            bytes_delivered=file.v_file_bytes,
+            timeline={"download_end_s": duration},
+        )
+    return resource, None
+
+
 def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
             models: Models, holders: list[int],
             rho_per_m: float | None = None, window_of=None,
@@ -586,19 +600,9 @@ def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
     builds, schedules, and scores a cluster.
     """
     states = {v.vid: v for v in fleet}
-    responders = [states[h] for h in holders if h in states and h != request.vid]
-    try:
-        resource = select_resource(request, responders, file, models)
-    except NoResourceError:
-        return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    rs = link_budget(request, resource, file, models)
-    if rs.capacity_bytes >= file.v_file_bytes:
-        duration = (file.v_file_bytes * 8.0 / rs.e_c_bps) if file.v_file_bytes else 0.0
-        return TransferOutcome(
-            mode="direct",
-            bytes_delivered=file.v_file_bytes,
-            timeline={"download_end_s": duration},
-        )
+    resource, outcome = _try_direct(request, states, file, models, holders)
+    if outcome is not None:
+        return outcome
     try:
         cluster = build_cluster(request, resource, fleet, file, models)
     except InsufficientCapacityError:
@@ -617,17 +621,7 @@ def run_direct_baseline(request: VehicleState, fleet: list[VehicleState],
     is below the file size the transfer is simply not attempted.
     """
     states = {v.vid: v for v in fleet}
-    responders = [states[h] for h in holders if h in states and h != request.vid]
-    try:
-        resource = select_resource(request, responders, file, models)
-    except NoResourceError:
+    _, outcome = _try_direct(request, states, file, models, holders)
+    if outcome is None:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    rs = link_budget(request, resource, file, models)
-    if rs.capacity_bytes >= file.v_file_bytes:
-        duration = (file.v_file_bytes * 8.0 / rs.e_c_bps) if file.v_file_bytes else 0.0
-        return TransferOutcome(
-            mode="direct",
-            bytes_delivered=file.v_file_bytes,
-            timeline={"download_end_s": duration},
-        )
-    return TransferOutcome(mode="failed", bytes_delivered=0.0)
+    return outcome

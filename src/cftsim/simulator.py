@@ -17,8 +17,7 @@ from . import mobility
 from .channel import expected_rate
 from .config import Config
 from .mobility import Fleet, MobilityConfig
-from .protocol import (FileSpec, VehicleState, link_budget, run_cft,
-                       run_direct_baseline)
+from .protocol import FileSpec, VehicleState, link_budget, run_cft
 
 # Stream ids keep RNG derivation stable without relying on string hashing.
 _STREAMS = {"connection": 1, "capability": 2, "max-volume": 3, "cluster": 4}
@@ -27,8 +26,17 @@ MAX_REQUEST_WAIT_STEPS = 900
 
 
 def _rng(base_seed: int, stream: str, *key: int) -> np.random.Generator:
-    parts = [int(base_seed), _STREAMS[stream], *(int(k) for k in key)]
+    parts = [int(base_seed), _STREAMS[stream], *key]
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+def _seed_key(value: float, scale: int = 1) -> int:
+    """RNG key of a grid value in units of 1/scale; ValueError unless whole."""
+    scaled = value * scale
+    key = round(scaled)
+    if not math.isclose(scaled, key, rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(f"{value} is not a whole multiple of 1/{scale}")
+    return key
 
 
 @dataclass
@@ -89,7 +97,8 @@ def _snapshot_states(cfg: Config, density: float, sd: float, seed_idx: int,
     """Warmed-up fleet snapshots for pair sampling, shared across ranges."""
     e = cfg.experiments
     mcfg = cfg.mobility(density, sd)
-    rng = _rng(e.base_seed, stream, int(density * 1000), int(sd), seed_idx)
+    rng = _rng(e.base_seed, stream, _seed_key(density, 1000), _seed_key(sd),
+               seed_idx)
     fleet = mobility.init_scenario(mcfg, rng)
     mobility.warm_up(fleet, mcfg, rng, e.warmup_steps)
     snaps = []
@@ -100,20 +109,17 @@ def _snapshot_states(cfg: Config, density: float, sd: float, seed_idx: int,
     return snaps, mcfg
 
 
-def connection_time_sweep(cfg: Config) -> SweepResult:
-    """Mean residual connection time of in-range opposite-direction pairs.
-
-    Sampled at snapshot instants after warm-up; unbounded or over-horizon
-    predictions are capped at the experiment horizon.
-    """
+def _pair_sweep(cfg: Config, stream: str, value_name: str,
+                pair_values) -> SweepResult:
+    """Per-range mean of pair_values(dist, dts) over in-range opposite
+    pairs, given their distances and horizon-capped residual connection
+    times; each seed's mean over its snapshots is one record."""
     e = cfg.experiments
     density = e.connection_density_per_km
     sd = e.safety_distance_m
-    rows, records = [], {}
-    for r_m in e.comm_ranges_m:
-        records[(r_m,)] = []
+    records = {(r_m,): [] for r_m in e.comm_ranges_m}
     for seed_idx in range(e.seeds):
-        snaps, mcfg = _snapshot_states(cfg, density, sd, seed_idx, "connection")
+        snaps, mcfg = _snapshot_states(cfg, density, sd, seed_idx, stream)
         for r_m in e.comm_ranges_m:
             vals = []
             for fleet in snaps:
@@ -121,19 +127,30 @@ def connection_time_sweep(cfg: Config) -> SweepResult:
                 sel = dist <= r_m
                 if not np.any(sel):
                     continue
-                dts = _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m)
-                vals.append(np.minimum(dts, e.horizon_s).mean())
+                dts = np.minimum(
+                    _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m),
+                    e.horizon_s)
+                vals.append(float(np.mean(pair_values(dist[sel], dts))))
             if vals:
                 records[(r_m,)].append(float(np.mean(vals)))
-    for r_m in e.comm_ranges_m:
-        rec = records[(r_m,)]
-        rows.append((r_m, density, sd, float(np.mean(rec)), len(rec)))
+    rows = [(r_m, density, sd, float(np.mean(records[(r_m,)])),
+             len(records[(r_m,)])) for r_m in e.comm_ranges_m]
     return SweepResult(
         header=["comm_range_m", "density_per_km", "safety_distance_m",
-                "avg_connection_time_s", "n_runs"],
+                value_name, "n_runs"],
         rows=rows,
         records=records,
     )
+
+
+def connection_time_sweep(cfg: Config) -> SweepResult:
+    """Mean residual connection time of in-range opposite-direction pairs.
+
+    Sampled at snapshot instants after warm-up; unbounded or over-horizon
+    predictions are capped at the experiment horizon.
+    """
+    return _pair_sweep(cfg, "connection", "avg_connection_time_s",
+                       lambda dist, dts: dts)
 
 
 class _RateCache:
@@ -155,42 +172,14 @@ class _RateCache:
 
 def capability_sweep(cfg: Config) -> SweepResult:
     """Mean whole-fragment link capacity over the same pair population."""
-    e = cfg.experiments
-    density = e.connection_density_per_km
-    sd = e.safety_distance_m
-    frag_bits = 8.0 * e.fragment_bytes
+    s = cfg.experiments.fragment_bytes
+    frag_bits = 8.0 * s
     rate_of = _RateCache(cfg)
-    rows, records = [], {}
-    for r_m in e.comm_ranges_m:
-        records[(r_m,)] = []
-    for seed_idx in range(e.seeds):
-        snaps, mcfg = _snapshot_states(cfg, density, sd, seed_idx, "capability")
-        for r_m in e.comm_ranges_m:
-            vals = []
-            for fleet in snaps:
-                dx, dy, dvx, dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)
-                sel = dist <= r_m
-                if not np.any(sel):
-                    continue
-                dts = np.minimum(
-                    _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m),
-                    e.horizon_s)
-                caps = [
-                    e.fragment_bytes * int(rate_of(d) * t / frag_bits)
-                    for d, t in zip(dist[sel], dts)
-                ]
-                vals.append(float(np.mean(caps)))
-            if vals:
-                records[(r_m,)].append(float(np.mean(vals)))
-    for r_m in e.comm_ranges_m:
-        rec = records[(r_m,)]
-        rows.append((r_m, density, sd, float(np.mean(rec)), len(rec)))
-    return SweepResult(
-        header=["comm_range_m", "density_per_km", "safety_distance_m",
-                "avg_capability_bytes", "n_runs"],
-        rows=rows,
-        records=records,
-    )
+
+    def capacities(dist, dts):
+        return [s * int(rate_of(d) * t / frag_bits) for d, t in zip(dist, dts)]
+
+    return _pair_sweep(cfg, "capability", "avg_capability_bytes", capacities)
 
 
 def throughput_sweep(cfg: Config) -> SweepResult:
@@ -313,8 +302,8 @@ def build_transfer_scenario(cfg: Config, density: float, sd: float,
     e = cfg.experiments
     horizon = e.horizon_s if horizon_s is None else horizon_s
     mcfg = cfg.mobility(density, sd)
-    rng = _rng(e.base_seed, stream, int(density * 1000), int(comm_range_m),
-               int(sd), seed_idx)
+    rng = _rng(e.base_seed, stream, _seed_key(density, 1000),
+               _seed_key(comm_range_m), _seed_key(sd), seed_idx)
     fleet = mobility.init_scenario(mcfg, rng)
     mobility.warm_up(fleet, mcfg, rng, warmup_steps)
 
@@ -322,10 +311,8 @@ def build_transfer_scenario(cfg: Config, density: float, sd: float,
     bwd = np.nonzero(fleet.direction < 0)[0]
 
     def choose_contact() -> tuple[int, int] | None:
-        dx = mobility.ring_delta(fleet.x[fwd][:, None], fleet.x[bwd][None, :],
-                                 mcfg.lane_length_m)
-        dy = fleet.y[bwd][None, :] - fleet.y[fwd][:, None]
-        in_range = np.hypot(dx, dy) <= comm_range_m
+        dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)[3]
+        in_range = dist.reshape(fwd.size, bwd.size) <= comm_range_m
         has_holder = np.nonzero(in_range.any(axis=1))[0]
         if has_holder.size == 0:
             return None
@@ -401,7 +388,7 @@ def build_transfer_scenario(cfg: Config, density: float, sd: float,
 def _scenario_runner(cfg: Config, scen: TransferScenario, density: float,
                      comm_range_m: float, horizon_s: float | None = None,
                      plan_margin_s: float = 0.0):
-    """Bind a scenario to run_cft/run_direct callables over file sizes."""
+    """Bind a scenario to a run_cft callable over file sizes."""
     models = cfg.models(comm_range_m, density, horizon_s, plan_margin_s)
     head = scen.states[scen.head_vid]
     holders = [scen.resource_vid]
@@ -421,15 +408,30 @@ def _scenario_runner(cfg: Config, scen: TransferScenario, density: float,
                        rho_per_m=density / 1000.0,
                        window_of=window_of, state_at=state_at)
 
-    def direct(file: FileSpec):
-        return run_direct_baseline(head, scen.states, file, models, holders)
-
-    return cft, direct, models
+    return cft
 
 
-def _max_volume_one_seed(cfg: Config, scen: TransferScenario, density: float,
-                         comm_range_m: float, scheme: str) -> float:
-    """Largest deliverable file volume for one scenario, in bytes.
+def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
+                       comm_range_m: float) -> float:
+    """Largest file, in bytes, the head-resource link alone delivers."""
+    s = cfg.experiments.fragment_bytes
+    models = cfg.models(comm_range_m, density)
+    head = scen.states[scen.head_vid]
+    resource = scen.states[scen.resource_vid]
+    try:
+        b = link_budget(head, resource, FileSpec(s, s), models)
+    except ValueError:
+        return 0.0
+    t_in, t_out = scen.trajectory.first_window(
+        scen.head_vid, scen.resource_vid, comm_range_m)
+    realized = int(b.e_c_bps * (t_out - t_in) / (8.0 * s))
+    n = min(b.n_frags, realized)
+    return float(min(n, 1_000_000) * s)
+
+
+def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
+                    comm_range_m: float) -> float:
+    """Largest file volume the cluster scheme delivers, in bytes.
 
     Success is monotone in the file size (a bigger file can only add load
     to every member), so a doubling search plus bisection on the fragment
@@ -437,22 +439,8 @@ def _max_volume_one_seed(cfg: Config, scen: TransferScenario, density: float,
     """
     e = cfg.experiments
     s = e.fragment_bytes
-    cft, direct, models = _scenario_runner(
-        cfg, scen, density, comm_range_m,
-        plan_margin_s=e.max_volume_plan_margin_s)
-
-    if scheme == "direct":
-        head = scen.states[scen.head_vid]
-        resource = scen.states[scen.resource_vid]
-        try:
-            b = link_budget(head, resource, FileSpec(s, s), models)
-        except ValueError:
-            return 0.0
-        t_in, t_out = scen.trajectory.first_window(
-            scen.head_vid, scen.resource_vid, comm_range_m)
-        realized = int(b.e_c_bps * (t_out - t_in) / (8.0 * s))
-        n = min(b.n_frags, realized)
-        return float(min(n, 1_000_000) * s)
+    cft = _scenario_runner(cfg, scen, density, comm_range_m,
+                           plan_margin_s=e.max_volume_plan_margin_s)
 
     def ok(frags: int) -> bool:
         file = FileSpec(frags * s, s)
@@ -478,28 +466,30 @@ def _max_volume_one_seed(cfg: Config, scen: TransferScenario, density: float,
 
 def max_transfer_volume(cfg: Config, scheme: str) -> SweepResult:
     """Largest volume deliverable in at least success_fraction of runs."""
-    if scheme not in ("cft", "direct"):
-        raise ValueError(f"unknown scheme '{scheme}'")
     e = cfg.experiments
     r_m = e.max_volume_range_m
     sd = e.max_volume_sd_m
     rows, records = [], {}
     # An opportunistic transfer can only use the remainder of the link it
     # happens to have; a planned transfer starts when the resource is first
-    # discovered, with the whole pass ahead.
-    request_at = "contact" if scheme == "direct" else "encounter"
-    # The direct estimate is cheap and far noisier per run (the current
-    # link's remaining lifetime is near-uniform), so it gets its own count.
-    n_seeds = (e.max_volume_direct_seeds if scheme == "direct"
-               else e.max_volume_seeds)
+    # discovered, with the whole pass ahead.  The direct estimate is cheap
+    # and far noisier per run (the current link's remaining lifetime is
+    # near-uniform), so it gets its own seed count.
+    if scheme == "direct":
+        request_at, n_seeds, one_seed = (
+            "contact", e.max_volume_direct_seeds, _direct_max_volume)
+    elif scheme == "cft":
+        request_at, n_seeds, one_seed = (
+            "encounter", e.max_volume_seeds, _cft_max_volume)
+    else:
+        raise ValueError(f"unknown scheme '{scheme}'")
     for density in e.max_volume_densities:
         per_seed = []
         for seed_idx in range(n_seeds):
             scen = build_transfer_scenario(
                 cfg, density, sd, r_m, e.max_volume_warmup_steps, seed_idx,
                 request_at=request_at)
-            per_seed.append(
-                _max_volume_one_seed(cfg, scen, density, r_m, scheme))
+            per_seed.append(one_seed(cfg, scen, density, r_m))
         ordered = sorted(per_seed)
         # Largest volume still achieved by at least success_fraction of runs.
         need = math.ceil(e.success_fraction * len(ordered))
@@ -538,7 +528,7 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
         ]
         runners = [
             _scenario_runner(cfg, scen, density, r_m,
-                             horizon_s=e.cluster_horizon_s)[0]
+                             horizon_s=e.cluster_horizon_s)
             for scen in scens
         ]
         for v_bytes in e.file_sizes_bytes:
@@ -559,16 +549,27 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     )
 
 
+def _max_volume_both(cfg: Config) -> SweepResult:
+    """Both schemes: the direct rows, then the cluster rows."""
+    direct = max_transfer_volume(cfg, "direct")
+    cft = max_transfer_volume(cfg, "cft")
+    return SweepResult(direct.header, direct.rows + cft.rows,
+                       {**direct.records, **cft.records})
+
+
+# Every experiment the CLI offers, by command name, in the CLI's order.
+SWEEPS = {
+    "connection-time": connection_time_sweep,
+    "throughput": throughput_sweep,
+    "capacity": capability_sweep,
+    "max-volume": _max_volume_both,
+    "cluster-size": cluster_size_profile,
+    "rate-curve": rate_curve,
+}
+
+
 def run_sweep(cfg: Config, metric: str) -> SweepResult:
     """Dispatch a named experiment sweep."""
-    if metric == "connection-time":
-        return connection_time_sweep(cfg)
-    if metric == "capacity":
-        return capability_sweep(cfg)
-    if metric == "throughput":
-        return throughput_sweep(cfg)
-    if metric == "rate-curve":
-        return rate_curve(cfg)
-    if metric == "cluster-size":
-        return cluster_size_profile(cfg)
-    raise ValueError(f"unknown metric '{metric}'")
+    if metric not in SWEEPS:
+        raise ValueError(f"unknown metric '{metric}'")
+    return SWEEPS[metric](cfg)

@@ -29,6 +29,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["validate-config", "--config",
                  str(tmp_path / "absent.yaml")]) == 2
     assert main(["throughput", "--set", "experiments.success_fraction=7"]) == 2
+    assert main(["validate-config", "--set", "chanel.noise_dbm=-90"]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -46,6 +47,11 @@ def test_validate_config_echoes_resolved_values(capsys):
     assert "base_seed = 20240" in out
     assert main(["validate-config", "--set", "mobility.v_max_kmh=100"]) == 0
     assert "27.7" in capsys.readouterr().out    # 100 km/h in m/s
+    assert main(["validate-config", "--seeds", "3"]) == 0
+    out = capsys.readouterr().out
+    for name in ("seeds", "max_volume_seeds", "max_volume_direct_seeds",
+                 "cluster_seeds"):
+        assert f"  {name} = 3\n" in out
 
 
 def test_rate_curve_csv_decreases_within_fading_bands(tmp_path, capsys):
@@ -88,11 +94,11 @@ def test_connection_time_run_with_overrides(tmp_path, capsys):
 
 def test_max_volume_runs_both_schemes(tmp_path):
     rc = main(["max-volume", "--out", str(tmp_path), "--seeds", "2",
-               "--set", "experiments.max_volume.density_per_km=[5]",
-               "--set", "experiments.max_volume.direct_seeds=3"])
+               "--set", "experiments.max_volume.density_per_km=[5]"])
     assert rc == 0
     header, rows = _read_csv(tmp_path / "max-volume.csv")
     assert header[0] == "scheme"
     assert [r[0] for r in rows] == ["direct", "cft"]
     direct_v, cft_v = (float(r[4]) for r in rows)
     assert direct_v > 0.0 and cft_v > 0.0
+    assert [int(r[5]) for r in rows] == [2, 2]   # --seeds covers both schemes

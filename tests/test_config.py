@@ -1,5 +1,6 @@
 """Config loading: unit conversion, overrides, validation, defaults."""
 
+import dataclasses
 import math
 
 import pytest
@@ -142,6 +143,10 @@ def test_config_error_cases(tmp_path):
     "experiments.success_fraction=1.5",
     "experiments.comm_range_m=[]",
     "mac.carrier_sense_factor=0",
+    # unknown keys: a misspelt key, a key beside a real one, a misspelt section
+    "mobility.v_max_khm=100",
+    "experiments.max_volume.seed=3",
+    "chanel.noise_dbm=-90",
 ])
 def test_invalid_values_are_config_errors(override):
     with pytest.raises(ConfigError):
@@ -165,3 +170,5 @@ def test_describe_echoes_resolved_parameters(default_cfg):
     assert "noise_w = 2.511886e-13" in text
     assert "base_seed = 20240" in text
     assert "success_fraction = 0.5" in text
+    for f in dataclasses.fields(default_cfg.experiments):
+        assert f"  {f.name} = " in text

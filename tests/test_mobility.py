@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cftsim.mobility import (Fleet, MobilityConfig, distance, init_scenario,
+from cftsim.mobility import (Fleet, MobilityConfig, init_scenario,
                              lane_gaps, ring_delta, step, warm_up)
 
 V_MIN = 60.0 / 3.6
@@ -191,16 +191,6 @@ def test_single_vehicle_coasts_without_acceleration():
 
 def test_ring_distance_helpers():
     assert ring_delta(np.array(10_900.0), np.array(100.0), 11_000.0) == 200.0
-    fleet = Fleet(
-        x=np.array([0.0, 3.0]), y=np.array([0.0, 4.0]),
-        speed=np.array([20.0, 20.0]), direction=np.array([1, 1]),
-        lane=np.array([0, 0]),
-    )
-    assert distance(fleet, 0, 1, 11_000.0) == pytest.approx(5.0)
-    assert distance(fleet, 0, 0, 11_000.0) == 0.0
-    fleet.x[1] = 250.0
-    fleet.y[1] = 0.0
-    assert distance(fleet, 0, 1, 11_000.0) == pytest.approx(250.0)
 
 
 def test_trajectories_are_deterministic_per_seed():

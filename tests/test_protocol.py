@@ -10,8 +10,7 @@ from cftsim.mac import throughput
 from cftsim.protocol import (Cluster, ClusterMember, FileSpec,
                              InsufficientCapacityError, Models,
                              NoResourceError, VehicleState, assign_fragments,
-                             build_cluster, direct_feasible,
-                             forwarding_feasible, link_budget,
+                             build_cluster, forwarding_feasible, link_budget,
                              prospective_link_budget, run_cft,
                              run_direct_baseline, select_resource)
 
@@ -156,14 +155,18 @@ def test_select_resource_matches_argmax_oracle(default_cfg):
 
 
 def test_direct_feasibility_boundaries():
+    # The direct-link boundary: a 10 MB link from a standing requester, and
+    # a co-moving holder whose link never closes.
     models = single_rate_models(8e6)
     req = vehicle(0, 0.0, 0.0, 0.0)
-    src = vehicle(1, 0.0, 0.0, 25.0)            # capacity 10 MB
-    assert direct_feasible(req, src, FileSpec(0.0, MB), models)
-    assert direct_feasible(req, src, FileSpec(10 * MB, MB), models)
-    assert not direct_feasible(req, src, FileSpec(10 * MB + 1, MB), models)
-    same = vehicle(2, 100.0, 0.0, 0.0)          # unbounded link
-    assert direct_feasible(req, same, FileSpec(10_000 * MB, MB), models)
+    scene = [req, vehicle(1, 0.0, 0.0, 25.0), vehicle(2, 100.0, 0.0, 0.0)]
+    for v_bytes, holder, delivered in ((0.0, 1, True), (10 * MB, 1, True),
+                                       (10 * MB + 1, 1, False),
+                                       (10_000 * MB, 2, True)):
+        out = run_direct_baseline(req, scene, FileSpec(v_bytes, MB), models,
+                                  [holder])
+        assert out.mode == ("direct" if delivered else "failed")
+        assert out.bytes_delivered == (v_bytes if delivered else 0.0)
 
 
 # --- cluster construction ---------------------------------------------------

@@ -57,6 +57,18 @@ def test_rng_streams_are_stable_and_independent():
     assert not np.array_equal(a, c)
 
 
+def test_seed_keys_are_exact(default_cfg):
+    # Shipped integer grids keep the keys int() gave them.
+    for d in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+        assert simulator._seed_key(d, 1000) == int(d * 1000)
+    assert simulator._seed_key(250.0) == 250
+    assert simulator._seed_key(1.001, 1000) == 1001   # int() gave 1.0's 1000
+    with pytest.raises(ValueError):
+        simulator._seed_key(250.9)                   # int() reused 250's stream
+    with pytest.raises(ValueError):
+        build_transfer_scenario(default_cfg, 5.0, 150.0, 250.9, 15, 0)
+
+
 @pytest.mark.parametrize("sweep,value_name", [
     (connection_time_sweep, "avg_connection_time_s"),
     (capability_sweep, "avg_capability_bytes"),

@@ -3,12 +3,14 @@
 Vehicles accelerate randomly within speed limits and brake to the speed of
 the vehicle ahead whenever the same-lane gap drops to the safety distance or
 below.  The road is a ring: positions wrap modulo the lane length, so the
-vehicle population is closed and density stays constant.
+vehicle population is closed and density stays constant.  Braking is one
+vectorised pass over all lanes per step; ``step`` states the rule, including
+its cycle case for a lane with no gap over the safety distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +59,45 @@ class MobilityConfig:
         return int(np.floor(self.density_per_km * self.lane_length_m / 1000.0))
 
 
+@dataclass(frozen=True)
+class LaneGroups:
+    """Fixed index layout of a fleet's lanes, for sorting all lanes at once.
+
+    Vehicles are grouped by (direction, lane).  Sorting by (group, position)
+    puts each group in one block of "slots"; the per-slot arrays describe
+    that block layout.  It is fixed, since vehicles never change lanes.
+    """
+
+    group: np.ndarray           # group id per vehicle
+    slot: np.ndarray            # 0, 1, ..., n - 1
+    starts: np.ndarray          # first slot of each group
+    last: np.ndarray            # last slot of each group
+    slot_group: np.ndarray      # group id per slot
+    slot_start: np.ndarray      # first slot of the slot's group
+    slot_offset: np.ndarray     # slot index within its group
+    slot_count: np.ndarray      # size of the slot's group
+    slot_direction: np.ndarray  # direction of travel per slot
+    ahead: np.ndarray           # slot ahead in driving order, cyclic per group
+
+    @classmethod
+    def of(cls, direction: np.ndarray, lane: np.ndarray) -> "LaneGroups":
+        keys, group, counts = np.unique(
+            np.stack((direction, lane)), axis=1, return_inverse=True,
+            return_counts=True)
+        starts = np.cumsum(counts) - counts
+        slot_group = np.repeat(np.arange(counts.size), counts)
+        slot_start = starts[slot_group]
+        slot_offset = np.arange(direction.size) - slot_start
+        slot_count = counts[slot_group]
+        return cls(
+            group=group.reshape(-1), slot=np.arange(direction.size),
+            starts=starts, last=starts + counts - 1,
+            slot_group=slot_group, slot_start=slot_start,
+            slot_offset=slot_offset, slot_count=slot_count,
+            slot_direction=keys[0][slot_group],
+            ahead=slot_start + (slot_offset + 1) % slot_count)
+
+
 @dataclass
 class Fleet:
     """State of all vehicles: parallel arrays indexed by vehicle id."""
@@ -66,6 +107,8 @@ class Fleet:
     speed: np.ndarray      # m/s, non-negative
     direction: np.ndarray  # +1 or -1, sign of travel along x
     lane: np.ndarray       # lane index within the direction
+    # Built from direction and lane on first use; copies share it.
+    _groups: LaneGroups | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -75,9 +118,15 @@ class Fleet:
     def vx(self) -> np.ndarray:
         return self.speed * self.direction
 
+    @property
+    def lane_groups(self) -> LaneGroups:
+        if self._groups is None:
+            self._groups = LaneGroups.of(self.direction, self.lane)
+        return self._groups
+
     def copy(self) -> "Fleet":
         return Fleet(self.x.copy(), self.y.copy(), self.speed.copy(),
-                     self.direction.copy(), self.lane.copy())
+                     self.direction.copy(), self.lane.copy(), self._groups)
 
 
 def ring_delta(x_from: np.ndarray, x_to: np.ndarray, length: float) -> np.ndarray:
@@ -131,68 +180,70 @@ def init_scenario(cfg: MobilityConfig, rng: np.random.Generator) -> Fleet:
     )
 
 
-def _apply_safety_rule(x: np.ndarray, speed: np.ndarray, direction: int,
-                       sd: float, length: float) -> None:
-    """Brake followers closer than the safety distance, front to back.
+def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
+    """Apply the safety-distance rule of ``step`` to every lane, in place.
 
-    One sweep per step: starting from the vehicle with the largest free gap
-    ahead (a local leader), walk the lane backwards and give every crowded
-    follower at most its leader's speed.  Because leaders are settled before
-    their followers, every crowded pair ends the sweep with rear <= front.
-    Mutates speed in place.
+    The per-lane sweeps are computed as one segmented running minimum.
+    Each lane is sorted into driving order and read backwards from its
+    leader.  A vehicle's new speed is the least pre-step speed over itself
+    and the vehicles ahead of it, up to and including the first one whose
+    gap ahead exceeds SD; in a cycle lane, up to the leader and the vehicle
+    ahead of the leader.  The minimum runs over integer speed ranks:
+    subtracting run * n from every rank makes one ``minimum.accumulate``
+    restart at each run, and mapping the ranks back yields an exact speed
+    with no arithmetic on it.
     """
-    n = x.size
-    if n < 2:
-        return
-    order = np.argsort(x * direction)  # driving order, rearmost first
-    x_ord = x[order]
-    gaps = (np.roll(x_ord, -1) - x_ord) * direction % length
-    # gaps[k] is the room between order[k] and its leader order[k+1].
-    leader_slot = int(np.argmax(gaps))  # vehicle with the most room ahead
-    for back in range(n):
-        k = (leader_slot - back) % n        # follower slot
-        lead = (k + 1) % n
-        if gaps[k] <= sd:
-            i, j = order[k], order[lead]
-            if speed[i] > speed[j]:
-                speed[i] = speed[j]
+    g = fleet.lane_groups
+    n = fleet.n
+    order = np.lexsort((fleet.x * fleet.direction, g.group))
+    x_ord = fleet.x[order]
+    # gaps[k] is the room between sorted slot k and the vehicle ahead of it.
+    gaps = (x_ord[g.ahead] - x_ord) * g.slot_direction % length
+    widest = np.maximum.reduceat(gaps, g.starts)[g.slot_group]
+    leader = np.minimum.reduceat(
+        np.where(gaps == widest, g.slot_offset, n), g.starts)[g.slot_group]
+    # walk[t] is the slot visited t-th, lane by lane, leader first.
+    walk = g.slot_start + (leader - g.slot_offset) % g.slot_count
+    vid = order[walk]
+    s = fleet.speed[vid]
+    by_speed = np.argsort(s)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_speed] = g.slot
+    restart = gaps[walk] > sd
+    # A lane with no gap over SD closes a cycle: its leader brakes to the
+    # pre-step speed of the vehicle ahead, which the walk visits last.
+    cycle = ~restart[g.starts]
+    first, last = g.starts[cycle], g.last[cycle]
+    rank[first] = np.minimum(rank[first], rank[last])
+    restart[g.starts] = True
+    offset = np.cumsum(restart) * n
+    fleet.speed[vid] = s[by_speed[np.minimum.accumulate(rank - offset) + offset]]
 
 
 def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
     """Advance the fleet by one time step, in place.
 
     Speed noise first, then position updates with ring wraparound, then the
-    safety-distance rule per lane at the new spacings, so crowded pairs
-    always leave the step with the rear no faster than the front.
+    safety-distance rule at the new spacings.  The rule acts as one sweep
+    per lane: start from the vehicle with the largest gap ahead (on a tie,
+    the one with the smallest position along its direction of travel),
+    walk the lane backwards, and give every vehicle within SD of the one
+    ahead at most that vehicle's speed.  Vehicles ahead are settled first,
+    so every crowded pair leaves the step with the rear no faster than the
+    front.  The exception is the cycle case, when every gap of a lane is
+    within SD: the sweep starts at a crowded vehicle, which is compared with
+    the pre-step speed of the vehicle ahead, and that vehicle is braked only
+    at the end of the sweep.
     """
     gamma = rng.uniform(-1.0, 1.0, size=fleet.n)
     fleet.speed += gamma * cfg.accel_mps2 * cfg.step_s
     np.clip(fleet.speed, cfg.v_min_mps, cfg.v_max_mps, out=fleet.speed)
     fleet.x += fleet.vx * cfg.step_s
     fleet.x %= cfg.lane_length_m
-    for direction in (1, -1):
-        for lane in range(cfg.lanes_per_direction):
-            mask = (fleet.direction == direction) & (fleet.lane == lane)
-            idx = np.nonzero(mask)[0]
-            if idx.size < 2:
-                continue
-            speeds = fleet.speed[idx]
-            _apply_safety_rule(fleet.x[idx], speeds, direction,
-                               cfg.safety_distance_m, cfg.lane_length_m)
-            fleet.speed[idx] = speeds
+    _brake_to_leaders(fleet, cfg.safety_distance_m, cfg.lane_length_m)
 
 
 def warm_up(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator,
             steps: int) -> None:
     for _ in range(steps):
         step(fleet, cfg, rng)
-
-
-def lane_gaps(fleet: Fleet, direction: int, lane: int, cfg: MobilityConfig) -> np.ndarray:
-    """Forward gaps within one lane, in driving order (rearmost first)."""
-    mask = (fleet.direction == direction) & (fleet.lane == lane)
-    x = fleet.x[mask]
-    if x.size < 2:
-        return np.empty(0)
-    x_ord = np.sort(x * direction)
-    return (np.roll(x_ord, -1) - x_ord) % cfg.lane_length_m

@@ -433,9 +433,12 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
                     comm_range_m: float) -> float:
     """Largest file volume the cluster scheme delivers, in bytes.
 
-    Success is monotone in the file size (a bigger file can only add load
-    to every member), so a doubling search plus bisection on the fragment
-    count finds the exact threshold.
+    A doubling search plus bisection on the fragment count.  It assumes
+    that success is monotone in the file size, and that can fail: at the
+    shipped settings some seeds fail at one size yet succeed at a larger
+    one (ROADMAP item 2).  On such a seed the result is a size that
+    succeeds next to one that fails, set by the probe order; it need not
+    lie below the first failing size.
     """
     e = cfg.experiments
     s = e.fragment_bytes
@@ -516,30 +519,25 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     sd = e.cluster_sd_m
     rows, records = [], {}
     for density in e.cluster_densities:
-        # Covering a large file takes the resource pass across a long
-        # stretch of convoy, so this experiment observes further ahead
-        # than the delivery-volume one.
-        scens = [
-            build_transfer_scenario(cfg, density, sd, r_m,
-                                    e.cluster_warmup_steps, seed_idx,
-                                    stream="cluster", request_at="encounter",
-                                    horizon_s=e.cluster_horizon_s)
-            for seed_idx in range(e.cluster_seeds)
-        ]
-        runners = [
-            _scenario_runner(cfg, scen, density, r_m,
-                             horizon_s=e.cluster_horizon_s)
-            for scen in scens
-        ]
+        sizes = {v_bytes: [] for v_bytes in e.file_sizes_bytes}
+        for seed_idx in range(e.cluster_seeds):
+            # Covering a large file takes the resource pass across a long
+            # stretch of convoy, so this experiment observes further ahead
+            # than the delivery-volume one.  One scenario is alive at a
+            # time: it serves every file size, then is dropped.
+            scen = build_transfer_scenario(
+                cfg, density, sd, r_m, e.cluster_warmup_steps, seed_idx,
+                stream="cluster", request_at="encounter",
+                horizon_s=e.cluster_horizon_s)
+            run = _scenario_runner(cfg, scen, density, r_m,
+                                   horizon_s=e.cluster_horizon_s)
+            for v_bytes in e.file_sizes_bytes:
+                sizes[v_bytes].append(run(FileSpec(v_bytes, e.fragment_bytes)).n_c)
+            del scen, run
         for v_bytes in e.file_sizes_bytes:
-            file = FileSpec(v_bytes, e.fragment_bytes)
-            sizes = []
-            for run in runners:
-                out = run(file)
-                sizes.append(out.n_c)
-            formed = [n for n in sizes if n > 0]
+            formed = [n for n in sizes[v_bytes] if n > 0]
             avg = float(np.mean(formed)) if formed else 0.0
-            records[(density, v_bytes)] = sizes
+            records[(density, v_bytes)] = sizes[v_bytes]
             rows.append((density, v_bytes, avg, len(formed)))
     return SweepResult(
         header=["density_per_km", "v_file_bytes", "avg_cluster_size",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cftsim.mobility import (Fleet, MobilityConfig, init_scenario,
-                             lane_gaps, ring_delta, step, warm_up)
+                             ring_delta, step, warm_up)
 
 V_MIN = 60.0 / 3.6
 V_MAX = 120.0 / 3.6
@@ -30,6 +30,15 @@ class _ConstRng:
         return np.full(size, val)
 
 
+def _lane_gaps(fleet, direction, lane, cfg):
+    """One lane's vehicle ids in driving order (rearmost first), and the
+    forward gap from each to the vehicle ahead, wrapping round the ring."""
+    idx = np.nonzero((fleet.direction == direction) & (fleet.lane == lane))[0]
+    order = idx[np.argsort(fleet.x[idx] * direction)]
+    x_ord = fleet.x[order] * direction
+    return order, (np.roll(x_ord, -1) - x_ord) % cfg.lane_length_m
+
+
 def _placed_gaps(fleet, direction, lane, cfg):
     """Gaps between consecutive placed vehicles, closure gap dropped.
 
@@ -37,7 +46,7 @@ def _placed_gaps(fleet, direction, lane, cfg):
     that closes it rather than a drawn spacing; at the densities tested it
     is always the largest by a wide margin.
     """
-    gaps = lane_gaps(fleet, direction, lane, cfg)
+    gaps = _lane_gaps(fleet, direction, lane, cfg)[1]
     if gaps.size < 2:
         return np.empty(0)
     return np.delete(gaps, np.argmax(gaps))
@@ -79,7 +88,7 @@ def test_overfull_lane_is_rescaled_to_close_the_ring():
     # shrink uniformly so the lane still closes.
     cfg = make_cfg(density=10.0)
     fleet = init_scenario(cfg, _ConstRng(1.0))
-    gaps = lane_gaps(fleet, 1, 0, cfg)
+    gaps = _lane_gaps(fleet, 1, 0, cfg)[1]
     assert gaps.sum() == pytest.approx(cfg.lane_length_m)
     assert np.allclose(gaps, gaps[0])
 
@@ -114,13 +123,9 @@ def test_positions_and_speeds_stay_in_bounds():
 def _crowded_pairs_ok(fleet, cfg):
     for direction in (1, -1):
         for lane in range(cfg.lanes_per_direction):
-            mask = (fleet.direction == direction) & (fleet.lane == lane)
-            idx = np.nonzero(mask)[0]
-            if idx.size < 2:
+            order, gaps = _lane_gaps(fleet, direction, lane, cfg)
+            if order.size < 2:
                 continue
-            order = idx[np.argsort(fleet.x[idx] * direction)]
-            x_ord = fleet.x[order] * direction
-            gaps = (np.roll(x_ord, -1) - x_ord) % cfg.lane_length_m
             for k in range(order.size):
                 if gaps[k] <= cfg.safety_distance_m:
                     rear, front = order[k], order[(k + 1) % order.size]
@@ -137,6 +142,122 @@ def test_crowded_pairs_leave_each_step_ordered(density):
     for _ in range(200):
         step(fleet, cfg, gen)
         assert _crowded_pairs_ok(fleet, cfg)
+
+
+def _scalar_safety_rule(x, speed, direction, sd, length):
+    """Reference sweep: one lane, front to back, one vehicle at a time."""
+    n = x.size
+    if n < 2:
+        return
+    order = np.argsort(x * direction)  # driving order, rearmost first
+    x_ord = x[order]
+    gaps = (np.roll(x_ord, -1) - x_ord) * direction % length
+    leader_slot = int(np.argmax(gaps))  # vehicle with the most room ahead
+    for back in range(n):
+        k = (leader_slot - back) % n        # follower slot
+        lead = (k + 1) % n
+        if gaps[k] <= sd:
+            i, j = order[k], order[lead]
+            if speed[i] > speed[j]:
+                speed[i] = speed[j]
+
+
+def _reference_step(fleet, cfg, rng):
+    """step() with the safety rule applied lane by lane through masks."""
+    gamma = rng.uniform(-1.0, 1.0, size=fleet.n)
+    fleet.speed += gamma * cfg.accel_mps2 * cfg.step_s
+    np.clip(fleet.speed, cfg.v_min_mps, cfg.v_max_mps, out=fleet.speed)
+    fleet.x += fleet.vx * cfg.step_s
+    fleet.x %= cfg.lane_length_m
+    for direction in (1, -1):
+        for lane in range(cfg.lanes_per_direction):
+            idx = np.nonzero((fleet.direction == direction)
+                             & (fleet.lane == lane))[0]
+            speeds = fleet.speed[idx]
+            _scalar_safety_rule(fleet.x[idx], speeds, direction,
+                                cfg.safety_distance_m, cfg.lane_length_m)
+            fleet.speed[idx] = speeds
+
+
+def _scenario(cfg, seed):
+    return init_scenario(cfg, np.random.default_rng(seed))
+
+
+def _shuffled(cfg, seed):
+    """A scenario with vehicle ids permuted, so no lane is contiguous."""
+    fleet = _scenario(cfg, seed)
+    p = np.random.default_rng(seed + 1).permutation(fleet.n)
+    return Fleet(fleet.x[p], fleet.y[p], fleet.speed[p], fleet.direction[p],
+                 fleet.lane[p])
+
+
+def _sparse(cfg, seed):
+    """Lanes of 2, 1, 0 and 2 vehicles; each pair starts 100 m apart."""
+    gen = np.random.default_rng(seed)
+    x0, x1 = gen.uniform(0.0, cfg.lane_length_m, size=2)
+    x = np.array([x0, x0 + 100.0, x1, x1, x1 + 100.0]) % cfg.lane_length_m
+    direction = np.array([1, 1, 1, -1, -1])
+    lane = np.array([0, 0, 1, 1, 1])
+    return Fleet(x=x, y=direction * (lane + 0.5) * cfg.lane_width_m,
+                 speed=gen.uniform(V_MIN, V_MAX, size=5),
+                 direction=direction, lane=lane)
+
+
+def _tied(cfg, seed):
+    """One lane of 5 whose first step leaves two widest gaps of 210 m.
+
+    In the cycle case the sweep starting at the first of them brakes the
+    lane to [20, 17, 17, 17, 17] m/s; starting at the second would give
+    [20, 20, 20, 17, 17].
+    """
+    return Fleet(x=np.arange(5) * cfg.lane_length_m / 5, y=np.full(5, 2.5),
+                 speed=np.array([20.0, 30.0, 20.0, 30.0, 17.0]),
+                 direction=np.ones(5, dtype=np.int64),
+                 lane=np.zeros(5, dtype=np.int64))
+
+
+# id: (config, fleet builder, whether some lane must close a cycle)
+ORACLE_CASES = {
+    "d5-sd150": (make_cfg(5.0, 150.0), _scenario, False),
+    "d5-sd250": (make_cfg(5.0, 250.0), _scenario, False),
+    "d10-sd150": (make_cfg(10.0, 150.0), _scenario, False),
+    "d10-sd250": (make_cfg(10.0, 250.0), _scenario, False),
+    # 55 vehicles at 400 m need 22 km of ring: every gap is within SD.
+    "all-crowded-d10-sd400": (make_cfg(10.0, 400.0), _scenario, True),
+    "sparse-lanes-sd150": (make_cfg(5.0, 150.0), _sparse, False),
+    # SD beyond the ring length puts every lane in the cycle case.
+    "sparse-lanes-sd12000": (make_cfg(5.0, 12_000.0), _sparse, True),
+    # 55 vehicles per direction split 28/27, with SD near the mean spacing
+    # of either lane (393 m and 407 m).
+    "uneven-28-27-sd400": (make_cfg(5.0, 400.0), _scenario, False),
+    "uneven-19-18-18-sd250": (
+        make_cfg(5.0, 250.0, lanes_per_direction=3), _scenario, False),
+    "ids-not-grouped-d10-sd250": (make_cfg(10.0, 250.0), _shuffled, False),
+    # The cycle's leader is the first of the widest gaps in driving order.
+    "tied-gaps-cycle": (
+        make_cfg(5.0, 1_000.0, lane_length_m=1_000.0, accel_mps2=0.0),
+        _tied, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_step_matches_scalar_sweep_exactly(case):
+    cfg, build, must_cycle = ORACLE_CASES[case]
+    fleet = build(cfg, 3)
+    ref = fleet.copy()
+    gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
+    cycles = 0
+    for _ in range(500):
+        step(fleet, cfg, gen)
+        _reference_step(ref, cfg, ref_gen)
+        assert np.array_equal(fleet.x, ref.x)
+        assert np.array_equal(fleet.speed, ref.speed)
+        for direction in (1, -1):
+            for lane in range(cfg.lanes_per_direction):
+                gaps = _lane_gaps(fleet, direction, lane, cfg)[1]
+                cycles += gaps.size > 1 and gaps.max() <= cfg.safety_distance_m
+    if must_cycle:
+        assert cycles > 0
 
 
 def test_no_overtaking_within_a_lane():

@@ -9,24 +9,10 @@ expected data rate of the link.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_function
-
-# Fading figure by distance band (m).  Measured highway values exist for
-# 90.5-588 m; below that fading is treated as Rayleigh-like (mu = 1), beyond
-# it the last measured value is held.
-DEFAULT_MU_PROFILE = (
-    (0.0, 90.5, 1.0),
-    (90.5, 230.7, 0.74),
-    (230.7, 588.0, 0.84),
-    (588.0, math.inf, 0.84),
-)
-
-# -96 dBm ambient noise floor, in watts.
-DEFAULT_NOISE_W = 10.0 ** ((-96.0 - 30.0) / 10.0)
 
 
 def watts_from_dbm(dbm: float) -> float:
@@ -52,24 +38,24 @@ class ChannelParams:
     """Radio and propagation constants.
 
     tx_power_w        transmit power P_t in watts
+    noise_w           receiver noise power N_r in watts
     tx_gain, rx_gain  antenna gains (dimensionless)
     tx_height_m, rx_height_m  antenna heights entering the two-ray-style
                       d**alpha path loss as squared factors
     path_loss_exp     path loss exponent alpha
     system_loss       system loss factor L >= 1
-    noise_w           receiver noise power N_r in watts
     mu_profile        distance-banded Nakagami shape values
     """
 
-    tx_power_w: float = 0.2
-    tx_gain: float = 1.0
-    rx_gain: float = 1.0
-    tx_height_m: float = 1.0
-    rx_height_m: float = 1.0
-    path_loss_exp: float = 4.0
-    system_loss: float = 1.0
-    noise_w: float = DEFAULT_NOISE_W
-    mu_profile: tuple = DEFAULT_MU_PROFILE
+    tx_power_w: float
+    noise_w: float
+    tx_gain: float
+    rx_gain: float
+    tx_height_m: float
+    rx_height_m: float
+    path_loss_exp: float
+    system_loss: float
+    mu_profile: tuple
 
     def __post_init__(self):
         if self.tx_power_w <= 0.0:
@@ -151,15 +137,6 @@ class RateTable:
             raise ValueError("rates must be ascending")
         if list(self.thresholds_snr) != sorted(self.thresholds_snr):
             raise ValueError("SNR thresholds must be ascending")
-
-
-# Default ladder.  Thresholds are calibration artifacts chosen so that the
-# experiment metrics land in their reference bands (see the shipped default
-# config and demos/calibrate_rate_table.py).
-DEFAULT_RATE_TABLE = RateTable(
-    rates_bps=(6e6, 9e6, 12e6, 18e6, 24e6, 36e6, 48e6, 54e6),
-    thresholds_snr=(0.030, 0.050, 0.080, 0.120, 0.180, 0.270, 0.400, 0.550),
-)
 
 
 @dataclass(frozen=True)

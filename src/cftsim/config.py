@@ -30,34 +30,32 @@ class ConfigError(Exception):
     """Invalid or unreadable configuration."""
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing key '{key}' in section '{where}'")
-    return section[key]
-
-
 class _Section(dict):
-    """A config mapping that records the keys looked up in it."""
+    """A config mapping that records the keys looked up in it.
 
-    def __init__(self, raw: dict):
-        super().__init__({k: _Section(v) if isinstance(v, dict) else v
-                          for k, v in raw.items()})
+    Every key is required: looking up a missing one is a ConfigError that
+    names its dotted path.
+    """
+
+    def __init__(self, raw: dict, path: str = ""):
+        super().__init__({k: _Section(v, f"{path}{k}.") if isinstance(v, dict)
+                          else v for k, v in raw.items()})
+        self.path = path
         self.read = set()
 
     def __getitem__(self, key):
+        if key not in self:
+            raise ConfigError(f"missing config key '{self.path}{key}'")
         self.read.add(key)
         return super().__getitem__(key)
 
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def unread(self, prefix: str = ""):
+    def unread(self):
         """Dotted paths of the keys nothing looked up."""
         for key, value in self.items():
             if key not in self.read:
-                yield prefix + str(key)
+                yield f"{self.path}{key}"
             elif isinstance(value, _Section):
-                yield from value.unread(f"{prefix}{key}.")
+                yield from value.unread()
 
 
 @dataclass(frozen=True)
@@ -93,15 +91,29 @@ class ExperimentSettings:
     cluster_horizon_s: float
 
     def __post_init__(self):
-        if (self.seeds < 1 or self.max_volume_seeds < 1
-                or self.max_volume_direct_seeds < 1 or self.cluster_seeds < 1):
-            raise ConfigError("seed counts must be at least 1")
+        for name in ("seeds", "max_volume_seeds", "max_volume_direct_seeds",
+                     "cluster_seeds", "snapshots"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name in ("warmup_steps", "max_volume_warmup_steps",
+                     "cluster_warmup_steps", "max_volume_plan_margin_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative")
         if not 0.0 < self.success_fraction <= 1.0:
             raise ConfigError("success_fraction must be in (0, 1]")
         for name in ("comm_ranges_m", "densities_per_km", "file_sizes_bytes",
                      "max_volume_densities", "cluster_densities"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must not be empty")
+        for name in ("comm_ranges_m", "densities_per_km", "safety_distance_m",
+                     "horizon_s", "snapshot_stride_s", "connection_density_per_km",
+                     "fragment_bytes", "nominal_mac_rate_bps",
+                     "max_volume_densities", "max_volume_range_m", "max_volume_sd_m",
+                     "cluster_densities", "cluster_range_m", "cluster_sd_m",
+                     "cluster_horizon_s"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,)) <= 0:
+                raise ConfigError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,88 +203,87 @@ def resolve(raw: dict) -> Config:
     """
     raw = _Section(raw)
     try:
-        mob = _require(raw, "mobility", "root")
-        cha = _require(raw, "channel", "root")
-        rat = _require(raw, "rates", "root")
-        mac = _require(raw, "mac", "root")
-        exp = _require(raw, "experiments", "root")
+        mob = raw["mobility"]
+        cha = raw["channel"]
+        rat = raw["rates"]
+        mac = raw["mac"]
+        exp = raw["experiments"]
 
         mobility_defaults = {
-            "lane_length_m": float(_require(mob, "lane_length_km", "mobility")) * 1000.0,
-            "lane_width_m": float(_require(mob, "lane_width_m", "mobility")),
-            "lanes_per_direction": int(_require(mob, "lanes_per_direction", "mobility")),
-            "v_min_mps": float(_require(mob, "v_min_kmh", "mobility")) / 3.6,
-            "v_max_mps": float(_require(mob, "v_max_kmh", "mobility")) / 3.6,
-            "accel_mps2": float(_require(mob, "accel_mps2", "mobility")),
-            "step_s": float(mob.get("step_s", 1.0)),
+            "lane_length_m": float(mob["lane_length_km"]) * 1000.0,
+            "lane_width_m": float(mob["lane_width_m"]),
+            "lanes_per_direction": int(mob["lanes_per_direction"]),
+            "v_min_mps": float(mob["v_min_kmh"]) / 3.6,
+            "v_max_mps": float(mob["v_max_kmh"]) / 3.6,
+            "accel_mps2": float(mob["accel_mps2"]),
+            "step_s": float(mob["step_s"]),
         }
 
         profile = tuple(
             (float(lo), math.inf if hi in ("inf", ".inf", None) else float(hi), float(m))
-            for lo, hi, m in _require(cha, "mu_profile", "channel")
+            for lo, hi, m in cha["mu_profile"]
         )
         channel = ChannelParams(
-            tx_power_w=float(_require(cha, "tx_power_w", "channel")),
-            tx_gain=float(cha.get("tx_gain", 1.0)),
-            rx_gain=float(cha.get("rx_gain", 1.0)),
-            tx_height_m=float(cha.get("tx_height_m", 1.0)),
-            rx_height_m=float(cha.get("rx_height_m", 1.0)),
-            path_loss_exp=float(_require(cha, "path_loss_exp", "channel")),
-            system_loss=float(cha.get("system_loss", 1.0)),
-            noise_w=watts_from_dbm(float(_require(cha, "noise_dbm", "channel"))),
+            tx_power_w=float(cha["tx_power_w"]),
+            noise_w=watts_from_dbm(float(cha["noise_dbm"])),
+            tx_gain=float(cha["tx_gain"]),
+            rx_gain=float(cha["rx_gain"]),
+            tx_height_m=float(cha["tx_height_m"]),
+            rx_height_m=float(cha["rx_height_m"]),
+            path_loss_exp=float(cha["path_loss_exp"]),
+            system_loss=float(cha["system_loss"]),
             mu_profile=profile,
         )
 
         rates = RateTable(
-            rates_bps=tuple(float(r) * 1e6 for r in _require(rat, "rates_mbps", "rates")),
-            thresholds_snr=tuple(float(t) for t in _require(rat, "thresholds_snr", "rates")),
+            rates_bps=tuple(float(r) * 1e6 for r in rat["rates_mbps"]),
+            thresholds_snr=tuple(float(t) for t in rat["thresholds_snr"]),
         )
 
         mac_base = MacParams(
-            w=int(_require(mac, "backoff_window", "mac")),
-            lp_bits=float(_require(mac, "packet_kb", "mac")) * KB * 8.0,
-            t_slot_s=float(_require(mac, "slot_us", "mac")) * 1e-6,
-            t_rts_s=float(_require(mac, "rts_us", "mac")) * 1e-6,
-            t_cts_s=float(_require(mac, "cts_us", "mac")) * 1e-6,
-            t_difs_s=float(_require(mac, "difs_us", "mac")) * 1e-6,
-            t_sifs_s=float(_require(mac, "sifs_us", "mac")) * 1e-6,
-            t_ack_s=float(_require(mac, "ack_us", "mac")) * 1e-6,
+            w=int(mac["backoff_window"]),
+            lp_bits=float(mac["packet_kb"]) * KB * 8.0,
+            t_slot_s=float(mac["slot_us"]) * 1e-6,
+            t_rts_s=float(mac["rts_us"]) * 1e-6,
+            t_cts_s=float(mac["cts_us"]) * 1e-6,
+            t_difs_s=float(mac["difs_us"]) * 1e-6,
+            t_sifs_s=float(mac["sifs_us"]) * 1e-6,
+            t_ack_s=float(mac["ack_us"]) * 1e-6,
         )
-        cs_factor = float(mac.get("carrier_sense_factor", 1.0))
+        cs_factor = float(mac["carrier_sense_factor"])
         if cs_factor <= 0:
             raise ConfigError("carrier_sense_factor must be positive")
 
-        mv = exp.get("max_volume", {})
-        cl = exp.get("cluster_size", {})
+        mv = exp["max_volume"]
+        cl = exp["cluster_size"]
         settings = ExperimentSettings(
-            comm_ranges_m=tuple(float(r) for r in _require(exp, "comm_range_m", "experiments")),
-            densities_per_km=tuple(float(d) for d in _require(exp, "density_per_km", "experiments")),
-            safety_distance_m=float(_require(exp, "safety_distance_m", "experiments")),
-            seeds=int(exp.get("seeds", 30)),
-            base_seed=int(exp.get("base_seed", 20240)),
-            warmup_steps=int(exp.get("warmup_steps", 300)),
-            horizon_s=float(exp.get("horizon_s", 120.0)),
-            snapshots=int(exp.get("snapshots", 5)),
-            snapshot_stride_s=float(exp.get("snapshot_stride_s", 30.0)),
-            connection_density_per_km=float(exp.get("connection_density_per_km", 5)),
-            file_sizes_bytes=tuple(float(v) * MB for v in _require(exp, "file_size_mb", "experiments")),
-            fragment_bytes=float(exp.get("fragment_mb", 1.0)) * MB,
-            nominal_mac_rate_bps=float(_require(exp, "nominal_mac_rate_mbps", "experiments")) * 1e6,
-            success_fraction=float(exp.get("success_fraction", 0.95)),
-            max_volume_densities=tuple(float(d) for d in mv.get("density_per_km", exp["density_per_km"])),
-            max_volume_range_m=float(mv.get("comm_range_m", 250.0)),
-            max_volume_sd_m=float(mv.get("safety_distance_m", exp["safety_distance_m"])),
-            max_volume_warmup_steps=int(mv.get("warmup_steps", exp.get("warmup_steps", 300))),
-            max_volume_seeds=int(mv.get("seeds", exp.get("seeds", 30))),
-            max_volume_direct_seeds=int(mv.get("direct_seeds",
-                                               mv.get("seeds", exp.get("seeds", 30)))),
-            max_volume_plan_margin_s=float(mv.get("plan_margin_s", 0.0)),
-            cluster_densities=tuple(float(d) for d in cl.get("density_per_km", exp["density_per_km"])),
-            cluster_range_m=float(cl.get("comm_range_m", 250.0)),
-            cluster_sd_m=float(cl.get("safety_distance_m", exp["safety_distance_m"])),
-            cluster_warmup_steps=int(cl.get("warmup_steps", exp.get("warmup_steps", 300))),
-            cluster_seeds=int(cl.get("seeds", exp.get("seeds", 30))),
-            cluster_horizon_s=float(cl.get("horizon_s", exp.get("horizon_s", 120.0))),
+            comm_ranges_m=tuple(float(r) for r in exp["comm_range_m"]),
+            densities_per_km=tuple(float(d) for d in exp["density_per_km"]),
+            safety_distance_m=float(exp["safety_distance_m"]),
+            seeds=int(exp["seeds"]),
+            base_seed=int(exp["base_seed"]),
+            warmup_steps=int(exp["warmup_steps"]),
+            horizon_s=float(exp["horizon_s"]),
+            snapshots=int(exp["snapshots"]),
+            snapshot_stride_s=float(exp["snapshot_stride_s"]),
+            connection_density_per_km=float(exp["connection_density_per_km"]),
+            file_sizes_bytes=tuple(float(v) * MB for v in exp["file_size_mb"]),
+            fragment_bytes=float(exp["fragment_mb"]) * MB,
+            nominal_mac_rate_bps=float(exp["nominal_mac_rate_mbps"]) * 1e6,
+            success_fraction=float(exp["success_fraction"]),
+            max_volume_densities=tuple(float(d) for d in mv["density_per_km"]),
+            max_volume_range_m=float(mv["comm_range_m"]),
+            max_volume_sd_m=float(mv["safety_distance_m"]),
+            max_volume_warmup_steps=int(mv["warmup_steps"]),
+            max_volume_seeds=int(mv["seeds"]),
+            max_volume_direct_seeds=int(mv["direct_seeds"]),
+            max_volume_plan_margin_s=float(mv["plan_margin_s"]),
+            cluster_densities=tuple(float(d) for d in cl["density_per_km"]),
+            cluster_range_m=float(cl["comm_range_m"]),
+            cluster_sd_m=float(cl["safety_distance_m"]),
+            cluster_warmup_steps=int(cl["warmup_steps"]),
+            cluster_seeds=int(cl["seeds"]),
+            cluster_horizon_s=float(cl["horizon_s"]),
         )
 
         cfg = Config(
@@ -291,7 +302,7 @@ def resolve(raw: dict) -> Config:
         return cfg
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid configuration: {e}") from e
 
 
@@ -302,33 +313,33 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     return resolve(raw)
 
 
+def _field_lines(params, skip=()):
+    """One "  name = value" line per dataclass field, tuples as lists."""
+    for f in fields(params):
+        if f.name not in skip:
+            v = getattr(params, f.name)
+            v = list(v) if isinstance(v, tuple) else v
+            yield f"  {f.name} = {format(v, '.6e' if f.name == 'noise_w' else '')}"
+
+
 def describe(cfg: Config) -> str:
-    """Human-readable echo of the resolved SI-unit parameters."""
-    e = cfg.experiments
+    """Human-readable echo of the resolved SI-unit parameters.
+
+    The MAC's rcs_m and rho_per_m are left out: ``mac_for`` sets them per
+    grid point.
+    """
     lines = [
         "mobility:",
         *(f"  {k} = {v}" for k, v in cfg.mobility_defaults.items()),
         "channel:",
-        f"  tx_power_w = {cfg.channel.tx_power_w}",
-        f"  noise_w = {cfg.channel.noise_w:.6e}",
-        f"  path_loss_exp = {cfg.channel.path_loss_exp}",
-        f"  mu_profile = {list(cfg.channel.mu_profile)}",
+        *_field_lines(cfg.channel),
         "rates:",
         f"  rates_bps = {list(cfg.rates.rates_bps)}",
         f"  thresholds_snr = {list(cfg.rates.thresholds_snr)}",
         "mac:",
-        f"  w = {cfg.mac_base.w}",
-        f"  lp_bits = {cfg.mac_base.lp_bits}",
-        f"  t_slot_s = {cfg.mac_base.t_slot_s}",
-        f"  t_rts_s = {cfg.mac_base.t_rts_s}",
-        f"  t_cts_s = {cfg.mac_base.t_cts_s}",
-        f"  t_difs_s = {cfg.mac_base.t_difs_s}",
-        f"  t_sifs_s = {cfg.mac_base.t_sifs_s}",
-        f"  t_ack_s = {cfg.mac_base.t_ack_s}",
+        *_field_lines(cfg.mac_base, skip=("rcs_m", "rho_per_m")),
         f"  carrier_sense_factor = {cfg.carrier_sense_factor}",
         "experiments:",
+        *_field_lines(cfg.experiments),
     ]
-    for f in fields(e):
-        v = getattr(e, f.name)
-        lines.append(f"  {f.name} = {list(v) if isinstance(v, tuple) else v}")
     return "\n".join(lines)

@@ -14,18 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Frame and interframe timings, in seconds.  SIFS exceeding DIFS is unusual
-# but these are the measured defaults this model was built around; override
-# in config if needed.
-T_SLOT_S = 13e-6
-T_RTS_S = 53e-6
-T_CTS_S = 37e-6
-T_DIFS_S = 32e-6
-T_SIFS_S = 53e-6
-T_ACK_S = 37e-6          # ACK assumed same duration as CTS (same-format control frame)
-
-PACKET_BITS = 4.2 * 1024 * 8   # 4.2 KB average packet, in bits
-
 POISSON_TAIL = 1e-12     # truncation mass for the contender distribution
 
 
@@ -38,14 +26,14 @@ class MacParams:
     a caller does not supply one.
     """
 
-    w: int = 32
-    lp_bits: float = PACKET_BITS
-    t_slot_s: float = T_SLOT_S
-    t_rts_s: float = T_RTS_S
-    t_cts_s: float = T_CTS_S
-    t_difs_s: float = T_DIFS_S
-    t_sifs_s: float = T_SIFS_S
-    t_ack_s: float = T_ACK_S
+    w: int
+    lp_bits: float
+    t_slot_s: float
+    t_rts_s: float
+    t_cts_s: float
+    t_difs_s: float
+    t_sifs_s: float
+    t_ack_s: float
     rcs_m: float = 250.0
     rho_per_m: float = 0.005
 

@@ -14,14 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Geometry defaults for the simulated highway segment.
-LANE_LENGTH_M = 11_000.0   # ring circumference per lane, m
-LANE_WIDTH_M = 5.0         # m
-LANES_PER_DIRECTION = 2
-
-ACCEL_MAX_MPS2 = 2.0       # acceleration magnitude bound, m/s^2
-STEP_S = 1.0               # update interval, s
-
 
 @dataclass(frozen=True)
 class MobilityConfig:
@@ -29,18 +21,20 @@ class MobilityConfig:
 
     density_per_km counts vehicles per km per direction of travel; each
     direction gets floor(density * length_km) vehicles spread round-robin
-    over its lanes.  Speeds are in m/s.
+    over its lanes.  Speeds are in m/s.  lane_length_m is the ring
+    circumference of each lane, accel_mps2 bounds the random acceleration,
+    and step_s is the update interval.
     """
 
     density_per_km: float
     v_min_mps: float
     v_max_mps: float
     safety_distance_m: float
-    lane_length_m: float = LANE_LENGTH_M
-    lane_width_m: float = LANE_WIDTH_M
-    lanes_per_direction: int = LANES_PER_DIRECTION
-    accel_mps2: float = ACCEL_MAX_MPS2
-    step_s: float = STEP_S
+    lane_length_m: float
+    lane_width_m: float
+    lanes_per_direction: int
+    accel_mps2: float
+    step_s: float
 
     def __post_init__(self):
         if self.density_per_km <= 0.0:

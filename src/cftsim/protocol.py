@@ -74,7 +74,7 @@ class Models:
     rates: RateTable
     mac: MacParams
     range_m: float
-    horizon_s: float = 120.0
+    horizon_s: float
     ring_length_m: float | None = None  # set for ring-road scenarios
     # Safety margin the cluster planner shaves off every member budget, in
     # seconds of link time.  Predictions assume constant velocity; actual

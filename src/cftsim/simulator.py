@@ -205,12 +205,10 @@ def throughput_sweep(cfg: Config) -> SweepResult:
     )
 
 
-def rate_curve(cfg: Config, distances_m=None) -> SweepResult:
-    """Expected PHY rate versus link distance."""
-    if distances_m is None:
-        distances_m = np.arange(10.0, 601.0, 10.0)
+def rate_curve(cfg: Config) -> SweepResult:
+    """Expected PHY rate versus link distance, 10 m to 600 m."""
     rows = [(float(d), expected_rate(float(d), cfg.channel, cfg.rates))
-            for d in distances_m]
+            for d in np.arange(10.0, 601.0, 10.0)]
     return SweepResult(header=["distance_m", "expected_rate_bps"], rows=rows)
 
 

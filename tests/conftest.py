@@ -1,19 +1,21 @@
 """Shared fixtures and exact-model helpers for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cftsim.channel import ChannelParams, RateTable
+from cftsim.channel import RateTable
 from cftsim.config import load_config
-from cftsim.mac import MacParams
 from cftsim.protocol import Models
+
+DEFAULT_CFG = load_config()
 
 
 @pytest.fixture(scope="session")
 def default_cfg():
-    return load_config()
+    return DEFAULT_CFG
 
 
 def single_rate_models(rate_bps: float, range_m: float = 250.0,
@@ -27,9 +29,10 @@ def single_rate_models(rate_bps: float, range_m: float = 250.0,
     floats), which makes link capacities exact rational numbers and lets
     tests assert fragment counts without tolerance.
     """
-    channel = ChannelParams(mu_profile=((0.0, math.inf, 1.0),))
+    channel = dataclasses.replace(DEFAULT_CFG.channel,
+                                  mu_profile=((0.0, math.inf, 1.0),))
     rates = RateTable(rates_bps=(rate_bps,), thresholds_snr=(1e-300,))
-    return Models(channel=channel, rates=rates, mac=MacParams(),
+    return Models(channel=channel, rates=rates, mac=DEFAULT_CFG.mac_base,
                   range_m=range_m, horizon_s=horizon_s,
                   ring_length_m=ring_length_m,
                   plan_margin_s=plan_margin_s)

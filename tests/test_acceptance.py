@@ -5,6 +5,7 @@ a results table.  The heavy end-to-end sweeps (criteria 8 and 9) run at the
 shipped default configuration and take a few minutes together.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,11 @@ import pytest
 from scipy.stats import chi2
 
 from cftsim import protocol
-from cftsim.channel import (ChannelParams, rate_distribution, sample_snr,
-                            snr_cdf)
+from cftsim.channel import rate_distribution, sample_snr, snr_cdf
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
-from cftsim.mac import (MacParams, avg_slot_length, collision_duration,
-                        p_success, success_duration, transmission_prob)
+from cftsim.mac import (avg_slot_length, collision_duration, p_success,
+                        success_duration, transmission_prob)
 from cftsim.protocol import (FileSpec, Models, VehicleState, run_cft,
                              run_direct_baseline)
 from cftsim.simulator import (capability_sweep, cluster_size_profile,
@@ -87,7 +87,8 @@ def test_criterion_03_channel_normalization_and_rayleigh_reduction(default_cfg):
         worst = max(worst, abs(rd.prob_zero + sum(rd.probs) - 1.0))
     assert worst <= 1e-9
 
-    rayleigh = ChannelParams(mu_profile=((0.0, math.inf, 1.0),))
+    rayleigh = dataclasses.replace(default_cfg.channel,
+                                   mu_profile=((0.0, math.inf, 1.0),))
     worst_cdf = 0.0
     for d in (60.0, 150.0, 300.0, 500.0):
         omega = 0.2 / d ** 4
@@ -135,11 +136,11 @@ def test_criterion_04_channel_monte_carlo_equivalence(default_cfg, d):
     assert stat <= limit
 
 
-def test_criterion_05_mac_exactness_and_slot_monte_carlo():
+def test_criterion_05_mac_exactness_and_slot_monte_carlo(default_cfg):
     zeta = transmission_prob(32)
     assert zeta == 2.0 / 33.0
     assert p_success(1, zeta) == 1.0
-    params = MacParams()
+    params = default_cfg.mac_base
     rate = 8e6
     t_succ = success_duration(params, rate)
     t_coll = collision_duration(params)

@@ -1,5 +1,6 @@
 """Fading channel model against quadrature and Monte-Carlo oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from cftsim.channel import (ChannelParams, RateTable, DEFAULT_RATE_TABLE,
-                            expected_rate, mean_power, mu_for_distance,
-                            rate_distribution, sample_snr, snr_cdf,
-                            upper_incomplete_gamma, watts_from_dbm)
+from cftsim.channel import (RateTable, expected_rate, mean_power,
+                            mu_for_distance, rate_distribution, sample_snr,
+                            snr_cdf, upper_incomplete_gamma, watts_from_dbm)
+from cftsim.config import load_config
 
-PARAMS = ChannelParams()
+CFG = load_config()
+PARAMS = CFG.channel
+RATES = CFG.rates
 
 # Frozen from the quadrature oracle below (integral of exp(-x) x^(mu-1)
 # from z to infinity), evaluated once and pinned.
@@ -105,7 +108,7 @@ def test_snr_cdf_at_zero_and_shape():
 def test_snr_cdf_rayleigh_reduction():
     # With the shape forced to 1 the received power is exponential, so
     # P(SNR <= x) = 1 - exp(-N_r x / Omega) in closed form.
-    p1 = ChannelParams(mu_profile=((0.0, math.inf, 1.0),))
+    p1 = dataclasses.replace(PARAMS, mu_profile=((0.0, math.inf, 1.0),))
     for d in (80.0, 250.0, 500.0):
         omega = mean_power(d, p1)
         for x in (0.01, 0.1, 1.0, 10.0, 300.0):
@@ -126,7 +129,7 @@ def test_snr_cdf_matches_quadrature():
 
 def test_rate_probabilities_sum_to_one():
     for d in np.linspace(50.0, 600.0, 100):
-        rd = rate_distribution(float(d), PARAMS, DEFAULT_RATE_TABLE)
+        rd = rate_distribution(float(d), PARAMS, RATES)
         assert rd.prob_zero + sum(rd.probs) == pytest.approx(1.0, abs=1e-9)
         assert rd.prob_zero >= -1e-15
         assert all(p >= -1e-15 for p in rd.probs)
@@ -152,14 +155,14 @@ def test_unreachable_threshold_kills_the_link():
 def test_expected_rate_at_reference_distance():
     # Regression anchor for the shipped ladder; value frozen from this
     # implementation and cross-checked against the Monte-Carlo oracle.
-    assert expected_rate(250.0, PARAMS, DEFAULT_RATE_TABLE) == pytest.approx(
+    assert expected_rate(250.0, PARAMS, RATES) == pytest.approx(
         53_826_080.18, rel=1e-6)
 
 
 def test_expected_rate_non_increasing_within_bands():
     for lo, hi in ((10.0, 90.0), (91.0, 230.0), (231.0, 587.0), (589.0, 900.0)):
         ds = np.linspace(lo, hi, 120)
-        vals = [expected_rate(float(d), PARAMS, DEFAULT_RATE_TABLE) for d in ds]
+        vals = [expected_rate(float(d), PARAMS, RATES) for d in ds]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
@@ -178,13 +181,13 @@ def test_rate_table_validation():
 
 def test_channel_params_validation():
     with pytest.raises(ValueError):
-        ChannelParams(tx_power_w=0.0)
+        dataclasses.replace(PARAMS, tx_power_w=0.0)
     with pytest.raises(ValueError):
-        ChannelParams(system_loss=0.5)
+        dataclasses.replace(PARAMS, system_loss=0.5)
     with pytest.raises(ValueError):
-        ChannelParams(mu_profile=((0.0, 100.0, -1.0),))
+        dataclasses.replace(PARAMS, mu_profile=((0.0, 100.0, -1.0),))
     with pytest.raises(ValueError):
-        ChannelParams(mu_profile=((100.0, 100.0, 1.0),))
+        dataclasses.replace(PARAMS, mu_profile=((100.0, 100.0, 1.0),))
 
 
 def _chi2_stat(counts, probs, n):
@@ -207,9 +210,9 @@ def test_rate_distribution_matches_monte_carlo(distance_m):
     n = 1_000_000
     gen = np.random.default_rng(42_000 + int(distance_m))
     snr = sample_snr(distance_m, PARAMS, gen, n)
-    edges = np.concatenate(([0.0], DEFAULT_RATE_TABLE.thresholds_snr, [np.inf]))
+    edges = np.concatenate(([0.0], RATES.thresholds_snr, [np.inf]))
     counts, _ = np.histogram(snr, bins=edges)
-    rd = rate_distribution(distance_m, PARAMS, DEFAULT_RATE_TABLE)
+    rd = rate_distribution(distance_m, PARAMS, RATES)
     probs = (rd.prob_zero,) + rd.probs
     stat, dof = _chi2_stat(counts, probs, n)
     assert dof >= 1

@@ -143,6 +143,24 @@ def test_config_error_cases(tmp_path):
     "experiments.success_fraction=1.5",
     "experiments.comm_range_m=[]",
     "mac.carrier_sense_factor=0",
+    # out-of-range values
+    "experiments.snapshots=0",
+    "experiments.warmup_steps=-5",
+    "experiments.max_volume.warmup_steps=-1",
+    "experiments.cluster_size.warmup_steps=-1",
+    "experiments.horizon_s=0",
+    "experiments.cluster_size.horizon_s=0",
+    "experiments.fragment_mb=0",
+    "experiments.snapshot_stride_s=0",
+    "experiments.nominal_mac_rate_mbps=0",
+    "experiments.comm_range_m=[250, 0]",
+    "experiments.density_per_km=[-5]",
+    "experiments.connection_density_per_km=0",
+    "experiments.max_volume.comm_range_m=0",
+    "experiments.max_volume.density_per_km=[0]",
+    "experiments.cluster_size.comm_range_m=-250",
+    "experiments.cluster_size.density_per_km=[5, 0]",
+    "experiments.max_volume.plan_margin_s=-0.5",
     # unknown keys: a misspelt key, a key beside a real one, a misspelt section
     "mobility.v_max_khm=100",
     "experiments.max_volume.seed=3",
@@ -151,6 +169,27 @@ def test_config_error_cases(tmp_path):
 def test_invalid_values_are_config_errors(override):
     with pytest.raises(ConfigError):
         load_config(overrides=[override])
+
+
+def _leaf_paths(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+@pytest.mark.parametrize("path", list(_leaf_paths(load_raw())))
+def test_every_leaf_key_is_required(path):
+    raw = load_raw()
+    *sections, leaf = path.split(".")
+    node = raw
+    for section in sections:
+        node = node[section]
+    del node[leaf]
+    with pytest.raises(ConfigError) as info:
+        resolve(raw)
+    assert f"'{path}'" in str(info.value)
 
 
 def test_missing_sections_are_config_errors():
@@ -170,5 +209,9 @@ def test_describe_echoes_resolved_parameters(default_cfg):
     assert "noise_w = 2.511886e-13" in text
     assert "base_seed = 20240" in text
     assert "success_fraction = 0.5" in text
-    for f in dataclasses.fields(default_cfg.experiments):
-        assert f"  {f.name} = " in text
+    for params in (default_cfg.channel, default_cfg.mac_base,
+                   default_cfg.experiments):
+        for f in dataclasses.fields(params):
+            if f.name not in ("rcs_m", "rho_per_m"):
+                assert f"  {f.name} = " in text
+    assert "rcs_m" not in text and "rho_per_m" not in text

@@ -1,16 +1,18 @@
 """Contention MAC model against exact values and a slot-level simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from cftsim.mac import (MacParams, avg_slot_length, collision_duration,
-                        contention_pmf, p_success, success_duration,
-                        throughput, transmission_prob)
+from cftsim.config import load_config
+from cftsim.mac import (avg_slot_length, collision_duration, contention_pmf,
+                        p_success, success_duration, throughput,
+                        transmission_prob)
 
-PARAMS = MacParams()
+PARAMS = load_config().mac_base
 DATA_RATE = 11e6
 
 
@@ -73,8 +75,8 @@ def test_slot_length_floor_and_payload_monotonicity():
     zeta = 2.0 / 33.0
     for n in (1, 3, 8):
         assert avg_slot_length(n, zeta, PARAMS, DATA_RATE) >= PARAMS.t_slot_s
-    small = MacParams(lp_bits=1024.0)
-    big = MacParams(lp_bits=65536.0)
+    small = dataclasses.replace(PARAMS, lp_bits=1024.0)
+    big = dataclasses.replace(PARAMS, lp_bits=65536.0)
     assert (avg_slot_length(3, zeta, big, DATA_RATE)
             > avg_slot_length(3, zeta, small, DATA_RATE))
 
@@ -119,7 +121,8 @@ def test_empty_road_gives_the_lone_pair_ceiling():
 def test_throughput_never_exceeds_the_data_rate():
     gen = np.random.default_rng(77)
     for _ in range(100):
-        params = MacParams(rcs_m=float(gen.uniform(100.0, 1000.0)))
+        params = dataclasses.replace(
+            PARAMS, rcs_m=float(gen.uniform(100.0, 1000.0)))
         rate = float(gen.uniform(1e6, 54e6))
         rho = float(gen.uniform(0.0, 0.05))
         assert throughput(rho, params, rate) <= rate
@@ -136,17 +139,17 @@ def test_throughput_rises_then_collapses_with_contention():
 
 
 def test_default_density_is_the_fallback():
-    params = MacParams(rho_per_m=0.007)
+    params = dataclasses.replace(PARAMS, rho_per_m=0.007)
     assert throughput(None, params, DATA_RATE) == pytest.approx(
         throughput(0.007, params, DATA_RATE), rel=1e-12)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        MacParams(w=0)
+        dataclasses.replace(PARAMS, w=0)
     with pytest.raises(ValueError):
-        MacParams(lp_bits=0.0)
+        dataclasses.replace(PARAMS, lp_bits=0.0)
     with pytest.raises(ValueError):
-        MacParams(t_slot_s=0.0)
+        dataclasses.replace(PARAMS, t_slot_s=0.0)
     with pytest.raises(ValueError):
-        MacParams(rho_per_m=-0.001)
+        dataclasses.replace(PARAMS, rho_per_m=-0.001)

@@ -1,18 +1,20 @@
 """Highway mobility model: init rules, safety braking, ring invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cftsim.mobility import (Fleet, MobilityConfig, init_scenario,
-                             ring_delta, step, warm_up)
+from cftsim.config import load_config
+from cftsim.mobility import Fleet, init_scenario, ring_delta, step, warm_up
 
-V_MIN = 60.0 / 3.6
-V_MAX = 120.0 / 3.6
+CFG = load_config()
+V_MIN = CFG.mobility_defaults["v_min_mps"]
+V_MAX = CFG.mobility_defaults["v_max_mps"]
 
 
 def make_cfg(density=5.0, sd=150.0, **kw):
-    return MobilityConfig(density_per_km=density, v_min_mps=V_MIN,
-                          v_max_mps=V_MAX, safety_distance_m=sd, **kw)
+    return dataclasses.replace(CFG.mobility(density, sd), **kw)
 
 
 class _ConstRng:
@@ -329,8 +331,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(density=0.0)
     with pytest.raises(ValueError):
-        MobilityConfig(density_per_km=5.0, v_min_mps=30.0, v_max_mps=20.0,
-                       safety_distance_m=150.0)
+        make_cfg(v_min_mps=30.0, v_max_mps=20.0)
     with pytest.raises(ValueError):
         make_cfg(sd=0.0)
     with pytest.raises(ValueError):

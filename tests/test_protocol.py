@@ -70,7 +70,8 @@ def test_link_budget_matches_fragment_stepthrough(default_cfg):
     """Oracle: walk the link fragment by fragment and count completions."""
     gen = np.random.default_rng(2024)
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_base, range_m=250.0)
+                    mac=default_cfg.mac_base, range_m=250.0,
+                    horizon_s=default_cfg.experiments.horizon_s)
     file = FileSpec(500 * MB, MB)
     frag_bits = 8.0 * MB
     for _ in range(300):
@@ -130,7 +131,8 @@ def test_select_resource_prefers_capacity_then_distance():
 def test_select_resource_matches_argmax_oracle(default_cfg):
     gen = np.random.default_rng(555)
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_base, range_m=250.0)
+                    mac=default_cfg.mac_base, range_m=250.0,
+                    horizon_s=default_cfg.experiments.horizon_s)
     file = FileSpec(100 * MB, MB)
     req = vehicle(0, 0.0, 2.5, 25.0)
     for _ in range(50):

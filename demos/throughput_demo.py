@@ -19,14 +19,14 @@ def main() -> None:
     print("throughput [Mbps] by density (rows) and range (columns):")
     print("  rho\\R " + "".join(f"{r:8.0f}" for r in e.comm_ranges_m))
     for rho in e.densities_per_km:
-        cells = [throughput(None, cfg.mac_for(r, rho), rate) / 1e6
+        cells = [throughput(cfg.mac_for(r, rho), rate) / 1e6
                  for r in e.comm_ranges_m]
         print(f"  {rho:5.1f} " + "".join(f"{v:8.2f}" for v in cells))
 
     r = 250.0
     params = cfg.mac_for(r, SHOW_RHO)
     zeta = transmission_prob(params.w)
-    ns, masses = contention_pmf(params.rho_per_m, params.rcs_m)
+    ns, masses = contention_pmf(params)
     print(f"\nslot accounting at rho={SHOW_RHO:.0f}/km, R={r:.0f} m "
           f"(carrier-sense {params.rcs_m:.0f} m):")
     print(f"  transmission probability zeta = {zeta:.4f}")

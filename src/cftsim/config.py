@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import yaml
@@ -48,6 +48,14 @@ class _Section(dict):
             raise ConfigError(f"missing config key '{self.path}{key}'")
         self.read.add(key)
         return super().__getitem__(key)
+
+    def integer(self, key):
+        """The value at key, which must not be a float or a bool."""
+        value = self[key]
+        if isinstance(value, (bool, float)):
+            raise ConfigError(
+                f"config key '{self.path}{key}' must be an integer, got {value!r}")
+        return int(value)
 
     def unread(self):
         """Dotted paths of the keys nothing looked up."""
@@ -95,7 +103,7 @@ class ExperimentSettings:
                      "cluster_seeds", "snapshots"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        for name in ("warmup_steps", "max_volume_warmup_steps",
+        for name in ("base_seed", "warmup_steps", "max_volume_warmup_steps",
                      "cluster_warmup_steps", "max_volume_plan_margin_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
@@ -122,24 +130,21 @@ class Config:
 
     channel: ChannelParams
     rates: RateTable
-    mac_base: MacParams
+    mac_defaults: dict
     carrier_sense_factor: float
     mobility_defaults: dict
     experiments: ExperimentSettings
 
     def mobility(self, density_per_km: float,
-                 safety_distance_m: float | None = None) -> MobilityConfig:
-        return MobilityConfig(
-            density_per_km=density_per_km,
-            safety_distance_m=(self.experiments.safety_distance_m
-                               if safety_distance_m is None else safety_distance_m),
-            **self.mobility_defaults,
-        )
+                 safety_distance_m: float) -> MobilityConfig:
+        return MobilityConfig(density_per_km=density_per_km,
+                              safety_distance_m=safety_distance_m,
+                              **self.mobility_defaults)
 
     def mac_for(self, comm_range_m: float, density_per_km: float) -> MacParams:
-        return replace(self.mac_base,
-                       rcs_m=self.carrier_sense_factor * comm_range_m,
-                       rho_per_m=density_per_km / 1000.0)
+        return MacParams(rcs_m=self.carrier_sense_factor * comm_range_m,
+                         rho_per_m=density_per_km / 1000.0,
+                         **self.mac_defaults)
 
     def models(self, comm_range_m: float, density_per_km: float,
                horizon_s: float | None = None,
@@ -212,7 +217,7 @@ def resolve(raw: dict) -> Config:
         mobility_defaults = {
             "lane_length_m": float(mob["lane_length_km"]) * 1000.0,
             "lane_width_m": float(mob["lane_width_m"]),
-            "lanes_per_direction": int(mob["lanes_per_direction"]),
+            "lanes_per_direction": mob.integer("lanes_per_direction"),
             "v_min_mps": float(mob["v_min_kmh"]) / 3.6,
             "v_max_mps": float(mob["v_max_kmh"]) / 3.6,
             "accel_mps2": float(mob["accel_mps2"]),
@@ -240,16 +245,16 @@ def resolve(raw: dict) -> Config:
             thresholds_snr=tuple(float(t) for t in rat["thresholds_snr"]),
         )
 
-        mac_base = MacParams(
-            w=int(mac["backoff_window"]),
-            lp_bits=float(mac["packet_kb"]) * KB * 8.0,
-            t_slot_s=float(mac["slot_us"]) * 1e-6,
-            t_rts_s=float(mac["rts_us"]) * 1e-6,
-            t_cts_s=float(mac["cts_us"]) * 1e-6,
-            t_difs_s=float(mac["difs_us"]) * 1e-6,
-            t_sifs_s=float(mac["sifs_us"]) * 1e-6,
-            t_ack_s=float(mac["ack_us"]) * 1e-6,
-        )
+        mac_defaults = {
+            "w": mac.integer("backoff_window"),
+            "lp_bits": float(mac["packet_kb"]) * KB * 8.0,
+            "t_slot_s": float(mac["slot_us"]) * 1e-6,
+            "t_rts_s": float(mac["rts_us"]) * 1e-6,
+            "t_cts_s": float(mac["cts_us"]) * 1e-6,
+            "t_difs_s": float(mac["difs_us"]) * 1e-6,
+            "t_sifs_s": float(mac["sifs_us"]) * 1e-6,
+            "t_ack_s": float(mac["ack_us"]) * 1e-6,
+        }
         cs_factor = float(mac["carrier_sense_factor"])
         if cs_factor <= 0:
             raise ConfigError("carrier_sense_factor must be positive")
@@ -260,11 +265,11 @@ def resolve(raw: dict) -> Config:
             comm_ranges_m=tuple(float(r) for r in exp["comm_range_m"]),
             densities_per_km=tuple(float(d) for d in exp["density_per_km"]),
             safety_distance_m=float(exp["safety_distance_m"]),
-            seeds=int(exp["seeds"]),
-            base_seed=int(exp["base_seed"]),
-            warmup_steps=int(exp["warmup_steps"]),
+            seeds=exp.integer("seeds"),
+            base_seed=exp.integer("base_seed"),
+            warmup_steps=exp.integer("warmup_steps"),
             horizon_s=float(exp["horizon_s"]),
-            snapshots=int(exp["snapshots"]),
+            snapshots=exp.integer("snapshots"),
             snapshot_stride_s=float(exp["snapshot_stride_s"]),
             connection_density_per_km=float(exp["connection_density_per_km"]),
             file_sizes_bytes=tuple(float(v) * MB for v in exp["file_size_mb"]),
@@ -274,28 +279,30 @@ def resolve(raw: dict) -> Config:
             max_volume_densities=tuple(float(d) for d in mv["density_per_km"]),
             max_volume_range_m=float(mv["comm_range_m"]),
             max_volume_sd_m=float(mv["safety_distance_m"]),
-            max_volume_warmup_steps=int(mv["warmup_steps"]),
-            max_volume_seeds=int(mv["seeds"]),
-            max_volume_direct_seeds=int(mv["direct_seeds"]),
+            max_volume_warmup_steps=mv.integer("warmup_steps"),
+            max_volume_seeds=mv.integer("seeds"),
+            max_volume_direct_seeds=mv.integer("direct_seeds"),
             max_volume_plan_margin_s=float(mv["plan_margin_s"]),
             cluster_densities=tuple(float(d) for d in cl["density_per_km"]),
             cluster_range_m=float(cl["comm_range_m"]),
             cluster_sd_m=float(cl["safety_distance_m"]),
-            cluster_warmup_steps=int(cl["warmup_steps"]),
-            cluster_seeds=int(cl["seeds"]),
+            cluster_warmup_steps=cl.integer("warmup_steps"),
+            cluster_seeds=cl.integer("seeds"),
             cluster_horizon_s=float(cl["horizon_s"]),
         )
 
         cfg = Config(
             channel=channel,
             rates=rates,
-            mac_base=mac_base,
+            mac_defaults=mac_defaults,
             carrier_sense_factor=cs_factor,
             mobility_defaults=mobility_defaults,
             experiments=settings,
         )
-        # Instantiating one mobility config exercises its validation too.
-        cfg.mobility(settings.densities_per_km[0])
+        # Instantiating one mobility and one MAC config exercises their
+        # validation too.
+        cfg.mobility(settings.densities_per_km[0], settings.safety_distance_m)
+        cfg.mac_for(settings.comm_ranges_m[0], settings.densities_per_km[0])
         unknown = list(raw.unread())
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -313,21 +320,16 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     return resolve(raw)
 
 
-def _field_lines(params, skip=()):
+def _field_lines(params):
     """One "  name = value" line per dataclass field, tuples as lists."""
     for f in fields(params):
-        if f.name not in skip:
-            v = getattr(params, f.name)
-            v = list(v) if isinstance(v, tuple) else v
-            yield f"  {f.name} = {format(v, '.6e' if f.name == 'noise_w' else '')}"
+        v = getattr(params, f.name)
+        v = list(v) if isinstance(v, tuple) else v
+        yield f"  {f.name} = {format(v, '.6e' if f.name == 'noise_w' else '')}"
 
 
 def describe(cfg: Config) -> str:
-    """Human-readable echo of the resolved SI-unit parameters.
-
-    The MAC's rcs_m and rho_per_m are left out: ``mac_for`` sets them per
-    grid point.
-    """
+    """Human-readable echo of the resolved SI-unit parameters."""
     lines = [
         "mobility:",
         *(f"  {k} = {v}" for k, v in cfg.mobility_defaults.items()),
@@ -337,7 +339,7 @@ def describe(cfg: Config) -> str:
         f"  rates_bps = {list(cfg.rates.rates_bps)}",
         f"  thresholds_snr = {list(cfg.rates.thresholds_snr)}",
         "mac:",
-        *_field_lines(cfg.mac_base, skip=("rcs_m", "rho_per_m")),
+        *(f"  {k} = {v}" for k, v in cfg.mac_defaults.items()),
         f"  carrier_sense_factor = {cfg.carrier_sense_factor}",
         "experiments:",
         *_field_lines(cfg.experiments),

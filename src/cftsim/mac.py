@@ -21,9 +21,8 @@ POISSON_TAIL = 1e-12     # truncation mass for the contender distribution
 class MacParams:
     """Contention and timing parameters.
 
-    rcs_m is the carrier-sense range diameter: rho_per_m * rcs_m vehicles
-    contend on average.  rho_per_m is the default traffic density used when
-    a caller does not supply one.
+    rcs_m is the carrier-sense range diameter and rho_per_m the traffic
+    density: rho_per_m * rcs_m vehicles contend on average.
     """
 
     w: int
@@ -34,8 +33,8 @@ class MacParams:
     t_difs_s: float
     t_sifs_s: float
     t_ack_s: float
-    rcs_m: float = 250.0
-    rho_per_m: float = 0.005
+    rcs_m: float
+    rho_per_m: float
 
     def __post_init__(self):
         if self.w < 1:
@@ -58,23 +57,20 @@ def transmission_prob(w: int) -> float:
     return 2.0 / (w + 1.0)
 
 
-def contention_pmf(rho_per_m: float, rcs_m: float,
-                   tail: float = POISSON_TAIL) -> tuple[np.ndarray, np.ndarray]:
-    """PMF of the contender count n ~ Poisson(rho * rcs).
+def contention_pmf(params: MacParams) -> tuple[np.ndarray, np.ndarray]:
+    """PMF of the contender count n ~ Poisson(rho_per_m * rcs_m).
 
     Returns (values, masses) truncated once the remaining tail mass drops
-    below `tail`, renormalised to sum exactly to 1.
+    below POISSON_TAIL, renormalised to sum exactly to 1.
     """
-    lam = rho_per_m * rcs_m
-    if lam < 0:
-        raise ValueError("rho * rcs must be non-negative")
+    lam = params.rho_per_m * params.rcs_m
     if lam == 0.0:
         return np.array([0]), np.array([1.0])
     masses = [math.exp(-lam)]
     # p_{k+1} = p_k * lam / (k+1); stop when the tail is negligible.
     k = 0
     cum = masses[0]
-    while cum < 1.0 - tail or k < lam:
+    while cum < 1.0 - POISSON_TAIL or k < lam:
         masses.append(masses[-1] * lam / (k + 1))
         k += 1
         cum += masses[-1]
@@ -144,20 +140,16 @@ def _pair_throughput(n: int, zeta: float, params: MacParams,
     return p_s * params.lp_bits / t
 
 
-def throughput(rho_per_m: float | None, params: MacParams,
-               data_rate_bps: float) -> float:
+def throughput(params: MacParams, data_rate_bps: float) -> float:
     """Expected MAC throughput R_thr between two vehicles, in bit/s.
 
-    Averages the per-slot payload rate over the Poisson contender count.
-    The transfer pair itself always contends, so n = 0 draws still see one
-    active station; an empty road therefore yields the lone-pair ceiling
-    rather than zero.
+    Averages the per-slot payload rate over the Poisson contender count at
+    the traffic density params.rho_per_m.  The transfer pair itself always
+    contends, so n = 0 draws still see one active station; an empty road
+    therefore yields the lone-pair ceiling rather than zero.
     """
-    rho = params.rho_per_m if rho_per_m is None else rho_per_m
-    if rho < 0:
-        raise ValueError("traffic density must be non-negative")
     zeta = transmission_prob(params.w)
-    ns, masses = contention_pmf(rho, params.rcs_m)
+    ns, masses = contention_pmf(params)
     total = 0.0
     for n, mass in zip(ns, masses):
         total += mass * _pair_throughput(max(int(n), 1), zeta, params, data_rate_bps)

@@ -35,7 +35,7 @@ class FileSpec:
     """
 
     v_file_bytes: float
-    s_bytes: float = 1_000_000.0
+    s_bytes: float
 
     def __post_init__(self):
         if self.v_file_bytes < 0:
@@ -193,14 +193,13 @@ def _mid_contact_distance(dx: float, dy: float, dvx: float, dvy: float,
 
 
 def _mid_contact_throughput(dx: float, dy: float, dvx: float, dvy: float,
-                            t_in: float, t_out: float, models: Models,
-                            rho_per_m: float | None) -> float:
+                            t_in: float, t_out: float, models: Models) -> float:
     """Forwarding MAC throughput in bit/s; zero when no rate is usable."""
     d_mid = _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out)
     rate = expected_rate(d_mid, models.channel, models.rates)
     if rate <= 0:
         return 0.0
-    return throughput(rho_per_m, models.mac, rate)
+    return throughput(models.mac, rate)
 
 
 def select_resource(request: VehicleState, responders: list[VehicleState],
@@ -232,15 +231,12 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
 class ClusterMember:
     vid: int
     budget: LinkBudget
+    # Fragments the planner may schedule on this member: its budget less
+    # the planning margin, and for any member but the head, no more than
+    # it can forward to the head.
+    planned_frags: float
     frag_start: int = 0
     frag_count: int = 0
-    # Fragments the planner may actually schedule on this member; defaults
-    # to the full budget when no planning margin is in force.
-    plan_frags: float | None = None
-
-    @property
-    def planned_frags(self) -> float:
-        return self.budget.n_frags if self.plan_frags is None else self.plan_frags
 
 
 def _derated_frags(budget: LinkBudget, file: FileSpec, models: Models) -> float:
@@ -289,7 +285,7 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
     e_c = budget.e_c_bps
     if e_c <= 0:
         return 0.0
-    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models, None)
+    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models)
     if r_thr <= 0:
         return 0.0
     # Forwarding cannot start before the download ends (t_start + 8b/e_c)
@@ -364,7 +360,7 @@ def build_cluster(head: VehicleState, resource: VehicleState,
             plan = _plannable_frags(v, head, budget, file, models)
         if plan <= 0:
             return False
-        members.append(ClusterMember(v.vid, budget, plan_frags=plan))
+        members.append(ClusterMember(v.vid, budget, plan))
         covered += file.s_bytes * plan if not math.isinf(plan) else math.inf
         return True
 
@@ -442,8 +438,7 @@ def assign_fragments(cluster: Cluster, file: FileSpec) -> Cluster:
 
 
 def forwarding_feasible(member: VehicleState, head: VehicleState,
-                        assigned_bytes: float, models: Models,
-                        rho_per_m: float | None = None) -> bool:
+                        assigned_bytes: float, models: Models) -> bool:
     """Can the member push its fragments to the head in their contact time?
 
     True when the member-head contact window times the expected MAC
@@ -465,8 +460,7 @@ def forwarding_feasible(member: VehicleState, head: VehicleState,
     dt = t_out - t_in
     if dt <= 0:
         return False
-    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models,
-                                    rho_per_m)
+    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models)
     return dt * r_thr / 8.0 >= assigned_bytes
 
 
@@ -506,8 +500,8 @@ def _ballistic(state: VehicleState, t: float) -> VehicleState:
 
 
 def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
-                   states: dict, rho_per_m: float | None,
-                   window_of=None, state_at=None) -> TransferOutcome:
+                   states: dict, window_of=None,
+                   state_at=None) -> TransferOutcome:
     """Score a fragment plan member by member.
 
     window_of(vid) -> (t_in, t_out) supplies each member's realised window
@@ -550,8 +544,7 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
             else:
                 member_then = state_at(m.vid, t_done)
                 head_then = state_at(head.vid, t_done)
-            ok = forwarding_feasible(member_then, head_then, downloaded,
-                                     models, rho_per_m)
+            ok = forwarding_feasible(member_then, head_then, downloaded, models)
             forwarded = downloaded if ok else 0.0
         delivered += forwarded
         results.append(MemberResult(m.vid, assigned, downloaded, forwarded,
@@ -589,8 +582,7 @@ def _try_direct(request: VehicleState, states: dict, file: FileSpec,
 
 
 def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
-            models: Models, holders: list[int],
-            rho_per_m: float | None = None, window_of=None,
+            models: Models, holders: list[int], window_of=None,
             state_at=None) -> TransferOutcome:
     """Full cluster-based transfer pipeline for one request.
 
@@ -608,8 +600,7 @@ def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
     except InsufficientCapacityError:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
     assign_fragments(cluster, file)
-    return _evaluate_plan(cluster, file, models, states, rho_per_m,
-                          window_of, state_at)
+    return _evaluate_plan(cluster, file, models, states, window_of, state_at)
 
 
 def run_direct_baseline(request: VehicleState, fleet: list[VehicleState],

@@ -194,8 +194,7 @@ def throughput_sweep(cfg: Config) -> SweepResult:
     rows, records = [], {}
     for density in e.densities_per_km:
         for r_m in e.comm_ranges_m:
-            params = cfg.mac_for(r_m, density)
-            val = throughput(density / 1000.0, params, e.nominal_mac_rate_bps)
+            val = throughput(cfg.mac_for(r_m, density), e.nominal_mac_rate_bps)
             rows.append((density, r_m, val))
             records[(density, r_m)] = [val]
     return SweepResult(
@@ -403,7 +402,6 @@ def _scenario_runner(cfg: Config, scen: TransferScenario, density: float,
 
     def cft(file: FileSpec):
         return run_cft(head, scen.states, file, models, holders,
-                       rho_per_m=density / 1000.0,
                        window_of=window_of, state_at=state_at)
 
     return cft

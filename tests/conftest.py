@@ -32,9 +32,9 @@ def single_rate_models(rate_bps: float, range_m: float = 250.0,
     channel = dataclasses.replace(DEFAULT_CFG.channel,
                                   mu_profile=((0.0, math.inf, 1.0),))
     rates = RateTable(rates_bps=(rate_bps,), thresholds_snr=(1e-300,))
-    return Models(channel=channel, rates=rates, mac=DEFAULT_CFG.mac_base,
-                  range_m=range_m, horizon_s=horizon_s,
-                  ring_length_m=ring_length_m,
+    return Models(channel=channel, rates=rates,
+                  mac=DEFAULT_CFG.mac_for(250.0, 5.0), range_m=range_m,
+                  horizon_s=horizon_s, ring_length_m=ring_length_m,
                   plan_margin_s=plan_margin_s)
 
 

@@ -140,7 +140,7 @@ def test_criterion_05_mac_exactness_and_slot_monte_carlo(default_cfg):
     zeta = transmission_prob(32)
     assert zeta == 2.0 / 33.0
     assert p_success(1, zeta) == 1.0
-    params = default_cfg.mac_base
+    params = default_cfg.mac_for(250.0, 5.0)
     rate = 8e6
     t_succ = success_duration(params, rate)
     t_coll = collision_duration(params)
@@ -276,7 +276,8 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
 
     monkeypatch.setattr(protocol, "build_cluster", counting)
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_base, range_m=250.0, horizon_s=120.0)
+                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
+                    horizon_s=120.0)
     modes = {"direct": 0, "clustered": 0, "failed": 0}
     for _ in range(1000):
         fleet, head, holders, file = _random_scene(gen)

@@ -37,7 +37,7 @@ def test_channel_and_rate_units(default_cfg):
 
 
 def test_mac_units(default_cfg):
-    m = default_cfg.mac_base
+    m = default_cfg.mac_for(250.0, 5.0)
     assert m.w == 32
     assert m.lp_bits == pytest.approx(4.2 * 1024 * 8)
     assert m.t_slot_s == pytest.approx(13e-6)
@@ -71,7 +71,7 @@ def test_experiment_settings(default_cfg):
 
 
 def test_mobility_builder_accepts_density_and_sd(default_cfg):
-    mcfg = default_cfg.mobility(7.0)
+    mcfg = default_cfg.mobility(7.0, 150.0)
     assert mcfg.density_per_km == 7.0
     assert mcfg.safety_distance_m == 150.0
     assert default_cfg.mobility(7.0, 80.0).safety_distance_m == 80.0
@@ -81,7 +81,7 @@ def test_mac_for_scales_sensing_with_range_and_density(default_cfg):
     params = default_cfg.mac_for(400.0, 8.0)
     assert params.rcs_m == 400.0 * default_cfg.carrier_sense_factor
     assert params.rho_per_m == pytest.approx(0.008)
-    assert params.w == default_cfg.mac_base.w
+    assert params.w == default_cfg.mac_defaults["w"]
 
 
 def test_models_builder_wires_scope(default_cfg):
@@ -161,6 +161,15 @@ def test_config_error_cases(tmp_path):
     "experiments.cluster_size.comm_range_m=-250",
     "experiments.cluster_size.density_per_km=[5, 0]",
     "experiments.max_volume.plan_margin_s=-0.5",
+    "experiments.base_seed=-1",
+    "mac.backoff_window=0",
+    "mac.slot_us=0",
+    # integer keys given a float or a bool
+    "experiments.seeds=2.7",
+    "experiments.seeds=true",
+    "mobility.lanes_per_direction=2.5",
+    "mac.backoff_window=32.5",
+    "experiments.warmup_steps=1.5",
     # unknown keys: a misspelt key, a key beside a real one, a misspelt section
     "mobility.v_max_khm=100",
     "experiments.max_volume.seed=3",
@@ -209,9 +218,20 @@ def test_describe_echoes_resolved_parameters(default_cfg):
     assert "noise_w = 2.511886e-13" in text
     assert "base_seed = 20240" in text
     assert "success_fraction = 0.5" in text
-    for params in (default_cfg.channel, default_cfg.mac_base,
-                   default_cfg.experiments):
+    for params in (default_cfg.channel, default_cfg.experiments):
         for f in dataclasses.fields(params):
-            if f.name not in ("rcs_m", "rho_per_m"):
-                assert f"  {f.name} = " in text
+            assert f"  {f.name} = " in text
+    assert "\n".join([
+        "mac:",
+        "  w = 32",
+        "  lp_bits = 34406.4",
+        "  t_slot_s = 1.3e-05",
+        "  t_rts_s = 5.3e-05",
+        "  t_cts_s = 3.7e-05",
+        "  t_difs_s = 3.2e-05",
+        "  t_sifs_s = 5.3e-05",
+        "  t_ack_s = 3.7e-05",
+        "  carrier_sense_factor = 1.0",
+        "experiments:",
+    ]) in text
     assert "rcs_m" not in text and "rho_per_m" not in text

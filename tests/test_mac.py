@@ -12,7 +12,7 @@ from cftsim.mac import (avg_slot_length, collision_duration, contention_pmf,
                         p_success, success_duration, throughput,
                         transmission_prob)
 
-PARAMS = load_config().mac_base
+PARAMS = load_config().mac_for(250.0, 5.0)
 DATA_RATE = 11e6
 
 
@@ -25,10 +25,11 @@ def test_transmission_probability_exact_values():
 
 
 def test_contender_pmf_degenerate_and_poisson_one():
-    ns, ps = contention_pmf(0.0, 250.0)
+    ns, ps = contention_pmf(dataclasses.replace(PARAMS, rho_per_m=0.0))
     assert list(ns) == [0]
     assert list(ps) == [1.0]
-    ns, ps = contention_pmf(1.0 / 250.0, 250.0)   # mean 1
+    # One vehicle per 250 m over PARAMS' 250 m sense range: mean 1.
+    ns, ps = contention_pmf(dataclasses.replace(PARAMS, rho_per_m=1.0 / 250.0))
     assert ps[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
     assert ps[1] == pytest.approx(math.exp(-1.0), abs=1e-9)
     assert ps.sum() == pytest.approx(1.0, abs=1e-12)
@@ -36,7 +37,7 @@ def test_contender_pmf_degenerate_and_poisson_one():
 
 def test_contender_pmf_matches_textbook_table():
     # 5 per km over a 500 m sense range: mean 2.5.
-    ns, ps = contention_pmf(0.005, 500.0)
+    ns, ps = contention_pmf(dataclasses.replace(PARAMS, rcs_m=500.0))
     want = poisson(2.5).pmf(ns)
     assert np.allclose(ps, want, atol=1e-9)
     assert ps.sum() == pytest.approx(1.0, abs=1e-12)
@@ -114,34 +115,30 @@ def test_empty_road_gives_the_lone_pair_ceiling():
     zeta = 2.0 / 33.0
     lone = (1.0 - (1.0 - zeta)) * PARAMS.lp_bits / avg_slot_length(
         1, zeta, PARAMS, DATA_RATE)
-    assert throughput(0.0, PARAMS, DATA_RATE) == pytest.approx(lone, rel=1e-12)
+    empty = dataclasses.replace(PARAMS, rho_per_m=0.0)
+    assert throughput(empty, DATA_RATE) == pytest.approx(lone, rel=1e-12)
     assert lone > 0.0
 
 
 def test_throughput_never_exceeds_the_data_rate():
     gen = np.random.default_rng(77)
     for _ in range(100):
-        params = dataclasses.replace(
-            PARAMS, rcs_m=float(gen.uniform(100.0, 1000.0)))
+        rcs = float(gen.uniform(100.0, 1000.0))
         rate = float(gen.uniform(1e6, 54e6))
         rho = float(gen.uniform(0.0, 0.05))
-        assert throughput(rho, params, rate) <= rate
+        params = dataclasses.replace(PARAMS, rcs_m=rcs, rho_per_m=rho)
+        assert throughput(params, rate) <= rate
 
 
 def test_throughput_rises_then_collapses_with_contention():
     # At light contention extra stations cut idle waste faster than they
     # add collisions (a collided RTS costs 85 us against a 3 ms payload),
     # so throughput climbs; deep saturation finally drowns it.
-    light = [throughput(rho, PARAMS, DATA_RATE)
+    light = [throughput(dataclasses.replace(PARAMS, rho_per_m=rho), DATA_RATE)
              for rho in (0.0, 0.005, 0.01, 0.02)]
     assert all(b > a for a, b in zip(light, light[1:]))
-    assert throughput(0.64, PARAMS, DATA_RATE) < light[0]
-
-
-def test_default_density_is_the_fallback():
-    params = dataclasses.replace(PARAMS, rho_per_m=0.007)
-    assert throughput(None, params, DATA_RATE) == pytest.approx(
-        throughput(0.007, params, DATA_RATE), rel=1e-12)
+    saturated = dataclasses.replace(PARAMS, rho_per_m=0.64)
+    assert throughput(saturated, DATA_RATE) < light[0]
 
 
 def test_params_validation():

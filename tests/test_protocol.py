@@ -30,9 +30,9 @@ def test_file_spec_fragment_accounting():
     assert f.fragment_bytes(10, 1) == 0.5 * MB   # short final fragment
     assert f.fragment_bytes(0, 11) == 10.5 * MB
     assert f.fragment_bytes(3, 0) == 0.0
-    assert FileSpec(0.0).n_total == 0
+    assert FileSpec(0.0, MB).n_total == 0
     with pytest.raises(ValueError):
-        FileSpec(-1.0)
+        FileSpec(-1.0, MB)
     with pytest.raises(ValueError):
         FileSpec(1.0, 0.0)
 
@@ -63,14 +63,15 @@ def test_link_budget_floors_partial_fragments():
 def test_link_budget_requires_an_in_range_pair():
     models = single_rate_models(8e6)
     with pytest.raises(ValueError):
-        link_budget(vehicle(0, 0.0), vehicle(1, 251.0), FileSpec(MB), models)
+        link_budget(vehicle(0, 0.0), vehicle(1, 251.0), FileSpec(MB, MB),
+                    models)
 
 
 def test_link_budget_matches_fragment_stepthrough(default_cfg):
     """Oracle: walk the link fragment by fragment and count completions."""
     gen = np.random.default_rng(2024)
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_base, range_m=250.0,
+                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
                     horizon_s=default_cfg.experiments.horizon_s)
     file = FileSpec(500 * MB, MB)
     frag_bits = 8.0 * MB
@@ -119,19 +120,19 @@ def test_select_resource_prefers_capacity_then_distance():
     slow = vehicle(1, 100.0, 0.0, -30.0)
     unbounded = vehicle(2, 200.0, 0.0, 0.0)   # same velocity, never parts
     assert select_resource(req, [slow, unbounded],
-                           FileSpec(MB), models).vid == 2
-    assert select_resource(req, [slow], FileSpec(MB), models).vid == 1
+                           FileSpec(MB, MB), models).vid == 2
+    assert select_resource(req, [slow], FileSpec(MB, MB), models).vid == 1
     with pytest.raises(NoResourceError):
-        select_resource(req, [], FileSpec(MB), models)
+        select_resource(req, [], FileSpec(MB, MB), models)
     with pytest.raises(NoResourceError):
         select_resource(req, [vehicle(3, 500.0, 0.0, -10.0)],
-                        FileSpec(MB), models)
+                        FileSpec(MB, MB), models)
 
 
 def test_select_resource_matches_argmax_oracle(default_cfg):
     gen = np.random.default_rng(555)
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_base, range_m=250.0,
+                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
                     horizon_s=default_cfg.experiments.horizon_s)
     file = FileSpec(100 * MB, MB)
     req = vehicle(0, 0.0, 2.5, 25.0)
@@ -272,7 +273,7 @@ def test_late_short_contact_caps_the_member_at_its_window():
     cluster = build_cluster(head, src, fleet, FileSpec(5 * MB, MB), models)
     assert [m.vid for m in cluster.members] == [4]
     t_in, t_out = (800.0 - 250.0) / 18.0, (800.0 + 250.0) / 18.0
-    r_thr = throughput(None, models.mac, 8e6)
+    r_thr = throughput(models.mac, 8e6)
     # The contact (t_out - t_in ~ 27.8 s) ends before the member could
     # first fill its own pre-contact time, so the window alone binds.
     assert (t_out - t_in) * r_thr / 8.0 < t_in * 8e6 / 8.0
@@ -292,7 +293,7 @@ def test_in_range_member_splits_time_between_download_and_forwarding():
     cluster = build_cluster(head, src, fleet, FileSpec(35 * MB, MB), models)
     m = next(m for m in cluster.members if m.vid == 1)
     t_out = (240.0 + 250.0) / 16.0
-    r_thr = throughput(None, models.mac, 8e6)
+    r_thr = throughput(models.mac, 8e6)
     want = math.floor(t_out / (8.0 / 8e6 + 8.0 / r_thr) / MB)
     assert m.planned_frags == want
     out = run_cft(head, fleet, FileSpec(35 * MB, MB), models, holders=[9])
@@ -329,7 +330,7 @@ def _member(vid, n_frags, e_c=8e6):
     b = LinkBudget(delta_t_s=frag_time, e_c_bps=e_c, n_frags=n_frags,
                    capacity_bytes=n_frags * MB, t0_s=frag_time,
                    t_resid_s=0.0)
-    return ClusterMember(vid=vid, budget=b)
+    return ClusterMember(vid=vid, budget=b, planned_frags=n_frags)
 
 
 def test_assignment_gives_everything_to_a_big_member():
@@ -389,7 +390,7 @@ def test_forwarding_boundary_is_inclusive():
     head = vehicle(0, 0.0, 0.0, 0.0)
     member = vehicle(1, 0.0, 0.0, 10.0)          # 25 s of contact left
     d_mid = math.hypot(0.0 + 10.0 * 12.5, 0.0)
-    r_thr = throughput(None, models.mac,
+    r_thr = throughput(models.mac,
                        expected_rate(d_mid, models.channel, models.rates))
     exact = 25.0 * r_thr / 8.0
     assert forwarding_feasible(member, head, exact, models)
@@ -400,7 +401,7 @@ def test_forwarding_waits_for_a_future_contact():
     models = single_rate_models(8e6)
     head = vehicle(0, 0.0, 0.0, 0.0)
     inbound = vehicle(1, 500.0, 0.0, -10.0)      # contact at t=25..75
-    r_thr = throughput(None, models.mac,
+    r_thr = throughput(models.mac,
                        expected_rate(250.0, models.channel, models.rates))
     within = 49.0 * r_thr / 8.0
     beyond = 51.0 * r_thr / 8.0

@@ -98,8 +98,7 @@ def test_throughput_sweep_is_analytic(default_cfg):
     e = default_cfg.experiments
     assert len(res.rows) == len(e.densities_per_km) * len(e.comm_ranges_m)
     for density, r_m, val in res.rows:
-        params = default_cfg.mac_for(r_m, density)
-        assert val == throughput(density / 1000.0, params,
+        assert val == throughput(default_cfg.mac_for(r_m, density),
                                  e.nominal_mac_rate_bps)
         assert 0.0 < val < e.nominal_mac_rate_bps
 

@@ -9,14 +9,14 @@ protocol compared against a single-link baseline.
 
 from .channel import (ChannelParams, RateTable, RateDistribution,
                       expected_rate, mean_power, mu_for_distance,
-                      rate_distribution, snr_cdf, upper_incomplete_gamma)
+                      rate_distribution)
 from .connection import predict_connection_time, range_window
 from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
                   throughput, transmission_prob)
 from .mobility import Fleet, MobilityConfig, init_scenario, step, warm_up
 from .protocol import (Cluster, FileSpec, LinkBudget, Models, TransferOutcome,
                        VehicleState, assign_fragments, build_cluster,
-                       forwarding_feasible, link_budget,
+                       form_cluster, forwarding_feasible, link_budget,
                        prospective_link_budget, run_cft, run_direct_baseline,
                        select_resource)
 from .config import Config, ConfigError, load_config

@@ -30,6 +30,19 @@ class ConfigError(Exception):
     """Invalid or unreadable configuration."""
 
 
+def _real(value, path: str) -> float:
+    """value as a float; ConfigError naming path for a bool or a non-number.
+
+    YAML reads true/false as booleans, and float(True) would be 1.0.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"config key '{path}' must be a number, got {value!r}")
+
+
 class _Section(dict):
     """A config mapping that records the keys looked up in it.
 
@@ -56,6 +69,15 @@ class _Section(dict):
             raise ConfigError(
                 f"config key '{self.path}{key}' must be an integer, got {value!r}")
         return int(value)
+
+    def real(self, key):
+        """The value at key as a float; a bool is not a number here."""
+        return _real(self[key], f"{self.path}{key}")
+
+    def reals(self, key):
+        """The list at key as a tuple of floats, each checked as by real."""
+        return tuple(_real(v, f"{self.path}{key}[{i}]")
+                     for i, v in enumerate(self[key]))
 
     def unread(self):
         """Dotted paths of the keys nothing looked up."""
@@ -215,80 +237,83 @@ def resolve(raw: dict) -> Config:
         exp = raw["experiments"]
 
         mobility_defaults = {
-            "lane_length_m": float(mob["lane_length_km"]) * 1000.0,
-            "lane_width_m": float(mob["lane_width_m"]),
+            "lane_length_m": mob.real("lane_length_km") * 1000.0,
+            "lane_width_m": mob.real("lane_width_m"),
             "lanes_per_direction": mob.integer("lanes_per_direction"),
-            "v_min_mps": float(mob["v_min_kmh"]) / 3.6,
-            "v_max_mps": float(mob["v_max_kmh"]) / 3.6,
-            "accel_mps2": float(mob["accel_mps2"]),
-            "step_s": float(mob["step_s"]),
+            "v_min_mps": mob.real("v_min_kmh") / 3.6,
+            "v_max_mps": mob.real("v_max_kmh") / 3.6,
+            "accel_mps2": mob.real("accel_mps2"),
+            "step_s": mob.real("step_s"),
         }
 
-        profile = tuple(
-            (float(lo), math.inf if hi in ("inf", ".inf", None) else float(hi), float(m))
-            for lo, hi, m in cha["mu_profile"]
-        )
+        def band(i, row):
+            lo, hi, m = row
+            at = f"channel.mu_profile[{i}]"
+            hi = math.inf if hi in ("inf", ".inf", None) else _real(hi, f"{at}[1]")
+            return (_real(lo, f"{at}[0]"), hi, _real(m, f"{at}[2]"))
+
+        profile = tuple(band(i, row) for i, row in enumerate(cha["mu_profile"]))
         channel = ChannelParams(
-            tx_power_w=float(cha["tx_power_w"]),
-            noise_w=watts_from_dbm(float(cha["noise_dbm"])),
-            tx_gain=float(cha["tx_gain"]),
-            rx_gain=float(cha["rx_gain"]),
-            tx_height_m=float(cha["tx_height_m"]),
-            rx_height_m=float(cha["rx_height_m"]),
-            path_loss_exp=float(cha["path_loss_exp"]),
-            system_loss=float(cha["system_loss"]),
+            tx_power_w=cha.real("tx_power_w"),
+            noise_w=watts_from_dbm(cha.real("noise_dbm")),
+            tx_gain=cha.real("tx_gain"),
+            rx_gain=cha.real("rx_gain"),
+            tx_height_m=cha.real("tx_height_m"),
+            rx_height_m=cha.real("rx_height_m"),
+            path_loss_exp=cha.real("path_loss_exp"),
+            system_loss=cha.real("system_loss"),
             mu_profile=profile,
         )
 
         rates = RateTable(
-            rates_bps=tuple(float(r) * 1e6 for r in rat["rates_mbps"]),
-            thresholds_snr=tuple(float(t) for t in rat["thresholds_snr"]),
+            rates_bps=tuple(r * 1e6 for r in rat.reals("rates_mbps")),
+            thresholds_snr=rat.reals("thresholds_snr"),
         )
 
         mac_defaults = {
             "w": mac.integer("backoff_window"),
-            "lp_bits": float(mac["packet_kb"]) * KB * 8.0,
-            "t_slot_s": float(mac["slot_us"]) * 1e-6,
-            "t_rts_s": float(mac["rts_us"]) * 1e-6,
-            "t_cts_s": float(mac["cts_us"]) * 1e-6,
-            "t_difs_s": float(mac["difs_us"]) * 1e-6,
-            "t_sifs_s": float(mac["sifs_us"]) * 1e-6,
-            "t_ack_s": float(mac["ack_us"]) * 1e-6,
+            "lp_bits": mac.real("packet_kb") * KB * 8.0,
+            "t_slot_s": mac.real("slot_us") * 1e-6,
+            "t_rts_s": mac.real("rts_us") * 1e-6,
+            "t_cts_s": mac.real("cts_us") * 1e-6,
+            "t_difs_s": mac.real("difs_us") * 1e-6,
+            "t_sifs_s": mac.real("sifs_us") * 1e-6,
+            "t_ack_s": mac.real("ack_us") * 1e-6,
         }
-        cs_factor = float(mac["carrier_sense_factor"])
+        cs_factor = mac.real("carrier_sense_factor")
         if cs_factor <= 0:
             raise ConfigError("carrier_sense_factor must be positive")
 
         mv = exp["max_volume"]
         cl = exp["cluster_size"]
         settings = ExperimentSettings(
-            comm_ranges_m=tuple(float(r) for r in exp["comm_range_m"]),
-            densities_per_km=tuple(float(d) for d in exp["density_per_km"]),
-            safety_distance_m=float(exp["safety_distance_m"]),
+            comm_ranges_m=exp.reals("comm_range_m"),
+            densities_per_km=exp.reals("density_per_km"),
+            safety_distance_m=exp.real("safety_distance_m"),
             seeds=exp.integer("seeds"),
             base_seed=exp.integer("base_seed"),
             warmup_steps=exp.integer("warmup_steps"),
-            horizon_s=float(exp["horizon_s"]),
+            horizon_s=exp.real("horizon_s"),
             snapshots=exp.integer("snapshots"),
-            snapshot_stride_s=float(exp["snapshot_stride_s"]),
-            connection_density_per_km=float(exp["connection_density_per_km"]),
-            file_sizes_bytes=tuple(float(v) * MB for v in exp["file_size_mb"]),
-            fragment_bytes=float(exp["fragment_mb"]) * MB,
-            nominal_mac_rate_bps=float(exp["nominal_mac_rate_mbps"]) * 1e6,
-            success_fraction=float(exp["success_fraction"]),
-            max_volume_densities=tuple(float(d) for d in mv["density_per_km"]),
-            max_volume_range_m=float(mv["comm_range_m"]),
-            max_volume_sd_m=float(mv["safety_distance_m"]),
+            snapshot_stride_s=exp.real("snapshot_stride_s"),
+            connection_density_per_km=exp.real("connection_density_per_km"),
+            file_sizes_bytes=tuple(v * MB for v in exp.reals("file_size_mb")),
+            fragment_bytes=exp.real("fragment_mb") * MB,
+            nominal_mac_rate_bps=exp.real("nominal_mac_rate_mbps") * 1e6,
+            success_fraction=exp.real("success_fraction"),
+            max_volume_densities=mv.reals("density_per_km"),
+            max_volume_range_m=mv.real("comm_range_m"),
+            max_volume_sd_m=mv.real("safety_distance_m"),
             max_volume_warmup_steps=mv.integer("warmup_steps"),
             max_volume_seeds=mv.integer("seeds"),
             max_volume_direct_seeds=mv.integer("direct_seeds"),
-            max_volume_plan_margin_s=float(mv["plan_margin_s"]),
-            cluster_densities=tuple(float(d) for d in cl["density_per_km"]),
-            cluster_range_m=float(cl["comm_range_m"]),
-            cluster_sd_m=float(cl["safety_distance_m"]),
+            max_volume_plan_margin_s=mv.real("plan_margin_s"),
+            cluster_densities=cl.reals("density_per_km"),
+            cluster_range_m=cl.real("comm_range_m"),
+            cluster_sd_m=cl.real("safety_distance_m"),
             cluster_warmup_steps=cl.integer("warmup_steps"),
             cluster_seeds=cl.integer("seeds"),
-            cluster_horizon_s=float(cl["horizon_s"]),
+            cluster_horizon_s=cl.real("horizon_s"),
         )
 
         cfg = Config(

@@ -12,6 +12,7 @@ truncates a fragment mid-air.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .channel import ChannelParams, RateTable, expected_rate
@@ -330,7 +331,7 @@ def _same_heading(a: VehicleState, b: VehicleState) -> bool:
 
 
 def build_cluster(head: VehicleState, resource: VehicleState,
-                  fleet: list[VehicleState], file: FileSpec,
+                  fleet: Collection[VehicleState], file: FileSpec,
                   models: Models) -> Cluster:
     """Recruit the minimal cluster able to cover the file.
 
@@ -486,7 +487,6 @@ class TransferOutcome:
     mode: str
     bytes_delivered: float
     cluster: Cluster | None = None
-    timeline: dict = field(default_factory=dict)
     member_results: list[MemberResult] = field(default_factory=list)
 
     @property
@@ -550,12 +550,10 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
         results.append(MemberResult(m.vid, assigned, downloaded, forwarded,
                                     t_done, ok))
     complete = delivered >= file.v_file_bytes
-    download_end = max((r.download_done_s for r in results), default=0.0)
     return TransferOutcome(
         mode="clustered" if complete else "failed",
         bytes_delivered=min(delivered, file.v_file_bytes),
         cluster=cluster,
-        timeline={"download_end_s": download_end},
         member_results=results,
     )
 
@@ -572,13 +570,30 @@ def _try_direct(request: VehicleState, states: dict, file: FileSpec,
         return None, TransferOutcome(mode="failed", bytes_delivered=0.0)
     rs = link_budget(request, resource, file, models)
     if rs.capacity_bytes >= file.v_file_bytes:
-        duration = (file.v_file_bytes * 8.0 / rs.e_c_bps) if file.v_file_bytes else 0.0
-        return resource, TransferOutcome(
-            mode="direct",
-            bytes_delivered=file.v_file_bytes,
-            timeline={"download_end_s": duration},
-        )
+        return resource, TransferOutcome(mode="direct",
+                                         bytes_delivered=file.v_file_bytes)
     return resource, None
+
+
+def form_cluster(request: VehicleState, states: dict, file: FileSpec,
+                 models: Models, holders: list[int]) -> Cluster | TransferOutcome:
+    """Plan one request up to the point where its cluster size is fixed.
+
+    Selects the resource among the holders in states (vid -> state), then
+    recruits a cluster unless the resource link alone carries the file.
+    Returns the final outcome when no cluster forms: direct when that link
+    suffices, failed with zero bytes when no holder is reachable or
+    recruitment cannot cover the file.  Otherwise returns the cluster;
+    fragment assignment and delivery never change its members.  Both
+    results have n_c, which is 0 for an outcome.
+    """
+    resource, outcome = _try_direct(request, states, file, models, holders)
+    if outcome is not None:
+        return outcome
+    try:
+        return build_cluster(request, resource, states.values(), file, models)
+    except InsufficientCapacityError:
+        return TransferOutcome(mode="failed", bytes_delivered=0.0)
 
 
 def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
@@ -587,20 +602,15 @@ def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
     """Full cluster-based transfer pipeline for one request.
 
     holders lists the vehicle ids that possess the file and answer the
-    broadcast.  Returns a failed outcome with zero bytes when none of them
-    is reachable, a direct outcome when one link suffices, and otherwise
-    builds, schedules, and scores a cluster.
+    broadcast.  Returns form_cluster's outcome when no cluster forms, and
+    otherwise schedules and scores the cluster it recruited.
     """
     states = {v.vid: v for v in fleet}
-    resource, outcome = _try_direct(request, states, file, models, holders)
-    if outcome is not None:
-        return outcome
-    try:
-        cluster = build_cluster(request, resource, fleet, file, models)
-    except InsufficientCapacityError:
-        return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    assign_fragments(cluster, file)
-    return _evaluate_plan(cluster, file, models, states, window_of, state_at)
+    planned = form_cluster(request, states, file, models, holders)
+    if isinstance(planned, TransferOutcome):
+        return planned
+    assign_fragments(planned, file)
+    return _evaluate_plan(planned, file, models, states, window_of, state_at)
 
 
 def run_direct_baseline(request: VehicleState, fleet: list[VehicleState],

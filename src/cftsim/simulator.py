@@ -16,8 +16,9 @@ import numpy as np
 from . import mobility
 from .channel import expected_rate
 from .config import Config
-from .mobility import Fleet, MobilityConfig
-from .protocol import FileSpec, VehicleState, link_budget, run_cft
+from .mobility import Fleet
+from .protocol import (FileSpec, VehicleState, form_cluster, link_budget,
+                       run_cft)
 
 # Stream ids keep RNG derivation stable without relying on string hashing.
 _STREAMS = {"connection": 1, "capability": 2, "max-volume": 3, "cluster": 4}
@@ -260,7 +261,6 @@ class TransferScenario:
     head_vid: int
     resource_vid: int
     trajectory: Trajectory
-    mobility_cfg: MobilityConfig
 
 
 def _fleet_states(fleet: Fleet) -> list:
@@ -271,12 +271,10 @@ def _fleet_states(fleet: Fleet) -> list:
     ]
 
 
-def build_transfer_scenario(cfg: Config, density: float, sd: float,
-                            comm_range_m: float, warmup_steps: int,
-                            seed_idx: int, stream: str = "max-volume",
-                            horizon_s: float | None = None,
-                            request_at: str = "contact") -> TransferScenario:
-    """Warm up a fleet and freeze it at the request instant.
+def request_instant(cfg: Config, density: float, sd: float,
+                    comm_range_m: float, warmup_steps: int, seed_idx: int,
+                    stream: str, request_at: str):
+    """Warm up a fleet and step it to the instant its file request fires.
 
     The request vehicle is an eastbound vehicle near the middle of the
     ring.  request_at picks the instant its file request fires:
@@ -291,15 +289,14 @@ def build_transfer_scenario(cfg: Config, density: float, sd: float,
       the clock when it discovers the resource, which happens at first
       beacon contact.
 
-    The trajectory from the request instant on is recorded for validating
-    predicted transfers.
+    Returns (fleet, head, resource, mcfg, rng): the fleet at that instant,
+    the head and resource vids, and the mobility config and generator that
+    step the same traffic on from it.
     """
     if request_at not in ("contact", "encounter"):
         raise ValueError(f"unknown request_at '{request_at}'")
-    e = cfg.experiments
-    horizon = e.horizon_s if horizon_s is None else horizon_s
     mcfg = cfg.mobility(density, sd)
-    rng = _rng(e.base_seed, stream, _seed_key(density, 1000),
+    rng = _rng(cfg.experiments.base_seed, stream, _seed_key(density, 1000),
                _seed_key(comm_range_m), _seed_key(sd), seed_idx)
     fleet = mobility.init_scenario(mcfg, rng)
     mobility.warm_up(fleet, mcfg, rng, warmup_steps)
@@ -366,8 +363,24 @@ def build_transfer_scenario(cfg: Config, density: float, sd: float,
             raise RuntimeError(
                 "no oncoming vehicle entered range for a transfer scenario")
 
+    return fleet, head, resource, mcfg, rng
+
+
+def build_transfer_scenario(cfg: Config, density: float, sd: float,
+                            comm_range_m: float, warmup_steps: int,
+                            seed_idx: int,
+                            request_at: str = "contact") -> TransferScenario:
+    """Record the traffic of a max-volume request instant.
+
+    The request instant comes from request_instant on the "max-volume"
+    stream.  The trajectory from it on, over the experiment horizon,
+    validates predicted transfers.
+    """
+    fleet, head, resource, mcfg, rng = request_instant(
+        cfg, density, sd, comm_range_m, warmup_steps, seed_idx, "max-volume",
+        request_at)
     states = _fleet_states(fleet)
-    n_steps = int(round(horizon / mcfg.step_s))
+    n_steps = int(round(cfg.experiments.horizon_s / mcfg.step_s))
     xs = np.empty((n_steps + 1, fleet.n))
     sp = np.empty((n_steps + 1, fleet.n))
     xs[0], sp[0] = fleet.x, fleet.speed
@@ -378,33 +391,7 @@ def build_transfer_scenario(cfg: Config, density: float, sd: float,
                       direction=fleet.direction.copy(), dt_s=mcfg.step_s,
                       length_m=mcfg.lane_length_m)
     return TransferScenario(states=states, head_vid=head,
-                            resource_vid=resource, trajectory=traj,
-                            mobility_cfg=mcfg)
-
-
-def _scenario_runner(cfg: Config, scen: TransferScenario, density: float,
-                     comm_range_m: float, horizon_s: float | None = None,
-                     plan_margin_s: float = 0.0):
-    """Bind a scenario to a run_cft callable over file sizes."""
-    models = cfg.models(comm_range_m, density, horizon_s, plan_margin_s)
-    head = scen.states[scen.head_vid]
-    holders = [scen.resource_vid]
-    window_cache = {}
-
-    def window_of(vid: int):
-        if vid not in window_cache:
-            window_cache[vid] = scen.trajectory.first_window(
-                vid, scen.resource_vid, comm_range_m)
-        return window_cache[vid]
-
-    def state_at(vid: int, t_s: float):
-        return scen.trajectory.state(vid, t_s)
-
-    def cft(file: FileSpec):
-        return run_cft(head, scen.states, file, models, holders,
-                       window_of=window_of, state_at=state_at)
-
-    return cft
+                            resource_vid=resource, trajectory=traj)
 
 
 def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
@@ -438,12 +425,22 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     """
     e = cfg.experiments
     s = e.fragment_bytes
-    cft = _scenario_runner(cfg, scen, density, comm_range_m,
-                           plan_margin_s=e.max_volume_plan_margin_s)
+    models = cfg.models(comm_range_m, density,
+                        plan_margin_s=e.max_volume_plan_margin_s)
+    head = scen.states[scen.head_vid]
+    holders = [scen.resource_vid]
+    window_cache = {}
+
+    def window_of(vid: int):
+        if vid not in window_cache:
+            window_cache[vid] = scen.trajectory.first_window(
+                vid, scen.resource_vid, comm_range_m)
+        return window_cache[vid]
 
     def ok(frags: int) -> bool:
         file = FileSpec(frags * s, s)
-        out = cft(file)
+        out = run_cft(head, scen.states, file, models, holders,
+                      window_of=window_of, state_at=scen.trajectory.state)
         return out.bytes_delivered >= file.v_file_bytes
 
     if not ok(1):
@@ -506,30 +503,30 @@ def max_transfer_volume(cfg: Config, scheme: str) -> SweepResult:
 def cluster_size_profile(cfg: Config) -> SweepResult:
     """Mean cluster size versus file size, per traffic density.
 
-    Runs whose file fits through the direct link record a cluster size of
-    zero and are excluded from the mean (no cluster was formed), as are
-    runs where recruitment could not cover the file.
+    The cluster size is fixed once recruitment covers the file, before any
+    fragment moves, so each run stops there (protocol.form_cluster): it
+    plans on the fleet at the request instant, with cluster_horizon_s as
+    the planning horizon, and records no trajectory.  Runs whose file fits
+    through the direct link record a cluster size of zero and are excluded
+    from the mean (no cluster was formed), as are runs where recruitment
+    could not cover the file.
     """
     e = cfg.experiments
     r_m = e.cluster_range_m
     sd = e.cluster_sd_m
     rows, records = [], {}
     for density in e.cluster_densities:
+        models = cfg.models(r_m, density, e.cluster_horizon_s)
         sizes = {v_bytes: [] for v_bytes in e.file_sizes_bytes}
         for seed_idx in range(e.cluster_seeds):
-            # Covering a large file takes the resource pass across a long
-            # stretch of convoy, so this experiment observes further ahead
-            # than the delivery-volume one.  One scenario is alive at a
-            # time: it serves every file size, then is dropped.
-            scen = build_transfer_scenario(
+            fleet, head, resource, _, _ = request_instant(
                 cfg, density, sd, r_m, e.cluster_warmup_steps, seed_idx,
-                stream="cluster", request_at="encounter",
-                horizon_s=e.cluster_horizon_s)
-            run = _scenario_runner(cfg, scen, density, r_m,
-                                   horizon_s=e.cluster_horizon_s)
+                "cluster", "encounter")
+            states = dict(enumerate(_fleet_states(fleet)))
             for v_bytes in e.file_sizes_bytes:
-                sizes[v_bytes].append(run(FileSpec(v_bytes, e.fragment_bytes)).n_c)
-            del scen, run
+                file = FileSpec(v_bytes, e.fragment_bytes)
+                sizes[v_bytes].append(form_cluster(
+                    states[head], states, file, models, [resource]).n_c)
         for v_bytes in e.file_sizes_bytes:
             formed = [n for n in sizes[v_bytes] if n > 0]
             avg = float(np.mean(formed)) if formed else 0.0

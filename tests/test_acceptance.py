@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from cftsim import protocol
-from cftsim.channel import rate_distribution, sample_snr, snr_cdf
+from cftsim.channel import rate_distribution
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import (avg_slot_length, collision_duration, p_success,
@@ -23,6 +23,8 @@ from cftsim.protocol import (FileSpec, Models, VehicleState, run_cft,
 from cftsim.simulator import (capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
                               throughput_sweep, write_csv)
+
+from channel_oracles import sample_snr, snr_cdf
 
 MB = 1_000_000.0
 

@@ -9,9 +9,11 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from cftsim.channel import (RateTable, expected_rate, mean_power,
-                            mu_for_distance, rate_distribution, sample_snr,
-                            snr_cdf, upper_incomplete_gamma, watts_from_dbm)
+                            mu_for_distance, rate_distribution,
+                            watts_from_dbm)
 from cftsim.config import load_config
+
+from channel_oracles import sample_snr, snr_cdf, upper_incomplete_gamma
 
 CFG = load_config()
 PARAMS = CFG.channel

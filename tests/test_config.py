@@ -170,6 +170,10 @@ def test_config_error_cases(tmp_path):
     "mobility.lanes_per_direction=2.5",
     "mac.backoff_window=32.5",
     "experiments.warmup_steps=1.5",
+    # float keys given a bool
+    "experiments.horizon_s=true",
+    "mac.slot_us=true",
+    "experiments.comm_range_m=[true]",
     # unknown keys: a misspelt key, a key beside a real one, a misspelt section
     "mobility.v_max_khm=100",
     "experiments.max_volume.seed=3",

@@ -418,7 +418,6 @@ def test_run_cft_uses_direct_mode_for_small_files():
     assert out.mode == "direct"
     assert out.bytes_delivered == 5 * MB
     assert out.cluster is None
-    assert out.timeline["download_end_s"] == pytest.approx(5.0)
 
 
 def test_run_cft_fails_without_a_reachable_holder():
@@ -466,4 +465,3 @@ def test_zero_byte_file_is_a_trivial_direct_success():
     out = run_cft(head, fleet, FileSpec(0.0, MB), models, holders=[9])
     assert out.mode == "direct"
     assert out.bytes_delivered == 0.0
-    assert out.timeline["download_end_s"] == 0.0

@@ -9,6 +9,7 @@ from cftsim import mobility, simulator
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
+from cftsim.protocol import FileSpec, run_cft
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -111,10 +112,10 @@ def test_rate_curve_spans_the_default_grid(default_cfg):
     assert by_d[250.0] == pytest.approx(53_826_080.18, rel=1e-6)
 
 
-def _head_resource_distance(scen):
+def _head_resource_distance(scen, cfg):
     head = scen.states[scen.head_vid]
     res = scen.states[scen.resource_vid]
-    dx = mobility.ring_delta(head.x, res.x, scen.mobility_cfg.lane_length_m)
+    dx = mobility.ring_delta(head.x, res.x, cfg.mobility_defaults["lane_length_m"])
     return math.hypot(dx, res.y - head.y)
 
 
@@ -134,7 +135,7 @@ def test_contact_request_catches_an_ongoing_pass(default_cfg):
         head = scen.states[scen.head_vid]
         res = scen.states[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
-        assert _head_resource_distance(scen) <= 250.0
+        assert _head_resource_distance(scen, default_cfg) <= 250.0
         t_in, t_out = scen.trajectory.first_window(
             scen.head_vid, scen.resource_vid, 250.0)
         assert t_in == 0.0 and t_out > 0.0
@@ -147,7 +148,7 @@ def test_encounter_request_fires_as_the_resource_enters_range(default_cfg):
         head = scen.states[scen.head_vid]
         res = scen.states[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
-        d = _head_resource_distance(scen)
+        d = _head_resource_distance(scen, default_cfg)
         # Fresh contact: in range now, but by at most one step's closing
         # speed (2 * 33.33 m/s * 1 s).
         assert d <= 250.0
@@ -208,6 +209,42 @@ def test_cluster_profile_recomputes_from_records():
         assert avg == pytest.approx(np.mean(formed) if formed else 0.0)
     by_v = {row[1]: row[2] for row in res.rows}
     assert by_v[400 * MB] > by_v[100 * MB]       # bigger file, bigger cluster
+
+
+def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
+    # n_c is fixed once recruitment covers the file, so the sweep, which
+    # stops there, must record the n_c of the whole run_cft pipeline on
+    # the same request instant.  The 10 MB file fits the direct link.
+    cfg = load_config(overrides=[
+        "experiments.cluster_size.density_per_km=[5, 10]",
+        "experiments.cluster_size.seeds=3",
+        "experiments.file_size_mb=[10, 100, 200, 300, 400, 500, 600, 700, 800, 900]",
+    ])
+
+    def stops_at_recruitment(*args, **kwargs):
+        raise AssertionError("cluster-size went past recruitment")
+
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "build_transfer_scenario", stops_at_recruitment)
+        m.setattr(simulator, "run_cft", stops_at_recruitment)
+        res = cluster_size_profile(cfg)
+    e = cfg.experiments
+    seen = set()
+    for density in e.cluster_densities:
+        models = cfg.models(e.cluster_range_m, density, e.cluster_horizon_s)
+        for seed_idx in range(e.cluster_seeds):
+            fleet, head, resource, _, _ = simulator.request_instant(
+                cfg, density, e.cluster_sd_m, e.cluster_range_m,
+                e.cluster_warmup_steps, seed_idx, "cluster", "encounter")
+            states = simulator._fleet_states(fleet)
+            for v_bytes in e.file_sizes_bytes:
+                out = run_cft(states[head], states,
+                              FileSpec(v_bytes, e.fragment_bytes), models,
+                              [resource])
+                assert res.records[(density, v_bytes)][seed_idx] == out.n_c
+                seen.add("clustered" if out.n_c > 0 else out.mode)
+    # direct 0, clustered n_c > 0, and 0 where recruitment ran out
+    assert seen == {"direct", "clustered", "failed"}
 
 
 def test_run_sweep_dispatch(default_cfg):

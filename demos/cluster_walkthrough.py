@@ -8,7 +8,7 @@ ranges, and each member hands its share over after the pass.
 """
 
 from cftsim.config import load_config
-from cftsim.protocol import FileSpec, VehicleState, run_cft
+from cftsim.protocol import FileSpec, VehicleState, recruit, run_cft
 
 MB = 1_000_000.0
 
@@ -23,9 +23,9 @@ FLEET = [
 HOLDERS = [4]
 
 
-def narrate(head, fleet, v_bytes, models):
+def narrate(head, recruitment, v_bytes):
     file = FileSpec(v_bytes, 1.0 * MB)
-    out = run_cft(head, fleet, file, models, HOLDERS)
+    out = run_cft(recruitment, file)
     print(f"\nrequesting {v_bytes / MB:.0f} MB "
           f"({file.n_total} fragments) -> mode={out.mode}, "
           f"delivered {out.bytes_delivered / MB:.0f} MB")
@@ -47,8 +47,10 @@ def main() -> None:
     cfg = load_config()
     models = cfg.models(comm_range_m=250.0, density_per_km=5.0)
     head = FLEET[0]
-    narrate(head, FLEET, 20.0 * MB, models)
-    narrate(head, FLEET, 120.0 * MB, models)
+    # One request: both files read their clusters off the same recruitment.
+    recruitment = recruit(head, FLEET, 1.0 * MB, models, HOLDERS)
+    narrate(head, recruitment, 20.0 * MB)
+    narrate(head, recruitment, 120.0 * MB)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,11 @@ from .connection import predict_connection_time, range_window
 from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
                   throughput, transmission_prob)
 from .mobility import Fleet, MobilityConfig, init_scenario, step, warm_up
-from .protocol import (Cluster, FileSpec, LinkBudget, Models, TransferOutcome,
-                       VehicleState, assign_fragments, build_cluster,
-                       form_cluster, forwarding_feasible, link_budget,
-                       prospective_link_budget, run_cft, run_direct_baseline,
-                       select_resource)
+from .protocol import (Cluster, FileSpec, LinkBudget, Models, Recruitment,
+                       TransferOutcome, VehicleState, assign_fragments,
+                       build_cluster, form_cluster, forwarding_feasible,
+                       link_budget, prospective_link_budget, recruit, run_cft,
+                       run_direct_baseline, select_resource)
 from .config import Config, ConfigError, load_config
 
 __version__ = "0.1.0"

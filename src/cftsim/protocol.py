@@ -11,9 +11,12 @@ truncates a fragment mid-air.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .channel import ChannelParams, RateTable, expected_rate
 from .connection import predict_connection_time, range_window
@@ -118,6 +121,11 @@ def _relative(a: VehicleState, b: VehicleState, models: Models):
     return dx, dy, b.vx - a.vx, b.vy - a.vy
 
 
+def _distance(a: VehicleState, b: VehicleState, models: Models) -> float:
+    dx, dy, _, _ = _relative(a, b, models)
+    return math.hypot(dx, dy)
+
+
 def _budget_from_window(duration_s: float, distance_m: float, file: FileSpec,
                         models: Models, t_start_s: float = 0.0) -> LinkBudget:
     e_c = expected_rate(distance_m, models.channel, models.rates)
@@ -216,8 +224,7 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
         raise NoResourceError("no vehicle responded to the file request")
     scored = []
     for r in responders:
-        dx, dy, _, _ = _relative(request, r, models)
-        dist = math.hypot(dx, dy)
+        dist = _distance(request, r, models)
         if dist > models.range_m:
             continue
         b = link_budget(request, r, file, models)
@@ -311,7 +318,9 @@ class Cluster:
 
     Members are ordered by recruitment (nearest to the resource first); the
     request vehicle itself appears as the first member when it has usable
-    direct capacity, since its own download needs no forwarding.
+    direct capacity, since its own download needs no forwarding.  That
+    order does not depend on the file size: every cluster of one request
+    is a prefix of the same Recruitment.
     """
 
     head: int
@@ -330,85 +339,158 @@ def _same_heading(a: VehicleState, b: VehicleState) -> bool:
     return a.vx * b.vx > 0.0
 
 
-def build_cluster(head: VehicleState, resource: VehicleState,
-                  fleet: Collection[VehicleState], file: FileSpec,
-                  models: Models) -> Cluster:
-    """Recruit the minimal cluster able to cover the file.
+# Relative and absolute slack of the numpy range prefilter in _in_earshot:
+# far wider than any rounding gap between np.hypot and math.hypot.
+_EARSHOT_REL = 1e-9
+_EARSHOT_ABS_M = 1e-6
+
+
+def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
+                vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
+                models: Models) -> np.ndarray:
+    """Mask over vehicles[waiting]: within range of some vehicles[anchors].
+
+    x and y hold every vehicle's position.  A numpy pass over every
+    (anchor, candidate) pair keeps the pairs within range up to a small
+    slack; each kept candidate is then confirmed with the scalar test, so
+    the mask is exactly that of _distance(anchor, candidate) <= range_m.
+    """
+    dx = x[waiting][None, :] - x[anchors][:, None]
+    if models.ring_length_m is not None:
+        half = models.ring_length_m / 2.0
+        dx = (dx + half) % models.ring_length_m - half
+    dy = y[waiting][None, :] - y[anchors][:, None]
+    reach = models.range_m * (1.0 + _EARSHOT_REL) + _EARSHOT_ABS_M
+    near = np.hypot(dx, dy) <= reach
+    hit = np.zeros(waiting.size, dtype=bool)
+    for j in np.nonzero(near.any(axis=0))[0]:
+        v = vehicles[waiting[j]]
+        hit[j] = any(_distance(vehicles[a], v, models) <= models.range_m
+                     for a in anchors[near[:, j]])
+    return hit
+
+
+class Recruitment:
+    """One request's cluster members in recruitment order, for every file.
 
     Recruitment expands ring by ring, as a relayed broadcast propagates:
     first the head's neighbours, then everyone in earshot of a vehicle
     that already heard the invitation.  Within each ring, candidates
     closer to the resource vehicle are taken first, so the resource hands
-    fragments to the nearest member at each handoff.  Recruitment stops at
-    the first member set whose summed usable capacities cover the file,
-    which makes the cluster minimal.
+    fragments to the nearest member at each handoff.  The head comes first
+    when its own link to the resource has usable capacity.  Only vehicles
+    travelling the head's way are eligible: an opposite vehicle leaves the
+    cluster neighbourhood before it could forward anything.
 
-    Only vehicles travelling the head's way are eligible: an opposite
-    vehicle leaves the cluster neighbourhood before it could forward
-    anything.  Raises InsufficientCapacityError when every reachable
-    candidate together still cannot cover the file.
+    Neither that order nor any member's planned_frags depends on the file
+    size, only on the fragment size s_bytes, so one recruitment serves
+    every file size: build_cluster reads each cluster as the shortest
+    prefix of the members that covers its file.  Members are admitted
+    lazily, only as far as the largest file read so far needs.
+
+    head_budget is the head-resource link, or None when the pair is out of
+    range; states maps vid -> state over the fleet.
     """
-    members: list[ClusterMember] = []
-    covered = 0.0
 
-    def admit(v: VehicleState, budget: LinkBudget) -> bool:
-        nonlocal covered
-        if v.vid == head.vid:
-            plan = _derated_frags(budget, file, models)
-        else:
-            # Anything beyond what the member can relay back to the head
-            # is dead weight; its planned share is capped accordingly.
-            plan = _plannable_frags(v, head, budget, file, models)
-        if plan <= 0:
-            return False
-        members.append(ClusterMember(v.vid, budget, plan))
-        covered += file.s_bytes * plan if not math.isinf(plan) else math.inf
-        return True
+    def __init__(self, head: VehicleState, resource: VehicleState,
+                 fleet: Collection[VehicleState], s_bytes: float,
+                 models: Models):
+        self.head = head
+        self.resource = resource
+        self.states = {v.vid: v for v in fleet}
+        self.models = models
+        # Budgets read only the fragment size of the file they are given.
+        self.fragment = FileSpec(s_bytes, s_bytes)
+        try:
+            self.head_budget = link_budget(head, resource, self.fragment, models)
+        except ValueError:
+            self.head_budget = None
+        self.members: list[ClusterMember] = []
+        if self.head_budget is not None and self.head_budget.capacity_bytes > 0:
+            plan = _derated_frags(self.head_budget, self.fragment, models)
+            if plan > 0:
+                self.members.append(ClusterMember(head.vid, self.head_budget, plan))
+        # _covered[j] is the planned volume of the first _first + j members;
+        # a cluster never drops the head, so it is at least _first long.
+        self._first = len(self.members)
+        self._covered = [s_bytes * self.members[0].planned_frags
+                         if self.members else 0.0]
+        self._pending = self._admissions()
 
-    try:
-        head_budget = link_budget(head, resource, file, models)
-    except ValueError:
-        head_budget = None
-    if head_budget is not None and head_budget.capacity_bytes > 0:
-        admit(head, head_budget)
-    if covered >= file.v_file_bytes:
-        return Cluster(head.vid, resource.vid, members)
+    def _admissions(self):
+        """Yield the members after the head, in recruitment order, until
+        the invitation has reached every vehicle it can."""
+        head, resource, models = self.head, self.resource, self.models
+        # The head first, then every candidate; positions as arrays.
+        vehicles = [head] + [v for v in self.states.values()
+                             if v.vid not in (head.vid, resource.vid)]
+        x = np.array([v.x for v in vehicles])
+        y = np.array([v.y for v in vehicles])
+        anchors = np.array([0])
+        waiting = np.arange(1, len(vehicles))
+        while waiting.size:
+            # Next ring: anyone in earshot of a vehicle that already carries
+            # the invitation.  The broadcast is omnidirectional, so vehicles
+            # with nothing to offer, including oncoming ones, still relay it
+            # across gaps in the convoy.
+            hit = _in_earshot(anchors, waiting, vehicles, x, y, models)
+            if not hit.any():
+                return
+            anchors = waiting[hit]
+            waiting = waiting[~hit]
+            ring = [vehicles[i] for i in anchors]
+            ring.sort(key=lambda v: (_distance(resource, v, models), v.vid))
+            for v in ring:
+                if not _same_heading(v, head):
+                    continue
+                budget = prospective_link_budget(v, resource, self.fragment, models)
+                # Anything beyond what the member can relay back to the head
+                # is dead weight; its planned share is capped accordingly.
+                plan = _plannable_frags(v, head, budget, self.fragment, models)
+                if plan > 0:
+                    yield ClusterMember(v.vid, budget, plan)
 
-    recruited = {head.vid, resource.vid}
-    anchors = [head]
-    while True:
-        # Next ring: anyone in earshot of a vehicle that already carries
-        # the invitation.  The broadcast is omnidirectional, so vehicles
-        # with nothing to offer, including oncoming ones, still relay it
-        # across gaps in the convoy.
-        ring = []
-        for v in fleet:
-            if v.vid in recruited:
-                continue
-            for a in anchors:
-                dx, dy, _, _ = _relative(a, v, models)
-                if math.hypot(dx, dy) <= models.range_m:
-                    ring.append(v)
-                    break
-        if not ring:
-            raise InsufficientCapacityError(
-                f"cluster capacity {covered:.0f} B cannot cover "
-                f"{file.v_file_bytes:.0f} B"
-            )
-        def dist_to_resource(v: VehicleState) -> tuple:
-            dx, dy, _, _ = _relative(resource, v, models)
-            return (math.hypot(dx, dy), v.vid)
-        ring.sort(key=dist_to_resource)
-        for v in ring:
-            recruited.add(v.vid)
-            if not _same_heading(v, head):
-                continue
-            budget = prospective_link_budget(v, resource, file, models)
-            if not admit(v, budget):
-                continue
-            if covered >= file.v_file_bytes:
-                return Cluster(head.vid, resource.vid, members)
-        anchors = ring
+    def check_fragment_size(self, file: FileSpec) -> None:
+        if file.s_bytes != self.fragment.s_bytes:
+            raise ValueError(
+                f"file of {file.s_bytes:.0f} B fragments read from a "
+                f"recruitment of {self.fragment.s_bytes:.0f} B fragments")
+
+    def covering_prefix(self, file: FileSpec) -> int:
+        """Member count of the minimal cluster that covers the file.
+
+        Raises InsufficientCapacityError when every reachable candidate
+        together still cannot cover it.
+        """
+        self.check_fragment_size(file)
+        v_bytes = file.v_file_bytes
+        covered = self._covered
+        while covered[-1] < v_bytes:
+            member = next(self._pending, None)
+            if member is None:
+                raise InsufficientCapacityError(
+                    f"cluster capacity {covered[-1]:.0f} B cannot cover "
+                    f"{v_bytes:.0f} B"
+                )
+            self.members.append(member)
+            covered.append(covered[-1] + file.s_bytes * member.planned_frags)
+        return self._first + bisect.bisect_left(covered, v_bytes)
+
+
+def build_cluster(recruitment: Recruitment, file: FileSpec) -> Cluster:
+    """The minimal cluster able to cover the file.
+
+    It is the shortest prefix of the recruitment whose summed usable
+    capacities cover the file, which makes it minimal; the recruitment
+    order itself is shared by every file size.  Each call returns fresh
+    ClusterMembers, so assigning fragments to one cluster leaves every
+    other cluster of the same recruitment untouched.  Raises
+    InsufficientCapacityError when every reachable candidate together
+    still cannot cover the file.
+    """
+    n = recruitment.covering_prefix(file)
+    return Cluster(recruitment.head.vid, recruitment.resource.vid,
+                   [replace(m) for m in recruitment.members[:n]])
 
 
 def assign_fragments(cluster: Cluster, file: FileSpec) -> Cluster:
@@ -558,71 +640,83 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
     )
 
 
-def _try_direct(request: VehicleState, states: dict, file: FileSpec,
-                models: Models, holders: list[int]):
-    """Pick the resource; return (resource, outcome) with a failed outcome
-    when no holder is reachable, a direct one when its link carries the
-    file, and None when the file needs more than that link."""
+def recruit(request: VehicleState, fleet: Collection[VehicleState],
+            s_bytes: float, models: Models,
+            holders: list[int]) -> Recruitment | None:
+    """Answer a file request once, for every file of fragment size s_bytes.
+
+    Selects the resource among the holders in fleet (select_resource,
+    which depends on the fragment size only) and returns the recruitment
+    around it, or None when no holder is within range.
+    """
+    states = {v.vid: v for v in fleet}
     responders = [states[h] for h in holders if h in states and h != request.vid]
     try:
-        resource = select_resource(request, responders, file, models)
+        resource = select_resource(request, responders,
+                                   FileSpec(s_bytes, s_bytes), models)
     except NoResourceError:
-        return None, TransferOutcome(mode="failed", bytes_delivered=0.0)
-    rs = link_budget(request, resource, file, models)
-    if rs.capacity_bytes >= file.v_file_bytes:
-        return resource, TransferOutcome(mode="direct",
-                                         bytes_delivered=file.v_file_bytes)
-    return resource, None
+        return None
+    return Recruitment(request, resource, states.values(), s_bytes, models)
 
 
-def form_cluster(request: VehicleState, states: dict, file: FileSpec,
-                 models: Models, holders: list[int]) -> Cluster | TransferOutcome:
-    """Plan one request up to the point where its cluster size is fixed.
+def _direct_outcome(recruitment: Recruitment | None,
+                    file: FileSpec) -> TransferOutcome | None:
+    """A failed outcome when no holder is reachable, a direct one when the
+    resource link carries the file, and None when it needs more."""
+    if recruitment is None:
+        return TransferOutcome(mode="failed", bytes_delivered=0.0)
+    recruitment.check_fragment_size(file)
+    link = recruitment.head_budget
+    if link is not None and link.capacity_bytes >= file.v_file_bytes:
+        return TransferOutcome(mode="direct", bytes_delivered=file.v_file_bytes)
+    return None
 
-    Selects the resource among the holders in states (vid -> state), then
-    recruits a cluster unless the resource link alone carries the file.
-    Returns the final outcome when no cluster forms: direct when that link
-    suffices, failed with zero bytes when no holder is reachable or
-    recruitment cannot cover the file.  Otherwise returns the cluster;
-    fragment assignment and delivery never change its members.  Both
-    results have n_c, which is 0 for an outcome.
+
+def form_cluster(recruitment: Recruitment | None,
+                 file: FileSpec) -> Cluster | TransferOutcome:
+    """Plan one file of a request up to the point where its cluster size
+    is fixed.
+
+    Returns the final outcome when no cluster forms: direct when the
+    resource link alone carries the file, failed with zero bytes when no
+    holder is reachable (recruitment None) or recruitment cannot cover the
+    file.  Otherwise returns the cluster; fragment assignment and delivery
+    never change its members.  Both results have n_c, which is 0 for an
+    outcome.
     """
-    resource, outcome = _try_direct(request, states, file, models, holders)
+    outcome = _direct_outcome(recruitment, file)
     if outcome is not None:
         return outcome
     try:
-        return build_cluster(request, resource, states.values(), file, models)
+        return build_cluster(recruitment, file)
     except InsufficientCapacityError:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
 
 
-def run_cft(request: VehicleState, fleet: list[VehicleState], file: FileSpec,
-            models: Models, holders: list[int], window_of=None,
+def run_cft(recruitment: Recruitment | None, file: FileSpec, window_of=None,
             state_at=None) -> TransferOutcome:
-    """Full cluster-based transfer pipeline for one request.
+    """Full cluster-based transfer pipeline for one file of a request.
 
-    holders lists the vehicle ids that possess the file and answer the
-    broadcast.  Returns form_cluster's outcome when no cluster forms, and
-    otherwise schedules and scores the cluster it recruited.
+    recruitment comes from recruit() and may be shared by any number of
+    files of its fragment size.  Returns form_cluster's outcome when no
+    cluster forms, and otherwise schedules and scores the cluster it read.
     """
-    states = {v.vid: v for v in fleet}
-    planned = form_cluster(request, states, file, models, holders)
+    planned = form_cluster(recruitment, file)
     if isinstance(planned, TransferOutcome):
         return planned
     assign_fragments(planned, file)
-    return _evaluate_plan(planned, file, models, states, window_of, state_at)
+    return _evaluate_plan(planned, file, recruitment.models, recruitment.states,
+                          window_of, state_at)
 
 
-def run_direct_baseline(request: VehicleState, fleet: list[VehicleState],
-                        file: FileSpec, models: Models,
-                        holders: list[int]) -> TransferOutcome:
+def run_direct_baseline(recruitment: Recruitment | None,
+                        file: FileSpec) -> TransferOutcome:
     """Single-link transfer that discards files too large for the link.
 
     The baseline scheme never clusters: when the best responder's capacity
     is below the file size the transfer is simply not attempted.
     """
-    states = {v.vid: v for v in fleet}
-    _, outcome = _try_direct(request, states, file, models, holders)
+    outcome = _direct_outcome(recruitment, file)
     if outcome is None:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
     return outcome

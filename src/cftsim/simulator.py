@@ -18,7 +18,7 @@ from .channel import expected_rate
 from .config import Config
 from .mobility import Fleet
 from .protocol import (FileSpec, VehicleState, form_cluster, link_budget,
-                       run_cft)
+                       recruit, run_cft)
 
 # Stream ids keep RNG derivation stable without relying on string hashing.
 _STREAMS = {"connection": 1, "capability": 2, "max-volume": 3, "cluster": 4}
@@ -416,10 +416,11 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
                     comm_range_m: float) -> float:
     """Largest file volume the cluster scheme delivers, in bytes.
 
-    A doubling search plus bisection on the fragment count.  It assumes
-    that success is monotone in the file size, and that can fail: at the
-    shipped settings some seeds fail at one size yet succeed at a larger
-    one (ROADMAP item 2).  On such a seed the result is a size that
+    A doubling search plus bisection on the fragment count; every probe
+    reads its cluster off one recruitment of the request.  The search
+    assumes that success is monotone in the file size, and that can fail:
+    at the shipped settings some seeds fail at one size yet succeed at a
+    larger one (ROADMAP item 3).  On such a seed the result is a size that
     succeeds next to one that fails, set by the probe order; it need not
     lie below the first failing size.
     """
@@ -427,8 +428,8 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     s = e.fragment_bytes
     models = cfg.models(comm_range_m, density,
                         plan_margin_s=e.max_volume_plan_margin_s)
-    head = scen.states[scen.head_vid]
-    holders = [scen.resource_vid]
+    recruitment = recruit(scen.states[scen.head_vid], scen.states, s, models,
+                          [scen.resource_vid])
     window_cache = {}
 
     def window_of(vid: int):
@@ -439,8 +440,8 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
 
     def ok(frags: int) -> bool:
         file = FileSpec(frags * s, s)
-        out = run_cft(head, scen.states, file, models, holders,
-                      window_of=window_of, state_at=scen.trajectory.state)
+        out = run_cft(recruitment, file, window_of=window_of,
+                      state_at=scen.trajectory.state)
         return out.bytes_delivered >= file.v_file_bytes
 
     if not ok(1):
@@ -506,10 +507,12 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     The cluster size is fixed once recruitment covers the file, before any
     fragment moves, so each run stops there (protocol.form_cluster): it
     plans on the fleet at the request instant, with cluster_horizon_s as
-    the planning horizon, and records no trajectory.  Runs whose file fits
-    through the direct link record a cluster size of zero and are excluded
-    from the mean (no cluster was formed), as are runs where recruitment
-    could not cover the file.
+    the planning horizon, and records no trajectory.  Recruitment order
+    does not depend on the file size, so every file size of a seed reads
+    its cluster off the same recruitment.  Runs whose file fits through
+    the direct link record a cluster size of zero and are excluded from
+    the mean (no cluster was formed), as are runs where recruitment could
+    not cover the file.
     """
     e = cfg.experiments
     r_m = e.cluster_range_m
@@ -522,11 +525,12 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
             fleet, head, resource, _, _ = request_instant(
                 cfg, density, sd, r_m, e.cluster_warmup_steps, seed_idx,
                 "cluster", "encounter")
-            states = dict(enumerate(_fleet_states(fleet)))
+            states = _fleet_states(fleet)
+            recruitment = recruit(states[head], states, e.fragment_bytes,
+                                  models, [resource])
             for v_bytes in e.file_sizes_bytes:
                 file = FileSpec(v_bytes, e.fragment_bytes)
-                sizes[v_bytes].append(form_cluster(
-                    states[head], states, file, models, [resource]).n_c)
+                sizes[v_bytes].append(form_cluster(recruitment, file).n_c)
         for v_bytes in e.file_sizes_bytes:
             formed = [n for n in sizes[v_bytes] if n > 0]
             avg = float(np.mean(formed)) if formed else 0.0

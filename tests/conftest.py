@@ -8,9 +8,10 @@ import pytest
 
 from cftsim.channel import RateTable
 from cftsim.config import load_config
-from cftsim.protocol import Models
+from cftsim.protocol import FileSpec, Models, VehicleState
 
 DEFAULT_CFG = load_config()
+MB = 1_000_000.0
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +41,26 @@ def single_rate_models(rate_bps: float, range_m: float = 250.0,
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def random_scene(gen):
+    """A random straight-road request scene: 2-7 eastbound vehicles (the
+    head among them) and 1-5 westbound ones, some holding the file."""
+    fleet, west = [], []
+    vid = 0
+    for _ in range(int(gen.integers(2, 8))):
+        fleet.append(VehicleState(vid, float(gen.uniform(-800.0, 800.0)),
+                                  float(gen.choice([2.5, 7.5])),
+                                  float(gen.uniform(16.7, 33.3)), 0.0))
+        vid += 1
+    for _ in range(int(gen.integers(1, 6))):
+        fleet.append(VehicleState(vid, float(gen.uniform(-800.0, 800.0)),
+                                  float(gen.choice([-2.5, -7.5])),
+                                  -float(gen.uniform(16.7, 33.3)), 0.0))
+        west.append(vid)
+        vid += 1
+    head = fleet[int(gen.integers(0, len(fleet) - len(west)))]
+    n_holders = int(gen.integers(1, len(west) + 1))
+    holders = [int(h) for h in gen.choice(west, size=n_holders, replace=False)]
+    file = FileSpec(float(gen.integers(1, 400)) * MB, MB)
+    return fleet, head, holders, file

@@ -2,7 +2,7 @@
 
 Each test prints the measured values it judged, so a verbose run doubles as
 a results table.  The heavy end-to-end sweeps (criteria 8 and 9) run at the
-shipped default configuration and take a few minutes together.
+shipped default configuration and take about 75 s together on 2 cores.
 """
 
 import dataclasses
@@ -18,13 +18,13 @@ from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import (avg_slot_length, collision_duration, p_success,
                         success_duration, transmission_prob)
-from cftsim.protocol import (FileSpec, Models, VehicleState, run_cft,
-                             run_direct_baseline)
+from cftsim.protocol import Models, recruit, run_cft, run_direct_baseline
 from cftsim.simulator import (capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
                               throughput_sweep, write_csv)
 
 from channel_oracles import sample_snr, snr_cdf
+from conftest import random_scene
 
 MB = 1_000_000.0
 
@@ -243,27 +243,6 @@ def test_criterion_09_cluster_size_profile(default_cfg):
         assert avg[(5.0, v)] >= avg[(10.0, v)]
 
 
-def _random_scene(gen):
-    fleet, west = [], []
-    vid = 0
-    for _ in range(int(gen.integers(2, 8))):
-        fleet.append(VehicleState(vid, float(gen.uniform(-800.0, 800.0)),
-                                  float(gen.choice([2.5, 7.5])),
-                                  float(gen.uniform(16.7, 33.3)), 0.0))
-        vid += 1
-    for _ in range(int(gen.integers(1, 6))):
-        fleet.append(VehicleState(vid, float(gen.uniform(-800.0, 800.0)),
-                                  float(gen.choice([-2.5, -7.5])),
-                                  -float(gen.uniform(16.7, 33.3)), 0.0))
-        west.append(vid)
-        vid += 1
-    head = fleet[int(gen.integers(0, len(fleet) - len(west)))]
-    n_holders = int(gen.integers(1, len(west) + 1))
-    holders = [int(h) for h in gen.choice(west, size=n_holders, replace=False)]
-    file = FileSpec(float(gen.integers(1, 400)) * MB, MB)
-    return fleet, head, holders, file
-
-
 def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
     # 10^3 random scenes: coverage, minimality, exact fragment partition,
     # CFT delivers at least the baseline, and the direct short-circuit
@@ -282,11 +261,12 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
                     horizon_s=120.0)
     modes = {"direct": 0, "clustered": 0, "failed": 0}
     for _ in range(1000):
-        fleet, head, holders, file = _random_scene(gen)
+        fleet, head, holders, file = random_scene(gen)
         before = calls["n"]
-        out = run_cft(head, fleet, file, models, holders)
+        recruitment = recruit(head, fleet, file.s_bytes, models, holders)
+        out = run_cft(recruitment, file)
         built = calls["n"] - before
-        base = run_direct_baseline(head, fleet, file, models, holders)
+        base = run_direct_baseline(recruitment, file)
         modes[out.mode] += 1
         assert out.bytes_delivered >= base.bytes_delivered
         if out.mode == "direct":

@@ -9,12 +9,14 @@ from cftsim.channel import expected_rate
 from cftsim.mac import throughput
 from cftsim.protocol import (Cluster, ClusterMember, FileSpec,
                              InsufficientCapacityError, Models,
-                             NoResourceError, VehicleState, assign_fragments,
-                             build_cluster, forwarding_feasible, link_budget,
-                             prospective_link_budget, run_cft,
+                             NoResourceError, Recruitment, VehicleState,
+                             _derated_frags, _plannable_frags, _relative,
+                             assign_fragments, build_cluster,
+                             forwarding_feasible, link_budget,
+                             prospective_link_budget, recruit, run_cft,
                              run_direct_baseline, select_resource)
 
-from conftest import single_rate_models
+from conftest import random_scene, single_rate_models
 
 MB = 1_000_000.0
 
@@ -166,8 +168,8 @@ def test_direct_feasibility_boundaries():
     for v_bytes, holder, delivered in ((0.0, 1, True), (10 * MB, 1, True),
                                        (10 * MB + 1, 1, False),
                                        (10_000 * MB, 2, True)):
-        out = run_direct_baseline(req, scene, FileSpec(v_bytes, MB), models,
-                                  [holder])
+        out = run_direct_baseline(recruit(req, scene, MB, models, [holder]),
+                                  FileSpec(v_bytes, MB))
         assert out.mode == ("direct" if delivered else "failed")
         assert out.bytes_delivered == (v_bytes if delivered else 0.0)
 
@@ -193,14 +195,16 @@ def _three_member_scene():
 
 def test_cluster_of_one_when_the_head_suffices():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(head, src, fleet, FileSpec(10 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(10 * MB, MB))
     assert cluster.n_c == 1
     assert cluster.members[0].vid == 0
 
 
 def test_cluster_of_three_exact_partition():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(head, src, fleet, FileSpec(30 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(30 * MB, MB))
     assert [m.vid for m in cluster.members] == [0, 1, 2]
     assert cluster.n_c == 3
     assert cluster.total_planned_bytes(MB) == 30 * MB
@@ -208,7 +212,8 @@ def test_cluster_of_three_exact_partition():
 
 def test_cluster_recruitment_is_a_minimal_prefix():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(head, src, fleet, FileSpec(25 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(25 * MB, MB))
     planned = [MB * m.planned_frags for m in cluster.members]
     assert sum(planned) >= 25 * MB
     assert sum(planned[:-1]) < 25 * MB
@@ -217,7 +222,8 @@ def test_cluster_recruitment_is_a_minimal_prefix():
 def test_cluster_raises_when_the_fleet_is_exhausted():
     models, head, src, fleet = _three_member_scene()
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(head, src, fleet, FileSpec(31 * MB, MB), models)
+        build_cluster(Recruitment(head, src, fleet, MB, models),
+                      FileSpec(31 * MB, MB))
 
 
 def test_cluster_skips_opposite_direction_candidates():
@@ -226,10 +232,12 @@ def test_cluster_skips_opposite_direction_candidates():
     wrong_way = vehicle(1, 0.0, 5.0, -25.0)
     src = vehicle(9, 0.0, 0.0, -25.0)            # 5-fragment head link
     fleet = [head, wrong_way, src]
-    cluster = build_cluster(head, src, fleet, FileSpec(5 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(5 * MB, MB))
     assert [m.vid for m in cluster.members] == [0]
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(head, src, fleet, FileSpec(6 * MB, MB), models)
+        build_cluster(Recruitment(head, src, fleet, MB, models),
+                      FileSpec(6 * MB, MB))
 
 
 def test_cluster_invitation_relays_across_a_gap():
@@ -242,7 +250,8 @@ def test_cluster_invitation_relays_across_a_gap():
     far = vehicle(2, -400.0, 0.0, 33.0)          # catching up from behind
     src = vehicle(9, 0.0, 0.0, -5.0)
     fleet = [head, bridge, far, src]
-    cluster = build_cluster(head, src, fleet, FileSpec(12 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(12 * MB, MB))
     vids = [m.vid for m in cluster.members]
     assert 2 in vids
     assert 1 not in vids
@@ -251,11 +260,12 @@ def test_cluster_invitation_relays_across_a_gap():
 def test_plan_margin_derates_member_budgets():
     models, head, src, fleet = _three_member_scene()
     file = FileSpec(10 * MB, MB)
-    full = build_cluster(head, src, fleet, file, models)
+    full = build_cluster(Recruitment(head, src, fleet, MB, models), file)
     assert full.members[0].planned_frags == 10
     # One second of margin at 8 Mbit/s shaves ceil(1 MB / 1 MB) = 1 frag.
     derated_models = single_rate_models(8e6, plan_margin_s=1.0)
-    derated = build_cluster(head, src, fleet, file, derated_models)
+    derated = build_cluster(
+        Recruitment(head, src, fleet, MB, derated_models), file)
     assert derated.members[0].planned_frags == 9
     assert derated.n_c == 2
 
@@ -270,7 +280,8 @@ def test_late_short_contact_caps_the_member_at_its_window():
     member = vehicle(4, 800.0, 0.0, 2.0)         # head closes at 18 m/s
     src = vehicle(9, 800.0, 0.0, 2.0)            # rides with the member
     fleet = [head, *chain, member, src]
-    cluster = build_cluster(head, src, fleet, FileSpec(5 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(5 * MB, MB))
     assert [m.vid for m in cluster.members] == [4]
     t_in, t_out = (800.0 - 250.0) / 18.0, (800.0 + 250.0) / 18.0
     r_thr = throughput(models.mac, 8e6)
@@ -290,13 +301,14 @@ def test_in_range_member_splits_time_between_download_and_forwarding():
     member = vehicle(1, 240.0, 0.0, 4.0)
     src = vehicle(9, 240.0, 0.0, 4.0)            # rides with the member
     fleet = [head, member, src]
-    cluster = build_cluster(head, src, fleet, FileSpec(35 * MB, MB), models)
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                            FileSpec(35 * MB, MB))
     m = next(m for m in cluster.members if m.vid == 1)
     t_out = (240.0 + 250.0) / 16.0
     r_thr = throughput(models.mac, 8e6)
     want = math.floor(t_out / (8.0 / 8e6 + 8.0 / r_thr) / MB)
     assert m.planned_frags == want
-    out = run_cft(head, fleet, FileSpec(35 * MB, MB), models, holders=[9])
+    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(35 * MB, MB))
     assert out.mode == "clustered"
     assert out.bytes_delivered == 35 * MB
 
@@ -311,14 +323,245 @@ def test_member_that_never_meets_the_head_contributes_nothing():
     src = vehicle(9, 710.0, 0.0, -5.0)
     runaway = vehicle(2, 460.0, 0.0, 33.0)
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(head, src, [head, bridge, runaway, src],
-                      FileSpec(11 * MB, MB), models)
+        build_cluster(
+            Recruitment(head, src, [head, bridge, runaway, src], MB, models),
+            FileSpec(11 * MB, MB))
     # Same scene, but the candidate drifts back into the head instead:
     # now its download is deliverable and the cluster forms around it.
     laggard = vehicle(2, 460.0, 0.0, 5.0)
-    cluster = build_cluster(head, src, [head, bridge, laggard, src],
-                            FileSpec(11 * MB, MB), models)
+    cluster = build_cluster(
+        Recruitment(head, src, [head, bridge, laggard, src], MB, models),
+        FileSpec(11 * MB, MB))
     assert [m.vid for m in cluster.members] == [2]
+
+
+# --- one recruitment shared by every file size ------------------------------
+
+
+def _scalar_cluster(head, resource, fleet, file, models):
+    """Reference recruitment for one file: the per-size scalar ring loop.
+
+    Every ring is found by testing each remaining vehicle against each
+    anchor with math.hypot, and recruitment starts afresh for each file.
+    """
+    members = []
+    covered = 0.0
+
+    def admit(v, budget):
+        nonlocal covered
+        if v.vid == head.vid:
+            plan = _derated_frags(budget, file, models)
+        else:
+            plan = _plannable_frags(v, head, budget, file, models)
+        if plan <= 0:
+            return False
+        members.append(ClusterMember(v.vid, budget, plan))
+        covered += file.s_bytes * plan if not math.isinf(plan) else math.inf
+        return True
+
+    try:
+        head_budget = link_budget(head, resource, file, models)
+    except ValueError:
+        head_budget = None
+    if head_budget is not None and head_budget.capacity_bytes > 0:
+        admit(head, head_budget)
+    if covered >= file.v_file_bytes:
+        return members
+
+    recruited = {head.vid, resource.vid}
+    anchors = [head]
+    while True:
+        ring = []
+        for v in fleet:
+            if v.vid in recruited:
+                continue
+            for a in anchors:
+                dx, dy, _, _ = _relative(a, v, models)
+                if math.hypot(dx, dy) <= models.range_m:
+                    ring.append(v)
+                    break
+        if not ring:
+            raise InsufficientCapacityError
+        def dist_to_resource(v):
+            dx, dy, _, _ = _relative(resource, v, models)
+            return (math.hypot(dx, dy), v.vid)
+        ring.sort(key=dist_to_resource)
+        for v in ring:
+            recruited.add(v.vid)
+            if v.vx * head.vx <= 0.0:
+                continue
+            budget = prospective_link_budget(v, resource, file, models)
+            if not admit(v, budget):
+                continue
+            if covered >= file.v_file_bytes:
+                return members
+        anchors = ring
+
+
+def _oracle_sizes(head, resource, fleet, models):
+    """0, each prefix coverage c_k of the reference recruitment, c_k +- 1
+    byte, and one byte above the total coverage."""
+    covers = []
+    v_bytes = 0.0
+    while True:
+        try:
+            members = _scalar_cluster(head, resource, fleet,
+                                      FileSpec(v_bytes, MB), models)
+        except InsufficientCapacityError:
+            break
+        covered = 0.0
+        for m in members:
+            covered += MB * m.planned_frags
+        covers.append(covered)
+        if math.isinf(covered):
+            break
+        v_bytes = covered + 1.0
+    sizes = {0.0, v_bytes}
+    for c in covers:
+        sizes.update(v for v in (c - 1.0, c, c + 1.0) if v >= 0.0)
+    return sorted(sizes), covers
+
+
+def _check_reads(head, resource, fleet, models, order):
+    """Read every size in order off one recruitment; each read must equal
+    a fresh reference recruitment for that size."""
+    recruitment = Recruitment(head, resource, fleet, MB, models)
+    failed = []
+    for v_bytes in order:
+        file = FileSpec(v_bytes, MB)
+        try:
+            want = _scalar_cluster(head, resource, fleet, file, models)
+        except InsufficientCapacityError:
+            want = None
+        try:
+            got = build_cluster(recruitment, file)
+        except InsufficientCapacityError:
+            got = None
+        if want is None or got is None:
+            assert want is None and got is None, v_bytes
+            failed.append(v_bytes)
+            continue
+        assert (got.head, got.resource) == (head.vid, resource.vid)
+        assert [(m.vid, m.budget, m.planned_frags) for m in got.members] == \
+            [(m.vid, m.budget, m.planned_frags) for m in want], v_bytes
+    return failed
+
+
+def _check_scene(head, resource, fleet, models):
+    """Growing, shrinking, then repeated reads, and the reverse; returns
+    how many reads found a cluster and how many ran out of capacity."""
+    sizes, covers = _oracle_sizes(head, resource, fleet, models)
+    found = exhausted = 0
+    for order in (sizes + sizes[::-1] + sizes, sizes[::-1] + sizes):
+        failed = _check_reads(head, resource, fleet, models, order)
+        exhausted += len(failed)
+        found += len(order) - len(failed)
+    # Exhaustion sets in exactly above the total coverage, on every read.
+    assert exhausted == 5 * sum(v > covers[-1] for v in sizes)
+    return found, exhausted
+
+
+def test_shared_recruitment_matches_fresh_recruitment_random_scenes(
+        default_cfg):
+    gen = np.random.default_rng(70_707)
+    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
+                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
+                    horizon_s=120.0)
+    found = exhausted = 0
+    for _ in range(200):
+        fleet, head, holders, _ = random_scene(gen)
+        recruitment = recruit(head, fleet, MB, models, holders)
+        # An out-of-range resource exercises a head without a direct link.
+        resource = (recruitment.resource if recruitment is not None
+                    else next(v for v in fleet if v.vid == holders[0]))
+        scene_found, scene_exhausted = _check_scene(head, resource, fleet,
+                                                    models)
+        found += scene_found
+        exhausted += scene_exhausted
+    assert found > 0 and exhausted > 0
+
+
+def _ring_scene(gen, n, length_m):
+    """n vehicles spread over a whole ring road, even vids eastbound."""
+    fleet = []
+    for vid in range(n):
+        way = 1.0 if vid % 2 == 0 else -1.0
+        x = float(gen.uniform(-length_m / 2, length_m / 2))
+        fleet.append(vehicle(vid, x, way * float(gen.choice([2.5, 7.5])),
+                             way * float(gen.uniform(16.7, 33.3))))
+    return fleet
+
+
+def test_shared_recruitment_matches_fresh_recruitment_ring_scenes(default_cfg):
+    gen = np.random.default_rng(80_808)
+    length_m = 3000.0
+    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
+                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
+                    horizon_s=120.0, ring_length_m=length_m)
+    for _ in range(10):
+        fleet = _ring_scene(gen, 40, length_m)
+        head = fleet[0]
+        resource = min((v for v in fleet if v.vx < 0),
+                       key=lambda v: abs(models.ring_dx(head.x, v.x)))
+        found, _ = _check_scene(head, resource, fleet, models)
+        assert found > 0
+
+
+def test_shared_recruitment_keeps_the_inclusive_range_edge():
+    # A candidate at exactly range_m ahead of the head is in earshot: on a
+    # straight road, and across the seam of a ring road.  The head gains
+    # on it, so their contact lasts.  Moved 1 nm further, inside the numpy
+    # prefilter's slack, it would still contribute but is never invited.
+    for ring_length_m, head_x, edge_x in ((None, 0.0, 250.0),
+                                          (2000.0, 850.0, -900.0)):
+        models = single_rate_models(8e6, ring_length_m=ring_length_m)
+        head = vehicle(0, head_x, 0.0, 20.0)
+        edge = vehicle(1, edge_x, 0.0, 19.0)
+        src = vehicle(9, head_x + 125.0, 0.0, -5.0)   # between the two
+        assert models.ring_dx(head.x, edge.x) == 250.0
+        fleet = [head, edge, src]
+        _check_scene(head, src, fleet, models)
+        file = FileSpec(16 * MB, MB)                  # head alone: 15 MB
+        cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+                                file)
+        assert [m.vid for m in cluster.members] == [0, 1]
+        far = vehicle(1, edge_x + 1e-9, 0.0, 19.0)
+        assert models.ring_dx(head.x, far.x) > 250.0
+        with pytest.raises(InsufficientCapacityError):
+            build_cluster(Recruitment(head, src, [head, far, src], MB, models),
+                          file)
+        # Once the head is near enough to invite it, it does contribute.
+        near = vehicle(0, head_x + 1e-6, 0.0, 20.0)
+        assert build_cluster(Recruitment(near, src, [near, far, src], MB,
+                                         models), file).n_c == 2
+
+
+def test_clusters_of_one_recruitment_do_not_share_members():
+    models, head, src, fleet = _three_member_scene()
+    recruitment = Recruitment(head, src, fleet, MB, models)
+    big_file, small_file = FileSpec(30 * MB, MB), FileSpec(15 * MB, MB)
+    big = assign_fragments(build_cluster(recruitment, big_file), big_file)
+    before = [(m.frag_start, m.frag_count) for m in big.members]
+    small = assign_fragments(build_cluster(recruitment, small_file),
+                             small_file)
+    for cluster, file in ((big, big_file), (small, small_file)):
+        seen = []
+        for m in cluster.members:
+            seen.extend(range(m.frag_start, m.frag_start + m.frag_count))
+        assert seen == list(range(file.n_total))       # exact partition
+    assert [(m.frag_start, m.frag_count) for m in big.members] == before
+    assert before == [(0, 10), (10, 10), (20, 10)]
+    assert [(m.frag_start, m.frag_count) for m in small.members] == \
+        [(0, 10), (10, 5)]
+
+
+def test_recruitment_rejects_another_fragment_size():
+    models, head, src, fleet = _three_member_scene()
+    recruitment = recruit(head, fleet, MB, models, [9])
+    with pytest.raises(ValueError):
+        build_cluster(recruitment, FileSpec(30 * MB, 2 * MB))
+    with pytest.raises(ValueError):
+        run_cft(recruitment, FileSpec(5 * MB, 2 * MB))
 
 
 # --- fragment assignment ----------------------------------------------------
@@ -414,7 +657,7 @@ def test_forwarding_waits_for_a_future_contact():
 
 def test_run_cft_uses_direct_mode_for_small_files():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(head, fleet, FileSpec(5 * MB, MB), models, holders=[9])
+    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(5 * MB, MB))
     assert out.mode == "direct"
     assert out.bytes_delivered == 5 * MB
     assert out.cluster is None
@@ -422,16 +665,16 @@ def test_run_cft_uses_direct_mode_for_small_files():
 
 def test_run_cft_fails_without_a_reachable_holder():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(head, fleet, FileSpec(5 * MB, MB), models, holders=[])
+    out = run_cft(recruit(head, fleet, MB, models, []), FileSpec(5 * MB, MB))
     assert out.mode == "failed"
     assert out.bytes_delivered == 0.0
-    out = run_cft(head, fleet, FileSpec(5 * MB, MB), models, holders=[0])
+    out = run_cft(recruit(head, fleet, MB, models, [0]), FileSpec(5 * MB, MB))
     assert out.mode == "failed"   # the requester itself does not count
 
 
 def test_run_cft_clusters_and_delivers():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(head, fleet, FileSpec(30 * MB, MB), models, holders=[9])
+    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(30 * MB, MB))
     assert out.mode == "clustered"
     assert out.bytes_delivered == 30 * MB
     assert out.n_c == 3
@@ -444,7 +687,7 @@ def test_run_cft_marks_shortfalls_failed():
     models, head, src, fleet = _three_member_scene()
     # Realised windows half the predicted ones: downloads fall short.
     halved = {0: (0.0, 5.0), 1: (0.0, 5.0), 2: (0.0, 5.0), 9: (0.0, 5.0)}
-    out = run_cft(head, fleet, FileSpec(30 * MB, MB), models, holders=[9],
+    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(30 * MB, MB),
                   window_of=lambda vid: halved[vid])
     assert out.mode == "failed"
     assert out.bytes_delivered == 15 * MB
@@ -452,16 +695,18 @@ def test_run_cft_marks_shortfalls_failed():
 
 def test_direct_baseline_discards_oversized_files():
     models, head, src, fleet = _three_member_scene()
-    ok = run_direct_baseline(head, fleet, FileSpec(10 * MB, MB), models, [9])
+    ok = run_direct_baseline(recruit(head, fleet, MB, models, [9]),
+                             FileSpec(10 * MB, MB))
     assert ok.mode == "direct"
     assert ok.bytes_delivered == 10 * MB
-    big = run_direct_baseline(head, fleet, FileSpec(10 * MB + 1, MB), models, [9])
+    big = run_direct_baseline(recruit(head, fleet, MB, models, [9]),
+                              FileSpec(10 * MB + 1, MB))
     assert big.mode == "failed"
     assert big.bytes_delivered == 0.0
 
 
 def test_zero_byte_file_is_a_trivial_direct_success():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(head, fleet, FileSpec(0.0, MB), models, holders=[9])
+    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(0.0, MB))
     assert out.mode == "direct"
     assert out.bytes_delivered == 0.0

@@ -9,7 +9,7 @@ from cftsim import mobility, simulator
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
-from cftsim.protocol import FileSpec, run_cft
+from cftsim.protocol import FileSpec, recruit, run_cft
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -193,6 +193,69 @@ def test_max_volume_schemes_and_aggregation():
         assert row[4] % cfg.experiments.fragment_bytes == 0.0
 
 
+def _fresh_recruitment_volume(cfg, density, seed_idx):
+    """The search for the cluster scheme's max volume, recruiting afresh
+    for every probe, and the smallest failing fragment count below the
+    volume it finds (None when success is monotone up to it)."""
+    e = cfg.experiments
+    r_m, s = e.max_volume_range_m, e.fragment_bytes
+    scen = build_transfer_scenario(cfg, density, e.max_volume_sd_m, r_m,
+                                   e.max_volume_warmup_steps, seed_idx,
+                                   request_at="encounter")
+    models = cfg.models(r_m, density, plan_margin_s=e.max_volume_plan_margin_s)
+    head = scen.states[scen.head_vid]
+
+    def window_of(vid):
+        return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
+
+    def delivered(recruitment, frags):
+        file = FileSpec(frags * s, s)
+        out = run_cft(recruitment, file, window_of=window_of,
+                      state_at=scen.trajectory.state)
+        return out.bytes_delivered >= file.v_file_bytes
+
+    def ok(frags):
+        return delivered(recruit(head, scen.states, s, models,
+                                 [scen.resource_vid]), frags)
+
+    if not ok(1):
+        return 0.0, None
+    lo, hi = 1, 2
+    while ok(hi):
+        lo, hi = hi, hi * 2
+        if hi > 65536:
+            break
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    shared = recruit(head, scen.states, s, models, [scen.resource_vid])
+    gaps = [k for k in range(1, lo) if not delivered(shared, k)]
+    return float(lo * s), (gaps[0] if gaps else None)
+
+
+def test_max_volume_records_match_fresh_recruitment_per_probe():
+    # Every probe of the search reads its cluster off one shared
+    # recruitment; recruiting afresh per probe must give the same volumes,
+    # also on seeds where success is not monotone in the file size and the
+    # result depends on which sizes are probed (ROADMAP item 3).
+    cfg = load_config(overrides=[
+        "experiments.max_volume.density_per_km=[5, 10]",
+        "experiments.max_volume.seeds=6",
+        "experiments.base_seed=20240",
+    ])
+    res = max_transfer_volume(cfg, "cft")
+    non_monotone = 0
+    for density in (5.0, 10.0):
+        for seed_idx in range(6):
+            want, gap = _fresh_recruitment_volume(cfg, density, seed_idx)
+            assert res.records[("cft", density)][seed_idx] == want
+            non_monotone += gap is not None
+    assert non_monotone > 0
+
+
 def test_cluster_profile_recomputes_from_records():
     cfg = load_config(overrides=[
         "experiments.cluster_size.density_per_km=[10]",
@@ -238,9 +301,10 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
                 e.cluster_warmup_steps, seed_idx, "cluster", "encounter")
             states = simulator._fleet_states(fleet)
             for v_bytes in e.file_sizes_bytes:
-                out = run_cft(states[head], states,
-                              FileSpec(v_bytes, e.fragment_bytes), models,
-                              [resource])
+                # A fresh recruitment per file size, as one request each.
+                out = run_cft(recruit(states[head], states, e.fragment_bytes,
+                                      models, [resource]),
+                              FileSpec(v_bytes, e.fragment_bytes))
                 assert res.records[(density, v_bytes)][seed_idx] == out.n_c
                 seen.add("clustered" if out.n_c > 0 else out.mode)
     # direct 0, clustered n_c > 0, and 0 where recruitment ran out

@@ -7,8 +7,10 @@ recruits its platoon into a cluster, splits the file into fragment
 ranges, and each member hands its share over after the pass.
 """
 
+import math
+
 from cftsim.config import load_config
-from cftsim.protocol import FileSpec, VehicleState, recruit, run_cft
+from cftsim.protocol import VehicleState, recruit, run_cft
 
 MB = 1_000_000.0
 
@@ -24,10 +26,9 @@ HOLDERS = [4]
 
 
 def narrate(head, recruitment, v_bytes):
-    file = FileSpec(v_bytes, 1.0 * MB)
-    out = run_cft(recruitment, file)
+    out = run_cft(recruitment, v_bytes)
     print(f"\nrequesting {v_bytes / MB:.0f} MB "
-          f"({file.n_total} fragments) -> mode={out.mode}, "
+          f"({math.ceil(v_bytes / MB)} fragments) -> mode={out.mode}, "
           f"delivered {out.bytes_delivered / MB:.0f} MB")
     if out.cluster is None:
         return

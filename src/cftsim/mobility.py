@@ -4,8 +4,9 @@ Vehicles accelerate randomly within speed limits and brake to the speed of
 the vehicle ahead whenever the same-lane gap drops to the safety distance or
 below.  The road is a ring: positions wrap modulo the lane length, so the
 vehicle population is closed and density stays constant.  Braking is one
-vectorised pass over all lanes per step; ``step`` states the rule, including
-its cycle case for a lane with no gap over the safety distance.
+vectorised pass over all lanes per step; ``step`` states the rule.  In a
+lane with no gap over the safety distance, every vehicle takes the lane's
+least speed.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class LaneGroups:
     group: np.ndarray           # group id per vehicle
     slot: np.ndarray            # 0, 1, ..., n - 1
     starts: np.ndarray          # first slot of each group
-    last: np.ndarray            # last slot of each group
     slot_group: np.ndarray      # group id per slot
     slot_start: np.ndarray      # first slot of the slot's group
     slot_offset: np.ndarray     # slot index within its group
@@ -85,8 +85,7 @@ class LaneGroups:
         slot_count = counts[slot_group]
         return cls(
             group=group.reshape(-1), slot=np.arange(direction.size),
-            starts=starts, last=starts + counts - 1,
-            slot_group=slot_group, slot_start=slot_start,
+            starts=starts, slot_group=slot_group, slot_start=slot_start,
             slot_offset=slot_offset, slot_count=slot_count,
             slot_direction=keys[0][slot_group],
             ahead=slot_start + (slot_offset + 1) % slot_count)
@@ -181,8 +180,8 @@ def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
     Each lane is sorted into driving order and read backwards from its
     leader.  A vehicle's new speed is the least pre-step speed over itself
     and the vehicles ahead of it, up to and including the first one whose
-    gap ahead exceeds SD; in a cycle lane, up to the leader and the vehicle
-    ahead of the leader.  The minimum runs over integer speed ranks:
+    gap ahead exceeds SD; in a cycle lane, the least pre-step speed of the
+    whole lane.  The minimum runs over integer speed ranks:
     subtracting run * n from every rank makes one ``minimum.accumulate``
     restart at each run, and mapping the ranks back yields an exact speed
     with no arithmetic on it.
@@ -204,11 +203,11 @@ def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
     rank = np.empty(n, dtype=np.intp)
     rank[by_speed] = g.slot
     restart = gaps[walk] > sd
-    # A lane with no gap over SD closes a cycle: its leader brakes to the
-    # pre-step speed of the vehicle ahead, which the walk visits last.
+    # A lane with no gap over SD closes a cycle: its leader takes the lane's
+    # least pre-step speed, and the walk hands it down the whole lane.
     cycle = ~restart[g.starts]
-    first, last = g.starts[cycle], g.last[cycle]
-    rank[first] = np.minimum(rank[first], rank[last])
+    if cycle.any():
+        rank[g.starts[cycle]] = np.minimum.reduceat(rank, g.starts)[cycle]
     restart[g.starts] = True
     offset = np.cumsum(restart) * n
     fleet.speed[vid] = s[by_speed[np.minimum.accumulate(rank - offset) + offset]]
@@ -224,10 +223,9 @@ def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
     walk the lane backwards, and give every vehicle within SD of the one
     ahead at most that vehicle's speed.  Vehicles ahead are settled first,
     so every crowded pair leaves the step with the rear no faster than the
-    front.  The exception is the cycle case, when every gap of a lane is
-    within SD: the sweep starts at a crowded vehicle, which is compared with
-    the pre-step speed of the vehicle ahead, and that vehicle is braked only
-    at the end of the sweep.
+    front.  In the cycle case, when every gap of a lane is within SD, the
+    lane is one platoon with no vehicle free ahead of it: every vehicle
+    takes the lane's least speed, so the cycle's pairs are ordered too.
     """
     gamma = rng.uniform(-1.0, 1.0, size=fleet.n)
     fleet.speed += gamma * cfg.accel_mps2 * cfg.step_s

@@ -31,6 +31,11 @@ class InsufficientCapacityError(Exception):
     """Recruitment exhausted the fleet before covering the file."""
 
 
+def _check_volume(v_bytes: float) -> None:
+    if v_bytes < 0:
+        raise ValueError("file size must be non-negative")
+
+
 @dataclass(frozen=True)
 class FileSpec:
     """A file of v_file_bytes divided into fragments of s_bytes.
@@ -42,8 +47,7 @@ class FileSpec:
     s_bytes: float
 
     def __post_init__(self):
-        if self.v_file_bytes < 0:
-            raise ValueError("file size must be non-negative")
+        _check_volume(self.v_file_bytes)
         if self.s_bytes <= 0:
             raise ValueError("fragment size must be positive")
 
@@ -98,20 +102,16 @@ class Models:
 class LinkBudget:
     """Whole-fragment transfer capacity of one link.
 
-    n_frags = floor(e_c * delta_t / (8 s)) fragments fit in the connection
-    window; capacity is their byte volume, t0_s the time they occupy, and
-    t_resid_s the unusable remainder of the window (too short for one more
-    whole fragment).  t_start_s is the window opening relative to now: zero
-    for a currently connected pair, positive for a pair that will only come
-    into range later.
+    n_frags = floor(e_c * delta_t / (8 s)) fragments of s bytes fit in the
+    connection window, and capacity is their byte volume.  t_start_s is the
+    window opening relative to now: zero for a currently connected pair,
+    positive for a pair that will only come into range later.
     """
 
     delta_t_s: float
     e_c_bps: float
     n_frags: float
     capacity_bytes: float
-    t0_s: float
-    t_resid_s: float
     t_start_s: float = 0.0
 
 
@@ -126,31 +126,21 @@ def _distance(a: VehicleState, b: VehicleState, models: Models) -> float:
     return math.hypot(dx, dy)
 
 
-def _budget_from_window(duration_s: float, distance_m: float, file: FileSpec,
+def _budget_from_window(duration_s: float, distance_m: float, s_bytes: float,
                         models: Models, t_start_s: float = 0.0) -> LinkBudget:
     e_c = expected_rate(distance_m, models.channel, models.rates)
-    frag_bits = 8.0 * file.s_bytes
     if math.isinf(duration_s):
-        return LinkBudget(duration_s, e_c, math.inf, math.inf, 0.0, math.inf,
-                          t_start_s)
+        return LinkBudget(duration_s, e_c, math.inf, math.inf, t_start_s)
     if e_c <= 0.0:
-        return LinkBudget(duration_s, e_c, 0, 0.0, 0.0, duration_s, t_start_s)
-    n = int(e_c * duration_s / frag_bits)
-    t0 = n * frag_bits / e_c
-    return LinkBudget(
-        delta_t_s=duration_s,
-        e_c_bps=e_c,
-        n_frags=n,
-        capacity_bytes=n * file.s_bytes,
-        t0_s=t0,
-        t_resid_s=duration_s - t0,
-        t_start_s=t_start_s,
-    )
+        return LinkBudget(duration_s, e_c, 0, 0.0, t_start_s)
+    n = int(e_c * duration_s / (8.0 * s_bytes))
+    return LinkBudget(duration_s, e_c, n, n * s_bytes, t_start_s)
 
 
-def link_budget(i: VehicleState, source: VehicleState, file: FileSpec,
+def link_budget(i: VehicleState, source: VehicleState, s_bytes: float,
                 models: Models) -> LinkBudget:
-    """Capacity of the i <- source link over its remaining connection time.
+    """Capacity of the i <- source link over its remaining connection time,
+    in fragments of s_bytes.
 
     The pair must currently be within communication range; the expected rate
     is evaluated at the present distance.
@@ -166,11 +156,11 @@ def link_budget(i: VehicleState, source: VehicleState, file: FileSpec,
     # A zero-distance link would have an undefined rate; distances are
     # lane-separated in practice, but clamp defensively.
     dist = max(dist, 1e-6)
-    return _budget_from_window(dt, dist, file, models)
+    return _budget_from_window(dt, dist, s_bytes, models)
 
 
 def prospective_link_budget(i: VehicleState, source: VehicleState,
-                            file: FileSpec, models: Models) -> LinkBudget:
+                            s_bytes: float, models: Models) -> LinkBudget:
     """Capacity of a link that may only open in the future.
 
     Uses the full future in-range window, clipped to the planning horizon,
@@ -180,14 +170,16 @@ def prospective_link_budget(i: VehicleState, source: VehicleState,
     """
     dx, dy, dvx, dvy = _relative(i, source, models)
     if math.hypot(dx, dy) <= models.range_m:
-        return link_budget(i, source, file, models)
+        return link_budget(i, source, s_bytes, models)
     window = range_window(dx, dy, dvx, dvy, models.range_m)
     t_in, t_out = (0.0, 0.0) if window is None else window
     t_out = min(t_out, models.horizon_s)
     if t_out <= t_in:
-        return _budget_from_window(0.0, models.range_m, file, models, t_start_s=t_in)
+        return _budget_from_window(0.0, models.range_m, s_bytes, models,
+                                   t_start_s=t_in)
     d_mid = _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out)
-    return _budget_from_window(t_out - t_in, d_mid, file, models, t_start_s=t_in)
+    return _budget_from_window(t_out - t_in, d_mid, s_bytes, models,
+                               t_start_s=t_in)
 
 
 def _mid_contact_distance(dx: float, dy: float, dvx: float, dvy: float,
@@ -212,7 +204,7 @@ def _mid_contact_throughput(dx: float, dy: float, dvx: float, dvy: float,
 
 
 def select_resource(request: VehicleState, responders: list[VehicleState],
-                    file: FileSpec, models: Models) -> VehicleState:
+                    s_bytes: float, models: Models) -> VehicleState:
     """Pick the downloading source among responding file holders.
 
     The responder whose link to the request vehicle has the largest
@@ -227,7 +219,7 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
         dist = _distance(request, r, models)
         if dist > models.range_m:
             continue
-        b = link_budget(request, r, file, models)
+        b = link_budget(request, r, s_bytes, models)
         scored.append((-b.capacity_bytes, dist, r.vid, r))
     if not scored:
         raise NoResourceError("no responder within communication range")
@@ -247,18 +239,18 @@ class ClusterMember:
     frag_count: int = 0
 
 
-def _derated_frags(budget: LinkBudget, file: FileSpec, models: Models) -> float:
+def _derated_frags(budget: LinkBudget, s_bytes: float, models: Models) -> float:
     """Budget fragment count minus the planning safety margin."""
     if math.isinf(budget.n_frags):
         return budget.n_frags
     if models.plan_margin_s <= 0.0:
         return budget.n_frags
-    margin = math.ceil(models.plan_margin_s * budget.e_c_bps / (8.0 * file.s_bytes))
+    margin = math.ceil(models.plan_margin_s * budget.e_c_bps / (8.0 * s_bytes))
     return max(budget.n_frags - margin, 0)
 
 
 def _plannable_frags(member: VehicleState, head: VehicleState,
-                     budget: LinkBudget, file: FileSpec,
+                     budget: LinkBudget, s_bytes: float,
                      models: Models) -> float:
     """Fragments the member can download from the resource AND hand to the
     head, given both predicted contact windows.
@@ -277,7 +269,7 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
     overshooting t_out.  Members whose two windows cannot satisfy both
     bounds at once contribute nothing.
     """
-    plan = _derated_frags(budget, file, models)
+    plan = _derated_frags(budget, s_bytes, models)
     if plan <= 0:
         return 0.0
     dx, dy, dvx, dvy = _relative(member, head, models)
@@ -309,7 +301,7 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
         cap_bytes = usable_s / (8.0 / e_c + 8.0 / r_thr)
     if cap_bytes <= 0:
         return 0.0
-    return min(plan, float(math.floor(cap_bytes / file.s_bytes)))
+    return min(plan, float(math.floor(cap_bytes / s_bytes)))
 
 
 @dataclass
@@ -398,16 +390,15 @@ class Recruitment:
         self.head = head
         self.resource = resource
         self.states = {v.vid: v for v in fleet}
+        self.s_bytes = s_bytes
         self.models = models
-        # Budgets read only the fragment size of the file they are given.
-        self.fragment = FileSpec(s_bytes, s_bytes)
         try:
-            self.head_budget = link_budget(head, resource, self.fragment, models)
+            self.head_budget = link_budget(head, resource, s_bytes, models)
         except ValueError:
             self.head_budget = None
         self.members: list[ClusterMember] = []
         if self.head_budget is not None and self.head_budget.capacity_bytes > 0:
-            plan = _derated_frags(self.head_budget, self.fragment, models)
+            plan = _derated_frags(self.head_budget, s_bytes, models)
             if plan > 0:
                 self.members.append(ClusterMember(head.vid, self.head_budget, plan))
         # _covered[j] is the planned volume of the first _first + j members;
@@ -443,27 +434,21 @@ class Recruitment:
             for v in ring:
                 if not _same_heading(v, head):
                     continue
-                budget = prospective_link_budget(v, resource, self.fragment, models)
+                budget = prospective_link_budget(v, resource, self.s_bytes,
+                                                 models)
                 # Anything beyond what the member can relay back to the head
                 # is dead weight; its planned share is capped accordingly.
-                plan = _plannable_frags(v, head, budget, self.fragment, models)
+                plan = _plannable_frags(v, head, budget, self.s_bytes, models)
                 if plan > 0:
                     yield ClusterMember(v.vid, budget, plan)
 
-    def check_fragment_size(self, file: FileSpec) -> None:
-        if file.s_bytes != self.fragment.s_bytes:
-            raise ValueError(
-                f"file of {file.s_bytes:.0f} B fragments read from a "
-                f"recruitment of {self.fragment.s_bytes:.0f} B fragments")
-
-    def covering_prefix(self, file: FileSpec) -> int:
-        """Member count of the minimal cluster that covers the file.
+    def covering_prefix(self, v_bytes: float) -> int:
+        """Member count of the minimal cluster that covers v_bytes.
 
         Raises InsufficientCapacityError when every reachable candidate
         together still cannot cover it.
         """
-        self.check_fragment_size(file)
-        v_bytes = file.v_file_bytes
+        _check_volume(v_bytes)
         covered = self._covered
         while covered[-1] < v_bytes:
             member = next(self._pending, None)
@@ -473,12 +458,12 @@ class Recruitment:
                     f"{v_bytes:.0f} B"
                 )
             self.members.append(member)
-            covered.append(covered[-1] + file.s_bytes * member.planned_frags)
+            covered.append(covered[-1] + self.s_bytes * member.planned_frags)
         return self._first + bisect.bisect_left(covered, v_bytes)
 
 
-def build_cluster(recruitment: Recruitment, file: FileSpec) -> Cluster:
-    """The minimal cluster able to cover the file.
+def build_cluster(recruitment: Recruitment, v_bytes: float) -> Cluster:
+    """The minimal cluster able to cover a file of v_bytes.
 
     It is the shortest prefix of the recruitment whose summed usable
     capacities cover the file, which makes it minimal; the recruitment
@@ -488,7 +473,7 @@ def build_cluster(recruitment: Recruitment, file: FileSpec) -> Cluster:
     InsufficientCapacityError when every reachable candidate together
     still cannot cover the file.
     """
-    n = recruitment.covering_prefix(file)
+    n = recruitment.covering_prefix(v_bytes)
     return Cluster(recruitment.head.vid, recruitment.resource.vid,
                    [replace(m) for m in recruitment.members[:n]])
 
@@ -530,6 +515,11 @@ def forwarding_feasible(member: VehicleState, head: VehicleState,
     contact has already closed (or never happens) cannot deliver at all:
     a second contact never occurs on an open road and retries are out of
     scope.
+
+    The verdict is for this member alone.  All members of a cluster forward
+    to the one head at the same time, each at the full mac.throughput rate:
+    the Poisson contender count of models.mac stands for the surrounding
+    traffic and leaves out the other members.
     """
     if assigned_bytes <= 0:
         return True
@@ -592,6 +582,10 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
     planning snapshot.  Download shortfalls (window shorter than the
     assigned fragments need) and forwarding failures both reduce delivered
     bytes; any shortfall demotes the outcome to failed.
+
+    Each member is scored on its own: every member forwards to the head at
+    once, at the full mac.throughput rate (see forwarding_feasible), so no
+    member's result depends on which other members share the cluster.
     """
     head = states[cluster.head]
     delivered = 0.0
@@ -649,33 +643,32 @@ def recruit(request: VehicleState, fleet: Collection[VehicleState],
     which depends on the fragment size only) and returns the recruitment
     around it, or None when no holder is within range.
     """
-    states = {v.vid: v for v in fleet}
-    responders = [states[h] for h in holders if h in states and h != request.vid]
+    wanted = set(holders) - {request.vid}
     try:
-        resource = select_resource(request, responders,
-                                   FileSpec(s_bytes, s_bytes), models)
+        resource = select_resource(
+            request, [v for v in fleet if v.vid in wanted], s_bytes, models)
     except NoResourceError:
         return None
-    return Recruitment(request, resource, states.values(), s_bytes, models)
+    return Recruitment(request, resource, fleet, s_bytes, models)
 
 
 def _direct_outcome(recruitment: Recruitment | None,
-                    file: FileSpec) -> TransferOutcome | None:
+                    v_bytes: float) -> TransferOutcome | None:
     """A failed outcome when no holder is reachable, a direct one when the
     resource link carries the file, and None when it needs more."""
+    _check_volume(v_bytes)
     if recruitment is None:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    recruitment.check_fragment_size(file)
     link = recruitment.head_budget
-    if link is not None and link.capacity_bytes >= file.v_file_bytes:
-        return TransferOutcome(mode="direct", bytes_delivered=file.v_file_bytes)
+    if link is not None and link.capacity_bytes >= v_bytes:
+        return TransferOutcome(mode="direct", bytes_delivered=v_bytes)
     return None
 
 
 def form_cluster(recruitment: Recruitment | None,
-                 file: FileSpec) -> Cluster | TransferOutcome:
-    """Plan one file of a request up to the point where its cluster size
-    is fixed.
+                 v_bytes: float) -> Cluster | TransferOutcome:
+    """Plan one file of v_bytes up to the point where its cluster size is
+    fixed.
 
     Returns the final outcome when no cluster forms: direct when the
     resource link alone carries the file, failed with zero bytes when no
@@ -684,39 +677,41 @@ def form_cluster(recruitment: Recruitment | None,
     never change its members.  Both results have n_c, which is 0 for an
     outcome.
     """
-    outcome = _direct_outcome(recruitment, file)
+    outcome = _direct_outcome(recruitment, v_bytes)
     if outcome is not None:
         return outcome
     try:
-        return build_cluster(recruitment, file)
+        return build_cluster(recruitment, v_bytes)
     except InsufficientCapacityError:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
 
 
-def run_cft(recruitment: Recruitment | None, file: FileSpec, window_of=None,
+def run_cft(recruitment: Recruitment | None, v_bytes: float, window_of=None,
             state_at=None) -> TransferOutcome:
-    """Full cluster-based transfer pipeline for one file of a request.
+    """Full cluster-based transfer pipeline for one file of v_bytes.
 
     recruitment comes from recruit() and may be shared by any number of
-    files of its fragment size.  Returns form_cluster's outcome when no
-    cluster forms, and otherwise schedules and scores the cluster it read.
+    files; they are cut into its fragment size.  Returns form_cluster's
+    outcome when no cluster forms, and otherwise schedules and scores the
+    cluster it read.
     """
-    planned = form_cluster(recruitment, file)
+    planned = form_cluster(recruitment, v_bytes)
     if isinstance(planned, TransferOutcome):
         return planned
+    file = FileSpec(v_bytes, recruitment.s_bytes)
     assign_fragments(planned, file)
     return _evaluate_plan(planned, file, recruitment.models, recruitment.states,
                           window_of, state_at)
 
 
 def run_direct_baseline(recruitment: Recruitment | None,
-                        file: FileSpec) -> TransferOutcome:
+                        v_bytes: float) -> TransferOutcome:
     """Single-link transfer that discards files too large for the link.
 
     The baseline scheme never clusters: when the best responder's capacity
     is below the file size the transfer is simply not attempted.
     """
-    outcome = _direct_outcome(recruitment, file)
+    outcome = _direct_outcome(recruitment, v_bytes)
     if outcome is None:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
     return outcome

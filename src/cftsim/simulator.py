@@ -17,8 +17,7 @@ from . import mobility
 from .channel import expected_rate
 from .config import Config
 from .mobility import Fleet
-from .protocol import (FileSpec, VehicleState, form_cluster, link_budget,
-                       recruit, run_cft)
+from .protocol import VehicleState, form_cluster, link_budget, recruit, run_cft
 
 # Stream ids keep RNG derivation stable without relying on string hashing.
 _STREAMS = {"connection": 1, "capability": 2, "max-volume": 3, "cluster": 4}
@@ -402,7 +401,7 @@ def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
     head = scen.states[scen.head_vid]
     resource = scen.states[scen.resource_vid]
     try:
-        b = link_budget(head, resource, FileSpec(s, s), models)
+        b = link_budget(head, resource, s, models)
     except ValueError:
         return 0.0
     t_in, t_out = scen.trajectory.first_window(
@@ -439,10 +438,10 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
         return window_cache[vid]
 
     def ok(frags: int) -> bool:
-        file = FileSpec(frags * s, s)
-        out = run_cft(recruitment, file, window_of=window_of,
+        v_bytes = frags * s
+        out = run_cft(recruitment, v_bytes, window_of=window_of,
                       state_at=scen.trajectory.state)
-        return out.bytes_delivered >= file.v_file_bytes
+        return out.bytes_delivered >= v_bytes
 
     if not ok(1):
         return 0.0
@@ -529,8 +528,7 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
             recruitment = recruit(states[head], states, e.fragment_bytes,
                                   models, [resource])
             for v_bytes in e.file_sizes_bytes:
-                file = FileSpec(v_bytes, e.fragment_bytes)
-                sizes[v_bytes].append(form_cluster(recruitment, file).n_c)
+                sizes[v_bytes].append(form_cluster(recruitment, v_bytes).n_c)
         for v_bytes in e.file_sizes_bytes:
             formed = [n for n in sizes[v_bytes] if n > 0]
             avg = float(np.mean(formed)) if formed else 0.0

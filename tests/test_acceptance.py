@@ -264,9 +264,9 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
         fleet, head, holders, file = random_scene(gen)
         before = calls["n"]
         recruitment = recruit(head, fleet, file.s_bytes, models, holders)
-        out = run_cft(recruitment, file)
+        out = run_cft(recruitment, file.v_file_bytes)
         built = calls["n"] - before
-        base = run_direct_baseline(recruitment, file)
+        base = run_direct_baseline(recruitment, file.v_file_bytes)
         modes[out.mode] += 1
         assert out.bytes_delivered >= base.bytes_delivered
         if out.mode == "direct":

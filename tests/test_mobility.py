@@ -136,9 +136,16 @@ def _crowded_pairs_ok(fleet, cfg):
     return True
 
 
-@pytest.mark.parametrize("density", [5.0, 10.0])
-def test_crowded_pairs_leave_each_step_ordered(density):
-    cfg = make_cfg(density=density, sd=150.0)
+# At 10 veh/km, SD 250 m and 400 m reach the cycle case, where every gap of
+# a lane is within SD; SD 400 m reaches it on most steps.
+@pytest.mark.parametrize("density, sd", [
+    pytest.param(5.0, 150.0, id="5.0"),
+    pytest.param(10.0, 150.0, id="10.0"),
+    pytest.param(10.0, 250.0, id="10.0-sd250"),
+    pytest.param(10.0, 400.0, id="10.0-sd400"),
+])
+def test_crowded_pairs_leave_each_step_ordered(density, sd):
+    cfg = make_cfg(density=density, sd=sd)
     gen = np.random.default_rng(int(density))
     fleet = init_scenario(cfg, gen)
     for _ in range(200):
@@ -155,6 +162,9 @@ def _scalar_safety_rule(x, speed, direction, sd, length):
     x_ord = x[order]
     gaps = (np.roll(x_ord, -1) - x_ord) * direction % length
     leader_slot = int(np.argmax(gaps))  # vehicle with the most room ahead
+    if gaps[leader_slot] <= sd:
+        # Cycle case: the leader takes the lane's least pre-step speed.
+        speed[order[leader_slot]] = speed.min()
     for back in range(n):
         k = (leader_slot - back) % n        # follower slot
         lead = (k + 1) % n
@@ -208,9 +218,8 @@ def _sparse(cfg, seed):
 def _tied(cfg, seed):
     """One lane of 5 whose first step leaves two widest gaps of 210 m.
 
-    In the cycle case the sweep starting at the first of them brakes the
-    lane to [20, 17, 17, 17, 17] m/s; starting at the second would give
-    [20, 20, 20, 17, 17].
+    Both are within SD, so the lane is a cycle and brakes to 17 m/s
+    throughout, whichever of the two the sweep starts at.
     """
     return Fleet(x=np.arange(5) * cfg.lane_length_m / 5, y=np.full(5, 2.5),
                  speed=np.array([20.0, 30.0, 20.0, 30.0, 17.0]),
@@ -235,7 +244,7 @@ ORACLE_CASES = {
     "uneven-19-18-18-sd250": (
         make_cfg(5.0, 250.0, lanes_per_direction=3), _scenario, False),
     "ids-not-grouped-d10-sd250": (make_cfg(10.0, 250.0), _shuffled, False),
-    # The cycle's leader is the first of the widest gaps in driving order.
+    # A cycle with two widest gaps, so two candidate leaders.
     "tied-gaps-cycle": (
         make_cfg(5.0, 1_000.0, lane_length_m=1_000.0, accel_mps2=0.0),
         _tied, True),

@@ -11,7 +11,7 @@ from cftsim.protocol import (Cluster, ClusterMember, FileSpec,
                              InsufficientCapacityError, Models,
                              NoResourceError, Recruitment, VehicleState,
                              _derated_frags, _plannable_frags, _relative,
-                             assign_fragments, build_cluster,
+                             assign_fragments, build_cluster, form_cluster,
                              forwarding_feasible, link_budget,
                              prospective_link_budget, recruit, run_cft,
                              run_direct_baseline, select_resource)
@@ -44,28 +44,26 @@ def test_link_budget_exact_division():
     models = single_rate_models(8e6)
     head = vehicle(0, 0.0, 0.0, 0.0)
     src = vehicle(1, 0.0, 0.0, 25.0)    # co-located, parts at 25 m/s
-    b = link_budget(head, src, FileSpec(100 * MB, MB), models)
+    b = link_budget(head, src, MB, models)
     assert b.delta_t_s == pytest.approx(10.0, rel=1e-12)
     assert b.e_c_bps == 8e6
     assert b.n_frags == 10
     assert b.capacity_bytes == 10 * MB
-    assert b.t_resid_s == pytest.approx(0.0, abs=1e-9)
 
 
 def test_link_budget_floors_partial_fragments():
     models = single_rate_models(8e6, range_m=252.0)
     head = vehicle(0, 0.0, 0.0, 0.0)
     src = vehicle(1, 0.0, 0.0, 24.0)    # 252 m / 24 m/s = 10.5 s
-    b = link_budget(head, src, FileSpec(100 * MB, MB), models)
+    b = link_budget(head, src, MB, models)
     assert b.delta_t_s == pytest.approx(10.5, rel=1e-12)
     assert b.n_frags == 10
-    assert b.t_resid_s == pytest.approx(0.5, rel=1e-9)
 
 
 def test_link_budget_requires_an_in_range_pair():
     models = single_rate_models(8e6)
     with pytest.raises(ValueError):
-        link_budget(vehicle(0, 0.0), vehicle(1, 251.0), FileSpec(MB, MB),
+        link_budget(vehicle(0, 0.0), vehicle(1, 251.0), MB,
                     models)
 
 
@@ -75,14 +73,13 @@ def test_link_budget_matches_fragment_stepthrough(default_cfg):
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
                     mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
                     horizon_s=default_cfg.experiments.horizon_s)
-    file = FileSpec(500 * MB, MB)
     frag_bits = 8.0 * MB
     for _ in range(300):
         d = float(gen.uniform(1.0, 249.0))
         head = vehicle(0, 0.0, 0.0, 0.0)
         src = vehicle(1, d, 0.0, float(gen.uniform(5.0, 40.0)
                                        * gen.choice([-1.0, 1.0])))
-        b = link_budget(head, src, file, models)
+        b = link_budget(head, src, MB, models)
         if math.isinf(b.n_frags):
             continue
         rate = expected_rate(d, models.channel, models.rates)
@@ -99,7 +96,7 @@ def test_prospective_budget_of_future_window():
     models = single_rate_models(8e6)
     head = vehicle(0, 0.0, 0.0, 0.0)
     src = vehicle(1, 1000.0, 0.0, -25.0)
-    b = prospective_link_budget(head, src, FileSpec(100 * MB, MB), models)
+    b = prospective_link_budget(head, src, MB, models)
     assert b.t_start_s == pytest.approx(30.0, rel=1e-12)
     assert b.delta_t_s == pytest.approx(20.0, rel=1e-12)
     assert b.n_frags == 20
@@ -109,10 +106,10 @@ def test_prospective_budget_clips_to_horizon():
     models = single_rate_models(8e6, horizon_s=40.0)
     head = vehicle(0, 0.0, 0.0, 0.0)
     src = vehicle(1, 1000.0, 0.0, -25.0)
-    b = prospective_link_budget(head, src, FileSpec(100 * MB, MB), models)
+    b = prospective_link_budget(head, src, MB, models)
     assert b.delta_t_s == pytest.approx(10.0, rel=1e-12)   # 30..40 only
     src_never = vehicle(2, 1000.0, 0.0, 25.0)              # receding
-    b2 = prospective_link_budget(head, src_never, FileSpec(100 * MB, MB), models)
+    b2 = prospective_link_budget(head, src_never, MB, models)
     assert b2.n_frags == 0
 
 
@@ -121,14 +118,12 @@ def test_select_resource_prefers_capacity_then_distance():
     req = vehicle(0, 0.0, 0.0, 0.0)
     slow = vehicle(1, 100.0, 0.0, -30.0)
     unbounded = vehicle(2, 200.0, 0.0, 0.0)   # same velocity, never parts
-    assert select_resource(req, [slow, unbounded],
-                           FileSpec(MB, MB), models).vid == 2
-    assert select_resource(req, [slow], FileSpec(MB, MB), models).vid == 1
+    assert select_resource(req, [slow, unbounded], MB, models).vid == 2
+    assert select_resource(req, [slow], MB, models).vid == 1
     with pytest.raises(NoResourceError):
-        select_resource(req, [], FileSpec(MB, MB), models)
+        select_resource(req, [], MB, models)
     with pytest.raises(NoResourceError):
-        select_resource(req, [vehicle(3, 500.0, 0.0, -10.0)],
-                        FileSpec(MB, MB), models)
+        select_resource(req, [vehicle(3, 500.0, 0.0, -10.0)], MB, models)
 
 
 def test_select_resource_matches_argmax_oracle(default_cfg):
@@ -136,7 +131,6 @@ def test_select_resource_matches_argmax_oracle(default_cfg):
     models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
                     mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
                     horizon_s=default_cfg.experiments.horizon_s)
-    file = FileSpec(100 * MB, MB)
     req = vehicle(0, 0.0, 2.5, 25.0)
     for _ in range(50):
         responders = [
@@ -150,13 +144,13 @@ def test_select_resource_matches_argmax_oracle(default_cfg):
             d = math.hypot(dx, dy)
             if d > models.range_m:
                 return None
-            b = link_budget(req, r, file, models)
+            b = link_budget(req, r, MB, models)
             return (-b.capacity_bytes, d, r.vid)
         scored = [(key(r), r.vid) for r in responders if key(r) is not None]
         if not scored:
             continue
         want = min(scored)[1]
-        assert select_resource(req, responders, file, models).vid == want
+        assert select_resource(req, responders, MB, models).vid == want
 
 
 def test_direct_feasibility_boundaries():
@@ -169,7 +163,7 @@ def test_direct_feasibility_boundaries():
                                        (10 * MB + 1, 1, False),
                                        (10_000 * MB, 2, True)):
         out = run_direct_baseline(recruit(req, scene, MB, models, [holder]),
-                                  FileSpec(v_bytes, MB))
+                                  v_bytes)
         assert out.mode == ("direct" if delivered else "failed")
         assert out.bytes_delivered == (v_bytes if delivered else 0.0)
 
@@ -195,16 +189,14 @@ def _three_member_scene():
 
 def test_cluster_of_one_when_the_head_suffices():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(10 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 10 * MB)
     assert cluster.n_c == 1
     assert cluster.members[0].vid == 0
 
 
 def test_cluster_of_three_exact_partition():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(30 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 30 * MB)
     assert [m.vid for m in cluster.members] == [0, 1, 2]
     assert cluster.n_c == 3
     assert cluster.total_planned_bytes(MB) == 30 * MB
@@ -212,8 +204,7 @@ def test_cluster_of_three_exact_partition():
 
 def test_cluster_recruitment_is_a_minimal_prefix():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(25 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 25 * MB)
     planned = [MB * m.planned_frags for m in cluster.members]
     assert sum(planned) >= 25 * MB
     assert sum(planned[:-1]) < 25 * MB
@@ -222,8 +213,7 @@ def test_cluster_recruitment_is_a_minimal_prefix():
 def test_cluster_raises_when_the_fleet_is_exhausted():
     models, head, src, fleet = _three_member_scene()
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(Recruitment(head, src, fleet, MB, models),
-                      FileSpec(31 * MB, MB))
+        build_cluster(Recruitment(head, src, fleet, MB, models), 31 * MB)
 
 
 def test_cluster_skips_opposite_direction_candidates():
@@ -232,12 +222,10 @@ def test_cluster_skips_opposite_direction_candidates():
     wrong_way = vehicle(1, 0.0, 5.0, -25.0)
     src = vehicle(9, 0.0, 0.0, -25.0)            # 5-fragment head link
     fleet = [head, wrong_way, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(5 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 5 * MB)
     assert [m.vid for m in cluster.members] == [0]
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(Recruitment(head, src, fleet, MB, models),
-                      FileSpec(6 * MB, MB))
+        build_cluster(Recruitment(head, src, fleet, MB, models), 6 * MB)
 
 
 def test_cluster_invitation_relays_across_a_gap():
@@ -250,8 +238,7 @@ def test_cluster_invitation_relays_across_a_gap():
     far = vehicle(2, -400.0, 0.0, 33.0)          # catching up from behind
     src = vehicle(9, 0.0, 0.0, -5.0)
     fleet = [head, bridge, far, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(12 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 12 * MB)
     vids = [m.vid for m in cluster.members]
     assert 2 in vids
     assert 1 not in vids
@@ -259,13 +246,13 @@ def test_cluster_invitation_relays_across_a_gap():
 
 def test_plan_margin_derates_member_budgets():
     models, head, src, fleet = _three_member_scene()
-    file = FileSpec(10 * MB, MB)
-    full = build_cluster(Recruitment(head, src, fleet, MB, models), file)
+    v_bytes = 10 * MB
+    full = build_cluster(Recruitment(head, src, fleet, MB, models), v_bytes)
     assert full.members[0].planned_frags == 10
     # One second of margin at 8 Mbit/s shaves ceil(1 MB / 1 MB) = 1 frag.
     derated_models = single_rate_models(8e6, plan_margin_s=1.0)
     derated = build_cluster(
-        Recruitment(head, src, fleet, MB, derated_models), file)
+        Recruitment(head, src, fleet, MB, derated_models), v_bytes)
     assert derated.members[0].planned_frags == 9
     assert derated.n_c == 2
 
@@ -280,8 +267,7 @@ def test_late_short_contact_caps_the_member_at_its_window():
     member = vehicle(4, 800.0, 0.0, 2.0)         # head closes at 18 m/s
     src = vehicle(9, 800.0, 0.0, 2.0)            # rides with the member
     fleet = [head, *chain, member, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(5 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 5 * MB)
     assert [m.vid for m in cluster.members] == [4]
     t_in, t_out = (800.0 - 250.0) / 18.0, (800.0 + 250.0) / 18.0
     r_thr = throughput(models.mac, 8e6)
@@ -301,14 +287,13 @@ def test_in_range_member_splits_time_between_download_and_forwarding():
     member = vehicle(1, 240.0, 0.0, 4.0)
     src = vehicle(9, 240.0, 0.0, 4.0)            # rides with the member
     fleet = [head, member, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                            FileSpec(35 * MB, MB))
+    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 35 * MB)
     m = next(m for m in cluster.members if m.vid == 1)
     t_out = (240.0 + 250.0) / 16.0
     r_thr = throughput(models.mac, 8e6)
     want = math.floor(t_out / (8.0 / 8e6 + 8.0 / r_thr) / MB)
     assert m.planned_frags == want
-    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(35 * MB, MB))
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 35 * MB)
     assert out.mode == "clustered"
     assert out.bytes_delivered == 35 * MB
 
@@ -325,13 +310,13 @@ def test_member_that_never_meets_the_head_contributes_nothing():
     with pytest.raises(InsufficientCapacityError):
         build_cluster(
             Recruitment(head, src, [head, bridge, runaway, src], MB, models),
-            FileSpec(11 * MB, MB))
+            11 * MB)
     # Same scene, but the candidate drifts back into the head instead:
     # now its download is deliverable and the cluster forms around it.
     laggard = vehicle(2, 460.0, 0.0, 5.0)
     cluster = build_cluster(
         Recruitment(head, src, [head, bridge, laggard, src], MB, models),
-        FileSpec(11 * MB, MB))
+        11 * MB)
     assert [m.vid for m in cluster.members] == [2]
 
 
@@ -350,9 +335,9 @@ def _scalar_cluster(head, resource, fleet, file, models):
     def admit(v, budget):
         nonlocal covered
         if v.vid == head.vid:
-            plan = _derated_frags(budget, file, models)
+            plan = _derated_frags(budget, file.s_bytes, models)
         else:
-            plan = _plannable_frags(v, head, budget, file, models)
+            plan = _plannable_frags(v, head, budget, file.s_bytes, models)
         if plan <= 0:
             return False
         members.append(ClusterMember(v.vid, budget, plan))
@@ -360,7 +345,7 @@ def _scalar_cluster(head, resource, fleet, file, models):
         return True
 
     try:
-        head_budget = link_budget(head, resource, file, models)
+        head_budget = link_budget(head, resource, file.s_bytes, models)
     except ValueError:
         head_budget = None
     if head_budget is not None and head_budget.capacity_bytes > 0:
@@ -390,7 +375,7 @@ def _scalar_cluster(head, resource, fleet, file, models):
             recruited.add(v.vid)
             if v.vx * head.vx <= 0.0:
                 continue
-            budget = prospective_link_budget(v, resource, file, models)
+            budget = prospective_link_budget(v, resource, file.s_bytes, models)
             if not admit(v, budget):
                 continue
             if covered >= file.v_file_bytes:
@@ -428,13 +413,13 @@ def _check_reads(head, resource, fleet, models, order):
     recruitment = Recruitment(head, resource, fleet, MB, models)
     failed = []
     for v_bytes in order:
-        file = FileSpec(v_bytes, MB)
         try:
-            want = _scalar_cluster(head, resource, fleet, file, models)
+            want = _scalar_cluster(head, resource, fleet,
+                                   FileSpec(v_bytes, MB), models)
         except InsufficientCapacityError:
             want = None
         try:
-            got = build_cluster(recruitment, file)
+            got = build_cluster(recruitment, v_bytes)
         except InsufficientCapacityError:
             got = None
         if want is None or got is None:
@@ -521,29 +506,28 @@ def test_shared_recruitment_keeps_the_inclusive_range_edge():
         assert models.ring_dx(head.x, edge.x) == 250.0
         fleet = [head, edge, src]
         _check_scene(head, src, fleet, models)
-        file = FileSpec(16 * MB, MB)                  # head alone: 15 MB
+        v_bytes = 16 * MB                             # head alone: 15 MB
         cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
-                                file)
+                                v_bytes)
         assert [m.vid for m in cluster.members] == [0, 1]
         far = vehicle(1, edge_x + 1e-9, 0.0, 19.0)
         assert models.ring_dx(head.x, far.x) > 250.0
         with pytest.raises(InsufficientCapacityError):
             build_cluster(Recruitment(head, src, [head, far, src], MB, models),
-                          file)
+                          v_bytes)
         # Once the head is near enough to invite it, it does contribute.
         near = vehicle(0, head_x + 1e-6, 0.0, 20.0)
         assert build_cluster(Recruitment(near, src, [near, far, src], MB,
-                                         models), file).n_c == 2
+                                         models), v_bytes).n_c == 2
 
 
 def test_clusters_of_one_recruitment_do_not_share_members():
     models, head, src, fleet = _three_member_scene()
     recruitment = Recruitment(head, src, fleet, MB, models)
     big_file, small_file = FileSpec(30 * MB, MB), FileSpec(15 * MB, MB)
-    big = assign_fragments(build_cluster(recruitment, big_file), big_file)
+    big = assign_fragments(build_cluster(recruitment, 30 * MB), big_file)
     before = [(m.frag_start, m.frag_count) for m in big.members]
-    small = assign_fragments(build_cluster(recruitment, small_file),
-                             small_file)
+    small = assign_fragments(build_cluster(recruitment, 15 * MB), small_file)
     for cluster, file in ((big, big_file), (small, small_file)):
         seen = []
         for m in cluster.members:
@@ -555,15 +539,6 @@ def test_clusters_of_one_recruitment_do_not_share_members():
         [(0, 10), (10, 5)]
 
 
-def test_recruitment_rejects_another_fragment_size():
-    models, head, src, fleet = _three_member_scene()
-    recruitment = recruit(head, fleet, MB, models, [9])
-    with pytest.raises(ValueError):
-        build_cluster(recruitment, FileSpec(30 * MB, 2 * MB))
-    with pytest.raises(ValueError):
-        run_cft(recruitment, FileSpec(5 * MB, 2 * MB))
-
-
 # --- fragment assignment ----------------------------------------------------
 
 
@@ -571,8 +546,7 @@ def _member(vid, n_frags, e_c=8e6):
     from cftsim.protocol import LinkBudget
     frag_time = n_frags * 8.0 * MB / e_c
     b = LinkBudget(delta_t_s=frag_time, e_c_bps=e_c, n_frags=n_frags,
-                   capacity_bytes=n_frags * MB, t0_s=frag_time,
-                   t_resid_s=0.0)
+                   capacity_bytes=n_frags * MB)
     return ClusterMember(vid=vid, budget=b, planned_frags=n_frags)
 
 
@@ -657,7 +631,7 @@ def test_forwarding_waits_for_a_future_contact():
 
 def test_run_cft_uses_direct_mode_for_small_files():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(5 * MB, MB))
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 5 * MB)
     assert out.mode == "direct"
     assert out.bytes_delivered == 5 * MB
     assert out.cluster is None
@@ -665,16 +639,16 @@ def test_run_cft_uses_direct_mode_for_small_files():
 
 def test_run_cft_fails_without_a_reachable_holder():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, []), FileSpec(5 * MB, MB))
+    out = run_cft(recruit(head, fleet, MB, models, []), 5 * MB)
     assert out.mode == "failed"
     assert out.bytes_delivered == 0.0
-    out = run_cft(recruit(head, fleet, MB, models, [0]), FileSpec(5 * MB, MB))
+    out = run_cft(recruit(head, fleet, MB, models, [0]), 5 * MB)
     assert out.mode == "failed"   # the requester itself does not count
 
 
 def test_run_cft_clusters_and_delivers():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(30 * MB, MB))
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 30 * MB)
     assert out.mode == "clustered"
     assert out.bytes_delivered == 30 * MB
     assert out.n_c == 3
@@ -687,7 +661,7 @@ def test_run_cft_marks_shortfalls_failed():
     models, head, src, fleet = _three_member_scene()
     # Realised windows half the predicted ones: downloads fall short.
     halved = {0: (0.0, 5.0), 1: (0.0, 5.0), 2: (0.0, 5.0), 9: (0.0, 5.0)}
-    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(30 * MB, MB),
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 30 * MB,
                   window_of=lambda vid: halved[vid])
     assert out.mode == "failed"
     assert out.bytes_delivered == 15 * MB
@@ -695,18 +669,32 @@ def test_run_cft_marks_shortfalls_failed():
 
 def test_direct_baseline_discards_oversized_files():
     models, head, src, fleet = _three_member_scene()
-    ok = run_direct_baseline(recruit(head, fleet, MB, models, [9]),
-                             FileSpec(10 * MB, MB))
+    ok = run_direct_baseline(recruit(head, fleet, MB, models, [9]), 10 * MB)
     assert ok.mode == "direct"
     assert ok.bytes_delivered == 10 * MB
     big = run_direct_baseline(recruit(head, fleet, MB, models, [9]),
-                              FileSpec(10 * MB + 1, MB))
+                              10 * MB + 1)
     assert big.mode == "failed"
     assert big.bytes_delivered == 0.0
 
 
+@pytest.mark.parametrize("read, holders", [
+    (build_cluster, [9]),
+    (form_cluster, [9]), (form_cluster, []),
+    (run_cft, [9]), (run_cft, []),
+    (run_direct_baseline, [9]), (run_direct_baseline, []),
+], ids=lambda v: getattr(v, "__name__", "holder" if v else "no-holder"))
+def test_negative_volume_is_rejected(read, holders):
+    # With holders=[] recruit returns None: no holder is reachable.
+    models, head, src, fleet = _three_member_scene()
+    recruitment = recruit(head, fleet, MB, models, holders)
+    assert (recruitment is None) == (not holders)
+    with pytest.raises(ValueError):
+        read(recruitment, -1.0)
+
+
 def test_zero_byte_file_is_a_trivial_direct_success():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, [9]), FileSpec(0.0, MB))
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 0.0)
     assert out.mode == "direct"
     assert out.bytes_delivered == 0.0

@@ -9,7 +9,7 @@ from cftsim import mobility, simulator
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
-from cftsim.protocol import FileSpec, recruit, run_cft
+from cftsim.protocol import Cluster, FileSpec, _evaluate_plan, recruit, run_cft
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -209,10 +209,9 @@ def _fresh_recruitment_volume(cfg, density, seed_idx):
         return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
 
     def delivered(recruitment, frags):
-        file = FileSpec(frags * s, s)
-        out = run_cft(recruitment, file, window_of=window_of,
+        out = run_cft(recruitment, frags * s, window_of=window_of,
                       state_at=scen.trajectory.state)
-        return out.bytes_delivered >= file.v_file_bytes
+        return out.bytes_delivered >= frags * s
 
     def ok(frags):
         return delivered(recruit(head, scen.states, s, models,
@@ -254,6 +253,46 @@ def test_max_volume_records_match_fresh_recruitment_per_probe():
             assert res.records[("cft", density)][seed_idx] == want
             non_monotone += gap is not None
     assert non_monotone > 0
+
+
+def test_members_forward_independently_of_each_other():
+    # All members forward to the head at once, each at the full MAC
+    # throughput: no member's result may depend on the others.  Scoring a
+    # member alone, with the fragment range the cluster gave it, must give
+    # the same MemberResult, on recorded traffic and on ballistic
+    # prediction alike.
+    cfg = load_config()
+    e = cfg.experiments
+    r_m, s = e.max_volume_range_m, e.fragment_bytes
+    models = cfg.models(r_m, 10.0, plan_margin_s=e.max_volume_plan_margin_s)
+    compared = 0
+    for seed_idx in range(3):
+        scen = build_transfer_scenario(cfg, 10.0, e.max_volume_sd_m, r_m,
+                                       e.max_volume_warmup_steps, seed_idx,
+                                       request_at="encounter")
+        recruitment = recruit(scen.states[scen.head_vid], scen.states, s,
+                              models, [scen.resource_vid])
+
+        def window_of(vid):
+            return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
+
+        for evaluate in ({}, {"window_of": window_of,
+                              "state_at": scen.trajectory.state}):
+            for v_bytes in (100 * MB, 200 * MB, 300 * MB, 400 * MB):
+                out = run_cft(recruitment, v_bytes, **evaluate)
+                if out.cluster is None:
+                    continue
+                c = out.cluster
+                for m, got in zip(c.members, out.member_results):
+                    if m.vid == c.head:
+                        continue
+                    alone = _evaluate_plan(
+                        Cluster(c.head, c.resource, [m]),
+                        FileSpec(v_bytes, s), models, recruitment.states,
+                        **evaluate)
+                    assert alone.member_results == [got]
+                    compared += c.n_c > 2
+    assert compared > 0          # some members shared a cluster
 
 
 def test_cluster_profile_recomputes_from_records():
@@ -303,8 +342,7 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
             for v_bytes in e.file_sizes_bytes:
                 # A fresh recruitment per file size, as one request each.
                 out = run_cft(recruit(states[head], states, e.fragment_bytes,
-                                      models, [resource]),
-                              FileSpec(v_bytes, e.fragment_bytes))
+                                      models, [resource]), v_bytes)
                 assert res.records[(density, v_bytes)][seed_idx] == out.n_c
                 seen.add("clustered" if out.n_c > 0 else out.mode)
     # direct 0, clustered n_c > 0, and 0 where recruitment ran out

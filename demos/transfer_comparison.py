@@ -25,11 +25,9 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = load_config(overrides=[] if args.full else FAST_OVERRIDES)
-    direct = max_transfer_volume(cfg, "direct")
-    cluster = max_transfer_volume(cfg, "cft")
-
-    d = {row[1]: row[4] for row in direct.rows}
-    c = {row[1]: row[4] for row in cluster.rows}
+    res = max_transfer_volume(cfg, "direct", "cft")
+    d = {row[1]: row[4] for row in res.rows if row[0] == "direct"}
+    c = {row[1]: row[4] for row in res.rows if row[0] == "cft"}
     print("largest completed transfer [MB] at R=250 m:")
     print(f"  {'rho/km':>6}  {'single pass':>11}  {'cluster':>8}  {'gain':>5}")
     for rho in cfg.experiments.max_volume_densities:

@@ -8,6 +8,7 @@ always retain the per-run records they were computed from.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import mobility
 from .channel import expected_rate
 from .config import Config
-from .mobility import Fleet
+from .mobility import Fleet, MobilityConfig
 from .protocol import VehicleState, form_cluster, link_budget, recruit, run_cft
 
 # Stream ids keep RNG derivation stable without relying on string hashing.
@@ -215,43 +216,83 @@ def rate_curve(cfg: Config) -> SweepResult:
 # Transfer scenarios: one request vehicle meeting a designated resource
 
 
-@dataclass
 class Trajectory:
-    """Stepped kinematic record of every vehicle from the request instant."""
+    """Kinematic record of every vehicle from the request instant on.
 
-    x: np.ndarray        # (n_steps + 1, n_vehicles)
-    speed: np.ndarray    # (n_steps + 1, n_vehicles)
-    y: np.ndarray        # (n_vehicles,)
-    direction: np.ndarray
-    dt_s: float
-    length_m: float
+    The trajectory owns the fleet and the generator of its traffic, and
+    steps them only as far as a reader asks: ``state`` to the step it
+    reads, ``first_window`` until the pair's first in-range run has
+    closed.  The horizon caps how far a reader may look; a read past it
+    sees the last step.  Nothing else draws from the generator after the
+    request instant, so a step taken late draws the same numbers as one
+    taken at once.  ``x`` and ``speed`` hold the rows stepped so far, one
+    per step from the request instant (row 0).
+    """
+
+    def __init__(self, fleet: Fleet, mcfg: MobilityConfig,
+                 rng: np.random.Generator, horizon_s: float):
+        self._fleet, self._mcfg, self._rng = fleet, mcfg, rng
+        self.n_steps = int(round(horizon_s / mcfg.step_s))
+        self._x = np.empty((self.n_steps + 1, fleet.n))
+        self._speed = np.empty((self.n_steps + 1, fleet.n))
+        self._x[0], self._speed[0] = fleet.x, fleet.speed
+        self._k = 0              # last row stepped
+        self.y = fleet.y
+        self.direction = fleet.direction
+        self.dt_s = mcfg.step_s
+        self.length_m = mcfg.lane_length_m
 
     @property
-    def n_steps(self) -> int:
-        return self.x.shape[0] - 1
+    def x(self) -> np.ndarray:
+        return self._x[:self._k + 1]
+
+    @property
+    def speed(self) -> np.ndarray:
+        return self._speed[:self._k + 1]
+
+    def _step_to(self, k: int) -> int:
+        """Step until row k, capped at the horizon, is recorded; returns
+        the capped k."""
+        k = min(k, self.n_steps)
+        while self._k < k:
+            mobility.step(self._fleet, self._mcfg, self._rng)
+            self._k += 1
+            self._x[self._k] = self._fleet.x
+            self._speed[self._k] = self._fleet.speed
+        return k
 
     def state(self, vid: int, t_s: float) -> VehicleState:
-        k = min(max(int(round(t_s / self.dt_s)), 0), self.n_steps)
+        k = self._step_to(max(int(round(t_s / self.dt_s)), 0))
         return VehicleState(
             vid=vid,
-            x=float(self.x[k, vid]),
+            x=float(self._x[k, vid]),
             y=float(self.y[vid]),
-            vx=float(self.speed[k, vid] * self.direction[vid]),
+            vx=float(self._speed[k, vid] * self.direction[vid]),
             vy=0.0,
         )
 
     def first_window(self, vid_a: int, vid_b: int, range_m: float):
-        """First contiguous in-range interval of the pair, in seconds."""
-        dx = mobility.ring_delta(self.x[:, vid_a], self.x[:, vid_b], self.length_m)
+        """First contiguous in-range interval of the pair, in seconds.
+
+        A run still open at the horizon ends there; a pair never in range
+        up to the horizon gives (0.0, 0.0).
+        """
         dy = self.y[vid_b] - self.y[vid_a]
-        inside = np.hypot(dx, dy) <= range_m
-        idx = np.nonzero(inside)[0]
-        if idx.size == 0:
-            return (0.0, 0.0)
-        start = idx[0]
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        end = idx[breaks[0]] if breaks.size else idx[-1]
-        return (start * self.dt_s, (end + 1) * self.dt_s)
+        while True:
+            x = self.x
+            dx = mobility.ring_delta(x[:, vid_a], x[:, vid_b], self.length_m)
+            inside = np.hypot(dx, dy) <= range_m
+            hits = np.flatnonzero(inside)
+            if hits.size:
+                start = hits[0]
+                out = np.flatnonzero(~inside[start:])
+                if out.size:
+                    return (start * self.dt_s, (start + out[0]) * self.dt_s)
+            if self._k == self.n_steps:
+                if hits.size:
+                    return (start * self.dt_s, x.shape[0] * self.dt_s)
+                return (0.0, 0.0)
+            self._step_to(self._k + 1)
 
 
 @dataclass
@@ -270,10 +311,36 @@ def _fleet_states(fleet: Fleet) -> list:
     ]
 
 
-def request_instant(cfg: Config, density: float, sd: float,
-                    comm_range_m: float, warmup_steps: int, seed_idx: int,
-                    stream: str, request_at: str):
-    """Warm up a fleet and step it to the instant its file request fires.
+@dataclass(frozen=True)
+class WarmStart:
+    """Warmed-up traffic of one transfer-scenario key, before any request.
+
+    Every request branches from copies of the fleet and the generator, so
+    the schemes of one key share a warm-up and each sees the same traffic
+    and the same point in the generator's stream.
+    """
+
+    fleet: Fleet
+    mcfg: MobilityConfig
+    rng: np.random.Generator
+    comm_range_m: float
+
+
+def warm_start(cfg: Config, density: float, sd: float, comm_range_m: float,
+               warmup_steps: int, seed_idx: int, stream: str) -> WarmStart:
+    """Populate and warm up the traffic of one (density, SD, range, seed)
+    key on one RNG stream."""
+    mcfg = cfg.mobility(density, sd)
+    rng = _rng(cfg.experiments.base_seed, stream, _seed_key(density, 1000),
+               _seed_key(comm_range_m), _seed_key(sd), seed_idx)
+    fleet = mobility.init_scenario(mcfg, rng)
+    mobility.warm_up(fleet, mcfg, rng, warmup_steps)
+    return WarmStart(fleet, mcfg, rng, comm_range_m)
+
+
+def request_instant(start: WarmStart, request_at: str):
+    """Branch from a warm start and step it to the instant its file
+    request fires; start itself is left as it was.
 
     The request vehicle is an eastbound vehicle near the middle of the
     ring.  request_at picks the instant its file request fires:
@@ -288,17 +355,14 @@ def request_instant(cfg: Config, density: float, sd: float,
       the clock when it discovers the resource, which happens at first
       beacon contact.
 
-    Returns (fleet, head, resource, mcfg, rng): the fleet at that instant,
-    the head and resource vids, and the mobility config and generator that
-    step the same traffic on from it.
+    Returns (fleet, head, resource, rng): the branch's fleet at that
+    instant, the head and resource vids, and the generator that steps the
+    same traffic on from it.
     """
     if request_at not in ("contact", "encounter"):
         raise ValueError(f"unknown request_at '{request_at}'")
-    mcfg = cfg.mobility(density, sd)
-    rng = _rng(cfg.experiments.base_seed, stream, _seed_key(density, 1000),
-               _seed_key(comm_range_m), _seed_key(sd), seed_idx)
-    fleet = mobility.init_scenario(mcfg, rng)
-    mobility.warm_up(fleet, mcfg, rng, warmup_steps)
+    mcfg, comm_range_m = start.mcfg, start.comm_range_m
+    fleet, rng = start.fleet.copy(), copy.deepcopy(start.rng)
 
     fwd = np.nonzero(fleet.direction > 0)[0]
     bwd = np.nonzero(fleet.direction < 0)[0]
@@ -362,35 +426,22 @@ def request_instant(cfg: Config, density: float, sd: float,
             raise RuntimeError(
                 "no oncoming vehicle entered range for a transfer scenario")
 
-    return fleet, head, resource, mcfg, rng
+    return fleet, head, resource, rng
 
 
-def build_transfer_scenario(cfg: Config, density: float, sd: float,
-                            comm_range_m: float, warmup_steps: int,
-                            seed_idx: int,
+def build_transfer_scenario(cfg: Config, start: WarmStart,
                             request_at: str = "contact") -> TransferScenario:
-    """Record the traffic of a max-volume request instant.
+    """The traffic of a max-volume request instant, branched from start.
 
-    The request instant comes from request_instant on the "max-volume"
-    stream.  The trajectory from it on, over the experiment horizon,
-    validates predicted transfers.
+    The request instant comes from request_instant.  The trajectory from
+    it on validates predicted transfers; it is stepped only as far as its
+    readers look, and the experiment horizon caps how far that may be.
     """
-    fleet, head, resource, mcfg, rng = request_instant(
-        cfg, density, sd, comm_range_m, warmup_steps, seed_idx, "max-volume",
-        request_at)
-    states = _fleet_states(fleet)
-    n_steps = int(round(cfg.experiments.horizon_s / mcfg.step_s))
-    xs = np.empty((n_steps + 1, fleet.n))
-    sp = np.empty((n_steps + 1, fleet.n))
-    xs[0], sp[0] = fleet.x, fleet.speed
-    for k in range(1, n_steps + 1):
-        mobility.step(fleet, mcfg, rng)
-        xs[k], sp[k] = fleet.x, fleet.speed
-    traj = Trajectory(x=xs, speed=sp, y=fleet.y.copy(),
-                      direction=fleet.direction.copy(), dt_s=mcfg.step_s,
-                      length_m=mcfg.lane_length_m)
-    return TransferScenario(states=states, head_vid=head,
-                            resource_vid=resource, trajectory=traj)
+    fleet, head, resource, rng = request_instant(start, request_at)
+    return TransferScenario(
+        states=_fleet_states(fleet), head_vid=head, resource_vid=resource,
+        trajectory=Trajectory(fleet, start.mcfg, rng,
+                              cfg.experiments.horizon_s))
 
 
 def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
@@ -460,37 +511,55 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     return float(lo * s)
 
 
-def max_transfer_volume(cfg: Config, scheme: str) -> SweepResult:
-    """Largest volume deliverable in at least success_fraction of runs."""
+# Per scheme: the instant its request fires and the volume one scenario
+# delivers.  An opportunistic transfer can only use the remainder of the
+# link it happens to have; a planned transfer starts when the resource is
+# first discovered, with the whole pass ahead.
+_SCHEMES = {
+    "direct": ("contact", _direct_max_volume),
+    "cft": ("encounter", _cft_max_volume),
+}
+
+
+def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
+    """Largest volume deliverable in at least success_fraction of runs.
+
+    One row per (scheme, density), scheme by scheme in the order given.
+    Seed k of every scheme has the same RNG key, so it is warmed up once
+    and each scheme that runs seed k branches from it.  Each scenario's
+    trajectory is stepped only as far as its readers look, up to the
+    experiment horizon.
+    """
     e = cfg.experiments
     r_m = e.max_volume_range_m
     sd = e.max_volume_sd_m
-    rows, records = [], {}
-    # An opportunistic transfer can only use the remainder of the link it
-    # happens to have; a planned transfer starts when the resource is first
-    # discovered, with the whole pass ahead.  The direct estimate is cheap
-    # and far noisier per run (the current link's remaining lifetime is
-    # near-uniform), so it gets its own seed count.
-    if scheme == "direct":
-        request_at, n_seeds, one_seed = (
-            "contact", e.max_volume_direct_seeds, _direct_max_volume)
-    elif scheme == "cft":
-        request_at, n_seeds, one_seed = (
-            "encounter", e.max_volume_seeds, _cft_max_volume)
-    else:
-        raise ValueError(f"unknown scheme '{scheme}'")
+    for scheme in schemes:
+        if scheme not in _SCHEMES:
+            raise ValueError(f"unknown scheme '{scheme}'")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"a scheme is given twice: {schemes}")
+    # The direct estimate is cheap and far noisier per run (the current
+    # link's remaining lifetime is near-uniform), so it gets its own seed
+    # count.
+    n_seeds = {"direct": e.max_volume_direct_seeds, "cft": e.max_volume_seeds}
+    records = {(scheme, density): [] for scheme in schemes
+               for density in e.max_volume_densities}
     for density in e.max_volume_densities:
-        per_seed = []
-        for seed_idx in range(n_seeds):
-            scen = build_transfer_scenario(
-                cfg, density, sd, r_m, e.max_volume_warmup_steps, seed_idx,
-                request_at=request_at)
-            per_seed.append(one_seed(cfg, scen, density, r_m))
-        ordered = sorted(per_seed)
+        for seed_idx in range(max((n_seeds[s] for s in schemes), default=0)):
+            start = warm_start(cfg, density, sd, r_m,
+                               e.max_volume_warmup_steps, seed_idx,
+                               "max-volume")
+            for scheme in schemes:
+                if seed_idx < n_seeds[scheme]:
+                    request_at, one_seed = _SCHEMES[scheme]
+                    scen = build_transfer_scenario(cfg, start, request_at)
+                    records[(scheme, density)].append(
+                        one_seed(cfg, scen, density, r_m))
+    rows = []
+    for (scheme, density), per_seed in records.items():
         # Largest volume still achieved by at least success_fraction of runs.
-        need = math.ceil(e.success_fraction * len(ordered))
-        volume = ordered[len(ordered) - need]
-        records[(scheme, density)] = per_seed
+        need = math.ceil(e.success_fraction * len(per_seed))
+        volume = sorted(per_seed)[len(per_seed) - need]
         rows.append((scheme, density, r_m, sd, volume, len(per_seed)))
     return SweepResult(
         header=["scheme", "density_per_km", "comm_range_m",
@@ -521,9 +590,9 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
         models = cfg.models(r_m, density, e.cluster_horizon_s)
         sizes = {v_bytes: [] for v_bytes in e.file_sizes_bytes}
         for seed_idx in range(e.cluster_seeds):
-            fleet, head, resource, _, _ = request_instant(
-                cfg, density, sd, r_m, e.cluster_warmup_steps, seed_idx,
-                "cluster", "encounter")
+            fleet, head, resource, _ = request_instant(
+                warm_start(cfg, density, sd, r_m, e.cluster_warmup_steps,
+                           seed_idx, "cluster"), "encounter")
             states = _fleet_states(fleet)
             recruitment = recruit(states[head], states, e.fragment_bytes,
                                   models, [resource])
@@ -542,20 +611,12 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     )
 
 
-def _max_volume_both(cfg: Config) -> SweepResult:
-    """Both schemes: the direct rows, then the cluster rows."""
-    direct = max_transfer_volume(cfg, "direct")
-    cft = max_transfer_volume(cfg, "cft")
-    return SweepResult(direct.header, direct.rows + cft.rows,
-                       {**direct.records, **cft.records})
-
-
 # Every experiment the CLI offers, by command name, in the CLI's order.
 SWEEPS = {
     "connection-time": connection_time_sweep,
     "throughput": throughput_sweep,
     "capacity": capability_sweep,
-    "max-volume": _max_volume_both,
+    "max-volume": lambda cfg: max_transfer_volume(cfg, "direct", "cft"),
     "cluster-size": cluster_size_profile,
     "rate-curve": rate_curve,
 }

@@ -2,7 +2,7 @@
 
 Each test prints the measured values it judged, so a verbose run doubles as
 a results table.  The heavy end-to-end sweeps (criteria 8 and 9) run at the
-shipped default configuration and take about 75 s together on 2 cores.
+shipped default configuration and take about 40 s together on 2 cores.
 """
 
 import dataclasses
@@ -206,10 +206,9 @@ def test_criterion_08_cft_vs_direct_max_volume(default_cfg):
     # At R=250 m over rho=5..10: direct within 35-45 MB +/- 25% and varying
     # by < 20%; CFT within 295-415 MB +/- 25%, non-decreasing in rho, and
     # at least 6x direct at every density.
-    direct = max_transfer_volume(default_cfg, "direct")
-    cft = max_transfer_volume(default_cfg, "cft")
-    d_vals = {row[1]: row[4] for row in direct.rows}
-    c_vals = {row[1]: row[4] for row in cft.rows}
+    res = max_transfer_volume(default_cfg, "direct", "cft")
+    d_vals = {row[1]: row[4] for row in res.rows if row[0] == "direct"}
+    c_vals = {row[1]: row[4] for row in res.rows if row[0] == "cft"}
     densities = list(default_cfg.experiments.max_volume_densities)
     d_series = [d_vals[rho] for rho in densities]
     c_series = [c_vals[rho] for rho in densities]

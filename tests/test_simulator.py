@@ -9,7 +9,8 @@ from cftsim import mobility, simulator
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
-from cftsim.protocol import Cluster, FileSpec, _evaluate_plan, recruit, run_cft
+from cftsim.protocol import (Cluster, FileSpec, VehicleState, _evaluate_plan,
+                             recruit, run_cft)
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -67,7 +68,8 @@ def test_seed_keys_are_exact(default_cfg):
     with pytest.raises(ValueError):
         simulator._seed_key(250.9)                   # int() reused 250's stream
     with pytest.raises(ValueError):
-        build_transfer_scenario(default_cfg, 5.0, 150.0, 250.9, 15, 0)
+        simulator.warm_start(default_cfg, 5.0, 150.0, 250.9, 15, 0,
+                             "max-volume")
 
 
 @pytest.mark.parametrize("sweep,value_name", [
@@ -112,6 +114,14 @@ def test_rate_curve_spans_the_default_grid(default_cfg):
     assert by_d[250.0] == pytest.approx(53_826_080.18, rel=1e-6)
 
 
+def _scenario(cfg, density, sd, r_m, warmup_steps, seed_idx,
+              request_at="contact"):
+    """A max-volume transfer scenario warmed up on its own."""
+    start = simulator.warm_start(cfg, density, sd, r_m, warmup_steps,
+                                 seed_idx, "max-volume")
+    return build_transfer_scenario(cfg, start, request_at)
+
+
 def _head_resource_distance(scen, cfg):
     head = scen.states[scen.head_vid]
     res = scen.states[scen.resource_vid]
@@ -120,18 +130,110 @@ def _head_resource_distance(scen, cfg):
 
 
 def test_transfer_scenario_is_deterministic(default_cfg):
-    a = build_transfer_scenario(default_cfg, 5.0, 150.0, 250.0, 15, 3)
-    b = build_transfer_scenario(default_cfg, 5.0, 150.0, 250.0, 15, 3)
+    a = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, 3)
+    b = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, 3)
     assert a.head_vid == b.head_vid
     assert a.resource_vid == b.resource_vid
+    horizon_s = default_cfg.experiments.horizon_s
+    for scen in (a, b):                  # step both to the horizon
+        scen.trajectory.state(scen.head_vid, horizon_s)
+    assert a.trajectory.x.shape == (121, len(a.states))
     assert np.array_equal(a.trajectory.x, b.trajectory.x)
     assert np.array_equal(a.trajectory.speed, b.trajectory.speed)
 
 
+def _eager_record(fleet, mcfg, rng, n_steps):
+    """Every row up to the horizon, stepped at once."""
+    xs, sp = [fleet.x.copy()], [fleet.speed.copy()]
+    for _ in range(n_steps):
+        mobility.step(fleet, mcfg, rng)
+        xs.append(fleet.x.copy())
+        sp.append(fleet.speed.copy())
+    return np.array(xs), np.array(sp)
+
+
+def _eager_first_window(xs, y, length_m, dt_s, vid_a, vid_b, range_m):
+    """First in-range run of the pair over the whole eager record."""
+    dx = mobility.ring_delta(xs[:, vid_a], xs[:, vid_b], length_m)
+    inside = np.hypot(dx, y[vid_b] - y[vid_a]) <= range_m
+    idx = np.nonzero(inside)[0]
+    if idx.size == 0:
+        return (0.0, 0.0)
+    start = idx[0]
+    breaks = np.nonzero(np.diff(idx) > 1)[0]
+    end = idx[breaks[0]] if breaks.size else idx[-1]
+    return (start * dt_s, (end + 1) * dt_s)
+
+
+@pytest.mark.parametrize("request_at", ["contact", "encounter"])
+def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
+    # The trajectory steps only when a reader asks.  Whatever the order of
+    # the reads, each must equal the read of the whole horizon recorded at
+    # once from the same request instant, and no unstepped row may show.
+    e = default_cfg.experiments
+    r_m = e.max_volume_range_m
+    start = simulator.warm_start(default_cfg, 10.0, e.max_volume_sd_m, r_m,
+                                 15, 2, "max-volume")
+    fleet, head, resource, rng = simulator.request_instant(start, request_at)
+    mcfg = start.mcfg
+    n_steps = int(round(e.horizon_s / mcfg.step_s))
+    xs, sp = _eager_record(fleet, mcfg, rng, n_steps)
+
+    def want_window(vid_a, vid_b, range_m):
+        return _eager_first_window(xs, fleet.y, mcfg.lane_length_m,
+                                   mcfg.step_s, vid_a, vid_b, range_m)
+
+    def want_state(vid, t_s):
+        k = min(max(int(round(t_s / mcfg.step_s)), 0), n_steps)
+        return VehicleState(vid, float(xs[k, vid]), float(fleet.y[vid]),
+                            float(sp[k, vid] * fleet.direction[vid]), 0.0)
+
+    vids = list(range(0, fleet.n, 5))
+    ends = {v: want_window(v, resource, r_m)[1] for v in vids}
+    assert sum(0.0 < t < e.horizon_s for t in ends.values()) >= 3
+    # Pairs by the end of their first window, those never in range last.
+    by_end = sorted(vids, key=lambda v: ends[v] or math.inf)
+    past = e.horizon_s + 3.0
+    orders = {
+        "growing": [("state", head, t) for t in (0.0, 2.0, 2.0, 9.6, 41.0)]
+                   + [("window", v, r_m) for v in by_end],
+        "shrinking": [("state", head, t) for t in (80.0, 30.0, 30.0, 1.0)]
+                     + [("window", v, r_m) for v in reversed(by_end)],
+        "windows first": [("window", v, r_m) for v in by_end]
+                         + [("state", v, 3.0 * i) for i, v in enumerate(vids)],
+        "past the horizon": [("state", head, 1e9), ("state", resource, past),
+                             ("window", head, r_m), ("state", head, 0.0)],
+    }
+    for reads in orders.values():
+        traj = build_transfer_scenario(default_cfg, start, request_at).trajectory
+        assert traj.x.shape == (1, fleet.n)
+        for kind, vid, arg in reads:
+            if kind == "state":
+                assert traj.state(vid, arg) == want_state(vid, arg)
+            else:
+                assert (traj.first_window(vid, resource, arg)
+                        == want_window(vid, resource, arg))
+            k = traj.x.shape[0]
+            assert np.array_equal(traj.x, xs[:k])
+            assert np.array_equal(traj.speed, sp[:k])
+
+    # The resource's pass ends well inside the horizon, and its window
+    # steps only to the first row after it.
+    traj = build_transfer_scenario(default_cfg, start, request_at).trajectory
+    t_in, t_out = traj.first_window(head, resource, r_m)
+    assert 0.0 < t_out < e.horizon_s
+    assert traj.x.shape[0] == round(t_out / mcfg.step_s) + 1
+    # Opposite lanes are more than 1 m apart: never in range, so the
+    # window steps the whole horizon and comes back empty.
+    assert want_window(head, resource, 1.0) == (0.0, 0.0)
+    assert traj.first_window(head, resource, 1.0) == (0.0, 0.0)
+    assert np.array_equal(traj.x, xs)
+
+
 def test_contact_request_catches_an_ongoing_pass(default_cfg):
     for seed in range(4):
-        scen = build_transfer_scenario(default_cfg, 5.0, 150.0, 250.0, 15,
-                                       seed, request_at="contact")
+        scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, seed,
+                         request_at="contact")
         head = scen.states[scen.head_vid]
         res = scen.states[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
@@ -143,8 +245,8 @@ def test_contact_request_catches_an_ongoing_pass(default_cfg):
 
 def test_encounter_request_fires_as_the_resource_enters_range(default_cfg):
     for seed in range(4):
-        scen = build_transfer_scenario(default_cfg, 5.0, 150.0, 250.0, 15,
-                                       seed, request_at="encounter")
+        scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, seed,
+                         request_at="encounter")
         head = scen.states[scen.head_vid]
         res = scen.states[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
@@ -157,12 +259,12 @@ def test_encounter_request_fires_as_the_resource_enters_range(default_cfg):
 
 def test_transfer_scenario_rejects_unknown_request_modes(default_cfg):
     with pytest.raises(ValueError):
-        build_transfer_scenario(default_cfg, 5.0, 150.0, 250.0, 15, 0,
-                                request_at="whenever")
+        _scenario(default_cfg, 5.0, 150.0, 250.0, 15, 0,
+                  request_at="whenever")
 
 
 def test_trajectory_state_reads_the_step_grid(default_cfg):
-    scen = build_transfer_scenario(default_cfg, 5.0, 150.0, 250.0, 15, 0)
+    scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, 0)
     traj = scen.trajectory
     s0 = traj.state(scen.head_vid, 0.0)
     init = scen.states[scen.head_vid]
@@ -180,6 +282,8 @@ def test_max_volume_schemes_and_aggregation():
     ])
     with pytest.raises(ValueError):
         max_transfer_volume(cfg, "bogus")
+    with pytest.raises(ValueError):
+        max_transfer_volume(cfg, "cft", "cft")
     for scheme, n in (("direct", 6), ("cft", 4)):
         res = max_transfer_volume(cfg, scheme)
         (row,) = res.rows
@@ -193,15 +297,44 @@ def test_max_volume_schemes_and_aggregation():
         assert row[4] % cfg.experiments.fragment_bytes == 0.0
 
 
+def test_joint_max_volume_equals_single_scheme_calls(monkeypatch):
+    # Seed k of both schemes shares one warm-up; each scheme branches from
+    # its own copy, so the joint call must equal the two separate ones,
+    # with the direct-only seeds warmed up for direct alone.
+    cfg = load_config(overrides=[
+        "experiments.max_volume.density_per_km=[5, 10]",
+        "experiments.max_volume.seeds=3",
+        "experiments.max_volume.direct_seeds=5",
+        "experiments.base_seed=31",
+    ])
+    inits = []
+    real_init = mobility.init_scenario
+
+    def counting(*args, **kwargs):
+        inits.append(1)
+        return real_init(*args, **kwargs)
+
+    monkeypatch.setattr(mobility, "init_scenario", counting)
+    both = max_transfer_volume(cfg, "direct", "cft")
+    assert len(inits) == 2 * 5
+    direct = max_transfer_volume(cfg, "direct")
+    cft = max_transfer_volume(cfg, "cft")
+    assert len(inits) == 2 * 5 + 2 * (5 + 3)
+    assert both.header == direct.header
+    assert both.rows == direct.rows + cft.rows
+    assert both.records == {**direct.records, **cft.records}
+    assert [row[0] for row in both.rows] == ["direct"] * 2 + ["cft"] * 2
+
+
 def _fresh_recruitment_volume(cfg, density, seed_idx):
     """The search for the cluster scheme's max volume, recruiting afresh
     for every probe, and the smallest failing fragment count below the
     volume it finds (None when success is monotone up to it)."""
     e = cfg.experiments
     r_m, s = e.max_volume_range_m, e.fragment_bytes
-    scen = build_transfer_scenario(cfg, density, e.max_volume_sd_m, r_m,
-                                   e.max_volume_warmup_steps, seed_idx,
-                                   request_at="encounter")
+    scen = _scenario(cfg, density, e.max_volume_sd_m, r_m,
+                     e.max_volume_warmup_steps, seed_idx,
+                     request_at="encounter")
     models = cfg.models(r_m, density, plan_margin_s=e.max_volume_plan_margin_s)
     head = scen.states[scen.head_vid]
 
@@ -267,9 +400,9 @@ def test_members_forward_independently_of_each_other():
     models = cfg.models(r_m, 10.0, plan_margin_s=e.max_volume_plan_margin_s)
     compared = 0
     for seed_idx in range(3):
-        scen = build_transfer_scenario(cfg, 10.0, e.max_volume_sd_m, r_m,
-                                       e.max_volume_warmup_steps, seed_idx,
-                                       request_at="encounter")
+        scen = _scenario(cfg, 10.0, e.max_volume_sd_m, r_m,
+                         e.max_volume_warmup_steps, seed_idx,
+                         request_at="encounter")
         recruitment = recruit(scen.states[scen.head_vid], scen.states, s,
                               models, [scen.resource_vid])
 
@@ -335,9 +468,10 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
     for density in e.cluster_densities:
         models = cfg.models(e.cluster_range_m, density, e.cluster_horizon_s)
         for seed_idx in range(e.cluster_seeds):
-            fleet, head, resource, _, _ = simulator.request_instant(
-                cfg, density, e.cluster_sd_m, e.cluster_range_m,
-                e.cluster_warmup_steps, seed_idx, "cluster", "encounter")
+            fleet, head, resource, _ = simulator.request_instant(
+                simulator.warm_start(cfg, density, e.cluster_sd_m,
+                                     e.cluster_range_m, e.cluster_warmup_steps,
+                                     seed_idx, "cluster"), "encounter")
             states = simulator._fleet_states(fleet)
             for v_bytes in e.file_sizes_bytes:
                 # A fresh recruitment per file size, as one request each.

@@ -13,7 +13,8 @@ from .channel import (ChannelParams, RateTable, RateDistribution,
 from .connection import predict_connection_time, range_window
 from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
                   throughput, transmission_prob)
-from .mobility import Fleet, MobilityConfig, init_scenario, step, warm_up
+from .mobility import (Fleet, MobilityConfig, init_scenario, step, warm_up,
+                       warm_up_batch)
 from .protocol import (Cluster, FileSpec, LinkBudget, Models, Recruitment,
                        TransferOutcome, VehicleState, assign_fragments,
                        build_cluster, form_cluster, forwarding_feasible,

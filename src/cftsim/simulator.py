@@ -102,11 +102,11 @@ def _snapshot_states(cfg: Config, density: float, sd: float, seed_idx: int,
                seed_idx)
     fleet = mobility.init_scenario(mcfg, rng)
     mobility.warm_up(fleet, mcfg, rng, e.warmup_steps)
-    snaps = []
+    snaps = [fleet.copy()]
     stride = max(int(round(e.snapshot_stride_s / mcfg.step_s)), 1)
-    for _ in range(e.snapshots):
-        snaps.append(fleet.copy())
+    for _ in range(e.snapshots - 1):
         mobility.warm_up(fleet, mcfg, rng, stride)
+        snaps.append(fleet.copy())
     return snaps, mcfg
 
 
@@ -326,16 +326,33 @@ class WarmStart:
     comm_range_m: float
 
 
+def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float,
+                warmup_steps: int, stream: str) -> list[WarmStart]:
+    """Populate and warm up the traffic of every (density, seed_idx) key at
+    one SD and range on one RNG stream, in the order of keys.
+
+    The keys are warmed up together (mobility.warm_up_batch), and each
+    key's traffic is exactly what warming it up alone gives.
+    """
+    starts = []
+    for density, seed_idx in keys:
+        mcfg = cfg.mobility(density, sd)
+        rng = _rng(cfg.experiments.base_seed, stream, _seed_key(density, 1000),
+                   _seed_key(comm_range_m), _seed_key(sd), seed_idx)
+        starts.append(WarmStart(mobility.init_scenario(mcfg, rng), mcfg, rng,
+                                comm_range_m))
+    if starts:
+        mobility.warm_up_batch([(w.fleet, w.mcfg, w.rng) for w in starts],
+                               warmup_steps)
+    return starts
+
+
 def warm_start(cfg: Config, density: float, sd: float, comm_range_m: float,
                warmup_steps: int, seed_idx: int, stream: str) -> WarmStart:
-    """Populate and warm up the traffic of one (density, SD, range, seed)
-    key on one RNG stream."""
-    mcfg = cfg.mobility(density, sd)
-    rng = _rng(cfg.experiments.base_seed, stream, _seed_key(density, 1000),
-               _seed_key(comm_range_m), _seed_key(sd), seed_idx)
-    fleet = mobility.init_scenario(mcfg, rng)
-    mobility.warm_up(fleet, mcfg, rng, warmup_steps)
-    return WarmStart(fleet, mcfg, rng, comm_range_m)
+    """The warm start of one (density, SD, range, seed) key on one RNG
+    stream."""
+    return warm_starts(cfg, [(density, seed_idx)], sd, comm_range_m,
+                       warmup_steps, stream)[0]
 
 
 def request_instant(start: WarmStart, request_at: str):
@@ -526,9 +543,10 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
 
     One row per (scheme, density), scheme by scheme in the order given.
     Seed k of every scheme has the same RNG key, so it is warmed up once
-    and each scheme that runs seed k branches from it.  Each scenario's
-    trajectory is stepped only as far as its readers look, up to the
-    experiment horizon.
+    and each scheme that runs seed k branches from it.  The warm-ups of
+    every (density, seed) of the call run first, together.  Each
+    scenario's trajectory is stepped only as far as its readers look, up
+    to the experiment horizon.
     """
     e = cfg.experiments
     r_m = e.max_volume_range_m
@@ -544,17 +562,18 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
     n_seeds = {"direct": e.max_volume_direct_seeds, "cft": e.max_volume_seeds}
     records = {(scheme, density): [] for scheme in schemes
                for density in e.max_volume_densities}
-    for density in e.max_volume_densities:
-        for seed_idx in range(max((n_seeds[s] for s in schemes), default=0)):
-            start = warm_start(cfg, density, sd, r_m,
-                               e.max_volume_warmup_steps, seed_idx,
-                               "max-volume")
-            for scheme in schemes:
-                if seed_idx < n_seeds[scheme]:
-                    request_at, one_seed = _SCHEMES[scheme]
-                    scen = build_transfer_scenario(cfg, start, request_at)
-                    records[(scheme, density)].append(
-                        one_seed(cfg, scen, density, r_m))
+    most_seeds = max((n_seeds[s] for s in schemes), default=0)
+    keys = [(density, seed_idx) for density in e.max_volume_densities
+            for seed_idx in range(most_seeds)]
+    starts = warm_starts(cfg, keys, sd, r_m, e.max_volume_warmup_steps,
+                         "max-volume")
+    for (density, seed_idx), start in zip(keys, starts):
+        for scheme in schemes:
+            if seed_idx < n_seeds[scheme]:
+                request_at, one_seed = _SCHEMES[scheme]
+                scen = build_transfer_scenario(cfg, start, request_at)
+                records[(scheme, density)].append(
+                    one_seed(cfg, scen, density, r_m))
     rows = []
     for (scheme, density), per_seed in records.items():
         # Largest volume still achieved by at least success_fraction of runs.
@@ -580,19 +599,23 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     its cluster off the same recruitment.  Runs whose file fits through
     the direct link record a cluster size of zero and are excluded from
     the mean (no cluster was formed), as are runs where recruitment could
-    not cover the file.
+    not cover the file.  The warm-ups of every (density, seed) run first,
+    together.
     """
     e = cfg.experiments
     r_m = e.cluster_range_m
     sd = e.cluster_sd_m
+    keys = [(density, seed_idx) for density in e.cluster_densities
+            for seed_idx in range(e.cluster_seeds)]
+    starts = dict(zip(keys, warm_starts(cfg, keys, sd, r_m,
+                                        e.cluster_warmup_steps, "cluster")))
     rows, records = [], {}
     for density in e.cluster_densities:
         models = cfg.models(r_m, density, e.cluster_horizon_s)
         sizes = {v_bytes: [] for v_bytes in e.file_sizes_bytes}
         for seed_idx in range(e.cluster_seeds):
             fleet, head, resource, _ = request_instant(
-                warm_start(cfg, density, sd, r_m, e.cluster_warmup_steps,
-                           seed_idx, "cluster"), "encounter")
+                starts[(density, seed_idx)], "encounter")
             states = _fleet_states(fleet)
             recruitment = recruit(states[head], states, e.fragment_bytes,
                                   models, [resource])

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, CSV emission, overrides."""
 
+import hashlib
+
 import pytest
 
 from cftsim.cli import METRIC_COMMANDS, main
@@ -102,3 +104,32 @@ def test_max_volume_runs_both_schemes(tmp_path):
     direct_v, cft_v = (float(r[4]) for r in rows)
     assert direct_v > 0.0 and cft_v > 0.0
     assert [int(r[5]) for r in rows] == [2, 2]   # --seeds covers both schemes
+
+
+# SHA-256 of each stochastic sweep's CSV at three seeds per grid point.
+# The traffic, the metrics and the number format all feed these bytes, so
+# a change meant to keep the output as it is must keep every digest; a
+# change that moves one changes behaviour and says so.  Snapshots > 1
+# covers the stepping between pair-sweep snapshots.
+GOLDEN_CSVS = {
+    "max-volume": (
+        [], "e07c01ac7e43a4e6413f6d164a143b9dff58a6ccdec1bf6358f3e8ff6fae689c"),
+    "cluster-size": (
+        [], "9a45cd5704aef7671db1d8535a50c6123b540c1514b4126064429a714beb19b6"),
+    "connection-time": (
+        [], "e562373bd247ec7d01c583c17c74ebee2f14ab3426b4c2ae00cc9038c6ec6f33"),
+    "capacity": (
+        [], "82abbb6ad20455de0fe489ec5313c33316a76ccd90755f125d8444657852c5dc"),
+    "connection-time-3-snapshots": (
+        ["--set", "experiments.snapshots=3"],
+        "a1844f4f0833605fb70065bb6c8606172748055ff4d2695f5d7692522a34bd23"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CSVS))
+def test_reduced_seed_csvs_keep_their_digests(tmp_path, case):
+    extra, digest = GOLDEN_CSVS[case]
+    command = case.removesuffix("-3-snapshots")
+    assert main([command, "--seeds", "3", "--out", str(tmp_path), *extra]) == 0
+    csv = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == digest

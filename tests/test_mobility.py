@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cftsim import mobility
 from cftsim.config import load_config
-from cftsim.mobility import Fleet, init_scenario, ring_delta, step, warm_up
+from cftsim.mobility import (Fleet, init_scenario, ring_delta, step, warm_up,
+                             warm_up_batch)
 
 CFG = load_config()
 V_MIN = CFG.mobility_defaults["v_min_mps"]
@@ -271,6 +273,71 @@ def test_step_matches_scalar_sweep_exactly(case):
         assert cycles > 0
 
 
+def _overtaken(cfg, seed):
+    """A scenario and an edit that swaps the positions of two neighbours
+    in one lane, against the driving order the fleet keeps."""
+    fleet = _scenario(cfg, seed)
+    order = _lane_gaps(fleet, 1, 0, cfg)[0]
+
+    def swap(fleet):
+        a, b = order[:2]
+        fleet.x[[a, b]] = fleet.x[[b, a]]
+    return fleet, swap
+
+
+def _coincident(cfg, seed):
+    """One lane of three where the rear vehicle catches the one ahead of
+    it exactly on the second step: a zero gap.  The sort puts the lower
+    id behind; the kept order has the other one behind."""
+    return Fleet(x=np.array([500.0, 300.0, 100.0]), y=np.full(3, 2.5),
+                 speed=np.array([20.0, 120.0, 20.0]),
+                 direction=np.ones(3, dtype=np.int64),
+                 lane=np.zeros(3, dtype=np.int64))
+
+
+def _as_is(build):
+    return lambda cfg, seed: (build(cfg, seed), None)
+
+
+# id: (config, fleet builder returning the fleet and a hand edit made
+# after the first step, whether the kept order must be reused)
+KEPT_ORDER_CASES = {
+    "d10-sd150": (make_cfg(10.0, 150.0), _as_is(_scenario), True),
+    "forced-overtake-d10-sd150": (make_cfg(10.0, 150.0), _overtaken, True),
+    "zero-gap": (make_cfg(5.0, 50.0, lane_length_m=1_000.0, accel_mps2=0.0,
+                          v_min_mps=0.0, v_max_mps=200.0),
+                 _as_is(_coincident), False),
+    "tied-widest-gaps": (ORACLE_CASES["tied-gaps-cycle"][0], _as_is(_tied),
+                         False),
+    "one-vehicle-lane": (make_cfg(5.0, 150.0), _as_is(_sparse), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_ORDER_CASES))
+def test_kept_order_equals_a_fresh_sort(case):
+    # A step that reuses the fleet's kept driving order must equal one
+    # that sorts every lane afresh, also when the order breaks or the
+    # check must refuse it.
+    cfg, build, must_reuse = KEPT_ORDER_CASES[case]
+    fleet, edit = build(cfg, 3)
+    ref = fleet.copy()
+    gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
+    reused = 0
+    for k in range(300):
+        if k == 1 and edit is not None:
+            edit(fleet)
+            edit(ref)
+        kept = fleet._order
+        step(fleet, cfg, gen)
+        reused += kept is not None and fleet._order is kept
+        ref._order = None
+        step(ref, cfg, ref_gen)
+        assert np.array_equal(fleet.x, ref.x)
+        assert np.array_equal(fleet.speed, ref.speed)
+    if must_reuse:
+        assert reused > 150
+
+
 def test_no_overtaking_within_a_lane():
     cfg = make_cfg(density=10.0, sd=150.0)
     gen = np.random.default_rng(99)
@@ -334,6 +401,54 @@ def test_trajectories_are_deterministic_per_seed():
     warm_up(b, cfg, gb, 50)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.speed, b.speed)
+
+
+# At 10 veh/km, SD 250 m and 400 m reach the cycle case.  A bound of 400
+# vehicles splits the mixed members (110, 220, 220, 110) into two batches,
+# and one of 100 puts each in a batch of its own.
+@pytest.mark.parametrize("sd", [150.0, 250.0, 400.0])
+@pytest.mark.parametrize("keys, bound", [
+    pytest.param([(5.0, 1)], mobility.BATCH_VEHICLES, id="one"),
+    pytest.param([(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)],
+                 mobility.BATCH_VEHICLES, id="mixed"),
+    pytest.param([(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)], 400,
+                 id="mixed-split"),
+    pytest.param([(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)], 100,
+                 id="mixed-alone"),
+])
+def test_batched_warm_up_equals_per_seed_warm_up(monkeypatch, keys, bound,
+                                                 sd):
+    monkeypatch.setattr(mobility, "BATCH_VEHICLES", bound)
+
+    def members():
+        out = []
+        for density, seed in keys:
+            cfg = make_cfg(density, sd)
+            gen = np.random.default_rng(seed)
+            out.append((init_scenario(cfg, gen), cfg, gen))
+        return out
+
+    batch, alone = members(), members()
+    warm_up_batch(batch, 200)
+    for fleet, cfg, gen in alone:
+        warm_up(fleet, cfg, gen, 200)
+    for (fleet, _, gen), (want, _, want_gen) in zip(batch, alone):
+        assert np.array_equal(fleet.x, want.x)
+        assert np.array_equal(fleet.speed, want.speed)
+        assert gen.bit_generator.state == want_gen.bit_generator.state
+
+
+def test_batched_warm_up_rejects_bad_batches():
+    gen = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        warm_up_batch([], 10)
+    for other in (make_cfg(10.0, 250.0),
+                  make_cfg(10.0, 150.0, lanes_per_direction=3),
+                  make_cfg(10.0, 150.0, step_s=0.5)):
+        members = [(init_scenario(cfg, gen), cfg, gen)
+                   for cfg in (make_cfg(5.0, 150.0), other)]
+        with pytest.raises(ValueError):
+            warm_up_batch(members, 10)
 
 
 def test_config_validation():

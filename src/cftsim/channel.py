@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaincc
 
 
@@ -125,7 +126,7 @@ def rate_distribution(distance_m: float, params: ChannelParams,
     omega = mean_power(distance_m, params)
     mu = mu_for_distance(distance_m, params)
     scale = (mu / omega) * params.noise_w
-    tails = [float(gammaincc(mu, scale * v)) for v in table.thresholds_snr]
+    tails = gammaincc(mu, scale * np.array(table.thresholds_snr)).tolist()
     tails.append(0.0)
     probs = tuple(tails[k] - tails[k + 1] for k in range(len(table.rates_bps)))
     prob_zero = 1.0 - tails[0]

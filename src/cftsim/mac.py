@@ -9,6 +9,7 @@ expected slot duration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,25 +133,49 @@ def avg_slot_length(n: int, zeta: float, params: MacParams,
             + p_c * collision_duration(params))
 
 
-def _pair_throughput(n: int, zeta: float, params: MacParams,
-                     data_rate_bps: float) -> float:
-    """Expected payload bits per second with exactly n contenders."""
-    t = avg_slot_length(n, zeta, params, data_rate_bps)
-    p_s = (1.0 - (1.0 - zeta) ** n) * p_success(n, zeta)
-    return p_s * params.lp_bits / t
+@functools.lru_cache(maxsize=256)
+def _rate_free_terms(params: MacParams) -> tuple[float, tuple]:
+    """The terms of throughput that do not depend on the data rate.
+
+    Returns the constant prefix t_rts + t_sifs + t_cts + t_sifs of T_s,
+    and per entry of contention_pmf its mass, P_idle * t_slot, P_s,
+    P_c * T_c and P_s * L_p; a draw of n = 0 contenders counts as n = 1.
+    """
+    zeta = transmission_prob(params.w)
+    t_c = collision_duration(params)
+    ns, masses = contention_pmf(params)
+    terms = []
+    for n, mass in zip(ns.tolist(), masses.tolist()):
+        n = max(n, 1)
+        p_idle = (1.0 - zeta) ** n
+        p_tr = 1.0 - p_idle
+        p_s = p_tr * p_success(n, zeta)
+        p_c = p_tr - p_s
+        terms.append((mass, p_idle * params.t_slot_s, p_s, p_c * t_c,
+                      p_s * params.lp_bits))
+    prefix = params.t_rts_s + params.t_sifs_s + params.t_cts_s + params.t_sifs_s
+    return prefix, tuple(terms)
 
 
 def throughput(params: MacParams, data_rate_bps: float) -> float:
     """Expected MAC throughput R_thr between two vehicles, in bit/s.
 
-    Averages the per-slot payload rate over the Poisson contender count at
-    the traffic density params.rho_per_m.  The transfer pair itself always
-    contends, so n = 0 draws still see one active station; an empty road
-    therefore yields the lone-pair ceiling rather than zero.
+    Averages the per-slot payload rate P_s * L_p / T over the Poisson
+    contender count at the traffic density params.rho_per_m, with T the
+    avg_slot_length.  The transfer pair itself always contends, so n = 0
+    draws still see one active station; an empty road therefore yields the
+    lone-pair ceiling rather than zero.
+
+    Everything but T_s is independent of the rate, so it is computed once
+    per MacParams and kept in a bounded cache (_rate_free_terms); a call
+    computes only T_s and the sum over n.
     """
-    zeta = transmission_prob(params.w)
-    ns, masses = contention_pmf(params)
+    if data_rate_bps <= 0:
+        raise ValueError("data rate must be positive")
+    prefix, terms = _rate_free_terms(params)
+    t_s = (prefix + params.lp_bits / data_rate_bps
+           + params.t_sifs_s + params.t_ack_s + params.t_difs_s)
     total = 0.0
-    for n, mass in zip(ns, masses):
-        total += mass * _pair_throughput(max(int(n), 1), zeta, params, data_rate_bps)
+    for mass, idle, p_s, collided, payload in terms:
+        total += mass * (payload / (idle + p_s * t_s + collided))
     return total

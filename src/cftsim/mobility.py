@@ -49,6 +49,10 @@ class MobilityConfig:
             raise ValueError("lane_length_m and step_s must be positive")
         if self.lanes_per_direction < 1:
             raise ValueError("need at least one lane per direction")
+        # Keeps a stepped position within the interval _wrap handles.
+        if self.v_max_mps * self.step_s > self.lane_length_m / 2.0:
+            raise ValueError("a vehicle may not drive over half a lap in "
+                             "one step")
 
     @property
     def vehicles_per_direction(self) -> int:
@@ -134,6 +138,21 @@ def ring_delta(x_from: np.ndarray, x_to: np.ndarray, length: float) -> np.ndarra
     return (d + length / 2.0) % length - length / 2.0
 
 
+def _wrap(a: np.ndarray, length: float) -> np.ndarray:
+    """a % length, in place, for every a in [-length, 2 * length).
+
+    Bit for bit what numpy's float remainder gives there, signed zeros
+    included, for a third of its cost: fmod is exact on that interval,
+    so the remainder is a itself or a -/+ length.  As with %, a tiny
+    negative a whose a + length rounds up gives length, and a zero of
+    either sign gives +0.0.
+    """
+    np.subtract(a, length, out=a, where=a >= length)
+    np.add(a, length, out=a, where=a < 0.0)
+    a += 0.0                  # -0.0 + 0.0 is +0.0
+    return a
+
+
 def _lane_y(direction: int, lane: int, cfg: MobilityConfig) -> float:
     # Lanes of the +1 direction sit above the median, -1 below.
     offset = (lane + 0.5) * cfg.lane_width_m
@@ -184,7 +203,7 @@ def _lane_gaps(x: np.ndarray, order: np.ndarray, g: LaneGroups,
     """Room ahead of each slot with the lanes laid out by order, and the
     widest room in each slot's lane."""
     x_ord = x[order]
-    gaps = (x_ord[g.ahead] - x_ord) * g.slot_direction % length
+    gaps = _wrap((x_ord[g.ahead] - x_ord) * g.slot_direction, length)
     return gaps, np.maximum.reduceat(gaps, g.starts)[g.slot_group]
 
 
@@ -256,7 +275,7 @@ def _advance(fleet: Fleet, cfg: MobilityConfig, gamma: np.ndarray) -> None:
     fleet.speed += gamma * cfg.accel_mps2 * cfg.step_s
     np.clip(fleet.speed, cfg.v_min_mps, cfg.v_max_mps, out=fleet.speed)
     fleet.x += fleet.vx * cfg.step_s
-    fleet.x %= cfg.lane_length_m
+    _wrap(fleet.x, cfg.lane_length_m)
     _brake_to_leaders(fleet, cfg.safety_distance_m, cfg.lane_length_m)
 
 
@@ -344,8 +363,12 @@ def _warm_up_together(members: list, cfg: MobilityConfig,
                   joined("direction"), lane + member * (lane.max() + 1))
     gamma = np.empty(batch.n)
     for _ in range(steps):
+        # rng.uniform(-1.0, 1.0) draws u and returns -1 + 2u; the doubling
+        # is exact, so this is the same number.
         for (_, _, rng), (lo, hi) in zip(members, spans):
-            gamma[lo:hi] = rng.uniform(-1.0, 1.0, size=hi - lo)
+            rng.random(out=gamma[lo:hi])
+        gamma *= 2.0
+        gamma -= 1.0
         _advance(batch, cfg, gamma)
     for fleet, (lo, hi) in zip(fleets, spans):
         fleet.x[:] = batch.x[lo:hi]

@@ -381,7 +381,9 @@ class Recruitment:
     lazily, only as far as the largest file read so far needs.
 
     head_budget is the head-resource link, or None when the pair is out of
-    range; states maps vid -> state over the fleet.
+    range; states maps vid -> state over the fleet.  scores memoises
+    _evaluate_plan's MemberResults for every file and traffic source read
+    off this recruitment, so it lives and dies with it.
     """
 
     def __init__(self, head: VehicleState, resource: VehicleState,
@@ -406,14 +408,22 @@ class Recruitment:
         self._first = len(self.members)
         self._covered = [s_bytes * self.members[0].planned_frags
                          if self.members else 0.0]
-        self._pending = self._admissions()
+        self._pending = self._admissions(head, resource, self.states, s_bytes,
+                                         models)
+        self.scores: dict[tuple, MemberResult] = {}
 
-    def _admissions(self):
+    @staticmethod
+    def _admissions(head: VehicleState, resource: VehicleState,
+                    states: dict, s_bytes: float, models: Models):
         """Yield the members after the head, in recruitment order, until
-        the invitation has reached every vehicle it can."""
-        head, resource, models = self.head, self.resource, self.models
+        the invitation has reached every vehicle it can.
+
+        The generator holds no reference to its recruitment, so no cycle
+        keeps a dropped recruitment, its scores and the traffic sources
+        their keys hold alive until the garbage collector runs.
+        """
         # The head first, then every candidate; positions as arrays.
-        vehicles = [head] + [v for v in self.states.values()
+        vehicles = [head] + [v for v in states.values()
                              if v.vid not in (head.vid, resource.vid)]
         x = np.array([v.x for v in vehicles])
         y = np.array([v.y for v in vehicles])
@@ -434,11 +444,10 @@ class Recruitment:
             for v in ring:
                 if not _same_heading(v, head):
                     continue
-                budget = prospective_link_budget(v, resource, self.s_bytes,
-                                                 models)
+                budget = prospective_link_budget(v, resource, s_bytes, models)
                 # Anything beyond what the member can relay back to the head
                 # is dead weight; its planned share is capped accordingly.
-                plan = _plannable_frags(v, head, budget, self.s_bytes, models)
+                plan = _plannable_frags(v, head, budget, s_bytes, models)
                 if plan > 0:
                     yield ClusterMember(v.vid, budget, plan)
 
@@ -537,7 +546,7 @@ def forwarding_feasible(member: VehicleState, head: VehicleState,
     return dt * r_thr / 8.0 >= assigned_bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemberResult:
     vid: int
     assigned_bytes: float
@@ -571,9 +580,8 @@ def _ballistic(state: VehicleState, t: float) -> VehicleState:
                         state.y + state.vy * t, state.vx, state.vy)
 
 
-def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
-                   states: dict, window_of=None,
-                   state_at=None) -> TransferOutcome:
+def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
+                   window_of=None, state_at=None) -> TransferOutcome:
     """Score a fragment plan member by member.
 
     window_of(vid) -> (t_in, t_out) supplies each member's realised window
@@ -585,46 +593,59 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, models: Models,
 
     Each member is scored on its own: every member forwards to the head at
     once, at the full mac.throughput rate (see forwarding_feasible), so no
-    member's result depends on which other members share the cluster.
+    member's result depends on which other members share the cluster.  A
+    member's result is therefore computed once per traffic source
+    (window_of, state_at) and fragment range, and kept in
+    recruitment.scores for every later file of the recruitment.  The
+    assigned bytes are part of the key, since the last fragment of a file
+    may be short.
     """
+    models, states, scores = (recruitment.models, recruitment.states,
+                              recruitment.scores)
     head = states[cluster.head]
     delivered = 0.0
     results = []
     frag_bits = 8.0 * file.s_bytes
     for m in cluster.members:
         assigned = file.fragment_bytes(m.frag_start, m.frag_count)
-        b = m.budget
-        if window_of is None:
-            t_in, t_out = b.t_start_s, b.t_start_s + b.delta_t_s
-        else:
-            t_in, t_out = window_of(m.vid)
-        window = max(t_out - t_in, 0.0)
-        if b.e_c_bps <= 0:
-            frags_possible = 0
-        elif math.isinf(window):
-            # A contact that never closes downloads everything assigned.
-            frags_possible = m.frag_count
-        else:
-            frags_possible = int(b.e_c_bps * window / frag_bits)
-        frags_got = min(m.frag_count, frags_possible)
-        downloaded = file.fragment_bytes(m.frag_start, frags_got)
-        t_done = t_in + (frags_got * frag_bits / b.e_c_bps if b.e_c_bps > 0 else 0.0)
-        if m.vid == cluster.head:
-            # The head's own fragments need no forwarding hop.
-            ok = True
-            forwarded = downloaded
-        else:
-            if state_at is None:
-                member_then = _ballistic(states[m.vid], t_done)
-                head_then = _ballistic(head, t_done)
+        key = (window_of, state_at, m.vid, m.frag_start, m.frag_count, assigned)
+        result = scores.get(key)
+        if result is None:
+            b = m.budget
+            if window_of is None:
+                t_in, t_out = b.t_start_s, b.t_start_s + b.delta_t_s
             else:
-                member_then = state_at(m.vid, t_done)
-                head_then = state_at(head.vid, t_done)
-            ok = forwarding_feasible(member_then, head_then, downloaded, models)
-            forwarded = downloaded if ok else 0.0
-        delivered += forwarded
-        results.append(MemberResult(m.vid, assigned, downloaded, forwarded,
-                                    t_done, ok))
+                t_in, t_out = window_of(m.vid)
+            window = max(t_out - t_in, 0.0)
+            if b.e_c_bps <= 0:
+                frags_possible = 0
+            elif math.isinf(window):
+                # A contact that never closes downloads everything assigned.
+                frags_possible = m.frag_count
+            else:
+                frags_possible = int(b.e_c_bps * window / frag_bits)
+            frags_got = min(m.frag_count, frags_possible)
+            downloaded = file.fragment_bytes(m.frag_start, frags_got)
+            t_done = t_in + (frags_got * frag_bits / b.e_c_bps
+                             if b.e_c_bps > 0 else 0.0)
+            if m.vid == cluster.head:
+                # The head's own fragments need no forwarding hop.
+                ok = True
+                forwarded = downloaded
+            else:
+                if state_at is None:
+                    member_then = _ballistic(states[m.vid], t_done)
+                    head_then = _ballistic(head, t_done)
+                else:
+                    member_then = state_at(m.vid, t_done)
+                    head_then = state_at(head.vid, t_done)
+                ok = forwarding_feasible(member_then, head_then, downloaded,
+                                         models)
+                forwarded = downloaded if ok else 0.0
+            result = scores[key] = MemberResult(m.vid, assigned, downloaded,
+                                                forwarded, t_done, ok)
+        delivered += result.forwarded_bytes
+        results.append(result)
     complete = delivered >= file.v_file_bytes
     return TransferOutcome(
         mode="clustered" if complete else "failed",
@@ -700,8 +721,7 @@ def run_cft(recruitment: Recruitment | None, v_bytes: float, window_of=None,
         return planned
     file = FileSpec(v_bytes, recruitment.s_bytes)
     assign_fragments(planned, file)
-    return _evaluate_plan(planned, file, recruitment.models, recruitment.states,
-                          window_of, state_at)
+    return _evaluate_plan(planned, file, recruitment, window_of, state_at)
 
 
 def run_direct_baseline(recruitment: Recruitment | None,

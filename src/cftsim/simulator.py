@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,19 +122,21 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
     records = {(r_m,): [] for r_m in e.comm_ranges_m}
     for seed_idx in range(e.seeds):
         snaps, mcfg = _snapshot_states(cfg, density, sd, seed_idx, stream)
-        for r_m in e.comm_ranges_m:
-            vals = []
-            for fleet in snaps:
-                dx, dy, dvx, dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)
+        vals = {r_m: [] for r_m in e.comm_ranges_m}
+        for fleet in snaps:
+            # A snapshot's pairs serve every range.
+            dx, dy, dvx, dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)
+            for r_m in e.comm_ranges_m:
                 sel = dist <= r_m
                 if not np.any(sel):
                     continue
                 dts = np.minimum(
                     _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m),
                     e.horizon_s)
-                vals.append(float(np.mean(pair_values(dist[sel], dts))))
-            if vals:
-                records[(r_m,)].append(float(np.mean(vals)))
+                vals[r_m].append(float(np.mean(pair_values(dist[sel], dts))))
+        for r_m in e.comm_ranges_m:
+            if vals[r_m]:
+                records[(r_m,)].append(float(np.mean(vals[r_m])))
     rows = [(r_m, density, sd, float(np.mean(records[(r_m,)])),
              len(records[(r_m,)])) for r_m in e.comm_ranges_m]
     return SweepResult(
@@ -295,20 +298,30 @@ class Trajectory:
             self._step_to(self._k + 1)
 
 
+def _fleet_states(fleet: Fleet) -> list:
+    return [VehicleState(vid, x, y, vx, 0.0) for vid, (x, y, vx) in
+            enumerate(zip(fleet.x.tolist(), fleet.y.tolist(),
+                          fleet.vx.tolist()))]
+
+
 @dataclass
 class TransferScenario:
-    states: list
+    """One request: the fleet at its instant, the head and resource vids,
+    and the trajectory from that instant on.
+
+    states lists every vehicle's VehicleState at the request instant.  It
+    is built on first read, so a scheme that reads a few vehicles through
+    trajectory.state(vid, 0.0), which gives equal states, never builds it.
+    """
+
+    fleet: Fleet
     head_vid: int
     resource_vid: int
     trajectory: Trajectory
 
-
-def _fleet_states(fleet: Fleet) -> list:
-    return [
-        VehicleState(vid=i, x=float(fleet.x[i]), y=float(fleet.y[i]),
-                     vx=float(fleet.vx[i]), vy=0.0)
-        for i in range(fleet.n)
-    ]
+    @cached_property
+    def states(self) -> list:
+        return _fleet_states(self.fleet)
 
 
 @dataclass(frozen=True)
@@ -456,7 +469,7 @@ def build_transfer_scenario(cfg: Config, start: WarmStart,
     """
     fleet, head, resource, rng = request_instant(start, request_at)
     return TransferScenario(
-        states=_fleet_states(fleet), head_vid=head, resource_vid=resource,
+        fleet=fleet.copy(), head_vid=head, resource_vid=resource,
         trajectory=Trajectory(fleet, start.mcfg, rng,
                               cfg.experiments.horizon_s))
 
@@ -466,8 +479,8 @@ def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
     """Largest file, in bytes, the head-resource link alone delivers."""
     s = cfg.experiments.fragment_bytes
     models = cfg.models(comm_range_m, density)
-    head = scen.states[scen.head_vid]
-    resource = scen.states[scen.resource_vid]
+    head = scen.trajectory.state(scen.head_vid, 0.0)
+    resource = scen.trajectory.state(scen.resource_vid, 0.0)
     try:
         b = link_budget(head, resource, s, models)
     except ValueError:

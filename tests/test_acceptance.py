@@ -2,7 +2,7 @@
 
 Each test prints the measured values it judged, so a verbose run doubles as
 a results table.  The heavy end-to-end sweeps (criteria 8 and 9) run at the
-shipped default configuration and take about 20 s together on 2 cores.
+shipped default configuration and take about 15 s together on 2 cores.
 """
 
 import dataclasses

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 from scipy.stats import chi2
 
-from cftsim.channel import (RateTable, expected_rate, mean_power,
-                            mu_for_distance, rate_distribution,
+from cftsim.channel import (RateDistribution, RateTable, expected_rate,
+                            mean_power, mu_for_distance, rate_distribution,
                             watts_from_dbm)
 from cftsim.config import load_config
 
@@ -135,6 +136,32 @@ def test_rate_probabilities_sum_to_one():
         assert rd.prob_zero + sum(rd.probs) == pytest.approx(1.0, abs=1e-9)
         assert rd.prob_zero >= -1e-15
         assert all(p >= -1e-15 for p in rd.probs)
+
+
+def _scalar_rate_distribution(distance_m, params, table):
+    """rate_distribution with one gammaincc call per threshold: the
+    exact-equality oracle of its single call over the ladder."""
+    omega = mean_power(distance_m, params)
+    mu = mu_for_distance(distance_m, params)
+    scale = (mu / omega) * params.noise_w
+    tails = [float(gammaincc(mu, scale * v)) for v in table.thresholds_snr]
+    tails.append(0.0)
+    probs = tuple(tails[k] - tails[k + 1] for k in range(len(table.rates_bps)))
+    return RateDistribution(
+        rates_bps=tuple(table.rates_bps), probs=probs, prob_zero=1.0 - tails[0],
+        expected_bps=sum(r * p for r, p in zip(table.rates_bps, probs)))
+
+
+def test_rate_distribution_equals_the_per_threshold_oracle():
+    # 12,000 random distances, spread over every mu band of the profile
+    # and past its last edge.
+    gen = np.random.default_rng(2024)
+    bands = [(lo, min(hi, 2.0 * lo + 600.0)) for lo, hi, _ in PARAMS.mu_profile]
+    per_band = 12_000 // len(bands)
+    for lo, hi in bands:
+        for d in gen.uniform(max(lo, 0.5), hi, size=per_band).tolist():
+            assert rate_distribution(d, PARAMS, RATES) == \
+                _scalar_rate_distribution(d, PARAMS, RATES)
 
 
 def test_degenerate_thresholds_select_the_top_rate():

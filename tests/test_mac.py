@@ -120,6 +120,44 @@ def test_empty_road_gives_the_lone_pair_ceiling():
     assert lone > 0.0
 
 
+def _per_n_throughput(params, data_rate_bps):
+    """throughput with every term computed afresh for each contender
+    count: the exact-equality oracle of its cached rate-free terms."""
+    zeta = transmission_prob(params.w)
+    ns, masses = contention_pmf(params)
+    total = 0.0
+    for n, mass in zip(ns, masses):
+        n = max(int(n), 1)
+        t = avg_slot_length(n, zeta, params, data_rate_bps)
+        p_s = (1.0 - (1.0 - zeta) ** n) * p_success(n, zeta)
+        total += mass * (p_s * params.lp_bits / t)
+    return total
+
+
+def test_throughput_equals_the_per_n_oracle():
+    # rho * rcs == 0 (one term), w == 1 (zeta == 1: every n > 1 collides)
+    # and every rate of the ladder, plus rates off it; each pair twice, so
+    # the second call reads the cached terms.
+    rates = list(load_config().rates.rates_bps) + [1.0, 11e6, 1e9]
+    grid = [dataclasses.replace(PARAMS, w=w, rcs_m=rcs, rho_per_m=rho)
+            for w in (1, 2, 32, 1023)
+            for rcs in (100.0, 500.0, 1500.0)
+            for rho in (0.0, 0.005, 0.01, 0.1)]
+    assert any(p.rho_per_m * p.rcs_m == 0.0 for p in grid)
+    assert any(transmission_prob(p.w) == 1.0 for p in grid)
+    for params in grid:
+        for rate in rates:
+            want = _per_n_throughput(params, rate)
+            assert throughput(params, rate) == want
+            assert throughput(params, rate) == want
+
+
+def test_throughput_rejects_a_non_positive_rate():
+    for rate in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            throughput(PARAMS, rate)
+
+
 def test_throughput_never_exceeds_the_data_rate():
     gen = np.random.default_rng(77)
     for _ in range(100):

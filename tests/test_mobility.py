@@ -451,6 +451,28 @@ def test_batched_warm_up_rejects_bad_batches():
             warm_up_batch(members, 10)
 
 
+def test_wrap_equals_the_float_remainder_bit_for_bit():
+    # _wrap stands in for % on [-L, 2L): equal values and equal signs,
+    # on the edges where a conditional -/+ L could differ from it.
+    length = make_cfg().lane_length_m
+    tiny = np.nextafter(0.0, -1.0)
+    edges = [length, -0.0, 0.0, tiny, -1e-13, -length / 2 ** 60,
+             np.nextafter(length, 0.0), np.nextafter(length, 2.0 * length),
+             np.nextafter(2.0 * length, 0.0), -length,
+             np.nextafter(-length, 0.0), 3.0, -3.0, length + 3.0]
+    # Tiny negative x whose x + L rounds to L: % gives L, not 0.
+    assert (np.array([-1e-13]) % length)[0] == length
+    x = np.concatenate([np.array(edges),
+                        np.random.default_rng(8).uniform(-length, 2.0 * length,
+                                                         size=10_000)])
+    got = mobility._wrap(x.copy(), length)
+    want = x % length
+    assert got.tobytes() == want.tobytes()
+    # A zero gap in a -1 lane: 0.0 * -1 is -0.0, and % makes it +0.0.
+    gap = mobility._wrap(np.array([0.0]) * -1, length)
+    assert gap.tobytes() == np.array([0.0]).tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(density=0.0)
@@ -460,3 +482,5 @@ def test_config_validation():
         make_cfg(sd=0.0)
     with pytest.raises(ValueError):
         make_cfg(lanes_per_direction=0)
+    with pytest.raises(ValueError):       # over half a lap in one step
+        make_cfg(lane_length_m=1_000.0, v_max_mps=600.0)

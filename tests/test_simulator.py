@@ -1,6 +1,8 @@
 """Experiment engine: determinism, aggregation, scenario construction."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -127,6 +129,34 @@ def _head_resource_distance(scen, cfg):
     res = scen.states[scen.resource_vid]
     dx = mobility.ring_delta(head.x, res.x, cfg.mobility_defaults["lane_length_m"])
     return math.hypot(dx, res.y - head.y)
+
+
+def _indexed_states(fleet):
+    """Every vehicle's VehicleState read index by index: the oracle of
+    simulator._fleet_states."""
+    return [VehicleState(vid=i, x=float(fleet.x[i]), y=float(fleet.y[i]),
+                         vx=float(fleet.vx[i]), vy=0.0)
+            for i in range(fleet.n)]
+
+
+@pytest.mark.parametrize("request_at", ["contact", "encounter"])
+def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
+    # The direct scheme reads the head and the resource through
+    # trajectory.state(vid, 0.0) and never builds the fleet-wide list;
+    # both give equal VehicleStates, also after the trajectory stepped on.
+    cfg = default_cfg
+    e = cfg.experiments
+    r_m = e.max_volume_range_m
+    for density, seed_idx in ((5.0, 0), (10.0, 1)):
+        start = simulator.warm_start(cfg, density, e.max_volume_sd_m, r_m, 30,
+                                     seed_idx, "max-volume")
+        fleet = simulator.request_instant(start, request_at)[0]
+        scen = build_transfer_scenario(cfg, start, request_at)
+        simulator._direct_max_volume(cfg, scen, density, r_m)
+        assert "states" not in vars(scen)
+        assert scen.trajectory.x.shape[0] > 1
+        row_zero = [scen.trajectory.state(vid, 0.0) for vid in range(fleet.n)]
+        assert row_zero == scen.states == _indexed_states(fleet)
 
 
 def test_transfer_scenario_is_deterministic(default_cfg):
@@ -388,6 +418,78 @@ def test_max_volume_records_match_fresh_recruitment_per_probe():
     assert non_monotone > 0
 
 
+def test_memoised_member_scores_equal_a_fresh_recruitment(monkeypatch):
+    # One recruitment serves the search's probes on recorded traffic and on
+    # ballistic prediction, interleaved, so its memo holds the scores of
+    # both traffic sources at once, and of fragment ranges that differ only
+    # in the size of their last fragment.  Every outcome must equal run_cft
+    # on a fresh recruitment, member_results included.
+    cfg = load_config()
+    e = cfg.experiments
+    r_m, s = e.max_volume_range_m, e.fragment_bytes
+    hits = 0
+    for density, seed_idx in ((5.0, 1), (10.0, 0), (10.0, 2)):
+        scen = _scenario(cfg, density, e.max_volume_sd_m, r_m,
+                         e.max_volume_warmup_steps, seed_idx,
+                         request_at="encounter")
+        probes = []
+
+        def recording(recruitment, v_bytes, **kwargs):
+            probes.append(v_bytes)
+            return run_cft(recruitment, v_bytes, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "run_cft", recording)
+            simulator._cft_max_volume(cfg, scen, density, r_m)
+        assert len(probes) > 10
+        models = cfg.models(r_m, density,
+                            plan_margin_s=e.max_volume_plan_margin_s)
+
+        def fresh():
+            return recruit(scen.states[scen.head_vid], scen.states, s, models,
+                           [scen.resource_vid])
+
+        def window_of(vid):
+            return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
+
+        shared = fresh()
+        traffic = {"window_of": window_of, "state_at": scen.trajectory.state}
+        scored = 0
+        # Each probe, then the same fragments with a short last one.
+        for v_bytes in (v for probe in probes for v in (probe, probe - s / 3)):
+            for evaluate in ({}, traffic):
+                out = run_cft(shared, v_bytes, **evaluate)
+                assert out == run_cft(fresh(), v_bytes, **evaluate)
+                scored += len(out.member_results)
+        hits += scored - len(shared.scores)
+    assert hits > 0
+
+
+def test_a_dropped_recruitment_is_freed_at_once():
+    # The memo's keys hold the trajectory a recruitment was scored on; no
+    # reference cycle may keep a dropped recruitment, and the trajectory
+    # with it, alive until the garbage collector runs.
+    cfg = load_config()
+    e = cfg.experiments
+    r_m = e.max_volume_range_m
+    scen = _scenario(cfg, 10.0, e.max_volume_sd_m, r_m, 30, 0,
+                     request_at="encounter")
+    models = cfg.models(r_m, 10.0)
+    recruitment = recruit(scen.states[scen.head_vid], scen.states,
+                          e.fragment_bytes, models, [scen.resource_vid])
+    run_cft(recruitment, 300 * MB, state_at=scen.trajectory.state,
+            window_of=lambda vid: scen.trajectory.first_window(
+                vid, scen.resource_vid, r_m))
+    assert recruitment.scores
+    alive = weakref.ref(recruitment)
+    gc.disable()
+    try:
+        del recruitment
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_members_forward_independently_of_each_other():
     # All members forward to the head at once, each at the full MAC
     # throughput: no member's result may depend on the others.  Scoring a
@@ -419,9 +521,12 @@ def test_members_forward_independently_of_each_other():
                 for m, got in zip(c.members, out.member_results):
                     if m.vid == c.head:
                         continue
+                    # A fresh recruitment, so no memoised score is read.
                     alone = _evaluate_plan(
                         Cluster(c.head, c.resource, [m]),
-                        FileSpec(v_bytes, s), models, recruitment.states,
+                        FileSpec(v_bytes, s),
+                        recruit(scen.states[scen.head_vid], scen.states, s,
+                                models, [scen.resource_vid]),
                         **evaluate)
                     assert alone.member_results == [got]
                     compared += c.n_c > 2

@@ -10,7 +10,7 @@ ranges, and each member hands its share over after the pass.
 import math
 
 from cftsim.config import load_config
-from cftsim.protocol import VehicleState, recruit, run_cft
+from cftsim.protocol import Ballistic, VehicleState, recruit, run_cft
 
 MB = 1_000_000.0
 
@@ -25,8 +25,8 @@ FLEET = [
 HOLDERS = [4]
 
 
-def narrate(head, recruitment, v_bytes):
-    out = run_cft(recruitment, v_bytes)
+def narrate(head, recruitment, traffic, v_bytes):
+    out = run_cft(recruitment, v_bytes, traffic)
     print(f"\nrequesting {v_bytes / MB:.0f} MB "
           f"({math.ceil(v_bytes / MB)} fragments) -> mode={out.mode}, "
           f"delivered {out.bytes_delivered / MB:.0f} MB")
@@ -48,10 +48,13 @@ def main() -> None:
     cfg = load_config()
     models = cfg.models(comm_range_m=250.0, density_per_km=5.0)
     head = FLEET[0]
-    # One request: both files read their clusters off the same recruitment.
+    # One request: both files read their clusters off the same recruitment
+    # and are scored on the same constant-velocity prediction of the scene,
+    # so the second file reuses the first one's member scores.
     recruitment = recruit(head, FLEET, 1.0 * MB, models, HOLDERS)
-    narrate(head, recruitment, 20.0 * MB)
-    narrate(head, recruitment, 120.0 * MB)
+    traffic = Ballistic(recruitment.states, recruitment.models)
+    narrate(head, recruitment, traffic, 20.0 * MB)
+    narrate(head, recruitment, traffic, 120.0 * MB)
 
 
 if __name__ == "__main__":

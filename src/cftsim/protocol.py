@@ -126,9 +126,33 @@ def _distance(a: VehicleState, b: VehicleState, models: Models) -> float:
     return math.hypot(dx, dy)
 
 
-def _budget_from_window(duration_s: float, distance_m: float, s_bytes: float,
-                        models: Models, t_start_s: float = 0.0) -> LinkBudget:
-    e_c = expected_rate(distance_m, models.channel, models.rates)
+def _contact(a: VehicleState, b: VehicleState, models: Models,
+             range_m: float) -> tuple[float, float, float]:
+    """Predicted contact of the pair within range_m: (t_start_s, delta_t_s,
+    distance its link is rated at).  A pair in range now keeps its whole
+    contact from 0, rated at its present distance; a later one is clipped
+    to the horizon (empty at its t_in, or at 0 if none) and rated at its
+    midpoint distance, as it has no meaningful present-distance rate."""
+    dx, dy, dvx, dvy = _relative(a, b, models)
+    dist = math.hypot(dx, dy)
+    if dist <= range_m:
+        # A zero-distance link would have an undefined rate; distances are
+        # lane-separated in practice, but clamp defensively.
+        return (0.0, predict_connection_time(dx, dy, dvx, dvy, range_m),
+                max(dist, 1e-6))
+    t_in, t_out = range_window(dx, dy, dvx, dvy, range_m) or (0.0, 0.0)
+    t_out = min(t_out, models.horizon_s)
+    if t_out <= t_in:
+        return t_in, 0.0, range_m
+    return (t_in, t_out - t_in,
+            _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out))
+
+
+def _budget_from_contact(i: VehicleState, source: VehicleState,
+                         s_bytes: float, models: Models) -> LinkBudget:
+    """The i <- source link's capacity over its predicted contact."""
+    t_start_s, duration_s, d_m = _contact(i, source, models, models.range_m)
+    e_c = expected_rate(d_m, models.channel, models.rates)
     if math.isinf(duration_s):
         return LinkBudget(duration_s, e_c, math.inf, math.inf, t_start_s)
     if e_c <= 0.0:
@@ -139,47 +163,22 @@ def _budget_from_window(duration_s: float, distance_m: float, s_bytes: float,
 
 def link_budget(i: VehicleState, source: VehicleState, s_bytes: float,
                 models: Models) -> LinkBudget:
-    """Capacity of the i <- source link over its remaining connection time,
-    in fragments of s_bytes.
-
-    The pair must currently be within communication range; the expected rate
-    is evaluated at the present distance.
-    """
-    dx, dy, dvx, dvy = _relative(i, source, models)
-    dist = math.hypot(dx, dy)
+    """Capacity of the i <- source link over its remaining connection time
+    (_contact), in fragments of s_bytes; the pair must be in range now."""
+    dist = _distance(i, source, models)
     if dist > models.range_m:
         raise ValueError(
             f"vehicles {i.vid} and {source.vid} are {dist:.1f} m apart, "
             f"beyond the {models.range_m:.1f} m range"
         )
-    dt = predict_connection_time(dx, dy, dvx, dvy, models.range_m)
-    # A zero-distance link would have an undefined rate; distances are
-    # lane-separated in practice, but clamp defensively.
-    dist = max(dist, 1e-6)
-    return _budget_from_window(dt, dist, s_bytes, models)
+    return _budget_from_contact(i, source, s_bytes, models)
 
 
 def prospective_link_budget(i: VehicleState, source: VehicleState,
                             s_bytes: float, models: Models) -> LinkBudget:
-    """Capacity of a link that may only open in the future.
-
-    Uses the full future in-range window, clipped to the planning horizon,
-    with the expected rate taken at the window-midpoint distance (a pair
-    not yet in range has no meaningful present-distance rate).  A currently
-    connected pair is delegated to link_budget.
-    """
-    dx, dy, dvx, dvy = _relative(i, source, models)
-    if math.hypot(dx, dy) <= models.range_m:
-        return link_budget(i, source, s_bytes, models)
-    window = range_window(dx, dy, dvx, dvy, models.range_m)
-    t_in, t_out = (0.0, 0.0) if window is None else window
-    t_out = min(t_out, models.horizon_s)
-    if t_out <= t_in:
-        return _budget_from_window(0.0, models.range_m, s_bytes, models,
-                                   t_start_s=t_in)
-    d_mid = _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out)
-    return _budget_from_window(t_out - t_in, d_mid, s_bytes, models,
-                               t_start_s=t_in)
+    """Capacity of a link that may only open in the future, over its
+    contact as _contact predicts it; link_budget's for a pair in range."""
+    return _budget_from_contact(i, source, s_bytes, models)
 
 
 def _mid_contact_distance(dx: float, dy: float, dvx: float, dvy: float,
@@ -383,7 +382,8 @@ class Recruitment:
     head_budget is the head-resource link, or None when the pair is out of
     range; states maps vid -> state over the fleet.  scores memoises
     _evaluate_plan's MemberResults for every file and traffic source read
-    off this recruitment, so it lives and dies with it.
+    off this recruitment, keyed by (traffic source, vid, frag_start,
+    frag_count, assigned bytes), so it lives and dies with it.
     """
 
     def __init__(self, head: VehicleState, resource: VehicleState,
@@ -575,47 +575,56 @@ class TransferOutcome:
         return self.cluster.n_c if self.cluster is not None else 0
 
 
-def _ballistic(state: VehicleState, t: float) -> VehicleState:
-    return VehicleState(state.vid, state.x + state.vx * t,
-                        state.y + state.vy * t, state.vx, state.vy)
+@dataclass(frozen=True, eq=False)
+class Ballistic:
+    """Constant-velocity traffic from a snapshot of states (vid ->
+    VehicleState), a traffic source like simulator.Trajectory; a pair's
+    window is its contact as its link budget predicts it (_contact).  It
+    keys recruitments' scores, so it must not hold a recruitment."""
+
+    states: dict
+    models: Models
+
+    def window(self, vid_a: int, vid_b: int, range_m: float):
+        t_start_s, duration_s, _ = _contact(
+            self.states[vid_a], self.states[vid_b], self.models, range_m)
+        return t_start_s, t_start_s + duration_s
+
+    def state(self, vid: int, t_s: float) -> VehicleState:
+        s = self.states[vid]
+        return replace(s, x=s.x + s.vx * t_s, y=s.y + s.vy * t_s)
 
 
 def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
-                   window_of=None, state_at=None) -> TransferOutcome:
-    """Score a fragment plan member by member.
+                   traffic) -> TransferOutcome:
+    """Score a fragment plan member by member against a traffic source.
 
-    window_of(vid) -> (t_in, t_out) supplies each member's realised window
-    with the resource, and state_at(vid, t) its kinematic state when it is
-    ready to forward; by default both come from ballistic prediction off the
-    planning snapshot.  Download shortfalls (window shorter than the
+    traffic.window(vid, resource, range_m) gives each member's window with
+    the resource, and traffic.state(vid, t_s) its state and the head's when
+    it is ready to forward.  Download shortfalls (window shorter than the
     assigned fragments need) and forwarding failures both reduce delivered
     bytes; any shortfall demotes the outcome to failed.
 
     Each member is scored on its own: every member forwards to the head at
     once, at the full mac.throughput rate (see forwarding_feasible), so no
     member's result depends on which other members share the cluster.  A
-    member's result is therefore computed once per traffic source
-    (window_of, state_at) and fragment range, and kept in
-    recruitment.scores for every later file of the recruitment.  The
-    assigned bytes are part of the key, since the last fragment of a file
-    may be short.
+    member's result is therefore computed once per traffic source and
+    fragment range, and kept in recruitment.scores for every later file of
+    the recruitment.  The assigned bytes are part of the key, since the
+    last fragment of a file may be short.
     """
-    models, states, scores = (recruitment.models, recruitment.states,
-                              recruitment.scores)
-    head = states[cluster.head]
+    models, scores = recruitment.models, recruitment.scores
     delivered = 0.0
     results = []
     frag_bits = 8.0 * file.s_bytes
     for m in cluster.members:
         assigned = file.fragment_bytes(m.frag_start, m.frag_count)
-        key = (window_of, state_at, m.vid, m.frag_start, m.frag_count, assigned)
+        key = (traffic, m.vid, m.frag_start, m.frag_count, assigned)
         result = scores.get(key)
         if result is None:
             b = m.budget
-            if window_of is None:
-                t_in, t_out = b.t_start_s, b.t_start_s + b.delta_t_s
-            else:
-                t_in, t_out = window_of(m.vid)
+            t_in, t_out = traffic.window(m.vid, recruitment.resource.vid,
+                                         models.range_m)
             window = max(t_out - t_in, 0.0)
             if b.e_c_bps <= 0:
                 frags_possible = 0
@@ -628,20 +637,11 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
             downloaded = file.fragment_bytes(m.frag_start, frags_got)
             t_done = t_in + (frags_got * frag_bits / b.e_c_bps
                              if b.e_c_bps > 0 else 0.0)
-            if m.vid == cluster.head:
-                # The head's own fragments need no forwarding hop.
-                ok = True
-                forwarded = downloaded
-            else:
-                if state_at is None:
-                    member_then = _ballistic(states[m.vid], t_done)
-                    head_then = _ballistic(head, t_done)
-                else:
-                    member_then = state_at(m.vid, t_done)
-                    head_then = state_at(head.vid, t_done)
-                ok = forwarding_feasible(member_then, head_then, downloaded,
-                                         models)
-                forwarded = downloaded if ok else 0.0
+            # The head's own fragments need no forwarding hop.
+            ok = m.vid == cluster.head or forwarding_feasible(
+                traffic.state(m.vid, t_done),
+                traffic.state(cluster.head, t_done), downloaded, models)
+            forwarded = downloaded if ok else 0.0
             result = scores[key] = MemberResult(m.vid, assigned, downloaded,
                                                 forwarded, t_done, ok)
         delivered += result.forwarded_bytes
@@ -707,21 +707,22 @@ def form_cluster(recruitment: Recruitment | None,
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
 
 
-def run_cft(recruitment: Recruitment | None, v_bytes: float, window_of=None,
-            state_at=None) -> TransferOutcome:
+def run_cft(recruitment: Recruitment | None, v_bytes: float,
+            traffic) -> TransferOutcome:
     """Full cluster-based transfer pipeline for one file of v_bytes.
 
     recruitment comes from recruit() and may be shared by any number of
     files; they are cut into its fragment size.  Returns form_cluster's
-    outcome when no cluster forms, and otherwise schedules and scores the
-    cluster it read.
+    outcome when no cluster forms, and otherwise schedules the cluster it
+    read and scores it against traffic (Ballistic or simulator.Trajectory;
+    one per recruitment, so its scores serve every file).
     """
     planned = form_cluster(recruitment, v_bytes)
     if isinstance(planned, TransferOutcome):
         return planned
     file = FileSpec(v_bytes, recruitment.s_bytes)
     assign_fragments(planned, file)
-    return _evaluate_plan(planned, file, recruitment, window_of, state_at)
+    return _evaluate_plan(planned, file, recruitment, traffic)
 
 
 def run_direct_baseline(recruitment: Recruitment | None,

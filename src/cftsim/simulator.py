@@ -220,16 +220,17 @@ def rate_curve(cfg: Config) -> SweepResult:
 
 
 class Trajectory:
-    """Kinematic record of every vehicle from the request instant on.
+    """Kinematic record of every vehicle from the request instant on, and
+    a traffic source like protocol.Ballistic.
 
     The trajectory owns the fleet and the generator of its traffic, and
     steps them only as far as a reader asks: ``state`` to the step it
-    reads, ``first_window`` until the pair's first in-range run has
-    closed.  The horizon caps how far a reader may look; a read past it
-    sees the last step.  Nothing else draws from the generator after the
-    request instant, so a step taken late draws the same numbers as one
-    taken at once.  ``x`` and ``speed`` hold the rows stepped so far, one
-    per step from the request instant (row 0).
+    reads, ``window`` until the pair's first in-range run has closed.  The
+    horizon caps how far a reader may look; a read past it sees the last
+    step.  Nothing else draws from the generator after the request
+    instant, so a step taken late draws the same numbers as one taken at
+    once.  ``x`` and ``speed`` hold the rows stepped so far, one per step
+    from the request instant (row 0).
     """
 
     def __init__(self, fleet: Fleet, mcfg: MobilityConfig,
@@ -244,6 +245,7 @@ class Trajectory:
         self.direction = fleet.direction
         self.dt_s = mcfg.step_s
         self.length_m = mcfg.lane_length_m
+        self._windows = {}
 
     @property
     def x(self) -> np.ndarray:
@@ -274,28 +276,32 @@ class Trajectory:
             vy=0.0,
         )
 
-    def first_window(self, vid_a: int, vid_b: int, range_m: float):
-        """First contiguous in-range interval of the pair, in seconds.
+    def window(self, vid_a: int, vid_b: int, range_m: float):
+        """First contiguous in-range interval of the pair, in seconds,
+        found once and kept.  A run still open at the horizon ends there; a
+        pair never in range up to the horizon gives (0.0, 0.0)."""
+        key = (vid_a, vid_b, range_m)
+        if key not in self._windows:
+            self._windows[key] = self._scan_window(*key)
+        return self._windows[key]
 
-        A run still open at the horizon ends there; a pair never in range
-        up to the horizon gives (0.0, 0.0).
-        """
+    def _scan_window(self, vid_a: int, vid_b: int, range_m: float):
+        # The rows stepped so far, then each row as it is stepped.
         dy = self.y[vid_b] - self.y[vid_a]
-        while True:
-            x = self.x
+        start, k = None, 0
+        while k <= self.n_steps:
+            x = self._x[k:self._k + 1]
             dx = mobility.ring_delta(x[:, vid_a], x[:, vid_b], self.length_m)
-            inside = np.hypot(dx, dy) <= range_m
-            hits = np.flatnonzero(inside)
-            if hits.size:
-                start = hits[0]
-                out = np.flatnonzero(~inside[start:])
-                if out.size:
-                    return (start * self.dt_s, (start + out[0]) * self.dt_s)
-            if self._k == self.n_steps:
-                if hits.size:
-                    return (start * self.dt_s, x.shape[0] * self.dt_s)
-                return (0.0, 0.0)
-            self._step_to(self._k + 1)
+            inside = (np.hypot(dx, dy) <= range_m).tolist()
+            for row, now_in in enumerate(inside, k):
+                if start is None and now_in:
+                    start = row
+                elif start is not None and not now_in:
+                    return (start * self.dt_s, row * self.dt_s)
+            k = self._k + 1
+            self._step_to(k)
+        return (0.0, 0.0) if start is None else (start * self.dt_s,
+                                                 k * self.dt_s)
 
 
 def _fleet_states(fleet: Fleet) -> list:
@@ -485,7 +491,7 @@ def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
         b = link_budget(head, resource, s, models)
     except ValueError:
         return 0.0
-    t_in, t_out = scen.trajectory.first_window(
+    t_in, t_out = scen.trajectory.window(
         scen.head_vid, scen.resource_vid, comm_range_m)
     realized = int(b.e_c_bps * (t_out - t_in) / (8.0 * s))
     n = min(b.n_frags, realized)
@@ -500,7 +506,7 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     reads its cluster off one recruitment of the request.  The search
     assumes that success is monotone in the file size, and that can fail:
     at the shipped settings some seeds fail at one size yet succeed at a
-    larger one (ROADMAP item 3).  On such a seed the result is a size that
+    larger one (ROADMAP item 4).  On such a seed the result is a size that
     succeeds next to one that fails, set by the probe order; it need not
     lie below the first failing size.
     """
@@ -510,18 +516,10 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
                         plan_margin_s=e.max_volume_plan_margin_s)
     recruitment = recruit(scen.states[scen.head_vid], scen.states, s, models,
                           [scen.resource_vid])
-    window_cache = {}
-
-    def window_of(vid: int):
-        if vid not in window_cache:
-            window_cache[vid] = scen.trajectory.first_window(
-                vid, scen.resource_vid, comm_range_m)
-        return window_cache[vid]
 
     def ok(frags: int) -> bool:
         v_bytes = frags * s
-        out = run_cft(recruitment, v_bytes, window_of=window_of,
-                      state_at=scen.trajectory.state)
+        out = run_cft(recruitment, v_bytes, scen.trajectory)
         return out.bytes_delivered >= v_bytes
 
     if not ok(1):

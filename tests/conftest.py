@@ -8,7 +8,7 @@ import pytest
 
 from cftsim.channel import RateTable
 from cftsim.config import load_config
-from cftsim.protocol import FileSpec, Models, VehicleState
+from cftsim.protocol import Ballistic, FileSpec, Models, VehicleState
 
 DEFAULT_CFG = load_config()
 MB = 1_000_000.0
@@ -37,6 +37,12 @@ def single_rate_models(rate_bps: float, range_m: float = 250.0,
                   mac=DEFAULT_CFG.mac_for(250.0, 5.0), range_m=range_m,
                   horizon_s=horizon_s, ring_length_m=ring_length_m,
                   plan_margin_s=plan_margin_s)
+
+
+def predicted(fleet, models: Models) -> Ballistic:
+    """The planner's constant-velocity prediction of fleet, as the traffic
+    source run_cft scores a plan against."""
+    return Ballistic({v.vid: v for v in fleet}, models)
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -24,7 +24,7 @@ from cftsim.simulator import (capability_sweep, cluster_size_profile,
                               throughput_sweep, write_csv)
 
 from channel_oracles import sample_snr, snr_cdf
-from conftest import random_scene
+from conftest import predicted, random_scene
 
 MB = 1_000_000.0
 
@@ -263,7 +263,7 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
         fleet, head, holders, file = random_scene(gen)
         before = calls["n"]
         recruitment = recruit(head, fleet, file.s_bytes, models, holders)
-        out = run_cft(recruitment, file.v_file_bytes)
+        out = run_cft(recruitment, file.v_file_bytes, predicted(fleet, models))
         built = calls["n"] - before
         base = run_direct_baseline(recruitment, file.v_file_bytes)
         modes[out.mode] += 1
@@ -283,6 +283,8 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
             assert out.bytes_delivered == file.v_file_bytes
     print(f"criterion 10: outcomes {modes}")
     assert min(modes.values()) > 0        # every mode actually exercised
+    # The pinned modes of these scenes: a change is a behaviour change.
+    assert modes == {"direct": 45, "clustered": 37, "failed": 918}
 
 
 def test_criterion_11_repeat_runs_are_byte_identical(tmp_path, default_cfg,

@@ -117,18 +117,18 @@ def test_prediction_grows_with_range():
             prev = cur
 
 
-def test_window_of_in_range_pair_starts_now():
+def test_range_window_starts_now_for_an_in_range_pair():
     t_in, t_out = range_window(50.0, 0.0, -20.0, 0.0, R)
     assert t_in == 0.0
     assert t_out == pytest.approx(
         predict_connection_time(50.0, 0.0, -20.0, 0.0, R), rel=1e-12)
 
 
-def test_window_of_stationary_in_range_pair_is_unbounded():
+def test_range_window_is_unbounded_for_a_stationary_in_range_pair():
     assert range_window(50.0, 5.0, 0.0, 0.0, R) == (0.0, math.inf)
 
 
-def test_window_of_approaching_pair_opens_later():
+def test_range_window_opens_later_for_an_approaching_pair():
     # 1000 m ahead, closing at 25 m/s on the same line: the window must
     # open at (1000 - R) / 25 and close at (1000 + R) / 25.
     win = range_window(1000.0, 0.0, -25.0, 0.0, R)

@@ -7,7 +7,7 @@ import pytest
 
 from cftsim.channel import expected_rate
 from cftsim.mac import throughput
-from cftsim.protocol import (Cluster, ClusterMember, FileSpec,
+from cftsim.protocol import (Ballistic, Cluster, ClusterMember, FileSpec,
                              InsufficientCapacityError, Models,
                              NoResourceError, Recruitment, VehicleState,
                              _derated_frags, _plannable_frags, _relative,
@@ -16,7 +16,7 @@ from cftsim.protocol import (Cluster, ClusterMember, FileSpec,
                              prospective_link_budget, recruit, run_cft,
                              run_direct_baseline, select_resource)
 
-from conftest import random_scene, single_rate_models
+from conftest import predicted, random_scene, single_rate_models
 
 MB = 1_000_000.0
 
@@ -111,6 +111,57 @@ def test_prospective_budget_clips_to_horizon():
     src_never = vehicle(2, 1000.0, 0.0, 25.0)              # receding
     b2 = prospective_link_budget(head, src_never, MB, models)
     assert b2.n_frags == 0
+
+
+@pytest.mark.parametrize("src, want", [
+    (vehicle(9, 100.0, 0.0, -1.0), (0.0, 350.0)),
+    (vehicle(9, 1000.0, 0.0, -10.0), (75.0, 120.0)),
+    (vehicle(9, 1000.0, 0.0, -5.0), (150.0, 150.0)),
+    (vehicle(9, 1000.0, 0.0, 25.0), (0.0, 0.0)),
+], ids=["in-range-outlasts-horizon", "opens-later-clipped",
+        "opens-after-horizon", "never-in-range"])
+def test_predicted_window_is_the_budget_window(src, want):
+    # A pair in range now keeps its whole contact, past the horizon; a
+    # later one is clipped to the horizon, down to an empty window at its
+    # t_in; one never in range gets (0, 0).
+    models = single_rate_models(8e6, horizon_s=120.0)
+    member = vehicle(1, 0.0, 0.0, 0.0)
+    b = prospective_link_budget(member, src, MB, models)
+    if want[0] == 0.0 and want[1] > 0.0:        # in range now
+        assert link_budget(member, src, MB, models) == b
+    t_in, t_out = Ballistic({1: member, 9: src}, models).window(
+        1, 9, models.range_m)
+    assert (t_in, t_out) == (b.t_start_s, b.t_start_s + b.delta_t_s)
+    assert t_out - t_in == b.delta_t_s
+    assert (t_in, t_out) == pytest.approx(want, rel=1e-12)
+
+
+def test_predicted_window_is_the_budget_window_in_random_scenes(default_cfg):
+    # Scoring on the ballistic source reads each member's window off the
+    # source, not its budget; both must agree to the last bit.
+    gen = np.random.default_rng(101_010)
+    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
+                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
+                    horizon_s=120.0)
+    opening = {True: 0, False: 0}
+    for _ in range(1000):
+        fleet, head, holders, _ = random_scene(gen)
+        recruitment = recruit(head, fleet, MB, models, holders)
+        if recruitment is None:
+            continue
+        try:
+            recruitment.covering_prefix(1e12)    # admit every member
+        except InsufficientCapacityError:
+            pass
+        traffic = Ballistic(recruitment.states, recruitment.models)
+        for m in recruitment.members:
+            b = m.budget
+            t_in, t_out = traffic.window(m.vid, recruitment.resource.vid,
+                                         models.range_m)
+            assert (t_in, t_out) == (b.t_start_s, b.t_start_s + b.delta_t_s)
+            assert t_out - t_in == b.delta_t_s
+            opening[t_in > 0.0] += 1
+    assert opening[True] > 50 and opening[False] > 500
 
 
 def test_select_resource_prefers_capacity_then_distance():
@@ -293,7 +344,8 @@ def test_in_range_member_splits_time_between_download_and_forwarding():
     r_thr = throughput(models.mac, 8e6)
     want = math.floor(t_out / (8.0 / 8e6 + 8.0 / r_thr) / MB)
     assert m.planned_frags == want
-    out = run_cft(recruit(head, fleet, MB, models, [9]), 35 * MB)
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 35 * MB,
+                  predicted(fleet, models))
     assert out.mode == "clustered"
     assert out.bytes_delivered == 35 * MB
 
@@ -631,7 +683,8 @@ def test_forwarding_waits_for_a_future_contact():
 
 def test_run_cft_uses_direct_mode_for_small_files():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, [9]), 5 * MB)
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 5 * MB,
+                  predicted(fleet, models))
     assert out.mode == "direct"
     assert out.bytes_delivered == 5 * MB
     assert out.cluster is None
@@ -639,16 +692,19 @@ def test_run_cft_uses_direct_mode_for_small_files():
 
 def test_run_cft_fails_without_a_reachable_holder():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, []), 5 * MB)
+    out = run_cft(recruit(head, fleet, MB, models, []), 5 * MB,
+                  predicted(fleet, models))
     assert out.mode == "failed"
     assert out.bytes_delivered == 0.0
-    out = run_cft(recruit(head, fleet, MB, models, [0]), 5 * MB)
+    out = run_cft(recruit(head, fleet, MB, models, [0]), 5 * MB,
+                  predicted(fleet, models))
     assert out.mode == "failed"   # the requester itself does not count
 
 
 def test_run_cft_clusters_and_delivers():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, [9]), 30 * MB)
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 30 * MB,
+                  predicted(fleet, models))
     assert out.mode == "clustered"
     assert out.bytes_delivered == 30 * MB
     assert out.n_c == 3
@@ -659,10 +715,18 @@ def test_run_cft_clusters_and_delivers():
 
 def test_run_cft_marks_shortfalls_failed():
     models, head, src, fleet = _three_member_scene()
-    # Realised windows half the predicted ones: downloads fall short.
-    halved = {0: (0.0, 5.0), 1: (0.0, 5.0), 2: (0.0, 5.0), 9: (0.0, 5.0)}
-    out = run_cft(recruit(head, fleet, MB, models, [9]), 30 * MB,
-                  window_of=lambda vid: halved[vid])
+    # Realised windows half the predicted ones: downloads fall short.  The
+    # vehicles themselves move as predicted.
+    halved = {0: (0.0, 5.0), 1: (0.0, 5.0), 2: (0.0, 5.0)}
+
+    class HalvedWindows(Ballistic):
+        def window(self, vid_a, vid_b, range_m):
+            assert (vid_b, range_m) == (9, models.range_m)
+            return halved[vid_a]
+
+    recruitment = recruit(head, fleet, MB, models, [9])
+    out = run_cft(recruitment, 30 * MB,
+                  HalvedWindows(recruitment.states, recruitment.models))
     assert out.mode == "failed"
     assert out.bytes_delivered == 15 * MB
 
@@ -689,12 +753,14 @@ def test_negative_volume_is_rejected(read, holders):
     models, head, src, fleet = _three_member_scene()
     recruitment = recruit(head, fleet, MB, models, holders)
     assert (recruitment is None) == (not holders)
+    traffic = (predicted(fleet, models),) if read is run_cft else ()
     with pytest.raises(ValueError):
-        read(recruitment, -1.0)
+        read(recruitment, -1.0, *traffic)
 
 
 def test_zero_byte_file_is_a_trivial_direct_success():
     models, head, src, fleet = _three_member_scene()
-    out = run_cft(recruit(head, fleet, MB, models, [9]), 0.0)
+    out = run_cft(recruit(head, fleet, MB, models, [9]), 0.0,
+                  predicted(fleet, models))
     assert out.mode == "direct"
     assert out.bytes_delivered == 0.0

@@ -11,8 +11,8 @@ from cftsim import mobility, simulator
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
-from cftsim.protocol import (Cluster, FileSpec, VehicleState, _evaluate_plan,
-                             recruit, run_cft)
+from cftsim.protocol import (Ballistic, Cluster, FileSpec, VehicleState,
+                             _evaluate_plan, recruit, run_cft)
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -182,7 +182,7 @@ def _eager_record(fleet, mcfg, rng, n_steps):
     return np.array(xs), np.array(sp)
 
 
-def _eager_first_window(xs, y, length_m, dt_s, vid_a, vid_b, range_m):
+def _eager_window(xs, y, length_m, dt_s, vid_a, vid_b, range_m):
     """First in-range run of the pair over the whole eager record."""
     dx = mobility.ring_delta(xs[:, vid_a], xs[:, vid_b], length_m)
     inside = np.hypot(dx, y[vid_b] - y[vid_a]) <= range_m
@@ -210,8 +210,8 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     xs, sp = _eager_record(fleet, mcfg, rng, n_steps)
 
     def want_window(vid_a, vid_b, range_m):
-        return _eager_first_window(xs, fleet.y, mcfg.lane_length_m,
-                                   mcfg.step_s, vid_a, vid_b, range_m)
+        return _eager_window(xs, fleet.y, mcfg.lane_length_m, mcfg.step_s,
+                             vid_a, vid_b, range_m)
 
     def want_state(vid, t_s):
         k = min(max(int(round(t_s / mcfg.step_s)), 0), n_steps)
@@ -241,7 +241,7 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
             if kind == "state":
                 assert traj.state(vid, arg) == want_state(vid, arg)
             else:
-                assert (traj.first_window(vid, resource, arg)
+                assert (traj.window(vid, resource, arg)
                         == want_window(vid, resource, arg))
             k = traj.x.shape[0]
             assert np.array_equal(traj.x, xs[:k])
@@ -250,13 +250,13 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     # The resource's pass ends well inside the horizon, and its window
     # steps only to the first row after it.
     traj = build_transfer_scenario(default_cfg, start, request_at).trajectory
-    t_in, t_out = traj.first_window(head, resource, r_m)
+    t_in, t_out = traj.window(head, resource, r_m)
     assert 0.0 < t_out < e.horizon_s
     assert traj.x.shape[0] == round(t_out / mcfg.step_s) + 1
     # Opposite lanes are more than 1 m apart: never in range, so the
     # window steps the whole horizon and comes back empty.
     assert want_window(head, resource, 1.0) == (0.0, 0.0)
-    assert traj.first_window(head, resource, 1.0) == (0.0, 0.0)
+    assert traj.window(head, resource, 1.0) == (0.0, 0.0)
     assert np.array_equal(traj.x, xs)
 
 
@@ -268,7 +268,7 @@ def test_contact_request_catches_an_ongoing_pass(default_cfg):
         res = scen.states[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
         assert _head_resource_distance(scen, default_cfg) <= 250.0
-        t_in, t_out = scen.trajectory.first_window(
+        t_in, t_out = scen.trajectory.window(
             scen.head_vid, scen.resource_vid, 250.0)
         assert t_in == 0.0 and t_out > 0.0
 
@@ -368,12 +368,8 @@ def _fresh_recruitment_volume(cfg, density, seed_idx):
     models = cfg.models(r_m, density, plan_margin_s=e.max_volume_plan_margin_s)
     head = scen.states[scen.head_vid]
 
-    def window_of(vid):
-        return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
-
     def delivered(recruitment, frags):
-        out = run_cft(recruitment, frags * s, window_of=window_of,
-                      state_at=scen.trajectory.state)
+        out = run_cft(recruitment, frags * s, scen.trajectory)
         return out.bytes_delivered >= frags * s
 
     def ok(frags):
@@ -402,7 +398,7 @@ def test_max_volume_records_match_fresh_recruitment_per_probe():
     # Every probe of the search reads its cluster off one shared
     # recruitment; recruiting afresh per probe must give the same volumes,
     # also on seeds where success is not monotone in the file size and the
-    # result depends on which sizes are probed (ROADMAP item 3).
+    # result depends on which sizes are probed (ROADMAP item 4).
     cfg = load_config(overrides=[
         "experiments.max_volume.density_per_km=[5, 10]",
         "experiments.max_volume.seeds=6",
@@ -434,9 +430,9 @@ def test_memoised_member_scores_equal_a_fresh_recruitment(monkeypatch):
                          request_at="encounter")
         probes = []
 
-        def recording(recruitment, v_bytes, **kwargs):
+        def recording(recruitment, v_bytes, traffic):
             probes.append(v_bytes)
-            return run_cft(recruitment, v_bytes, **kwargs)
+            return run_cft(recruitment, v_bytes, traffic)
 
         with monkeypatch.context() as m:
             m.setattr(simulator, "run_cft", recording)
@@ -449,45 +445,52 @@ def test_memoised_member_scores_equal_a_fresh_recruitment(monkeypatch):
             return recruit(scen.states[scen.head_vid], scen.states, s, models,
                            [scen.resource_vid])
 
-        def window_of(vid):
-            return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
+        def sources(recruitment):
+            return (Ballistic(recruitment.states, recruitment.models),
+                    scen.trajectory)
 
         shared = fresh()
-        traffic = {"window_of": window_of, "state_at": scen.trajectory.state}
+        shared_sources = sources(shared)
         scored = 0
         # Each probe, then the same fragments with a short last one.
         for v_bytes in (v for probe in probes for v in (probe, probe - s / 3)):
-            for evaluate in ({}, traffic):
-                out = run_cft(shared, v_bytes, **evaluate)
-                assert out == run_cft(fresh(), v_bytes, **evaluate)
+            for i, traffic in enumerate(shared_sources):
+                out = run_cft(shared, v_bytes, traffic)
+                again = fresh()
+                assert out == run_cft(again, v_bytes, sources(again)[i])
                 scored += len(out.member_results)
         hits += scored - len(shared.scores)
     assert hits > 0
 
 
 def test_a_dropped_recruitment_is_freed_at_once():
-    # The memo's keys hold the trajectory a recruitment was scored on; no
-    # reference cycle may keep a dropped recruitment, and the trajectory
-    # with it, alive until the garbage collector runs.
+    # The memo's keys hold the traffic source a recruitment was scored on,
+    # the trajectory or a Ballistic over the recruitment's own states; no
+    # reference cycle may keep a dropped recruitment, and its source with
+    # it, alive until the garbage collector runs.
     cfg = load_config()
     e = cfg.experiments
     r_m = e.max_volume_range_m
     scen = _scenario(cfg, 10.0, e.max_volume_sd_m, r_m, 30, 0,
                      request_at="encounter")
     models = cfg.models(r_m, 10.0)
-    recruitment = recruit(scen.states[scen.head_vid], scen.states,
-                          e.fragment_bytes, models, [scen.resource_vid])
-    run_cft(recruitment, 300 * MB, state_at=scen.trajectory.state,
-            window_of=lambda vid: scen.trajectory.first_window(
-                vid, scen.resource_vid, r_m))
-    assert recruitment.scores
-    alive = weakref.ref(recruitment)
-    gc.disable()
-    try:
-        del recruitment
-        assert alive() is None
-    finally:
-        gc.enable()
+    for predicted in (False, True):
+        recruitment = recruit(scen.states[scen.head_vid], scen.states,
+                              e.fragment_bytes, models, [scen.resource_vid])
+        traffic = (Ballistic(recruitment.states, recruitment.models)
+                   if predicted else scen.trajectory)
+        run_cft(recruitment, 300 * MB, traffic)
+        assert recruitment.scores
+        alive = weakref.ref(recruitment)
+        source = weakref.ref(traffic) if predicted else None
+        del traffic
+        gc.disable()
+        try:
+            del recruitment
+            assert alive() is None
+            assert source is None or source() is None
+        finally:
+            gc.enable()
 
 
 def test_members_forward_independently_of_each_other():
@@ -508,13 +511,10 @@ def test_members_forward_independently_of_each_other():
         recruitment = recruit(scen.states[scen.head_vid], scen.states, s,
                               models, [scen.resource_vid])
 
-        def window_of(vid):
-            return scen.trajectory.first_window(vid, scen.resource_vid, r_m)
-
-        for evaluate in ({}, {"window_of": window_of,
-                              "state_at": scen.trajectory.state}):
+        for traffic in (Ballistic(recruitment.states, recruitment.models),
+                        scen.trajectory):
             for v_bytes in (100 * MB, 200 * MB, 300 * MB, 400 * MB):
-                out = run_cft(recruitment, v_bytes, **evaluate)
+                out = run_cft(recruitment, v_bytes, traffic)
                 if out.cluster is None:
                     continue
                 c = out.cluster
@@ -527,7 +527,7 @@ def test_members_forward_independently_of_each_other():
                         FileSpec(v_bytes, s),
                         recruit(scen.states[scen.head_vid], scen.states, s,
                                 models, [scen.resource_vid]),
-                        **evaluate)
+                        traffic)
                     assert alone.member_results == [got]
                     compared += c.n_c > 2
     assert compared > 0          # some members shared a cluster
@@ -578,10 +578,11 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
                                      e.cluster_range_m, e.cluster_warmup_steps,
                                      seed_idx, "cluster"), "encounter")
             states = simulator._fleet_states(fleet)
+            traffic = Ballistic({v.vid: v for v in states}, models)
             for v_bytes in e.file_sizes_bytes:
                 # A fresh recruitment per file size, as one request each.
                 out = run_cft(recruit(states[head], states, e.fragment_bytes,
-                                      models, [resource]), v_bytes)
+                                      models, [resource]), v_bytes, traffic)
                 assert res.records[(density, v_bytes)][seed_idx] == out.n_c
                 seen.add("clustered" if out.n_c > 0 else out.mode)
     # direct 0, clustered n_c > 0, and 0 where recruitment ran out

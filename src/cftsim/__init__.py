@@ -15,8 +15,8 @@ from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
                   throughput, transmission_prob)
 from .mobility import (Fleet, MobilityConfig, init_scenario, step, warm_up,
                        warm_up_batch)
-from .protocol import (Ballistic, Cluster, FileSpec, LinkBudget, Models,
-                       Recruitment, TransferOutcome, VehicleState,
+from .protocol import (Ballistic, Cluster, LinkBudget, Models, Recruitment,
+                       TransferOutcome, VehicleState,
                        assign_fragments, build_cluster, form_cluster,
                        forwarding_feasible, link_budget,
                        prospective_link_budget, recruit, run_cft,

@@ -21,6 +21,7 @@ import numpy as np
 from .channel import ChannelParams, RateTable, expected_rate
 from .connection import predict_connection_time, range_window
 from .mac import MacParams, throughput
+from .mobility import ring_delta
 
 
 class NoResourceError(Exception):
@@ -36,31 +37,9 @@ def _check_volume(v_bytes: float) -> None:
         raise ValueError("file size must be non-negative")
 
 
-@dataclass(frozen=True)
-class FileSpec:
-    """A file of v_file_bytes divided into fragments of s_bytes.
-
-    The final fragment may be short; it still counts as one fragment.
-    """
-
-    v_file_bytes: float
-    s_bytes: float
-
-    def __post_init__(self):
-        _check_volume(self.v_file_bytes)
-        if self.s_bytes <= 0:
-            raise ValueError("fragment size must be positive")
-
-    @property
-    def n_total(self) -> int:
-        return int(math.ceil(self.v_file_bytes / self.s_bytes))
-
-    def fragment_bytes(self, start: int, count: int) -> float:
-        """Actual byte size of fragments [start, start+count), 0-indexed."""
-        if count <= 0:
-            return 0.0
-        hi = min((start + count) * self.s_bytes, self.v_file_bytes)
-        return hi - start * self.s_bytes
+def _check_fragment_size(s_bytes: float) -> None:
+    if s_bytes <= 0:
+        raise ValueError("fragment size must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,7 +62,7 @@ class Models:
     mac: MacParams
     range_m: float
     horizon_s: float
-    ring_length_m: float | None = None  # set for ring-road scenarios
+    ring_length_m: float  # every scenario's road is a ring of this length
     # Safety margin the cluster planner shaves off every member budget, in
     # seconds of link time.  Predictions assume constant velocity; actual
     # trajectories drift, so planning to the full budget over-commits about
@@ -92,8 +71,6 @@ class Models:
 
     def ring_dx(self, x_from: float, x_to: float) -> float:
         d = x_to - x_from
-        if self.ring_length_m is None:
-            return d
         half = self.ring_length_m / 2.0
         return (d + half) % self.ring_length_m - half
 
@@ -203,13 +180,15 @@ def _mid_contact_throughput(dx: float, dy: float, dvx: float, dvy: float,
 
 
 def select_resource(request: VehicleState, responders: list[VehicleState],
-                    s_bytes: float, models: Models) -> VehicleState:
+                    s_bytes: float, models: Models
+                    ) -> tuple[VehicleState, LinkBudget]:
     """Pick the downloading source among responding file holders.
 
     The responder whose link to the request vehicle has the largest
     whole-fragment capacity wins; ties go to the nearer responder, then to
     the smaller vehicle id.  Only responders within communication range are
-    considered (a broadcast cannot reach the others).
+    considered (a broadcast cannot reach the others).  Returns the winner
+    and the budget of its link to the request vehicle.
     """
     if not responders:
         raise NoResourceError("no vehicle responded to the file request")
@@ -219,11 +198,11 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
         if dist > models.range_m:
             continue
         b = link_budget(request, r, s_bytes, models)
-        scored.append((-b.capacity_bytes, dist, r.vid, r))
+        scored.append((-b.capacity_bytes, dist, r.vid, r, b))
     if not scored:
         raise NoResourceError("no responder within communication range")
     scored.sort(key=lambda t: t[:3])
-    return scored[0][3]
+    return scored[0][3:]
 
 
 @dataclass
@@ -305,7 +284,9 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
 
 @dataclass
 class Cluster:
-    """A covering set of downloaders for one file transfer.
+    """A covering set of downloaders for one file of v_bytes, cut into
+    fragments of s_bytes; the final fragment may be short and still counts
+    as one fragment.
 
     Members are ordered by recruitment (nearest to the resource first); the
     request vehicle itself appears as the first member when it has usable
@@ -317,13 +298,22 @@ class Cluster:
     head: int
     resource: int
     members: list[ClusterMember]
+    v_bytes: float
+    s_bytes: float
 
     @property
     def n_c(self) -> int:
         return len(self.members)
 
-    def total_planned_bytes(self, s_bytes: float) -> float:
-        return sum(s_bytes * m.planned_frags for m in self.members)
+    def total_planned_bytes(self) -> float:
+        return sum(self.s_bytes * m.planned_frags for m in self.members)
+
+    def fragment_bytes(self, start: int, count: int) -> float:
+        """Actual byte size of fragments [start, start+count), 0-indexed."""
+        if count <= 0:
+            return 0.0
+        hi = min((start + count) * self.s_bytes, self.v_bytes)
+        return hi - start * self.s_bytes
 
 
 def _same_heading(a: VehicleState, b: VehicleState) -> bool:
@@ -346,10 +336,8 @@ def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
     slack; each kept candidate is then confirmed with the scalar test, so
     the mask is exactly that of _distance(anchor, candidate) <= range_m.
     """
-    dx = x[waiting][None, :] - x[anchors][:, None]
-    if models.ring_length_m is not None:
-        half = models.ring_length_m / 2.0
-        dx = (dx + half) % models.ring_length_m - half
+    dx = ring_delta(x[anchors][:, None], x[waiting][None, :],
+                    models.ring_length_m)
     dy = y[waiting][None, :] - y[anchors][:, None]
     reach = models.range_m * (1.0 + _EARSHOT_REL) + _EARSHOT_ABS_M
     near = np.hypot(dx, dy) <= reach
@@ -379,25 +367,25 @@ class Recruitment:
     prefix of the members that covers its file.  Members are admitted
     lazily, only as far as the largest file read so far needs.
 
-    head_budget is the head-resource link, or None when the pair is out of
-    range; states maps vid -> state over the fleet.  scores memoises
-    _evaluate_plan's MemberResults for every file and traffic source read
-    off this recruitment, keyed by (traffic source, vid, frag_start,
-    frag_count, assigned bytes), so it lives and dies with it.
+    head_budget is the head-resource link as select_resource scored it,
+    or None when the pair is out of range; states maps vid -> state over
+    the fleet.  scores memoises _evaluate_plan's MemberResults for every
+    file and traffic source read off this recruitment, keyed by (traffic
+    source, vid, frag_start, frag_count, assigned bytes), so it lives and
+    dies with it.
     """
 
     def __init__(self, head: VehicleState, resource: VehicleState,
+                 head_budget: LinkBudget | None,
                  fleet: Collection[VehicleState], s_bytes: float,
                  models: Models):
+        _check_fragment_size(s_bytes)
         self.head = head
         self.resource = resource
+        self.head_budget = head_budget
         self.states = {v.vid: v for v in fleet}
         self.s_bytes = s_bytes
         self.models = models
-        try:
-            self.head_budget = link_budget(head, resource, s_bytes, models)
-        except ValueError:
-            self.head_budget = None
         self.members: list[ClusterMember] = []
         if self.head_budget is not None and self.head_budget.capacity_bytes > 0:
             plan = _derated_frags(self.head_budget, s_bytes, models)
@@ -484,19 +472,20 @@ def build_cluster(recruitment: Recruitment, v_bytes: float) -> Cluster:
     """
     n = recruitment.covering_prefix(v_bytes)
     return Cluster(recruitment.head.vid, recruitment.resource.vid,
-                   [replace(m) for m in recruitment.members[:n]])
+                   [replace(m) for m in recruitment.members[:n]], v_bytes,
+                   recruitment.s_bytes)
 
 
-def assign_fragments(cluster: Cluster, file: FileSpec) -> Cluster:
+def assign_fragments(cluster: Cluster) -> Cluster:
     """Assign contiguous fragment ranges to members in recruitment order.
 
     Each member takes as many of the remaining fragments as its budget
     allows; the final member of the cover may take fewer than its maximum.
     Returns the same cluster with frag_start/frag_count filled in.
     """
-    if cluster.total_planned_bytes(file.s_bytes) < file.v_file_bytes:
+    if cluster.total_planned_bytes() < cluster.v_bytes:
         raise ValueError("cluster does not cover the file")
-    n_total = file.n_total
+    n_total = math.ceil(cluster.v_bytes / cluster.s_bytes)
     next_frag = 0
     for m in cluster.members:
         if next_frag >= n_total:
@@ -595,7 +584,7 @@ class Ballistic:
         return replace(s, x=s.x + s.vx * t_s, y=s.y + s.vy * t_s)
 
 
-def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
+def _evaluate_plan(cluster: Cluster, recruitment: Recruitment,
                    traffic) -> TransferOutcome:
     """Score a fragment plan member by member against a traffic source.
 
@@ -616,9 +605,9 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
     models, scores = recruitment.models, recruitment.scores
     delivered = 0.0
     results = []
-    frag_bits = 8.0 * file.s_bytes
+    frag_bits = 8.0 * cluster.s_bytes
     for m in cluster.members:
-        assigned = file.fragment_bytes(m.frag_start, m.frag_count)
+        assigned = cluster.fragment_bytes(m.frag_start, m.frag_count)
         key = (traffic, m.vid, m.frag_start, m.frag_count, assigned)
         result = scores.get(key)
         if result is None:
@@ -634,7 +623,7 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
             else:
                 frags_possible = int(b.e_c_bps * window / frag_bits)
             frags_got = min(m.frag_count, frags_possible)
-            downloaded = file.fragment_bytes(m.frag_start, frags_got)
+            downloaded = cluster.fragment_bytes(m.frag_start, frags_got)
             t_done = t_in + (frags_got * frag_bits / b.e_c_bps
                              if b.e_c_bps > 0 else 0.0)
             # The head's own fragments need no forwarding hop.
@@ -646,10 +635,10 @@ def _evaluate_plan(cluster: Cluster, file: FileSpec, recruitment: Recruitment,
                                                 forwarded, t_done, ok)
         delivered += result.forwarded_bytes
         results.append(result)
-    complete = delivered >= file.v_file_bytes
+    complete = delivered >= cluster.v_bytes
     return TransferOutcome(
         mode="clustered" if complete else "failed",
-        bytes_delivered=min(delivered, file.v_file_bytes),
+        bytes_delivered=min(delivered, cluster.v_bytes),
         cluster=cluster,
         member_results=results,
     )
@@ -664,13 +653,14 @@ def recruit(request: VehicleState, fleet: Collection[VehicleState],
     which depends on the fragment size only) and returns the recruitment
     around it, or None when no holder is within range.
     """
+    _check_fragment_size(s_bytes)
     wanted = set(holders) - {request.vid}
     try:
-        resource = select_resource(
+        resource, head_budget = select_resource(
             request, [v for v in fleet if v.vid in wanted], s_bytes, models)
     except NoResourceError:
         return None
-    return Recruitment(request, resource, fleet, s_bytes, models)
+    return Recruitment(request, resource, head_budget, fleet, s_bytes, models)
 
 
 def _direct_outcome(recruitment: Recruitment | None,
@@ -720,9 +710,8 @@ def run_cft(recruitment: Recruitment | None, v_bytes: float,
     planned = form_cluster(recruitment, v_bytes)
     if isinstance(planned, TransferOutcome):
         return planned
-    file = FileSpec(v_bytes, recruitment.s_bytes)
-    assign_fragments(planned, file)
-    return _evaluate_plan(planned, file, recruitment, traffic)
+    assign_fragments(planned)
+    return _evaluate_plan(planned, recruitment, traffic)
 
 
 def run_direct_baseline(recruitment: Recruitment | None,

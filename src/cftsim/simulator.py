@@ -304,30 +304,32 @@ class Trajectory:
                                                  k * self.dt_s)
 
 
-def _fleet_states(fleet: Fleet) -> list:
-    return [VehicleState(vid, x, y, vx, 0.0) for vid, (x, y, vx) in
-            enumerate(zip(fleet.x.tolist(), fleet.y.tolist(),
-                          fleet.vx.tolist()))]
+def _vehicle_states(x: np.ndarray, y: np.ndarray, vx: np.ndarray) -> list:
+    """Every vehicle's VehicleState, indexed by vid, from its position and
+    signed speed."""
+    return [VehicleState(vid, xi, yi, vxi, 0.0) for vid, (xi, yi, vxi) in
+            enumerate(zip(x.tolist(), y.tolist(), vx.tolist()))]
 
 
 @dataclass
 class TransferScenario:
-    """One request: the fleet at its instant, the head and resource vids,
-    and the trajectory from that instant on.
+    """One request: the head and resource vids, and the trajectory from its
+    instant on.
 
-    states lists every vehicle's VehicleState at the request instant.  It
-    is built on first read, so a scheme that reads a few vehicles through
-    trajectory.state(vid, 0.0), which gives equal states, never builds it.
+    states lists every vehicle's VehicleState at the request instant, the
+    trajectory's row 0.  It is built on first read, so a scheme that reads
+    a few vehicles through trajectory.state(vid, 0.0), which gives equal
+    states, never builds it.
     """
 
-    fleet: Fleet
     head_vid: int
     resource_vid: int
     trajectory: Trajectory
 
     @cached_property
     def states(self) -> list:
-        return _fleet_states(self.fleet)
+        t = self.trajectory
+        return _vehicle_states(t.x[0], t.y, t.speed[0] * t.direction)
 
 
 @dataclass(frozen=True)
@@ -364,14 +366,6 @@ def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float,
         mobility.warm_up_batch([(w.fleet, w.mcfg, w.rng) for w in starts],
                                warmup_steps)
     return starts
-
-
-def warm_start(cfg: Config, density: float, sd: float, comm_range_m: float,
-               warmup_steps: int, seed_idx: int, stream: str) -> WarmStart:
-    """The warm start of one (density, SD, range, seed) key on one RNG
-    stream."""
-    return warm_starts(cfg, [(density, seed_idx)], sd, comm_range_m,
-                       warmup_steps, stream)[0]
 
 
 def request_instant(start: WarmStart, request_at: str):
@@ -475,7 +469,7 @@ def build_transfer_scenario(cfg: Config, start: WarmStart,
     """
     fleet, head, resource, rng = request_instant(start, request_at)
     return TransferScenario(
-        fleet=fleet.copy(), head_vid=head, resource_vid=resource,
+        head_vid=head, resource_vid=resource,
         trajectory=Trajectory(fleet, start.mcfg, rng,
                               cfg.experiments.horizon_s))
 
@@ -627,7 +621,7 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
         for seed_idx in range(e.cluster_seeds):
             fleet, head, resource, _ = request_instant(
                 starts[(density, seed_idx)], "encounter")
-            states = _fleet_states(fleet)
+            states = _vehicle_states(fleet.x, fleet.y, fleet.vx)
             recruitment = recruit(states[head], states, e.fragment_bytes,
                                   models, [resource])
             for v_bytes in e.file_sizes_bytes:

@@ -8,10 +8,11 @@ import pytest
 
 from cftsim.channel import RateTable
 from cftsim.config import load_config
-from cftsim.protocol import Ballistic, FileSpec, Models, VehicleState
+from cftsim.protocol import Ballistic, Models, VehicleState
 
 DEFAULT_CFG = load_config()
 MB = 1_000_000.0
+LANE_LENGTH_M = DEFAULT_CFG.mobility_defaults["lane_length_m"]
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +23,7 @@ def default_cfg():
 def single_rate_models(rate_bps: float, range_m: float = 250.0,
                        horizon_s: float = 120.0,
                        plan_margin_s: float = 0.0,
-                       ring_length_m: float | None = None) -> Models:
+                       ring_length_m: float = LANE_LENGTH_M) -> Models:
     """Models whose expected PHY rate is exactly rate_bps at any distance.
 
     A single-entry ladder with a threshold of 1e-300 puts the whole SNR
@@ -50,8 +51,10 @@ def rng(seed: int) -> np.random.Generator:
 
 
 def random_scene(gen):
-    """A random straight-road request scene: 2-7 eastbound vehicles (the
-    head among them) and 1-5 westbound ones, some holding the file."""
+    """A random request scene on the shipped ring road, within 800 m of
+    its origin: 2-7 eastbound vehicles (the head among them) and 1-5
+    westbound ones, some holding a file of whole MB, which is returned
+    last as its volume in bytes."""
     fleet, west = [], []
     vid = 0
     for _ in range(int(gen.integers(2, 8))):
@@ -68,5 +71,5 @@ def random_scene(gen):
     head = fleet[int(gen.integers(0, len(fleet) - len(west)))]
     n_holders = int(gen.integers(1, len(west) + 1))
     holders = [int(h) for h in gen.choice(west, size=n_holders, replace=False)]
-    file = FileSpec(float(gen.integers(1, 400)) * MB, MB)
-    return fleet, head, holders, file
+    v_bytes = float(gen.integers(1, 400)) * MB
+    return fleet, head, holders, v_bytes

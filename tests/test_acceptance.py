@@ -18,7 +18,7 @@ from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import (avg_slot_length, collision_duration, p_success,
                         success_duration, transmission_prob)
-from cftsim.protocol import Models, recruit, run_cft, run_direct_baseline
+from cftsim.protocol import recruit, run_cft, run_direct_baseline
 from cftsim.simulator import (capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
                               throughput_sweep, write_csv)
@@ -255,32 +255,30 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "build_cluster", counting)
-    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
-                    horizon_s=120.0)
+    models = default_cfg.models(250.0, 5.0, horizon_s=120.0)
     modes = {"direct": 0, "clustered": 0, "failed": 0}
     for _ in range(1000):
-        fleet, head, holders, file = random_scene(gen)
+        fleet, head, holders, v_bytes = random_scene(gen)
         before = calls["n"]
-        recruitment = recruit(head, fleet, file.s_bytes, models, holders)
-        out = run_cft(recruitment, file.v_file_bytes, predicted(fleet, models))
+        recruitment = recruit(head, fleet, MB, models, holders)
+        out = run_cft(recruitment, v_bytes, predicted(fleet, models))
         built = calls["n"] - before
-        base = run_direct_baseline(recruitment, file.v_file_bytes)
+        base = run_direct_baseline(recruitment, v_bytes)
         modes[out.mode] += 1
         assert out.bytes_delivered >= base.bytes_delivered
         if out.mode == "direct":
             assert built == 0
         if out.mode == "clustered":
             c = out.cluster
-            planned = [file.s_bytes * m.planned_frags for m in c.members]
-            assert sum(planned) >= file.v_file_bytes          # coverage
-            assert sum(planned[:-1]) < file.v_file_bytes      # minimality
+            planned = [MB * m.planned_frags for m in c.members]
+            assert sum(planned) >= v_bytes                    # coverage
+            assert sum(planned[:-1]) < v_bytes                # minimality
             seen = []
             for m in c.members:
                 assert m.frag_count <= m.budget.n_frags       # no overdraw
                 seen.extend(range(m.frag_start, m.frag_start + m.frag_count))
-            assert seen == list(range(file.n_total))          # exact partition
-            assert out.bytes_delivered == file.v_file_bytes
+            assert seen == list(range(math.ceil(v_bytes / MB)))  # partition
+            assert out.bytes_delivered == v_bytes
     print(f"criterion 10: outcomes {modes}")
     assert min(modes.values()) > 0        # every mode actually exercised
     # The pinned modes of these scenes: a change is a behaviour change.

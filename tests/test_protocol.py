@@ -7,7 +7,7 @@ import pytest
 
 from cftsim.channel import expected_rate
 from cftsim.mac import throughput
-from cftsim.protocol import (Ballistic, Cluster, ClusterMember, FileSpec,
+from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
                              InsufficientCapacityError, Models,
                              NoResourceError, Recruitment, VehicleState,
                              _derated_frags, _plannable_frags, _relative,
@@ -16,7 +16,7 @@ from cftsim.protocol import (Ballistic, Cluster, ClusterMember, FileSpec,
                              prospective_link_budget, recruit, run_cft,
                              run_direct_baseline, select_resource)
 
-from conftest import predicted, random_scene, single_rate_models
+from conftest import LANE_LENGTH_M, predicted, random_scene, single_rate_models
 
 MB = 1_000_000.0
 
@@ -25,18 +25,26 @@ def vehicle(vid, x, y=0.0, vx=0.0, vy=0.0):
     return VehicleState(vid=vid, x=x, y=y, vx=vx, vy=vy)
 
 
-def test_file_spec_fragment_accounting():
-    f = FileSpec(10.5 * MB, MB)
-    assert f.n_total == 11
-    assert f.fragment_bytes(0, 1) == MB
-    assert f.fragment_bytes(10, 1) == 0.5 * MB   # short final fragment
-    assert f.fragment_bytes(0, 11) == 10.5 * MB
-    assert f.fragment_bytes(3, 0) == 0.0
-    assert FileSpec(0.0, MB).n_total == 0
+def test_cluster_fragment_accounting():
+    c = assign_fragments(Cluster(0, 9, [_member(0, 12)], 10.5 * MB, MB))
+    assert c.members[0].frag_count == 11
+    assert c.fragment_bytes(0, 1) == MB
+    assert c.fragment_bytes(10, 1) == 0.5 * MB   # short final fragment
+    assert c.fragment_bytes(0, 11) == 10.5 * MB
+    assert c.fragment_bytes(3, 0) == 0.0
+    empty = assign_fragments(Cluster(0, 9, [_member(0, 12)], 0.0, MB))
+    assert empty.members[0].frag_count == 0
+
+
+@pytest.mark.parametrize("s_bytes", [0.0, -MB], ids=["zero", "negative"])
+@pytest.mark.parametrize("holders", [[9], []], ids=["holder", "no-holder"])
+def test_non_positive_fragment_size_is_rejected(s_bytes, holders):
+    # Both ways a fragment size enters, even when no holder is reachable.
+    models, head, src, fleet = _three_member_scene()
     with pytest.raises(ValueError):
-        FileSpec(-1.0, MB)
+        recruit(head, fleet, s_bytes, models, holders)
     with pytest.raises(ValueError):
-        FileSpec(1.0, 0.0)
+        Recruitment(head, src, None, fleet, s_bytes, models)
 
 
 def test_link_budget_exact_division():
@@ -70,9 +78,7 @@ def test_link_budget_requires_an_in_range_pair():
 def test_link_budget_matches_fragment_stepthrough(default_cfg):
     """Oracle: walk the link fragment by fragment and count completions."""
     gen = np.random.default_rng(2024)
-    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
-                    horizon_s=default_cfg.experiments.horizon_s)
+    models = default_cfg.models(250.0, 5.0)
     frag_bits = 8.0 * MB
     for _ in range(300):
         d = float(gen.uniform(1.0, 249.0))
@@ -140,9 +146,7 @@ def test_predicted_window_is_the_budget_window_in_random_scenes(default_cfg):
     # Scoring on the ballistic source reads each member's window off the
     # source, not its budget; both must agree to the last bit.
     gen = np.random.default_rng(101_010)
-    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
-                    horizon_s=120.0)
+    models = default_cfg.models(250.0, 5.0, horizon_s=120.0)
     opening = {True: 0, False: 0}
     for _ in range(1000):
         fleet, head, holders, _ = random_scene(gen)
@@ -169,8 +173,8 @@ def test_select_resource_prefers_capacity_then_distance():
     req = vehicle(0, 0.0, 0.0, 0.0)
     slow = vehicle(1, 100.0, 0.0, -30.0)
     unbounded = vehicle(2, 200.0, 0.0, 0.0)   # same velocity, never parts
-    assert select_resource(req, [slow, unbounded], MB, models).vid == 2
-    assert select_resource(req, [slow], MB, models).vid == 1
+    assert select_resource(req, [slow, unbounded], MB, models)[0].vid == 2
+    assert select_resource(req, [slow], MB, models)[0].vid == 1
     with pytest.raises(NoResourceError):
         select_resource(req, [], MB, models)
     with pytest.raises(NoResourceError):
@@ -179,9 +183,7 @@ def test_select_resource_prefers_capacity_then_distance():
 
 def test_select_resource_matches_argmax_oracle(default_cfg):
     gen = np.random.default_rng(555)
-    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
-                    horizon_s=default_cfg.experiments.horizon_s)
+    models = default_cfg.models(250.0, 5.0)
     req = vehicle(0, 0.0, 2.5, 25.0)
     for _ in range(50):
         responders = [
@@ -201,7 +203,9 @@ def test_select_resource_matches_argmax_oracle(default_cfg):
         if not scored:
             continue
         want = min(scored)[1]
-        assert select_resource(req, responders, MB, models).vid == want
+        got, budget = select_resource(req, responders, MB, models)
+        assert got.vid == want
+        assert budget == link_budget(req, got, MB, models)
 
 
 def test_direct_feasibility_boundaries():
@@ -222,6 +226,16 @@ def test_direct_feasibility_boundaries():
 # --- cluster construction ---------------------------------------------------
 
 
+def around(head, src, fleet, models):
+    """The recruitment of a request for a file of 1 MB fragments held by
+    src, which need not be in range of the head: recruit's when it is."""
+    try:
+        head_budget = link_budget(head, src, MB, models)
+    except ValueError:
+        head_budget = None
+    return Recruitment(head, src, head_budget, fleet, MB, models)
+
+
 def _three_member_scene():
     """Head plus two co-moving helpers, all 10-fragment links to the source.
 
@@ -240,22 +254,22 @@ def _three_member_scene():
 
 def test_cluster_of_one_when_the_head_suffices():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 10 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 10 * MB)
     assert cluster.n_c == 1
     assert cluster.members[0].vid == 0
 
 
 def test_cluster_of_three_exact_partition():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 30 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 30 * MB)
     assert [m.vid for m in cluster.members] == [0, 1, 2]
     assert cluster.n_c == 3
-    assert cluster.total_planned_bytes(MB) == 30 * MB
+    assert cluster.total_planned_bytes() == 30 * MB
 
 
 def test_cluster_recruitment_is_a_minimal_prefix():
     models, head, src, fleet = _three_member_scene()
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 25 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 25 * MB)
     planned = [MB * m.planned_frags for m in cluster.members]
     assert sum(planned) >= 25 * MB
     assert sum(planned[:-1]) < 25 * MB
@@ -264,7 +278,7 @@ def test_cluster_recruitment_is_a_minimal_prefix():
 def test_cluster_raises_when_the_fleet_is_exhausted():
     models, head, src, fleet = _three_member_scene()
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(Recruitment(head, src, fleet, MB, models), 31 * MB)
+        build_cluster(around(head, src, fleet, models), 31 * MB)
 
 
 def test_cluster_skips_opposite_direction_candidates():
@@ -273,10 +287,10 @@ def test_cluster_skips_opposite_direction_candidates():
     wrong_way = vehicle(1, 0.0, 5.0, -25.0)
     src = vehicle(9, 0.0, 0.0, -25.0)            # 5-fragment head link
     fleet = [head, wrong_way, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 5 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 5 * MB)
     assert [m.vid for m in cluster.members] == [0]
     with pytest.raises(InsufficientCapacityError):
-        build_cluster(Recruitment(head, src, fleet, MB, models), 6 * MB)
+        build_cluster(around(head, src, fleet, models), 6 * MB)
 
 
 def test_cluster_invitation_relays_across_a_gap():
@@ -289,7 +303,7 @@ def test_cluster_invitation_relays_across_a_gap():
     far = vehicle(2, -400.0, 0.0, 33.0)          # catching up from behind
     src = vehicle(9, 0.0, 0.0, -5.0)
     fleet = [head, bridge, far, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 12 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 12 * MB)
     vids = [m.vid for m in cluster.members]
     assert 2 in vids
     assert 1 not in vids
@@ -298,12 +312,12 @@ def test_cluster_invitation_relays_across_a_gap():
 def test_plan_margin_derates_member_budgets():
     models, head, src, fleet = _three_member_scene()
     v_bytes = 10 * MB
-    full = build_cluster(Recruitment(head, src, fleet, MB, models), v_bytes)
+    full = build_cluster(around(head, src, fleet, models), v_bytes)
     assert full.members[0].planned_frags == 10
     # One second of margin at 8 Mbit/s shaves ceil(1 MB / 1 MB) = 1 frag.
     derated_models = single_rate_models(8e6, plan_margin_s=1.0)
     derated = build_cluster(
-        Recruitment(head, src, fleet, MB, derated_models), v_bytes)
+        around(head, src, fleet, derated_models), v_bytes)
     assert derated.members[0].planned_frags == 9
     assert derated.n_c == 2
 
@@ -318,7 +332,7 @@ def test_late_short_contact_caps_the_member_at_its_window():
     member = vehicle(4, 800.0, 0.0, 2.0)         # head closes at 18 m/s
     src = vehicle(9, 800.0, 0.0, 2.0)            # rides with the member
     fleet = [head, *chain, member, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 5 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 5 * MB)
     assert [m.vid for m in cluster.members] == [4]
     t_in, t_out = (800.0 - 250.0) / 18.0, (800.0 + 250.0) / 18.0
     r_thr = throughput(models.mac, 8e6)
@@ -338,7 +352,7 @@ def test_in_range_member_splits_time_between_download_and_forwarding():
     member = vehicle(1, 240.0, 0.0, 4.0)
     src = vehicle(9, 240.0, 0.0, 4.0)            # rides with the member
     fleet = [head, member, src]
-    cluster = build_cluster(Recruitment(head, src, fleet, MB, models), 35 * MB)
+    cluster = build_cluster(around(head, src, fleet, models), 35 * MB)
     m = next(m for m in cluster.members if m.vid == 1)
     t_out = (240.0 + 250.0) / 16.0
     r_thr = throughput(models.mac, 8e6)
@@ -361,13 +375,13 @@ def test_member_that_never_meets_the_head_contributes_nothing():
     runaway = vehicle(2, 460.0, 0.0, 33.0)
     with pytest.raises(InsufficientCapacityError):
         build_cluster(
-            Recruitment(head, src, [head, bridge, runaway, src], MB, models),
+            around(head, src, [head, bridge, runaway, src], models),
             11 * MB)
     # Same scene, but the candidate drifts back into the head instead:
     # now its download is deliverable and the cluster forms around it.
     laggard = vehicle(2, 460.0, 0.0, 5.0)
     cluster = build_cluster(
-        Recruitment(head, src, [head, bridge, laggard, src], MB, models),
+        around(head, src, [head, bridge, laggard, src], models),
         11 * MB)
     assert [m.vid for m in cluster.members] == [2]
 
@@ -375,8 +389,9 @@ def test_member_that_never_meets_the_head_contributes_nothing():
 # --- one recruitment shared by every file size ------------------------------
 
 
-def _scalar_cluster(head, resource, fleet, file, models):
-    """Reference recruitment for one file: the per-size scalar ring loop.
+def _scalar_cluster(head, resource, fleet, v_bytes, models):
+    """Reference recruitment for one file of v_bytes in 1 MB fragments: the
+    per-size scalar ring loop.
 
     Every ring is found by testing each remaining vehicle against each
     anchor with math.hypot, and recruitment starts afresh for each file.
@@ -387,22 +402,22 @@ def _scalar_cluster(head, resource, fleet, file, models):
     def admit(v, budget):
         nonlocal covered
         if v.vid == head.vid:
-            plan = _derated_frags(budget, file.s_bytes, models)
+            plan = _derated_frags(budget, MB, models)
         else:
-            plan = _plannable_frags(v, head, budget, file.s_bytes, models)
+            plan = _plannable_frags(v, head, budget, MB, models)
         if plan <= 0:
             return False
         members.append(ClusterMember(v.vid, budget, plan))
-        covered += file.s_bytes * plan if not math.isinf(plan) else math.inf
+        covered += MB * plan if not math.isinf(plan) else math.inf
         return True
 
     try:
-        head_budget = link_budget(head, resource, file.s_bytes, models)
+        head_budget = link_budget(head, resource, MB, models)
     except ValueError:
         head_budget = None
     if head_budget is not None and head_budget.capacity_bytes > 0:
         admit(head, head_budget)
-    if covered >= file.v_file_bytes:
+    if covered >= v_bytes:
         return members
 
     recruited = {head.vid, resource.vid}
@@ -427,10 +442,10 @@ def _scalar_cluster(head, resource, fleet, file, models):
             recruited.add(v.vid)
             if v.vx * head.vx <= 0.0:
                 continue
-            budget = prospective_link_budget(v, resource, file.s_bytes, models)
+            budget = prospective_link_budget(v, resource, MB, models)
             if not admit(v, budget):
                 continue
-            if covered >= file.v_file_bytes:
+            if covered >= v_bytes:
                 return members
         anchors = ring
 
@@ -442,8 +457,7 @@ def _oracle_sizes(head, resource, fleet, models):
     v_bytes = 0.0
     while True:
         try:
-            members = _scalar_cluster(head, resource, fleet,
-                                      FileSpec(v_bytes, MB), models)
+            members = _scalar_cluster(head, resource, fleet, v_bytes, models)
         except InsufficientCapacityError:
             break
         covered = 0.0
@@ -462,12 +476,11 @@ def _oracle_sizes(head, resource, fleet, models):
 def _check_reads(head, resource, fleet, models, order):
     """Read every size in order off one recruitment; each read must equal
     a fresh reference recruitment for that size."""
-    recruitment = Recruitment(head, resource, fleet, MB, models)
+    recruitment = around(head, resource, fleet, models)
     failed = []
     for v_bytes in order:
         try:
-            want = _scalar_cluster(head, resource, fleet,
-                                   FileSpec(v_bytes, MB), models)
+            want = _scalar_cluster(head, resource, fleet, v_bytes, models)
         except InsufficientCapacityError:
             want = None
         try:
@@ -501,9 +514,7 @@ def _check_scene(head, resource, fleet, models):
 def test_shared_recruitment_matches_fresh_recruitment_random_scenes(
         default_cfg):
     gen = np.random.default_rng(70_707)
-    models = Models(channel=default_cfg.channel, rates=default_cfg.rates,
-                    mac=default_cfg.mac_for(250.0, 5.0), range_m=250.0,
-                    horizon_s=120.0)
+    models = default_cfg.models(250.0, 5.0, horizon_s=120.0)
     found = exhausted = 0
     for _ in range(200):
         fleet, head, holders, _ = random_scene(gen)
@@ -545,11 +556,12 @@ def test_shared_recruitment_matches_fresh_recruitment_ring_scenes(default_cfg):
 
 
 def test_shared_recruitment_keeps_the_inclusive_range_edge():
-    # A candidate at exactly range_m ahead of the head is in earshot: on a
-    # straight road, and across the seam of a ring road.  The head gains
-    # on it, so their contact lasts.  Moved 1 nm further, inside the numpy
-    # prefilter's slack, it would still contribute but is never invited.
-    for ring_length_m, head_x, edge_x in ((None, 0.0, 250.0),
+    # A candidate at exactly range_m ahead of the head is in earshot: inside
+    # the shipped ring road, and across the seam of a short one.  The head
+    # gains on it, so their contact lasts.  Moved 1 nm further, inside the
+    # numpy prefilter's slack, it would still contribute but is never
+    # invited.
+    for ring_length_m, head_x, edge_x in ((LANE_LENGTH_M, 0.0, 250.0),
                                           (2000.0, 850.0, -900.0)):
         models = single_rate_models(8e6, ring_length_m=ring_length_m)
         head = vehicle(0, head_x, 0.0, 20.0)
@@ -559,32 +571,32 @@ def test_shared_recruitment_keeps_the_inclusive_range_edge():
         fleet = [head, edge, src]
         _check_scene(head, src, fleet, models)
         v_bytes = 16 * MB                             # head alone: 15 MB
-        cluster = build_cluster(Recruitment(head, src, fleet, MB, models),
+        cluster = build_cluster(around(head, src, fleet, models),
                                 v_bytes)
         assert [m.vid for m in cluster.members] == [0, 1]
         far = vehicle(1, edge_x + 1e-9, 0.0, 19.0)
         assert models.ring_dx(head.x, far.x) > 250.0
         with pytest.raises(InsufficientCapacityError):
-            build_cluster(Recruitment(head, src, [head, far, src], MB, models),
+            build_cluster(around(head, src, [head, far, src], models),
                           v_bytes)
         # Once the head is near enough to invite it, it does contribute.
         near = vehicle(0, head_x + 1e-6, 0.0, 20.0)
-        assert build_cluster(Recruitment(near, src, [near, far, src], MB,
-                                         models), v_bytes).n_c == 2
+        assert build_cluster(around(near, src, [near, far, src], models),
+                             v_bytes).n_c == 2
 
 
 def test_clusters_of_one_recruitment_do_not_share_members():
     models, head, src, fleet = _three_member_scene()
-    recruitment = Recruitment(head, src, fleet, MB, models)
-    big_file, small_file = FileSpec(30 * MB, MB), FileSpec(15 * MB, MB)
-    big = assign_fragments(build_cluster(recruitment, 30 * MB), big_file)
+    recruitment = around(head, src, fleet, models)
+    big = assign_fragments(build_cluster(recruitment, 30 * MB))
     before = [(m.frag_start, m.frag_count) for m in big.members]
-    small = assign_fragments(build_cluster(recruitment, 15 * MB), small_file)
-    for cluster, file in ((big, big_file), (small, small_file)):
+    small = assign_fragments(build_cluster(recruitment, 15 * MB))
+    for cluster, n_frags in ((big, 30), (small, 15)):
+        assert (cluster.v_bytes, cluster.s_bytes) == (n_frags * MB, MB)
         seen = []
         for m in cluster.members:
             seen.extend(range(m.frag_start, m.frag_start + m.frag_count))
-        assert seen == list(range(file.n_total))       # exact partition
+        assert seen == list(range(n_frags))            # exact partition
     assert [(m.frag_start, m.frag_count) for m in big.members] == before
     assert before == [(0, 10), (10, 10), (20, 10)]
     assert [(m.frag_start, m.frag_count) for m in small.members] == \
@@ -603,24 +615,27 @@ def _member(vid, n_frags, e_c=8e6):
 
 
 def test_assignment_gives_everything_to_a_big_member():
-    cluster = Cluster(head=0, resource=9, members=[_member(0, 12)])
-    assign_fragments(cluster, FileSpec(10 * MB, MB))
+    cluster = Cluster(head=0, resource=9, members=[_member(0, 12)],
+                      v_bytes=10 * MB, s_bytes=MB)
+    assign_fragments(cluster)
     assert cluster.members[0].frag_start == 0
     assert cluster.members[0].frag_count == 10
 
 
 def test_assignment_splits_contiguously():
     cluster = Cluster(head=0, resource=9,
-                      members=[_member(0, 3), _member(1, 5)])
-    assign_fragments(cluster, FileSpec(8 * MB, MB))
+                      members=[_member(0, 3), _member(1, 5)],
+                      v_bytes=8 * MB, s_bytes=MB)
+    assign_fragments(cluster)
     assert (cluster.members[0].frag_start, cluster.members[0].frag_count) == (0, 3)
     assert (cluster.members[1].frag_start, cluster.members[1].frag_count) == (3, 5)
 
 
 def test_assignment_rejects_uncovered_files():
-    cluster = Cluster(head=0, resource=9, members=[_member(0, 3)])
+    cluster = Cluster(head=0, resource=9, members=[_member(0, 3)],
+                      v_bytes=4 * MB, s_bytes=MB)
     with pytest.raises(ValueError):
-        assign_fragments(cluster, FileSpec(4 * MB, MB))
+        assign_fragments(cluster)
 
 
 def test_assignment_partitions_randomized_clusters():
@@ -631,8 +646,9 @@ def test_assignment_partitions_randomized_clusters():
                    for i in range(n_members)]
         total = int(sum(m.budget.n_frags for m in members))
         n_frags = int(gen.integers(1, total + 1))
-        cluster = Cluster(head=0, resource=99, members=members)
-        assign_fragments(cluster, FileSpec(n_frags * MB, MB))
+        cluster = Cluster(head=0, resource=99, members=members,
+                          v_bytes=n_frags * MB, s_bytes=MB)
+        assign_fragments(cluster)
         seen = []
         for m in cluster.members:
             assert 0 <= m.frag_count <= m.budget.n_frags

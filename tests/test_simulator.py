@@ -11,7 +11,7 @@ from cftsim import mobility, simulator
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
-from cftsim.protocol import (Ballistic, Cluster, FileSpec, VehicleState,
+from cftsim.protocol import (Ballistic, Cluster, VehicleState,
                              _evaluate_plan, recruit, run_cft)
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
@@ -70,8 +70,8 @@ def test_seed_keys_are_exact(default_cfg):
     with pytest.raises(ValueError):
         simulator._seed_key(250.9)                   # int() reused 250's stream
     with pytest.raises(ValueError):
-        simulator.warm_start(default_cfg, 5.0, 150.0, 250.9, 15, 0,
-                             "max-volume")
+        simulator.warm_starts(default_cfg, [(5.0, 0)], 150.0, 250.9, 15,
+                              "max-volume")
 
 
 @pytest.mark.parametrize("sweep,value_name", [
@@ -119,8 +119,8 @@ def test_rate_curve_spans_the_default_grid(default_cfg):
 def _scenario(cfg, density, sd, r_m, warmup_steps, seed_idx,
               request_at="contact"):
     """A max-volume transfer scenario warmed up on its own."""
-    start = simulator.warm_start(cfg, density, sd, r_m, warmup_steps,
-                                 seed_idx, "max-volume")
+    start = simulator.warm_starts(cfg, [(density, seed_idx)], sd, r_m,
+                                  warmup_steps, "max-volume")[0]
     return build_transfer_scenario(cfg, start, request_at)
 
 
@@ -133,7 +133,7 @@ def _head_resource_distance(scen, cfg):
 
 def _indexed_states(fleet):
     """Every vehicle's VehicleState read index by index: the oracle of
-    simulator._fleet_states."""
+    simulator._vehicle_states."""
     return [VehicleState(vid=i, x=float(fleet.x[i]), y=float(fleet.y[i]),
                          vx=float(fleet.vx[i]), vy=0.0)
             for i in range(fleet.n)]
@@ -148,8 +148,9 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
     e = cfg.experiments
     r_m = e.max_volume_range_m
     for density, seed_idx in ((5.0, 0), (10.0, 1)):
-        start = simulator.warm_start(cfg, density, e.max_volume_sd_m, r_m, 30,
-                                     seed_idx, "max-volume")
+        start = simulator.warm_starts(cfg, [(density, seed_idx)],
+                                      e.max_volume_sd_m, r_m, 30,
+                                      "max-volume")[0]
         fleet = simulator.request_instant(start, request_at)[0]
         scen = build_transfer_scenario(cfg, start, request_at)
         simulator._direct_max_volume(cfg, scen, density, r_m)
@@ -202,8 +203,8 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     # once from the same request instant, and no unstepped row may show.
     e = default_cfg.experiments
     r_m = e.max_volume_range_m
-    start = simulator.warm_start(default_cfg, 10.0, e.max_volume_sd_m, r_m,
-                                 15, 2, "max-volume")
+    start = simulator.warm_starts(default_cfg, [(10.0, 2)], e.max_volume_sd_m,
+                                  r_m, 15, "max-volume")[0]
     fleet, head, resource, rng = simulator.request_instant(start, request_at)
     mcfg = start.mcfg
     n_steps = int(round(e.horizon_s / mcfg.step_s))
@@ -523,8 +524,7 @@ def test_members_forward_independently_of_each_other():
                         continue
                     # A fresh recruitment, so no memoised score is read.
                     alone = _evaluate_plan(
-                        Cluster(c.head, c.resource, [m]),
-                        FileSpec(v_bytes, s),
+                        Cluster(c.head, c.resource, [m], v_bytes, s),
                         recruit(scen.states[scen.head_vid], scen.states, s,
                                 models, [scen.resource_vid]),
                         traffic)
@@ -574,10 +574,11 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
         models = cfg.models(e.cluster_range_m, density, e.cluster_horizon_s)
         for seed_idx in range(e.cluster_seeds):
             fleet, head, resource, _ = simulator.request_instant(
-                simulator.warm_start(cfg, density, e.cluster_sd_m,
-                                     e.cluster_range_m, e.cluster_warmup_steps,
-                                     seed_idx, "cluster"), "encounter")
-            states = simulator._fleet_states(fleet)
+                simulator.warm_starts(cfg, [(density, seed_idx)],
+                                      e.cluster_sd_m, e.cluster_range_m,
+                                      e.cluster_warmup_steps, "cluster")[0],
+                "encounter")
+            states = simulator._vehicle_states(fleet.x, fleet.y, fleet.vx)
             traffic = Ballistic({v.vid: v for v in states}, models)
             for v_bytes in e.file_sizes_bytes:
                 # A fresh recruitment per file size, as one request each.

@@ -4,9 +4,9 @@ Vehicles accelerate randomly within speed limits and brake to the speed of
 the vehicle ahead whenever the same-lane gap drops to the safety distance or
 below.  The road is a ring: positions wrap modulo the lane length, so the
 vehicle population is closed and density stays constant.  Braking is one
-vectorised pass over all lanes per step; ``step`` states the rule.  In a
-lane with no gap over the safety distance, every vehicle takes the lane's
-least speed.
+vectorised chain minimum over all lanes per step; ``step`` states the rule.
+In a lane with no gap over the safety distance, every vehicle takes the
+lane's least speed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class MobilityConfig:
 
 @dataclass(frozen=True)
 class LaneGroups:
-    """Fixed index layout of a fleet's lanes, for sorting all lanes at once.
+    """Fixed index layout of a fleet's lanes, for braking all lanes at once.
 
     Vehicles are grouped by (direction, lane).  Sorting by (group, position)
     puts each group in one block of "slots"; the per-slot arrays describe
@@ -70,30 +70,26 @@ class LaneGroups:
 
     group: np.ndarray           # group id per vehicle
     slot: np.ndarray            # 0, 1, ..., n - 1
-    starts: np.ndarray          # first slot of each group
-    slot_group: np.ndarray      # group id per slot
-    slot_start: np.ndarray      # first slot of the slot's group
-    slot_offset: np.ndarray     # slot index within its group
-    slot_count: np.ndarray      # size of the slot's group
+    lanes: int                  # number of groups
     slot_direction: np.ndarray  # direction of travel per slot
     ahead: np.ndarray           # slot ahead in driving order, cyclic per group
+    # Most passes a chain minimum over one lane can take: ceil(log2(largest
+    # lane)) to cover the lane, and one to see that nothing changes.
+    passes: int
 
     @classmethod
     def of(cls, direction: np.ndarray, lane: np.ndarray) -> "LaneGroups":
         keys, group, counts = np.unique(
             np.stack((direction, lane)), axis=1, return_inverse=True,
             return_counts=True)
-        starts = np.cumsum(counts) - counts
-        slot_group = np.repeat(np.arange(counts.size), counts)
-        slot_start = starts[slot_group]
-        slot_offset = np.arange(direction.size) - slot_start
-        slot_count = counts[slot_group]
+        ends = np.cumsum(counts)
+        slot = np.arange(direction.size)
+        ahead = slot + 1
+        ahead[ends - 1] = ends - counts
         return cls(
-            group=group.reshape(-1), slot=np.arange(direction.size),
-            starts=starts, slot_group=slot_group, slot_start=slot_start,
-            slot_offset=slot_offset, slot_count=slot_count,
-            slot_direction=keys[0][slot_group],
-            ahead=slot_start + (slot_offset + 1) % slot_count)
+            group=group.reshape(-1), slot=slot, lanes=counts.size,
+            slot_direction=np.repeat(keys[0], counts), ahead=ahead,
+            passes=int(counts.max() - 1).bit_length() + 1)
 
 
 @dataclass
@@ -199,75 +195,63 @@ def init_scenario(cfg: MobilityConfig, rng: np.random.Generator) -> Fleet:
 
 
 def _lane_gaps(x: np.ndarray, order: np.ndarray, g: LaneGroups,
-               length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Room ahead of each slot with the lanes laid out by order, and the
-    widest room in each slot's lane."""
+               length: float) -> np.ndarray:
+    """Room ahead of each slot, with the lanes laid out by order."""
     x_ord = x[order]
-    gaps = _wrap((x_ord[g.ahead] - x_ord) * g.slot_direction, length)
-    return gaps, np.maximum.reduceat(gaps, g.starts)[g.slot_group]
+    return _wrap((x_ord[g.ahead] - x_ord) * g.slot_direction, length)
 
 
 def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
     """Apply the safety-distance rule of ``step`` to every lane, in place.
 
-    The per-lane sweeps are computed as one segmented running minimum.
-    Each lane is laid out in cyclic driving order and read backwards from
-    its leader.  A vehicle's new speed is the least pre-step speed over
-    itself and the vehicles ahead of it, up to and including the first
-    one whose gap ahead exceeds SD; in a cycle lane, the least pre-step
-    speed of the whole lane.  The minimum runs over integer speed ranks:
-    subtracting run * n from every rank makes one ``minimum.accumulate``
-    restart at each run, and mapping the ranks back yields an exact speed
-    with no arithmetic on it.
+    A vehicle's new speed is the least pre-step speed over itself and the
+    vehicles ahead of it, up to and including the first one whose gap
+    ahead exceeds SD.  That is a minimum along a chain: each slot points
+    at the slot ahead when its gap is within SD, and at itself otherwise.
+    Pointer jumping computes it for all lanes at once: each pass takes the
+    minimum with the slot pointed at, then points every slot twice as far,
+    so k passes cover 2**k vehicles of each chain.  The loop stops at the
+    first pass that changes nothing, since no later pass can then change
+    anything, and after at most ``LaneGroups.passes`` passes.  A lane with
+    no gap over SD is one chain round the whole lane, so every vehicle
+    takes the lane's least speed.  The minimum does no arithmetic, so each
+    new speed is one of the pre-step speeds bit for bit.
 
     The order the last pass laid out is kept on the fleet and reused while
     a cheap check of the new gaps shows it still holds; otherwise every
-    lane is sorted afresh with ``lexsort``.  The check asks for three
+    lane is sorted afresh with ``lexsort``.  The check asks for two
     things:
 
     - no gap is zero, so there is no tie for the sort to break by id;
     - the gaps of all lanes sum to under (lanes + 1/2) laps.  With every
       gap positive, a lane's gaps sum to a whole number of laps, at least
-      one, and to exactly one only in driving order;
-    - each lane has exactly one widest gap.  A kept order may start a lane
-      at another vehicle than the sort would (a vehicle that wraps past
-      the ring's end rotates the sorted order), and only the tie-break
-      between widest gaps depends on where a lane starts.
+      one, and to exactly one only in driving order.
 
-    A one-vehicle lane has a zero gap, so a fleet with one is sorted on
-    every step.
+    A kept order may start a lane at another vehicle than the sort would
+    (a vehicle that wraps past the ring's end rotates the sorted order);
+    the chains do not depend on where a lane starts.  A one-vehicle lane
+    has a zero gap, so a fleet with one is sorted on every step.
     """
     g = fleet.lane_groups
-    n = fleet.n
-    lanes = g.starts.size
     order = fleet._order
     if order is not None:
-        gaps, widest = _lane_gaps(fleet.x, order, g, length)
-        if not (gaps.min() > 0.0 and gaps.sum() < (lanes + 0.5) * length
-                and np.count_nonzero(gaps == widest) == lanes):
+        gaps = _lane_gaps(fleet.x, order, g, length)
+        if not (gaps.min() > 0.0 and gaps.sum() < (g.lanes + 0.5) * length):
             order = None
     if order is None:
         order = np.lexsort((fleet.x * fleet.direction, g.group))
-        gaps, widest = _lane_gaps(fleet.x, order, g, length)
+        gaps = _lane_gaps(fleet.x, order, g, length)
     fleet._order = order
-    leader = np.minimum.reduceat(
-        np.where(gaps == widest, g.slot_offset, n), g.starts)[g.slot_group]
-    # walk[t] is the slot visited t-th, lane by lane, leader first.
-    walk = g.slot_start + (leader - g.slot_offset) % g.slot_count
-    vid = order[walk]
-    s = fleet.speed[vid]
-    by_speed = np.argsort(s)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_speed] = g.slot
-    restart = gaps[walk] > sd
-    # A lane with no gap over SD closes a cycle: its leader takes the lane's
-    # least pre-step speed, and the walk hands it down the whole lane.
-    cycle = ~restart[g.starts]
-    if cycle.any():
-        rank[g.starts[cycle]] = np.minimum.reduceat(rank, g.starts)[cycle]
-    restart[g.starts] = True
-    offset = np.cumsum(restart) * n
-    fleet.speed[vid] = s[by_speed[np.minimum.accumulate(rank - offset) + offset]]
+    nxt = np.where(gaps <= sd, g.ahead, g.slot)
+    m = fleet.speed[order]
+    for _ in range(g.passes):
+        m_next = np.minimum(m, m[nxt])
+        # NaN != NaN, so a NaN speed runs the loop to its cap.
+        if not (m_next != m).any():
+            break
+        m = m_next
+        nxt = nxt[nxt]
+    fleet.speed[order] = m
 
 
 def _advance(fleet: Fleet, cfg: MobilityConfig, gamma: np.ndarray) -> None:
@@ -283,20 +267,20 @@ def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
     """Advance the fleet by one time step, in place.
 
     Speed noise first, then position updates with ring wraparound, then the
-    safety-distance rule at the new spacings.  The rule acts as one sweep
-    per lane: start from the vehicle with the largest gap ahead (on a tie,
-    the one with the smallest position along its direction of travel),
-    walk the lane backwards, and give every vehicle within SD of the one
-    ahead at most that vehicle's speed.  Vehicles ahead are settled first,
-    so every crowded pair leaves the step with the rear no faster than the
-    front.  In the cycle case, when every gap of a lane is within SD, the
-    lane is one platoon with no vehicle free ahead of it: every vehicle
-    takes the lane's least speed, so the cycle's pairs are ordered too.
+    safety-distance rule at the new spacings.  The rule is a chain minimum
+    per lane: a vehicle within SD of the one ahead belongs to that one's
+    chain, and a vehicle with more than SD ahead ends its chain.  Each
+    vehicle takes the least pre-step speed over itself and the vehicles
+    ahead of it, up to and including the end of its chain, so every
+    crowded pair leaves the step with the rear no faster than the front.
+    In the cycle case, when every gap of a lane is within SD, the lane is
+    one platoon with no vehicle free ahead of it: its chain runs round the
+    whole lane and every vehicle takes the lane's least speed.
 
     Each lane's driving order is kept on the fleet from one step to the
     next and reused while a check of the new gaps confirms it (no zero
-    gap, one lap per lane, one widest gap per lane); otherwise the lanes
-    are sorted afresh.  Either way the step's result is the same.
+    gap, one lap per lane); otherwise the lanes are sorted afresh.  Either
+    way the step's result is the same.
     """
     _advance(fleet, cfg, rng.uniform(-1.0, 1.0, size=fleet.n))
 
@@ -307,12 +291,13 @@ def warm_up(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator,
         step(fleet, cfg, rng)
 
 
-# Most vehicles one batched warm-up steps at once.  Larger batches outgrow
-# the CPU caches: the shipped max-volume call's 1,200 warm-ups (198,000
-# vehicles) took 38-40 us per seed-step as one batch, 29-31 us in batches
-# of up to 2,000 or 16,000 vehicles and 22-26 us in batches of up to 4,000
-# or 8,000 (2-core Xeon VM, numpy 2.4.6).  One batch also lifted that
-# run's peak RSS from 58 to 111 MB.
+# Most vehicles one batched warm-up steps at once.  Warming up 240 keys
+# (5-10 veh/km, 40 seeds each) for 300 steps took 17-19 us per seed-step
+# in batches of up to 2,000 vehicles and 12-14 us in batches of up to
+# 4,000, 8,000 or 16,000 (2-core Xeon VM, numpy 2.4.6).  Much larger
+# batches cost time and memory: the shipped max-volume call's 1,200
+# warm-ups as one batch ran 14.3 s against 11.8 s and lifted its peak RSS
+# from 68 to 95 MB.
 BATCH_VEHICLES = 4_000
 
 

@@ -32,13 +32,14 @@ class InsufficientCapacityError(Exception):
     """Recruitment exhausted the fleet before covering the file."""
 
 
+# Both checks are written so that NaN fails them.
 def _check_volume(v_bytes: float) -> None:
-    if v_bytes < 0:
+    if not v_bytes >= 0:
         raise ValueError("file size must be non-negative")
 
 
 def _check_fragment_size(s_bytes: float) -> None:
-    if s_bytes <= 0:
+    if not s_bytes > 0:
         raise ValueError("fragment size must be positive")
 
 

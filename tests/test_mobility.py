@@ -273,6 +273,42 @@ def test_step_matches_scalar_sweep_exactly(case):
         assert cycles > 0
 
 
+# Pointer jumping covers 2**k vehicles of a chain in k passes, so chain
+# lengths on either side of a power of two catch a loop that stops a pass
+# early.
+@pytest.mark.parametrize("chain", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
+def test_crowded_chain_takes_its_front_speed(chain):
+    # One lane: a free vehicle 1 km behind a chain 50 m apart whose front
+    # vehicle is its slowest and free.  The free vehicle is slower still,
+    # so a minimum that leaks past a free vehicle shows too.
+    cfg = make_cfg(density=5.0, sd=150.0)
+    n = chain + 1
+    x = np.concatenate(([0.0], 1_000.0 + 50.0 * np.arange(chain)))
+    speed = np.concatenate(([V_MIN],
+                            V_MIN + 1.0 + 0.25 * np.arange(chain)[::-1]))
+    fleet = Fleet(x=x, y=np.full(n, 2.5), speed=speed,
+                  direction=np.ones(n, dtype=np.int64),
+                  lane=np.zeros(n, dtype=np.int64))
+    want = speed.copy()
+    _scalar_safety_rule(x, want, 1, cfg.safety_distance_m,
+                        cfg.lane_length_m)
+    mobility._brake_to_leaders(fleet, cfg.safety_distance_m,
+                               cfg.lane_length_m)
+    assert np.array_equal(fleet.speed, want)
+    assert np.array_equal(want, np.r_[V_MIN, np.full(chain, V_MIN + 1.0)])
+
+
+def test_a_nan_speed_cannot_hang_the_step():
+    # NaN != NaN, so the chain minimum never settles on a NaN speed; the
+    # pass cap must end it.
+    cfg = make_cfg(density=5.0)
+    fleet = Fleet(x=np.array([100.0, 200.0, 300.0]), y=np.full(3, 2.5),
+                  speed=np.array([20.0, np.nan, 25.0]),
+                  direction=np.ones(3, dtype=np.int64),
+                  lane=np.zeros(3, dtype=np.int64))
+    step(fleet, cfg, np.random.default_rng(0))
+
+
 def _overtaken(cfg, seed):
     """A scenario and an edit that swaps the positions of two neighbours
     in one lane, against the driving order the fleet keeps."""
@@ -308,7 +344,7 @@ KEPT_ORDER_CASES = {
                           v_min_mps=0.0, v_max_mps=200.0),
                  _as_is(_coincident), False),
     "tied-widest-gaps": (ORACLE_CASES["tied-gaps-cycle"][0], _as_is(_tied),
-                         False),
+                         True),
     "one-vehicle-lane": (make_cfg(5.0, 150.0), _as_is(_sparse), False),
 }
 

@@ -36,7 +36,8 @@ def test_cluster_fragment_accounting():
     assert empty.members[0].frag_count == 0
 
 
-@pytest.mark.parametrize("s_bytes", [0.0, -MB], ids=["zero", "negative"])
+@pytest.mark.parametrize("s_bytes", [0.0, -MB, math.nan],
+                         ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize("holders", [[9], []], ids=["holder", "no-holder"])
 def test_non_positive_fragment_size_is_rejected(s_bytes, holders):
     # Both ways a fragment size enters, even when no holder is reachable.
@@ -770,8 +771,9 @@ def test_negative_volume_is_rejected(read, holders):
     recruitment = recruit(head, fleet, MB, models, holders)
     assert (recruitment is None) == (not holders)
     traffic = (predicted(fleet, models),) if read is run_cft else ()
-    with pytest.raises(ValueError):
-        read(recruitment, -1.0, *traffic)
+    for v_bytes in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            read(recruitment, v_bytes, *traffic)
 
 
 def test_zero_byte_file_is_a_trivial_direct_success():

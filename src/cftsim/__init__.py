@@ -13,7 +13,7 @@ from .channel import (ChannelParams, RateTable, RateDistribution,
 from .connection import predict_connection_time, range_window
 from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
                   throughput, transmission_prob)
-from .mobility import (Fleet, MobilityConfig, init_scenario, step, warm_up,
+from .mobility import (Fleet, MobilityConfig, init_scenario, step,
                        warm_up_batch)
 from .protocol import (Ballistic, Cluster, LinkBudget, Models, Recruitment,
                        TransferOutcome, VehicleState,

@@ -11,6 +11,7 @@ lane's least speed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -65,7 +66,10 @@ class LaneGroups:
 
     Vehicles are grouped by (direction, lane).  Sorting by (group, position)
     puts each group in one block of "slots"; the per-slot arrays describe
-    that block layout.  It is fixed, since vehicles never change lanes.
+    that block layout.  It is fixed, since vehicles never change lanes,
+    and ``of`` builds it once per layout: every fleet with the same
+    direction and lane arrays, a fleet branched from a warm start for
+    one, shares it.
     """
 
     group: np.ndarray           # group id per vehicle
@@ -79,6 +83,11 @@ class LaneGroups:
 
     @classmethod
     def of(cls, direction: np.ndarray, lane: np.ndarray) -> "LaneGroups":
+        return _lane_groups(np.asarray(direction, np.int64).tobytes(),
+                            np.asarray(lane, np.int64).tobytes())
+
+    @classmethod
+    def build(cls, direction: np.ndarray, lane: np.ndarray) -> "LaneGroups":
         keys, group, counts = np.unique(
             np.stack((direction, lane)), axis=1, return_inverse=True,
             return_counts=True)
@@ -90,6 +99,14 @@ class LaneGroups:
             group=group.reshape(-1), slot=slot, lanes=counts.size,
             slot_direction=np.repeat(keys[0], counts), ahead=ahead,
             passes=int(counts.max() - 1).bit_length() + 1)
+
+
+# A 4,000-vehicle batch's layout takes about 200 kB with its key, so only
+# the layouts of the last few fleets and batches are kept.
+@functools.lru_cache(maxsize=16)
+def _lane_groups(direction: bytes, lane: bytes) -> LaneGroups:
+    return LaneGroups.build(np.frombuffer(direction, np.int64),
+                            np.frombuffer(lane, np.int64))
 
 
 @dataclass
@@ -285,54 +302,65 @@ def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
     _advance(fleet, cfg, rng.uniform(-1.0, 1.0, size=fleet.n))
 
 
-def warm_up(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator,
-            steps: int) -> None:
-    for _ in range(steps):
-        step(fleet, cfg, rng)
-
-
-# Most vehicles one batched warm-up steps at once.  Warming up 240 keys
-# (5-10 veh/km, 40 seeds each) for 300 steps took 17-19 us per seed-step
-# in batches of up to 2,000 vehicles and 12-14 us in batches of up to
-# 4,000, 8,000 or 16,000 (2-core Xeon VM, numpy 2.4.6).  Much larger
-# batches cost time and memory: the shipped max-volume call's 1,200
-# warm-ups as one batch ran 14.3 s against 11.8 s and lifted its peak RSS
-# from 68 to 95 MB.
+# Most vehicles one batched warm-up steps at once.  The callers are
+# simulator.warm_starts (max-volume and cluster-size warm-ups), the pair
+# sweeps' _snapshot_states, and Trajectory.step_together (the first rows of
+# max-volume trajectories, whose scenarios come in chunks of this size).
+# Warming up 240 keys (5-10 veh/km, 40 seeds each) for 300 steps took
+# 17-19 us per seed-step in batches of up to 2,000 vehicles and 12-14 us in
+# batches of up to 4,000, 8,000 or 16,000 (2-core Xeon VM, numpy 2.4.6).
+# Much larger batches cost time and memory: the shipped max-volume call's
+# 1,200 warm-ups as one batch ran 14.3 s against 11.8 s and lifted its
+# peak RSS from 68 to 95 MB.
 BATCH_VEHICLES = 4_000
+
+
+def batches(sizes: Sequence[int]) -> list[slice]:
+    """Consecutive runs of sizes, in order, of at most BATCH_VEHICLES
+    vehicles each; a size over the bound is a run of its own."""
+    runs, first, vehicles = [], 0, 0
+    for i, n in enumerate(sizes):
+        if i > first and vehicles + n > BATCH_VEHICLES:
+            runs.append(slice(first, i))
+            first, vehicles = i, 0
+        vehicles += n
+    return runs + [slice(first, len(sizes))] if sizes else []
 
 
 def warm_up_batch(
         members: Sequence[tuple[Fleet, MobilityConfig, np.random.Generator]],
-        steps: int) -> None:
-    """Warm several fleets up, each exactly as ``warm_up`` would.
+        steps: int, record: Sequence[tuple[np.ndarray, np.ndarray]] = ()
+) -> None:
+    """Step several fleets, each exactly as ``steps`` calls of ``step``
+    would.
 
     members holds (fleet, cfg, rng) triples whose configs agree in all but
     density_per_km.  Consecutive members are stepped together, in batches
-    of at most BATCH_VEHICLES vehicles (a larger member is a batch of its
-    own): every step draws each member's noise from its own generator, the
-    same draws ``warm_up`` makes, and then runs the kinematics and the
-    braking pass once over the lanes of the batch.  Each member's x and
-    speed are written back into its fleet.
+    of at most BATCH_VEHICLES vehicles (``batches``; a larger member is a
+    batch of its own): every step draws each member's noise from its own
+    generator, the same draws ``step`` makes, and then runs the kinematics
+    and the braking pass once over the lanes of the batch.  Each member's x and
+    speed are written back into its fleet.  record, if given, holds one
+    (x_rows, speed_rows) pair of arrays per member, with a row per step:
+    row j receives the member's x and speed after step j + 1.
     """
     if not members:
         raise ValueError("a batched warm-up needs at least one member")
+    if record and len(record) != len(members):
+        raise ValueError("record needs one pair of arrays per member")
     cfg = members[0][1]
     for _, other, _ in members:
         if replace(other, density_per_km=cfg.density_per_km) != cfg:
             raise ValueError("the members' mobility configs may differ only "
                              "in density_per_km")
-    batch, vehicles = [], 0
-    for member in members:
-        if batch and vehicles + member[0].n > BATCH_VEHICLES:
-            _warm_up_together(batch, cfg, steps)
-            batch, vehicles = [], 0
-        batch.append(member)
-        vehicles += member[0].n
-    _warm_up_together(batch, cfg, steps)
+    if steps == 0:
+        return
+    for run in batches([fleet.n for fleet, _, _ in members]):
+        _warm_up_together(members[run], cfg, steps, record[run])
 
 
-def _warm_up_together(members: list, cfg: MobilityConfig,
-                      steps: int) -> None:
+def _warm_up_together(members: Sequence, cfg: MobilityConfig, steps: int,
+                      record: Sequence) -> None:
     """Step the members' fleets as one fleet; see ``warm_up_batch``."""
     fleets = [fleet for fleet, _, _ in members]
     bounds = np.cumsum([0] + [fleet.n for fleet in fleets]).tolist()
@@ -347,7 +375,7 @@ def _warm_up_together(members: list, cfg: MobilityConfig,
     batch = Fleet(joined("x"), joined("y"), joined("speed"),
                   joined("direction"), lane + member * (lane.max() + 1))
     gamma = np.empty(batch.n)
-    for _ in range(steps):
+    for j in range(steps):
         # rng.uniform(-1.0, 1.0) draws u and returns -1 + 2u; the doubling
         # is exact, so this is the same number.
         for (_, _, rng), (lo, hi) in zip(members, spans):
@@ -355,6 +383,9 @@ def _warm_up_together(members: list, cfg: MobilityConfig,
         gamma *= 2.0
         gamma -= 1.0
         _advance(batch, cfg, gamma)
+        for (x_rows, speed_rows), (lo, hi) in zip(record, spans):
+            x_rows[j] = batch.x[lo:hi]
+            speed_rows[j] = batch.speed[lo:hi]
     for fleet, (lo, hi) in zip(fleets, spans):
         fleet.x[:] = batch.x[lo:hi]
         fleet.speed[:] = batch.speed[lo:hi]

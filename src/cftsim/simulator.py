@@ -8,7 +8,6 @@ always retain the per-run records they were computed from.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -94,20 +93,28 @@ def _pair_connection_times(dx, dy, dvx, comm_range_m):
     return (-a + np.sqrt(radicand)) / b
 
 
-def _snapshot_states(cfg: Config, density: float, sd: float, seed_idx: int,
-                     stream: str):
-    """Warmed-up fleet snapshots for pair sampling, shared across ranges."""
+def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
+    """Warmed-up fleet snapshots for pair sampling, one list per seed, each
+    shared across ranges.
+
+    Every seed is stepped in one mobility.warm_up_batch call per snapshot:
+    the first call takes warmup_steps and each later one the snapshot
+    stride, and every fleet is copied after each call.  A seed's snapshots
+    are exactly what stepping it alone gives.
+    """
     e = cfg.experiments
     mcfg = cfg.mobility(density, sd)
-    rng = _rng(e.base_seed, stream, _seed_key(density, 1000), _seed_key(sd),
-               seed_idx)
-    fleet = mobility.init_scenario(mcfg, rng)
-    mobility.warm_up(fleet, mcfg, rng, e.warmup_steps)
-    snaps = [fleet.copy()]
+    members = []
+    for seed_idx in range(e.seeds):
+        rng = _rng(e.base_seed, stream, _seed_key(density, 1000),
+                   _seed_key(sd), seed_idx)
+        members.append((mobility.init_scenario(mcfg, rng), mcfg, rng))
     stride = max(int(round(e.snapshot_stride_s / mcfg.step_s)), 1)
-    for _ in range(e.snapshots - 1):
-        mobility.warm_up(fleet, mcfg, rng, stride)
-        snaps.append(fleet.copy())
+    snaps = [[] for _ in members]
+    for steps in [e.warmup_steps] + [stride] * (e.snapshots - 1):
+        mobility.warm_up_batch(members, steps)
+        for seed_snaps, (fleet, _, _) in zip(snaps, members):
+            seed_snaps.append(fleet.copy())
     return snaps, mcfg
 
 
@@ -115,13 +122,18 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
                 pair_values) -> SweepResult:
     """Per-range mean of pair_values(dist, dts) over in-range opposite
     pairs, given their distances and horizon-capped residual connection
-    times; each seed's mean over its snapshots is one record."""
+    times; each seed's mean over its snapshots is one record.
+
+    A seed none of whose snapshots has a pair in range gives no record, so
+    a range that no pair reaches in any seed gets the row value nan and
+    n_runs 0.
+    """
     e = cfg.experiments
     density = e.connection_density_per_km
     sd = e.safety_distance_m
     records = {(r_m,): [] for r_m in e.comm_ranges_m}
-    for seed_idx in range(e.seeds):
-        snaps, mcfg = _snapshot_states(cfg, density, sd, seed_idx, stream)
+    seed_snaps, mcfg = _snapshot_states(cfg, density, sd, stream)
+    for snaps in seed_snaps:
         vals = {r_m: [] for r_m in e.comm_ranges_m}
         for fleet in snaps:
             # A snapshot's pairs serve every range.
@@ -137,8 +149,11 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
         for r_m in e.comm_ranges_m:
             if vals[r_m]:
                 records[(r_m,)].append(float(np.mean(vals[r_m])))
-    rows = [(r_m, density, sd, float(np.mean(records[(r_m,)])),
-             len(records[(r_m,)])) for r_m in e.comm_ranges_m]
+    rows = []
+    for r_m in e.comm_ranges_m:
+        rec = records[(r_m,)]
+        mean = float(np.mean(rec)) if rec else math.nan
+        rows.append((r_m, density, sd, mean, len(rec)))
     return SweepResult(
         header=["comm_range_m", "density_per_km", "safety_distance_m",
                 value_name, "n_runs"],
@@ -158,32 +173,44 @@ def connection_time_sweep(cfg: Config) -> SweepResult:
 
 
 class _RateCache:
-    """Memoised expected rate lookup, quantised to 0.25 m."""
+    """Expected rate by link distance, quantised down to 0.25 m, for
+    capability_sweep's pairs.
 
-    def __init__(self, cfg: Config):
+    A dense table over the keys int(4 * d) up to max_distance_m.  Each key
+    is filled once, on first use, by the scalar
+    expected_rate(max(key / 4, 0.25)); a vectorised rate is not bit-exact
+    against it (numpy's pow is not libm's), and at a few seeds most keys
+    are never read.
+    """
+
+    def __init__(self, cfg: Config, max_distance_m: float):
         self.cfg = cfg
-        self._cache = {}
+        self._table = np.full(int(4 * max_distance_m) + 1, np.nan)
 
-    def __call__(self, distance_m: float) -> float:
-        key = int(distance_m * 4)
-        hit = self._cache.get(key)
-        if hit is None:
-            d = max(key / 4.0, 0.25)
-            hit = expected_rate(d, self.cfg.channel, self.cfg.rates)
-            self._cache[key] = hit
-        return hit
+    def __call__(self, dist: np.ndarray) -> np.ndarray:
+        keys = (dist * 4).astype(np.int64)
+        rates = self._table[keys]
+        missing = np.isnan(rates)
+        if missing.any():
+            for key in np.unique(keys[missing]).tolist():
+                self._table[key] = expected_rate(
+                    max(key / 4.0, 0.25), self.cfg.channel, self.cfg.rates)
+            rates = self._table[keys]
+        return rates
+
+    def capacities(self, dist: np.ndarray, dts: np.ndarray,
+                   s_bytes: float) -> np.ndarray:
+        """Whole fragments of s_bytes each pair's link carries in its
+        time dts, in bytes: s * int(rate * t / (8 s)), pair by pair."""
+        return s_bytes * np.trunc(self(dist) * dts / (8.0 * s_bytes))
 
 
 def capability_sweep(cfg: Config) -> SweepResult:
     """Mean whole-fragment link capacity over the same pair population."""
     s = cfg.experiments.fragment_bytes
-    frag_bits = 8.0 * s
-    rate_of = _RateCache(cfg)
-
-    def capacities(dist, dts):
-        return [s * int(rate_of(d) * t / frag_bits) for d, t in zip(dist, dts)]
-
-    return _pair_sweep(cfg, "capability", "avg_capability_bytes", capacities)
+    rates = _RateCache(cfg, max(cfg.experiments.comm_ranges_m))
+    return _pair_sweep(cfg, "capability", "avg_capability_bytes",
+                       lambda dist, dts: rates.capacities(dist, dts, s))
 
 
 def throughput_sweep(cfg: Config) -> SweepResult:
@@ -225,21 +252,21 @@ class Trajectory:
 
     The trajectory owns the fleet and the generator of its traffic, and
     steps them only as far as a reader asks: ``state`` to the step it
-    reads, ``window`` until the pair's first in-range run has closed.  The
-    horizon caps how far a reader may look; a read past it sees the last
-    step.  Nothing else draws from the generator after the request
-    instant, so a step taken late draws the same numbers as one taken at
-    once.  ``x`` and ``speed`` hold the rows stepped so far, one per step
-    from the request instant (row 0).
+    reads, ``window`` until the pair's first in-range run has closed.
+    ``step_together`` steps the first rows of several fresh trajectories
+    at once, before any reader asks.  The horizon caps how far a reader
+    may look; a read past it sees the last step.  Nothing else draws from
+    the generator after the request instant, so a step taken late draws
+    the same numbers as one taken at once.  ``x`` and ``speed`` hold the
+    rows stepped so far, one per step from the request instant (row 0).
     """
 
     def __init__(self, fleet: Fleet, mcfg: MobilityConfig,
                  rng: np.random.Generator, horizon_s: float):
         self._fleet, self._mcfg, self._rng = fleet, mcfg, rng
         self.n_steps = int(round(horizon_s / mcfg.step_s))
-        self._x = np.empty((self.n_steps + 1, fleet.n))
-        self._speed = np.empty((self.n_steps + 1, fleet.n))
-        self._x[0], self._speed[0] = fleet.x, fleet.speed
+        self._x = fleet.x[None, :].copy()
+        self._speed = fleet.speed[None, :].copy()
         self._k = 0              # last row stepped
         self.y = fleet.y
         self.direction = fleet.direction
@@ -255,10 +282,41 @@ class Trajectory:
     def speed(self) -> np.ndarray:
         return self._speed[:self._k + 1]
 
+    @staticmethod
+    def step_together(trajectories: list["Trajectory"], k: int) -> None:
+        """Step fresh trajectories (row 0 only) to row k, capped at the
+        horizon, in the batch kernel (mobility.warm_up_batch).  Each
+        records the rows, and draws the numbers, that stepping it on
+        demand would."""
+        if any(t._k for t in trajectories):
+            raise ValueError("only a fresh trajectory is stepped together")
+        k = min([k] + [t.n_steps for t in trajectories])
+        if k <= 0:
+            return
+        for t in trajectories:
+            t._reserve(k + 1)
+        mobility.warm_up_batch(
+            [(t._fleet, t._mcfg, t._rng) for t in trajectories], k,
+            [(t._x[1:k + 1], t._speed[1:k + 1]) for t in trajectories])
+        for t in trajectories:
+            t._k = k
+
+    def _reserve(self, rows: int) -> None:
+        """Room for at least rows rows.  The record grows by doubling, up
+        to the horizon, so a trajectory read a few rows deep stays small."""
+        have = self._x.shape[0]
+        if rows > have:
+            rows = min(max(rows, 2 * have), self.n_steps + 1)
+            for name in ("_x", "_speed"):
+                grown = np.empty((rows, self._fleet.n))
+                grown[:self._k + 1] = getattr(self, name)[:self._k + 1]
+                setattr(self, name, grown)
+
     def _step_to(self, k: int) -> int:
         """Step until row k, capped at the horizon, is recorded; returns
         the capped k."""
         k = min(k, self.n_steps)
+        self._reserve(k + 1)
         while self._k < k:
             mobility.step(self._fleet, self._mcfg, self._rng)
             self._k += 1
@@ -368,6 +426,14 @@ def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float,
     return starts
 
 
+def _branch_rng(rng: np.random.Generator) -> np.random.Generator:
+    """A generator at rng's point of rng's stream, drawing independently of
+    rng: a copy of its bit generator's state."""
+    bit_generator = type(rng.bit_generator)()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
 def request_instant(start: WarmStart, request_at: str):
     """Branch from a warm start and step it to the instant its file
     request fires; start itself is left as it was.
@@ -392,7 +458,7 @@ def request_instant(start: WarmStart, request_at: str):
     if request_at not in ("contact", "encounter"):
         raise ValueError(f"unknown request_at '{request_at}'")
     mcfg, comm_range_m = start.mcfg, start.comm_range_m
-    fleet, rng = start.fleet.copy(), copy.deepcopy(start.rng)
+    fleet, rng = start.fleet.copy(), _branch_rng(start.rng)
 
     fwd = np.nonzero(fleet.direction > 0)[0]
     bwd = np.nonzero(fleet.direction < 0)[0]
@@ -533,6 +599,36 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     return float(lo * s)
 
 
+# Rows of every max-volume trajectory stepped in the batch kernel before
+# its readers step on demand.  At the shipped config direct scenarios read
+# a median of 7 rows (max 15) and CFT scenarios a median of 22 (p90 34,
+# max 70), of 120.  In an interleaved scan (9 rounds, 2-core Xeon VM,
+# numpy 2.4.6) the max-volume time against K = 0 read 0.94 / 0.93 / 0.87 /
+# 0.87 / 0.88 / 0.92 at K = 8 / 16 / 24 / 32 / 48 / 64 for CFT alone at 2
+# seeds, and 0.92 / 0.90 / 0.87 / 0.89 / 0.92 / 0.97 for both schemes at
+# 6 and 12 seeds.
+HEAD_STEPS = 24
+
+
+def _transfer_scenarios(cfg: Config, requests):
+    """The TransferScenario of each (start, request_at) in requests, in
+    order, from build_transfer_scenario.
+
+    They are built in chunks of at most mobility.BATCH_VEHICLES vehicles
+    (mobility.batches), and the first HEAD_STEPS rows of a chunk's
+    trajectories are stepped together (Trajectory.step_together) before
+    any is read.  Only one chunk is alive at a time, and each scenario is
+    dropped from it as it is handed out.
+    """
+    for run in mobility.batches([start.fleet.n for start, _ in requests]):
+        chunk = [build_transfer_scenario(cfg, start, request_at)
+                 for start, request_at in requests[run]]
+        Trajectory.step_together([scen.trajectory for scen in chunk],
+                                 HEAD_STEPS)
+        while chunk:
+            yield chunk.pop(0)
+
+
 # Per scheme: the instant its request fires and the volume one scenario
 # delivers.  An opportunistic transfer can only use the remainder of the
 # link it happens to have; a planned transfer starts when the resource is
@@ -549,9 +645,12 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
     One row per (scheme, density), scheme by scheme in the order given.
     Seed k of every scheme has the same RNG key, so it is warmed up once
     and each scheme that runs seed k branches from it.  The warm-ups of
-    every (density, seed) of the call run first, together.  Each
-    scenario's trajectory is stepped only as far as its readers look, up
-    to the experiment horizon.
+    every (density, seed) of the call run first, together.  The scenarios
+    then come in chunks of at most mobility.BATCH_VEHICLES vehicles: the
+    first HEAD_STEPS rows of a chunk's trajectories are stepped together
+    in the batch kernel (mobility.warm_up_batch), and each trajectory is
+    stepped on demand past them, only as far as its readers look, up to
+    the experiment horizon.
     """
     e = cfg.experiments
     r_m = e.max_volume_range_m
@@ -572,13 +671,14 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
             for seed_idx in range(most_seeds)]
     starts = warm_starts(cfg, keys, sd, r_m, e.max_volume_warmup_steps,
                          "max-volume")
-    for (density, seed_idx), start in zip(keys, starts):
-        for scheme in schemes:
-            if seed_idx < n_seeds[scheme]:
-                request_at, one_seed = _SCHEMES[scheme]
-                scen = build_transfer_scenario(cfg, start, request_at)
-                records[(scheme, density)].append(
-                    one_seed(cfg, scen, density, r_m))
+    runs = [(scheme, density, start)
+            for (density, seed_idx), start in zip(keys, starts)
+            for scheme in schemes if seed_idx < n_seeds[scheme]]
+    scenarios = _transfer_scenarios(
+        cfg, [(start, _SCHEMES[scheme][0]) for scheme, _, start in runs])
+    for (scheme, density, _), scen in zip(runs, scenarios):
+        records[(scheme, density)].append(
+            _SCHEMES[scheme][1](cfg, scen, density, r_m))
     rows = []
     for (scheme, density), per_seed in records.items():
         # Largest volume still achieved by at least success_fraction of runs.

@@ -7,7 +7,7 @@ import pytest
 
 from cftsim import mobility
 from cftsim.config import load_config
-from cftsim.mobility import (Fleet, init_scenario, ring_delta, step, warm_up,
+from cftsim.mobility import (Fleet, init_scenario, ring_delta, step,
                              warm_up_batch)
 
 CFG = load_config()
@@ -17,6 +17,12 @@ V_MAX = CFG.mobility_defaults["v_max_mps"]
 
 def make_cfg(density=5.0, sd=150.0, **kw):
     return dataclasses.replace(CFG.mobility(density, sd), **kw)
+
+
+def warm_up(fleet, cfg, rng, steps):
+    """The single-fleet oracle of every batched step: steps calls of step."""
+    for _ in range(steps):
+        step(fleet, cfg, rng)
 
 
 class _ConstRng:
@@ -474,10 +480,61 @@ def test_batched_warm_up_equals_per_seed_warm_up(monkeypatch, keys, bound,
         assert gen.bit_generator.state == want_gen.bit_generator.state
 
 
+# A bound of 250 vehicles puts each of the members (110, 220, 110) in a
+# batch of its own.
+@pytest.mark.parametrize("bound", [mobility.BATCH_VEHICLES, 250])
+def test_batched_steps_record_every_row(monkeypatch, bound):
+    monkeypatch.setattr(mobility, "BATCH_VEHICLES", bound)
+    steps = 40
+
+    def members():
+        out = []
+        for density, seed in [(5.0, 1), (10.0, 2), (5.0, 3)]:
+            cfg = make_cfg(density, 250.0)
+            gen = np.random.default_rng(seed)
+            out.append((init_scenario(cfg, gen), cfg, gen))
+        return out
+
+    batch, alone = members(), members()
+    record = [(np.empty((steps, fleet.n)), np.empty((steps, fleet.n)))
+              for fleet, _, _ in batch]
+    warm_up_batch(batch, steps, record)
+    for (fleet, _, gen), (x_rows, speed_rows), (want, cfg, want_gen) in zip(
+            batch, record, alone):
+        for j in range(steps):
+            step(want, cfg, want_gen)
+            assert np.array_equal(x_rows[j], want.x)
+            assert np.array_equal(speed_rows[j], want.speed)
+        assert np.array_equal(fleet.x, want.x)
+        assert np.array_equal(fleet.speed, want.speed)
+        assert gen.bit_generator.state == want_gen.bit_generator.state
+
+
+def test_lane_groups_are_built_once_per_layout():
+    cfg = make_cfg(5.0)
+    a = init_scenario(cfg, np.random.default_rng(1))
+    b = init_scenario(cfg, np.random.default_rng(2))
+    # A fleet branched from a warm start, as a request instant branches it,
+    # with no layout of its own yet.
+    branch = Fleet(a.x.copy(), a.y.copy(), a.speed.copy(),
+                   a.direction.copy(), a.lane.copy())
+    assert a.lane_groups is b.lane_groups is branch.lane_groups
+    want = mobility.LaneGroups.build(a.direction, a.lane)
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(a.lane_groups, name), value)
+    other = init_scenario(make_cfg(10.0), np.random.default_rng(1))
+    assert other.lane_groups is not a.lane_groups
+
+
 def test_batched_warm_up_rejects_bad_batches():
     gen = np.random.default_rng(0)
     with pytest.raises(ValueError):
         warm_up_batch([], 10)
+    cfg = make_cfg(5.0)
+    fleet = init_scenario(cfg, gen)
+    with pytest.raises(ValueError):     # one record for two members
+        warm_up_batch([(fleet, cfg, gen), (fleet.copy(), cfg, gen)], 1,
+                      [(np.empty((1, fleet.n)), np.empty((1, fleet.n)))])
     for other in (make_cfg(10.0, 250.0),
                   make_cfg(10.0, 150.0, lanes_per_direction=3),
                   make_cfg(10.0, 150.0, step_s=0.5)):

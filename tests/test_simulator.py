@@ -1,13 +1,16 @@
 """Experiment engine: determinism, aggregation, scenario construction."""
 
+import copy
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from cftsim import mobility, simulator
+from cftsim.channel import expected_rate
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
@@ -18,6 +21,7 @@ from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               connection_time_sweep, max_transfer_volume,
                               rate_curve, run_sweep, throughput_sweep,
                               write_csv)
+from test_mobility import warm_up
 
 MB = 1_000_000.0
 
@@ -90,6 +94,130 @@ def test_pair_sweep_rows_recompute_from_records(small_cfg, sweep, value_name):
     # longer range, longer chords: the mean grows with r
     assert res.rows[1][3] > res.rows[0][3]
     assert sweep(small_cfg).rows == res.rows     # bit-identical repeat
+
+
+def test_a_range_no_pair_reaches_gives_nan_and_no_runs(tmp_path):
+    # Opposite lanes lie 5 m apart or more, so no pair is ever within 1 m.
+    cfg = load_config(overrides=["experiments.comm_range_m=[1, 250]",
+                                 "experiments.seeds=2"])
+    for sweep in (connection_time_sweep, capability_sweep):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sweep(cfg)
+        near, far = res.rows
+        assert math.isnan(near[3]) and near[4] == 0
+        assert res.records[(1.0,)] == []
+        assert far[3] > 0.0 and far[4] == 2
+        write_csv(str(tmp_path / "out.csv"), res)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[1] == "1.000000,5.000000,150.000000,nan,0"
+
+
+@pytest.mark.parametrize("snapshots", [1, 3])
+@pytest.mark.parametrize("warmup_steps", [0, 15])
+def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, snapshots,
+                                                  warmup_steps):
+    cfg = load_config(overrides=[f"experiments.snapshots={snapshots}",
+                                 f"experiments.warmup_steps={warmup_steps}",
+                                 "experiments.seeds=4"])
+    e = cfg.experiments
+    density, sd = e.connection_density_per_km, e.safety_distance_m
+    gens = []
+    real_rng = simulator._rng
+
+    def keeping(*args):
+        gens.append(real_rng(*args))
+        return gens[-1]
+
+    monkeypatch.setattr(simulator, "_rng", keeping)
+    seed_snaps, mcfg = simulator._snapshot_states(cfg, density, sd,
+                                                  "connection")
+    stride = round(e.snapshot_stride_s / mcfg.step_s)
+    assert len(seed_snaps) == len(gens) == 4
+    for seed_idx, (snaps, gen) in enumerate(zip(seed_snaps, gens)):
+        rng = real_rng(e.base_seed, "connection",
+                       simulator._seed_key(density, 1000),
+                       simulator._seed_key(sd), seed_idx)
+        fleet = mobility.init_scenario(mcfg, rng)
+        assert len(snaps) == snapshots
+        for k, snap in enumerate(snaps):
+            warm_up(fleet, mcfg, rng, stride if k else warmup_steps)
+            assert np.array_equal(snap.x, fleet.x)
+            assert np.array_equal(snap.speed, fleet.speed)
+        assert gen.bit_generator.state == rng.bit_generator.state
+
+
+def _scalar_rate(cfg, d):
+    """One pair's rate as capability_sweep once looked it up, pair by pair,
+    memoised by int(4 d)."""
+    return expected_rate(max(int(d * 4) / 4.0, 0.25), cfg.channel, cfg.rates)
+
+
+def test_rate_table_capacities_equal_the_scalar_expression(monkeypatch,
+                                                           default_cfg):
+    cfg = default_cfg
+    s = cfg.experiments.fragment_bytes
+    r_m, far_m = 600.0, 100_000.0
+    gen = np.random.default_rng(5)
+    quarters = np.arange(4 * int(r_m) + 1) / 4.0
+    dist = np.concatenate([
+        gen.uniform(0.0, r_m, 3_000),
+        quarters, np.nextafter(quarters, 0.0), np.nextafter(quarters, r_m),
+        [0.0, 1e-9, 0.1, 0.2, np.nextafter(0.25, 0.0), 0.25, r_m],
+        # Zero expected rate this far out.
+        [60_000.0, 99_999.9, far_m],
+    ])
+    dts = gen.uniform(0.0, 120.0, dist.size)
+    dts[:10] = 0.0
+    dts[10:20] = 120.0
+    assert expected_rate(far_m, cfg.channel, cfg.rates) == 0.0
+    calls = []
+    monkeypatch.setattr(simulator, "expected_rate",
+                        lambda *args: calls.append(1) or expected_rate(*args))
+    table = simulator._RateCache(cfg, far_m)
+    got = table.capacities(dist, dts, s)
+    # Each key is filled once, and only the keys read.
+    keys = {int(d * 4) for d in dist.tolist()}
+    assert len(calls) == len(keys)
+    assert table.capacities(dist, dts, s).tobytes() == got.tobytes()
+    assert len(calls) == len(keys)
+    rate_of = {}
+    for d in dist:
+        rate_of.setdefault(int(d * 4), _scalar_rate(cfg, d))
+    rates = [rate_of[int(d * 4)] for d in dist]
+    assert table(dist).tolist() == rates
+    want = [s * int(rate * t / (8.0 * s)) for rate, t in zip(rates, dts)]
+    assert got.tolist() == want
+    assert got[-1] == 0.0 and rates[-1] == 0.0
+
+
+def test_branched_generator_draws_as_a_deep_copy():
+    for gen in (np.random.default_rng(3),
+                np.random.Generator(np.random.Philox(4)),
+                np.random.Generator(np.random.MT19937(5))):
+        # An odd number of 32-bit draws leaves half a word buffered.
+        gen.random(7)
+        gen.integers(0, 10, size=3, dtype=np.uint32)
+        before = gen.bit_generator.state
+        twin, deep = simulator._branch_rng(gen), copy.deepcopy(gen)
+        assert type(twin.bit_generator) is type(gen.bit_generator)
+
+        def draws(g):
+            return [g.random(5), g.integers(0, 1 << 40, size=4),
+                    g.integers(0, 10, size=3, dtype=np.uint32),
+                    g.uniform(-1.0, 1.0, size=6), g.standard_normal(3)]
+
+        for a, b in zip(draws(twin), draws(deep)):
+            assert a.tobytes() == b.tobytes()
+        assert _same(twin.bit_generator.state, deep.bit_generator.state)
+        assert _same(gen.bit_generator.state, before)
+
+
+def _same(a, b) -> bool:
+    """Equality of bit-generator states, whose values may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 def test_connection_means_cap_at_the_horizon(small_cfg):
@@ -259,6 +387,54 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     assert want_window(head, resource, 1.0) == (0.0, 0.0)
     assert traj.window(head, resource, 1.0) == (0.0, 0.0)
     assert np.array_equal(traj.x, xs)
+
+
+# A bound of 400 vehicles splits every call below into several chunks.
+@pytest.mark.parametrize("head_steps", [0, 1, simulator.HEAD_STEPS,
+                                        "n_steps"])
+def test_batch_stepped_heads_equal_on_demand_rows(monkeypatch, head_steps):
+    cfg = load_config(overrides=[
+        "experiments.max_volume.density_per_km=[5, 10]",
+        "experiments.max_volume.seeds=3",
+        "experiments.max_volume.direct_seeds=4",
+        "experiments.max_volume.warmup_steps=60",
+        "experiments.base_seed=17",
+    ])
+    e = cfg.experiments
+    n_steps = round(e.horizon_s / cfg.mobility_defaults["step_s"])
+    head_steps = n_steps if head_steps == "n_steps" else head_steps
+    monkeypatch.setattr(mobility, "BATCH_VEHICLES", 400)
+    monkeypatch.setattr(simulator, "HEAD_STEPS", 0)
+    on_demand = max_transfer_volume(cfg, "direct", "cft")
+    monkeypatch.setattr(simulator, "HEAD_STEPS", head_steps)
+    assert max_transfer_volume(cfg, "direct", "cft") == on_demand
+
+    keys = [(5.0, 0), (10.0, 1), (10.0, 2), (5.0, 3)]
+    starts = simulator.warm_starts(cfg, keys, e.max_volume_sd_m,
+                                   e.max_volume_range_m, 15, "max-volume")
+    requests = [(start, request_at) for start in starts
+                for request_at in ("contact", "encounter")]
+    scenarios = list(simulator._transfer_scenarios(cfg, requests))
+    assert len(scenarios) == len(requests)
+    for scen, (start, request_at) in zip(scenarios, requests):
+        fleet, head, resource, rng = simulator.request_instant(start,
+                                                               request_at)
+        assert (scen.head_vid, scen.resource_vid) == (head, resource)
+        xs, sp = _eager_record(fleet, start.mcfg, rng, n_steps)
+        traj = scen.trajectory
+        assert traj.x.shape == (head_steps + 1, fleet.n)
+        assert np.array_equal(traj.x, xs[:head_steps + 1])
+        assert np.array_equal(traj.speed, sp[:head_steps + 1])
+        # On demand past the batch-stepped rows.
+        traj.state(head, e.horizon_s)
+        assert np.array_equal(traj.x, xs) and np.array_equal(traj.speed, sp)
+
+
+def test_only_fresh_trajectories_are_stepped_together(default_cfg):
+    scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, 0)
+    scen.trajectory.state(scen.head_vid, 2.0)
+    with pytest.raises(ValueError):
+        simulator.Trajectory.step_together([scen.trajectory], 5)
 
 
 def test_contact_request_catches_an_ongoing_pass(default_cfg):

@@ -715,14 +715,31 @@ def run_cft(recruitment: Recruitment | None, v_bytes: float,
     return _evaluate_plan(planned, recruitment, traffic)
 
 
-def run_direct_baseline(recruitment: Recruitment | None,
-                        v_bytes: float) -> TransferOutcome:
+def run_direct_baseline(recruitment: Recruitment | None, v_bytes: float,
+                        traffic) -> TransferOutcome:
     """Single-link transfer that discards files too large for the link.
 
-    The baseline scheme never clusters: when the best responder's capacity
-    is below the file size the transfer is simply not attempted.
+    The baseline scheme never clusters: when the head-resource link's
+    predicted capacity is below the file size the transfer is simply not
+    attempted.  An attempted file is the head's own download, scored
+    against traffic (Ballistic or simulator.Trajectory) as _evaluate_plan
+    scores a cluster's head, in recruitment.scores; mode is "direct" when
+    it delivers the whole file.  The outcome has no cluster (n_c 0), and
+    member_results holds the head's MemberResult.
     """
-    outcome = _direct_outcome(recruitment, v_bytes)
-    if outcome is None:
+    attempt = _direct_outcome(recruitment, v_bytes)
+    if attempt is None or attempt.mode != "direct":
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    return outcome
+    link, s_bytes = recruitment.head_budget, recruitment.s_bytes
+    # A link that never closes (head and resource at standstill) covers an
+    # unbounded file; the window traffic gives then bounds what arrives.
+    n_frags = v_bytes / s_bytes
+    head = ClusterMember(recruitment.head.vid, link, link.n_frags, 0,
+                         n_frags if math.isinf(n_frags) else math.ceil(n_frags))
+    scored = _evaluate_plan(
+        Cluster(head.vid, recruitment.resource.vid, [head], v_bytes, s_bytes),
+        recruitment, traffic)
+    return TransferOutcome(
+        mode="direct" if scored.mode == "clustered" else "failed",
+        bytes_delivered=scored.bytes_delivered,
+        member_results=scored.member_results)

@@ -18,7 +18,10 @@ from . import mobility
 from .channel import expected_rate
 from .config import Config
 from .mobility import Fleet, MobilityConfig
-from .protocol import VehicleState, form_cluster, link_budget, recruit, run_cft
+from .protocol import (VehicleState, form_cluster, recruit, run_cft,
+                       run_direct_baseline)
+# Not called here: perfbench/tracing.py times link_budget at this lookup site.
+from .protocol import link_budget  # noqa: F401
 
 # Stream ids keep RNG derivation stable without relying on string hashing.
 _STREAMS = {"connection": 1, "capability": 2, "max-volume": 3, "cluster": 4}
@@ -85,12 +88,15 @@ def _cross_direction_pairs(fleet: Fleet, length_m: float):
 
 
 def _pair_connection_times(dx, dy, dvx, comm_range_m):
-    """Vectorised residual connection time for in-range opposite pairs."""
+    """Vectorised residual connection time for in-range opposite pairs;
+    inf for a pair with no relative speed (both at standstill), as
+    predict_connection_time gives."""
     a = dvx * dx
     b = dvx * dvx
     radicand = b * comm_range_m**2 - (dvx * dy) ** 2
     radicand = np.maximum(radicand, 0.0)
-    return (-a + np.sqrt(radicand)) / b
+    return np.divide(-a + np.sqrt(radicand), b, out=np.full_like(b, np.inf),
+                     where=b != 0.0)
 
 
 def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
@@ -542,20 +548,21 @@ def build_transfer_scenario(cfg: Config, start: WarmStart,
 
 def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
                        comm_range_m: float) -> float:
-    """Largest file, in bytes, the head-resource link alone delivers."""
-    s = cfg.experiments.fragment_bytes
-    models = cfg.models(comm_range_m, density)
-    head = scen.trajectory.state(scen.head_vid, 0.0)
-    resource = scen.trajectory.state(scen.resource_vid, 0.0)
-    try:
-        b = link_budget(head, resource, s, models)
-    except ValueError:
+    """Largest file, in bytes, the head-resource link alone delivers: what
+    protocol.run_direct_baseline delivers on the trajectory when asked for
+    the link's predicted capacity (0.0 out of range).  The request reads
+    only the head and the resource, so scen.states is never built.
+    """
+    t = scen.trajectory
+    pair = [t.state(scen.head_vid, 0.0), t.state(scen.resource_vid, 0.0)]
+    recruitment = recruit(pair[0], pair, cfg.experiments.fragment_bytes,
+                          cfg.models(comm_range_m, density),
+                          [scen.resource_vid])
+    if recruitment is None:
         return 0.0
-    t_in, t_out = scen.trajectory.window(
-        scen.head_vid, scen.resource_vid, comm_range_m)
-    realized = int(b.e_c_bps * (t_out - t_in) / (8.0 * s))
-    n = min(b.n_frags, realized)
-    return float(min(n, 1_000_000) * s)
+    return run_direct_baseline(recruitment,
+                               recruitment.head_budget.capacity_bytes,
+                               t).bytes_delivered
 
 
 def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
@@ -630,9 +637,10 @@ def _transfer_scenarios(cfg: Config, requests):
 
 
 # Per scheme: the instant its request fires and the volume one scenario
-# delivers.  An opportunistic transfer can only use the remainder of the
-# link it happens to have; a planned transfer starts when the resource is
-# first discovered, with the whole pass ahead.
+# delivers, both scored on the scenario's trajectory.  An opportunistic
+# transfer (protocol.run_direct_baseline) can only use the remainder of the
+# link it happens to have; a planned transfer (protocol.run_cft) starts when
+# the resource is first discovered, with the whole pass ahead.
 _SCHEMES = {
     "direct": ("contact", _direct_max_volume),
     "cft": ("encounter", _cft_max_volume),

@@ -6,6 +6,7 @@ shipped default configuration and take about 15 s together on 2 cores.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -202,7 +203,25 @@ def test_criterion_07_transmission_capability_band(default_cfg):
     assert r2 >= 0.95
 
 
-def test_criterion_08_cft_vs_direct_max_volume(default_cfg):
+# SHA-256 of the CLI CSVs at the shipped config that criteria 8 and 9
+# compute anyway: a change meant to keep the output must keep them.
+SHIPPED_CSVS = {
+    "max-volume":
+        "555f87c564538a0d2036eb87cb2b38f21b3a00b61c5a60b7fc47c94c97176102",
+    "cluster-size":
+        "2ea0029a5e919dc337657647e3e772b35abeb28c0b40a96644ccf1e1eafd9758",
+}
+
+
+def _assert_shipped_digest(tmp_path, command, result):
+    path = tmp_path / f"{command}.csv"
+    write_csv(str(path), result)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(f"{command}.csv sha256 {digest}")
+    assert digest == SHIPPED_CSVS[command]
+
+
+def test_criterion_08_cft_vs_direct_max_volume(tmp_path, default_cfg):
     # At R=250 m over rho=5..10: direct within 35-45 MB +/- 25% and varying
     # by < 20%; CFT within 295-415 MB +/- 25%, non-decreasing in rho, and
     # at least 6x direct at every density.
@@ -222,9 +241,10 @@ def test_criterion_08_cft_vs_direct_max_volume(default_cfg):
     assert all(b >= a for a, b in zip(c_series, c_series[1:]))
     for rho in densities:
         assert c_vals[rho] / d_vals[rho] >= 6.0
+    _assert_shipped_digest(tmp_path, "max-volume", res)
 
 
-def test_criterion_09_cluster_size_profile(default_cfg):
+def test_criterion_09_cluster_size_profile(tmp_path, default_cfg):
     # At rho=10 the mean cluster size spans ~1.7 -> 13.2 +/- 30% over the
     # file sizes, non-decreasing in file size; sparser traffic needs larger
     # clusters at every file size.
@@ -240,12 +260,14 @@ def test_criterion_09_cluster_size_profile(default_cfg):
     assert all(b >= a for a, b in zip(at10, at10[1:]))
     for v in sizes:
         assert avg[(5.0, v)] >= avg[(10.0, v)]
+    _assert_shipped_digest(tmp_path, "cluster-size", res)
 
 
 def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
     # 10^3 random scenes: coverage, minimality, exact fragment partition,
-    # CFT delivers at least the baseline, and the direct short-circuit
-    # never builds a cluster.  100% required.
+    # CFT delivers at least the baseline (both scored on one traffic
+    # source), and the direct short-circuit never builds a cluster.  100%
+    # required.
     gen = np.random.default_rng(101_010)
     calls = {"n": 0}
     real_build = protocol.build_cluster
@@ -261,9 +283,10 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
         fleet, head, holders, v_bytes = random_scene(gen)
         before = calls["n"]
         recruitment = recruit(head, fleet, MB, models, holders)
-        out = run_cft(recruitment, v_bytes, predicted(fleet, models))
+        traffic = predicted(fleet, models)
+        out = run_cft(recruitment, v_bytes, traffic)
         built = calls["n"] - before
-        base = run_direct_baseline(recruitment, v_bytes)
+        base = run_direct_baseline(recruitment, v_bytes, traffic)
         modes[out.mode] += 1
         assert out.bytes_delivered >= base.bytes_delivered
         if out.mode == "direct":

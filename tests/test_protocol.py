@@ -8,9 +8,10 @@ import pytest
 from cftsim.channel import expected_rate
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
-                             InsufficientCapacityError, Models,
+                             InsufficientCapacityError, MemberResult, Models,
                              NoResourceError, Recruitment, VehicleState,
-                             _derated_frags, _plannable_frags, _relative,
+                             _derated_frags, _evaluate_plan,
+                             _plannable_frags, _relative,
                              assign_fragments, build_cluster, form_cluster,
                              forwarding_feasible, link_budget,
                              prospective_link_budget, recruit, run_cft,
@@ -219,7 +220,7 @@ def test_direct_feasibility_boundaries():
                                        (10 * MB + 1, 1, False),
                                        (10_000 * MB, 2, True)):
         out = run_direct_baseline(recruit(req, scene, MB, models, [holder]),
-                                  v_bytes)
+                                  v_bytes, predicted(scene, models))
         assert out.mode == ("direct" if delivered else "failed")
         assert out.bytes_delivered == (v_bytes if delivered else 0.0)
 
@@ -750,13 +751,42 @@ def test_run_cft_marks_shortfalls_failed():
 
 def test_direct_baseline_discards_oversized_files():
     models, head, src, fleet = _three_member_scene()
-    ok = run_direct_baseline(recruit(head, fleet, MB, models, [9]), 10 * MB)
+    ok = run_direct_baseline(recruit(head, fleet, MB, models, [9]), 10 * MB,
+                             predicted(fleet, models))
     assert ok.mode == "direct"
     assert ok.bytes_delivered == 10 * MB
     big = run_direct_baseline(recruit(head, fleet, MB, models, [9]),
-                              10 * MB + 1)
+                              10 * MB + 1, predicted(fleet, models))
     assert big.mode == "failed"
     assert big.bytes_delivered == 0.0
+    assert big.member_results == []          # not attempted
+
+
+def test_direct_baseline_is_scored_on_the_traffic():
+    # The file fits the predicted 10-fragment link, but the realised head
+    # window is half the predicted one: the head downloads 5 fragments,
+    # scored as _evaluate_plan scores a cluster's head.
+    models, head, src, fleet = _three_member_scene()
+
+    class HalvedWindows(Ballistic):
+        def window(self, vid_a, vid_b, range_m):
+            assert (vid_a, vid_b, range_m) == (0, 9, models.range_m)
+            return (0.0, 5.0)
+
+    recruitment = recruit(head, fleet, MB, models, [9])
+    traffic = HalvedWindows(recruitment.states, recruitment.models)
+    out = run_direct_baseline(recruitment, 10 * MB, traffic)
+    assert out.mode == "failed"
+    assert out.bytes_delivered == 5 * MB
+    assert out.n_c == 0 and out.cluster is None
+    assert out.member_results == [MemberResult(
+        vid=0, assigned_bytes=10 * MB, downloaded_bytes=5 * MB,
+        forwarded_bytes=5 * MB, download_done_s=5.0, forward_ok=True)]
+    # A cluster of the same file reads the head's score off the memo.
+    cluster = assign_fragments(build_cluster(recruitment, 10 * MB))
+    clustered = _evaluate_plan(cluster, recruitment, traffic)
+    assert clustered.member_results == out.member_results
+    assert len(recruitment.scores) == 1
 
 
 @pytest.mark.parametrize("read, holders", [
@@ -770,7 +800,8 @@ def test_negative_volume_is_rejected(read, holders):
     models, head, src, fleet = _three_member_scene()
     recruitment = recruit(head, fleet, MB, models, holders)
     assert (recruitment is None) == (not holders)
-    traffic = (predicted(fleet, models),) if read is run_cft else ()
+    traffic = ((predicted(fleet, models),)
+               if read in (run_cft, run_direct_baseline) else ())
     for v_bytes in (-1.0, math.nan):
         with pytest.raises(ValueError):
             read(recruitment, v_bytes, *traffic)

@@ -1,6 +1,7 @@
 """Experiment engine: determinism, aggregation, scenario construction."""
 
 import copy
+import dataclasses
 import gc
 import math
 import warnings
@@ -15,7 +16,7 @@ from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, VehicleState,
-                             _evaluate_plan, recruit, run_cft)
+                             _evaluate_plan, link_budget, recruit, run_cft)
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -47,13 +48,17 @@ def test_write_csv_fixed_format(tmp_path):
 def test_vectorised_pair_times_match_scalar_prediction():
     gen = np.random.default_rng(77)
     r = 250.0
-    for _ in range(200):
+    for i in range(200):
         dx = float(gen.uniform(-200.0, 200.0))
         dy = float(gen.choice([-10.0, -5.0, 5.0, 10.0]))
         dvx = float(-gen.uniform(33.4, 66.6))    # westbound minus eastbound
+        if i % 20 == 0:
+            dvx = 0.0                            # both at standstill: inf
         want = predict_connection_time(dx, dy, dvx, 0.0, r)
-        got = simulator._pair_connection_times(
-            np.array([dx]), np.array([dy]), np.array([dvx]), r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulator._pair_connection_times(
+                np.array([dx]), np.array([dy]), np.array([dvx]), r)
         assert got[0] == pytest.approx(want, rel=1e-9)
 
 
@@ -111,6 +116,32 @@ def test_a_range_no_pair_reaches_gives_nan_and_no_runs(tmp_path):
         write_csv(str(tmp_path / "out.csv"), res)
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert lines[1] == "1.000000,5.000000,150.000000,nan,0"
+
+
+def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
+    # At v_min_kmh=0 an opposite pair can stand still in range, which the
+    # scalar prediction gives an unbounded connection time; the sweeps cap
+    # it at the horizon like any other.  Seed 3 of the connection stream
+    # and seed 0 of the capability stream hold such a pair.
+    cfg = load_config(overrides=["mobility.v_min_kmh=0", "experiments.seeds=4",
+                                 "experiments.comm_range_m=[250, 600]"])
+    e = cfg.experiments
+    for stream, sweep in (("connection", connection_time_sweep),
+                          ("capability", capability_sweep)):
+        snaps, mcfg = simulator._snapshot_states(
+            cfg, e.connection_density_per_km, e.safety_distance_m, stream)
+        standstill = 0
+        for fleet in (f for seed_snaps in snaps for f in seed_snaps):
+            dx, dy, dvx, dist = simulator._cross_direction_pairs(
+                fleet, mcfg.lane_length_m)
+            standstill += int(np.sum((dvx == 0.0) & (dist <= 250.0)))
+        assert standstill > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sweep(cfg)
+        assert all(math.isfinite(row[3]) and row[4] == 4 for row in res.rows)
+        write_csv(str(tmp_path / "out.csv"), res)
+        assert "nan" not in (tmp_path / "out.csv").read_text()
 
 
 @pytest.mark.parametrize("snapshots", [1, 3])
@@ -286,6 +317,83 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
         assert scen.trajectory.x.shape[0] > 1
         row_zero = [scen.trajectory.state(vid, 0.0) for vid in range(fleet.n)]
         assert row_zero == scen.states == _indexed_states(fleet)
+
+
+def _request_budget(cfg, scen, density, comm_range_m):
+    """link_budget of the scenario's head-resource pair at its request."""
+    t = scen.trajectory
+    return link_budget(t.state(scen.head_vid, 0.0),
+                       t.state(scen.resource_vid, 0.0),
+                       cfg.experiments.fragment_bytes,
+                       cfg.models(comm_range_m, density))
+
+
+def _direct_oracle(cfg, scen, density, comm_range_m):
+    """The direct scheme's own expression before it was scored through
+    protocol.run_direct_baseline: the predicted and the realized fragment
+    counts of the head-resource link, the smaller one, capped at 10^6."""
+    s = cfg.experiments.fragment_bytes
+    try:
+        b = _request_budget(cfg, scen, density, comm_range_m)
+    except ValueError:
+        return 0.0
+    t_in, t_out = scen.trajectory.window(
+        scen.head_vid, scen.resource_vid, comm_range_m)
+    realized = int(b.e_c_bps * (t_out - t_in) / (8.0 * s))
+    n = min(b.n_frags, realized)
+    return float(min(n, 1_000_000) * s)
+
+
+def _contact_scenarios(cfg, keys, warmup_steps):
+    e = cfg.experiments
+    starts = simulator.warm_starts(cfg, keys, e.max_volume_sd_m,
+                                   e.max_volume_range_m, warmup_steps,
+                                   "max-volume")
+    return simulator._transfer_scenarios(
+        cfg, [(start, "contact") for start in starts])
+
+
+def test_direct_volume_equals_the_realized_link_oracle(default_cfg):
+    # 300 contact scenarios over the shipped densities, on a short warm-up
+    # (criterion 8's digest covers the shipped one), bit for bit.
+    cfg = default_cfg
+    e = cfg.experiments
+    r_m = e.max_volume_range_m
+    keys = [(density, seed_idx) for density in e.max_volume_densities
+            for seed_idx in range(50)]
+    positive = 0
+    for (density, _), scen in zip(keys, _contact_scenarios(cfg, keys, 30)):
+        want = _direct_oracle(cfg, scen, density, r_m)
+        assert simulator._direct_max_volume(cfg, scen, density, r_m) == want
+        positive += want > 0.0
+        # A westbound resource out of range delivers nothing.
+        t = scen.trajectory
+        far = next(vid for vid in range(len(t.direction))
+                   if t.direction[vid] < 0 and abs(mobility.ring_delta(
+                       t.x[0][scen.head_vid], t.x[0][vid], t.length_m)) > r_m)
+        away = dataclasses.replace(scen, resource_vid=far)
+        assert simulator._direct_max_volume(cfg, away, density, r_m) == 0.0
+        assert _direct_oracle(cfg, away, density, r_m) == 0.0
+    assert positive > 250
+
+
+def test_direct_volume_edge_links_equal_the_oracle(default_cfg):
+    # A zero-rate link, and a head and resource both at standstill: an
+    # unbounded predicted capacity, so the trajectory's window decides.
+    r_m = default_cfg.experiments.max_volume_range_m
+    dead = load_config(overrides=["rates.rates_mbps=[6]",
+                                  "rates.thresholds_snr=[1e300]"])
+    (scen,) = _contact_scenarios(dead, [(5.0, 0)], 30)
+    assert _request_budget(dead, scen, 5.0, r_m).e_c_bps == 0.0
+    assert _direct_oracle(dead, scen, 5.0, r_m) == 0.0
+    assert simulator._direct_max_volume(dead, scen, 5.0, r_m) == 0.0
+
+    still = load_config(overrides=["mobility.v_min_kmh=0"])
+    (scen,) = _contact_scenarios(still, [(7.0, 6)], 30)
+    assert math.isinf(_request_budget(still, scen, 7.0, r_m).capacity_bytes)
+    want = _direct_oracle(still, scen, 7.0, r_m)
+    assert 0.0 < want < math.inf
+    assert simulator._direct_max_volume(still, scen, 7.0, r_m) == want
 
 
 def test_transfer_scenario_is_deterministic(default_cfg):

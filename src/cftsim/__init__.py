@@ -8,8 +8,8 @@ protocol compared against a single-link baseline.
 """
 
 from .channel import (ChannelParams, RateTable, RateDistribution,
-                      expected_rate, mean_power, mu_for_distance,
-                      rate_distribution)
+                      expected_rate, expected_rates, mean_power,
+                      mu_for_distance, rate_distribution)
 from .connection import predict_connection_time, range_window
 from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
                   throughput, transmission_prob)

@@ -59,17 +59,26 @@ class ChannelParams:
 
 def mean_power(distance_m: float, params: ChannelParams) -> float:
     """Mean received power Omega (watts) at the given link distance."""
-    if distance_m <= 0.0:
-        raise ValueError(f"link distance must be positive, got {distance_m}")
+    _check_distance(distance_m)
     p = params
-    gain = p.tx_power_w * p.tx_gain * p.rx_gain * p.tx_height_m**2 * p.rx_height_m**2
-    return gain / (distance_m**p.path_loss_exp * p.system_loss)
+    return _gain(p) / (distance_m**p.path_loss_exp * p.system_loss)
+
+
+def _gain(p: ChannelParams) -> float:
+    return p.tx_power_w * p.tx_gain * p.rx_gain * p.tx_height_m**2 * p.rx_height_m**2
+
+
+def _check_distance(distance_m) -> None:
+    # Written so that NaN fails too.  An infinite distance has no mean
+    # power to divide by.
+    if not 0.0 < distance_m < np.inf:
+        raise ValueError(
+            f"link distance must be positive and finite, got {distance_m}")
 
 
 def mu_for_distance(distance_m: float, params: ChannelParams) -> float:
     """Nakagami shape for the band containing the distance."""
-    if distance_m <= 0.0:
-        raise ValueError(f"link distance must be positive, got {distance_m}")
+    _check_distance(distance_m)
     for lo, hi, mu in params.mu_profile:
         if lo <= distance_m < hi:
             return mu
@@ -130,7 +139,11 @@ def rate_distribution(distance_m: float, params: ChannelParams,
     tails.append(0.0)
     probs = tuple(tails[k] - tails[k + 1] for k in range(len(table.rates_bps)))
     prob_zero = 1.0 - tails[0]
-    expected = sum(r * p for r, p in zip(table.rates_bps, probs))
+    # Left to right, as expected_rates does; sum() is compensated from
+    # Python 3.12 on.
+    expected = 0.0
+    for r, p in zip(table.rates_bps, probs):
+        expected += r * p
     return RateDistribution(
         rates_bps=tuple(table.rates_bps),
         probs=probs,
@@ -143,3 +156,32 @@ def expected_rate(distance_m: float, params: ChannelParams,
                   table: RateTable) -> float:
     """Expected usable PHY rate E(c) in bit/s at the given distance."""
     return rate_distribution(distance_m, params, table).expected_bps
+
+
+def expected_rates(distances_m, params: ChannelParams,
+                   table: RateTable) -> np.ndarray:
+    """expected_rate at each of a 1-D array of distances, equal to it
+    element by element.
+
+    Every step is the scalar one taken elementwise.  d**alpha is Python's
+    ``**`` per element, which is libm's pow: numpy's vectorised pow is not
+    bit-exact against it.  The Nakagami shape takes the first band that
+    contains the distance, as mu_for_distance does.
+    """
+    d = np.asarray(distances_m, dtype=float)
+    bad = ~((d > 0.0) & (d < np.inf))
+    if bad.any():
+        _check_distance(float(d[bad][0]))
+    p = params
+    path = np.array([x**p.path_loss_exp for x in d.tolist()])
+    omega = _gain(p) / (path * p.system_loss)
+    mu = np.full(d.size, float(p.mu_profile[-1][2]))
+    for lo, hi, band_mu in reversed(p.mu_profile):
+        mu[(lo <= d) & (d < hi)] = band_mu
+    scale = (mu / omega) * p.noise_w
+    tails = gammaincc(mu[:, None], scale[:, None] * np.array(table.thresholds_snr))
+    probs = tails - np.column_stack((tails[:, 1:], np.zeros(d.size)))
+    expected = np.zeros(d.size)
+    for k, r in enumerate(table.rates_bps):
+        expected += r * probs[:, k]
+    return expected

@@ -180,34 +180,36 @@ def init_scenario(cfg: MobilityConfig, rng: np.random.Generator) -> Fleet:
     ring length (dense scenarios), they are rescaled uniformly so the lane
     still closes.  Initial speeds are uniform on [v_min, v_max].
     """
-    xs, ys, speeds, dirs, lanes = [], [], [], [], []
-    for direction in (1, -1):
-        n_dir = cfg.vehicles_per_direction
-        for lane in range(cfg.lanes_per_direction):
-            # Round-robin split of the direction's vehicles over its lanes.
-            n_lane = n_dir // cfg.lanes_per_direction
-            if lane < n_dir % cfg.lanes_per_direction:
-                n_lane += 1
-            if n_lane == 0:
-                continue
-            gaps = (1.0 + rng.uniform(0.0, 1.0, size=n_lane)) * cfg.safety_distance_m
-            total = gaps.sum()
-            if total > cfg.lane_length_m:
-                gaps *= cfg.lane_length_m / total
-            start = rng.uniform(0.0, cfg.lane_length_m)
-            pos = (start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))) % cfg.lane_length_m
-            xs.append(pos)
-            ys.append(np.full(n_lane, _lane_y(direction, lane, cfg)))
-            speeds.append(cfg.v_min_mps
-                          + rng.uniform(0.0, 1.0, size=n_lane) * (cfg.v_max_mps - cfg.v_min_mps))
-            dirs.append(np.full(n_lane, direction, dtype=np.int64))
-            lanes.append(np.full(n_lane, lane, dtype=np.int64))
+    n_dir, k = cfg.vehicles_per_direction, cfg.lanes_per_direction
+    # Round-robin split of each direction's vehicles over its lanes; an
+    # empty lane draws nothing.
+    layout = [(direction, lane, n_dir // k + (lane < n_dir % k))
+              for direction in (1, -1) for lane in range(k)]
+    directions, lanes, counts = zip(*[spec for spec in layout if spec[2] > 0])
+    # Lane by lane: n gap fractions, the start offset's fraction and n
+    # speed fractions, all from one draw.  uniform(0, 1, n) is 0 + 1 * u
+    # and uniform(0, L) is L * u, so this is bit for bit what one uniform
+    # call per draw gives, and leaves the generator where they leave it.
+    u = rng.random(sum(2 * n + 1 for n in counts))
+    xs, fracs, at = [], [], 0
+    for n in counts:
+        gaps = (1.0 + u[at:at + n]) * cfg.safety_distance_m
+        total = gaps.sum()
+        if total > cfg.lane_length_m:
+            gaps *= cfg.lane_length_m / total
+        start = cfg.lane_length_m * u[at + n]
+        xs.append((start + np.concatenate(([0.0], np.cumsum(gaps[:-1]))))
+                  % cfg.lane_length_m)
+        fracs.append(u[at + n + 1:at + 2 * n + 1])
+        at += 2 * n + 1
     return Fleet(
         x=np.concatenate(xs),
-        y=np.concatenate(ys),
-        speed=np.concatenate(speeds),
-        direction=np.concatenate(dirs),
-        lane=np.concatenate(lanes),
+        y=np.repeat([_lane_y(d, lane, cfg) for d, lane in zip(directions, lanes)],
+                    counts),
+        speed=cfg.v_min_mps
+        + np.concatenate(fracs) * (cfg.v_max_mps - cfg.v_min_mps),
+        direction=np.repeat(np.array(directions, np.int64), counts),
+        lane=np.repeat(np.array(lanes, np.int64), counts),
     )
 
 

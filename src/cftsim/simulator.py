@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mobility
-from .channel import expected_rate
+from .channel import expected_rate, expected_rates
 from .config import Config
 from .mobility import Fleet, MobilityConfig
 from .protocol import (VehicleState, form_cluster, recruit, run_cft,
@@ -178,45 +178,32 @@ def connection_time_sweep(cfg: Config) -> SweepResult:
                        lambda dist, dts: dts)
 
 
-class _RateCache:
-    """Expected rate by link distance, quantised down to 0.25 m, for
-    capability_sweep's pairs.
+def _rate_table(cfg: Config, max_distance_m: float) -> np.ndarray:
+    """Expected rate at each key int(4 * d) up to max_distance_m, that is
+    expected_rate(max(key / 4, 0.25)), filled in one exact vectorised pass."""
+    keys = np.arange(int(4 * max_distance_m) + 1)
+    return expected_rates(np.maximum(keys / 4.0, 0.25), cfg.channel, cfg.rates)
 
-    A dense table over the keys int(4 * d) up to max_distance_m.  Each key
-    is filled once, on first use, by the scalar
-    expected_rate(max(key / 4, 0.25)); a vectorised rate is not bit-exact
-    against it (numpy's pow is not libm's), and at a few seeds most keys
-    are never read.
-    """
 
-    def __init__(self, cfg: Config, max_distance_m: float):
-        self.cfg = cfg
-        self._table = np.full(int(4 * max_distance_m) + 1, np.nan)
-
-    def __call__(self, dist: np.ndarray) -> np.ndarray:
-        keys = (dist * 4).astype(np.int64)
-        rates = self._table[keys]
-        missing = np.isnan(rates)
-        if missing.any():
-            for key in np.unique(keys[missing]).tolist():
-                self._table[key] = expected_rate(
-                    max(key / 4.0, 0.25), self.cfg.channel, self.cfg.rates)
-            rates = self._table[keys]
-        return rates
-
-    def capacities(self, dist: np.ndarray, dts: np.ndarray,
-                   s_bytes: float) -> np.ndarray:
-        """Whole fragments of s_bytes each pair's link carries in its
-        time dts, in bytes: s * int(rate * t / (8 s)), pair by pair."""
-        return s_bytes * np.trunc(self(dist) * dts / (8.0 * s_bytes))
+def _link_capacities(rate_table: np.ndarray, dist: np.ndarray,
+                     dts: np.ndarray, s_bytes: float) -> np.ndarray:
+    """Whole fragments of s_bytes each pair's link carries in its time dts,
+    in bytes: s * int(rate * t / (8 s)), pair by pair, with each pair's
+    rate read from the table at its distance quantised down to 0.25 m."""
+    rates = rate_table[(dist * 4).astype(np.int64)]
+    return s_bytes * np.trunc(rates * dts / (8.0 * s_bytes))
 
 
 def capability_sweep(cfg: Config) -> SweepResult:
-    """Mean whole-fragment link capacity over the same pair population."""
+    """Mean whole-fragment link capacity over the same pair population.
+
+    Each pair's rate is read from one table over the 0.25 m distance keys
+    up to the longest range, built before the sweep (_rate_table).
+    """
     s = cfg.experiments.fragment_bytes
-    rates = _RateCache(cfg, max(cfg.experiments.comm_ranges_m))
+    table = _rate_table(cfg, max(cfg.experiments.comm_ranges_m))
     return _pair_sweep(cfg, "capability", "avg_capability_bytes",
-                       lambda dist, dts: rates.capacities(dist, dts, s))
+                       lambda dist, dts: _link_capacities(table, dist, dts, s))
 
 
 def throughput_sweep(cfg: Config) -> SweepResult:

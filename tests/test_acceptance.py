@@ -22,7 +22,7 @@ from cftsim.mac import (avg_slot_length, collision_duration, p_success,
 from cftsim.protocol import recruit, run_cft, run_direct_baseline
 from cftsim.simulator import (capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
-                              throughput_sweep, write_csv)
+                              rate_curve, throughput_sweep, write_csv)
 
 from channel_oracles import sample_snr, snr_cdf
 from conftest import predicted, random_scene
@@ -30,12 +30,39 @@ from conftest import predicted, random_scene
 MB = 1_000_000.0
 
 
+# SHA-256 of the CLI CSVs at the shipped config that the criteria compute
+# anyway (the rate curve's 60 distances cost next to nothing): a change
+# meant to keep the output must keep them.
+SHIPPED_CSVS = {
+    "connection-time":
+        "873b81bb85e6fe66f0f16eb6f3fe79c52d3bdae6e56c91233f9282e210d50351",
+    "rate-curve":
+        "d026d86fbdb9a5167f6464f9433fb1c2c59182a39c3d257d34f5624169f78a25",
+    "throughput":
+        "5dcedc1d7d5b5e303f596ab8cc4093845edf686da45f5c6727a537fec2d5d406",
+    "capacity":
+        "655c2fb837c55666556b212721e109cf21e81c9f7a924876d7d7803994b082e2",
+    "max-volume":
+        "555f87c564538a0d2036eb87cb2b38f21b3a00b61c5a60b7fc47c94c97176102",
+    "cluster-size":
+        "2ea0029a5e919dc337657647e3e772b35abeb28c0b40a96644ccf1e1eafd9758",
+}
+
+
+def _assert_shipped_digest(tmp_path, command, result):
+    path = tmp_path / f"{command}.csv"
+    write_csv(str(path), result)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(f"{command}.csv sha256 {digest}")
+    assert digest == SHIPPED_CSVS[command]
+
+
 @pytest.fixture(scope="module")
 def connection_result(default_cfg):
     return connection_time_sweep(default_cfg)
 
 
-def test_criterion_01_connection_time_reproduction(connection_result,
+def test_criterion_01_connection_time_reproduction(tmp_path, connection_result,
                                                    default_cfg):
     # avg connection time: 5.3 s +/- 20% at 250 m, 12.7 s +/- 20% at 600 m,
     # non-decreasing across the range grid.
@@ -46,6 +73,7 @@ def test_criterion_01_connection_time_reproduction(connection_result,
     assert 5.3 * 0.8 <= vals[250.0] <= 5.3 * 1.2
     assert 12.7 * 0.8 <= vals[600.0] <= 12.7 * 1.2
     assert all(b >= a for a, b in zip(ordered, ordered[1:]))
+    _assert_shipped_digest(tmp_path, "connection-time", connection_result)
 
 
 def test_criterion_02_connection_time_closed_form_vs_bisection():
@@ -81,7 +109,8 @@ def test_criterion_02_connection_time_closed_form_vs_bisection():
     assert failures == 0
 
 
-def test_criterion_03_channel_normalization_and_rayleigh_reduction(default_cfg):
+def test_criterion_03_channel_normalization_and_rayleigh_reduction(tmp_path,
+                                                                  default_cfg):
     # Rate probabilities sum to one within 1e-9 over 100 distances; with the
     # shape forced to 1 the SNR CDF is the exponential closed form.
     worst = 0.0
@@ -102,6 +131,7 @@ def test_criterion_03_channel_normalization_and_rayleigh_reduction(default_cfg):
     print(f"criterion 3: normalization err {worst:.2e}, "
           f"exponential-reduction err {worst_cdf:.2e}")
     assert worst_cdf <= 1e-9
+    _assert_shipped_digest(tmp_path, "rate-curve", rate_curve(default_cfg))
 
 
 def _chi2_merge(observed, expected):
@@ -166,7 +196,7 @@ def test_criterion_05_mac_exactness_and_slot_monte_carlo(default_cfg):
         assert abs(t_hat - t_model) <= 3.0 * se_t
 
 
-def test_criterion_06_throughput_band_and_monotone_trends(default_cfg):
+def test_criterion_06_throughput_band_and_monotone_trends(tmp_path, default_cfg):
     # ~6.6 -> 8.0 Mbps over R=250 -> 600 m at rho=5, +/- 15%; non-decreasing
     # in both density and range over the whole grid.
     res = throughput_sweep(default_cfg)
@@ -184,9 +214,10 @@ def test_criterion_06_throughput_band_and_monotone_trends(default_cfg):
     for r in ranges:
         series = [thr[(rho, r)] for rho in densities]
         assert all(b >= a for a, b in zip(series, series[1:]))
+    _assert_shipped_digest(tmp_path, "throughput", res)
 
 
-def test_criterion_07_transmission_capability_band(default_cfg):
+def test_criterion_07_transmission_capability_band(tmp_path, default_cfg):
     # ~35.0 MB at 250 m to ~102.9 MB at 600 m, +/- 25%, linear in R with
     # R^2 >= 0.95.
     res = capability_sweep(default_cfg)
@@ -201,24 +232,7 @@ def test_criterion_07_transmission_capability_band(default_cfg):
     assert 35.0 * MB * 0.75 <= vals[250.0] <= 35.0 * MB * 1.25
     assert 102.9 * MB * 0.75 <= vals[600.0] <= 102.9 * MB * 1.25
     assert r2 >= 0.95
-
-
-# SHA-256 of the CLI CSVs at the shipped config that criteria 8 and 9
-# compute anyway: a change meant to keep the output must keep them.
-SHIPPED_CSVS = {
-    "max-volume":
-        "555f87c564538a0d2036eb87cb2b38f21b3a00b61c5a60b7fc47c94c97176102",
-    "cluster-size":
-        "2ea0029a5e919dc337657647e3e772b35abeb28c0b40a96644ccf1e1eafd9758",
-}
-
-
-def _assert_shipped_digest(tmp_path, command, result):
-    path = tmp_path / f"{command}.csv"
-    write_csv(str(path), result)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    print(f"{command}.csv sha256 {digest}")
-    assert digest == SHIPPED_CSVS[command]
+    _assert_shipped_digest(tmp_path, "capacity", res)
 
 
 def test_criterion_08_cft_vs_direct_max_volume(tmp_path, default_cfg):

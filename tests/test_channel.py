@@ -1,6 +1,7 @@
 """Fading channel model against quadrature and Monte-Carlo oracles."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from scipy.special import gammaincc
 from scipy.stats import chi2
 
 from cftsim.channel import (RateDistribution, RateTable, expected_rate,
-                            mean_power, mu_for_distance, rate_distribution,
-                            watts_from_dbm)
+                            expected_rates, mean_power, mu_for_distance,
+                            rate_distribution, watts_from_dbm)
 from cftsim.config import load_config
 
 from channel_oracles import sample_snr, snr_cdf, upper_incomplete_gamma
@@ -149,7 +150,8 @@ def _scalar_rate_distribution(distance_m, params, table):
     probs = tuple(tails[k] - tails[k + 1] for k in range(len(table.rates_bps)))
     return RateDistribution(
         rates_bps=tuple(table.rates_bps), probs=probs, prob_zero=1.0 - tails[0],
-        expected_bps=sum(r * p for r, p in zip(table.rates_bps, probs)))
+        expected_bps=functools.reduce(
+            lambda acc, rp: acc + rp[0] * rp[1], zip(table.rates_bps, probs), 0.0))
 
 
 def test_rate_distribution_equals_the_per_threshold_oracle():
@@ -162,6 +164,42 @@ def test_rate_distribution_equals_the_per_threshold_oracle():
         for d in gen.uniform(max(lo, 0.5), hi, size=per_band).tolist():
             assert rate_distribution(d, PARAMS, RATES) == \
                 _scalar_rate_distribution(d, PARAMS, RATES)
+
+
+def _assert_rates_equal_scalar(dist, params, table):
+    got = expected_rates(dist, params, table)
+    want = [expected_rate(d, params, table) for d in dist.tolist()]
+    assert got.dtype == np.float64 and got.shape == dist.shape
+    assert got.tolist() == want
+
+
+def test_expected_rates_equal_the_scalar_rate():
+    gen = np.random.default_rng(18)
+    keys = np.maximum(np.arange(4 * 600 + 1) / 4.0, 0.25)
+    edges = np.array([e for lo, hi, _ in PARAMS.mu_profile for e in (lo, hi)
+                      if 0.0 < e < math.inf])
+    around = np.concatenate([edges, np.nextafter(edges, 0.0),
+                             np.nextafter(edges, np.inf)])
+    spread = 2_000.0 * (1.0 - gen.random(50_000))   # (0, 2000] m
+    for dist in (keys, around, spread):
+        _assert_rates_equal_scalar(dist, PARAMS, RATES)
+    # Another channel and a shorter ladder with the thresholds scaled, as
+    # demos/calibrate_rate_table.py tries them.
+    params = dataclasses.replace(PARAMS, path_loss_exp=3.7)
+    table = RateTable(rates_bps=RATES.rates_bps[:5], thresholds_snr=tuple(
+        1.25 * t for t in RATES.thresholds_snr[:5]))
+    _assert_rates_equal_scalar(np.concatenate([keys, around, spread[:5_000]]),
+                               params, table)
+
+
+def test_a_nan_infinite_or_non_positive_distance_is_rejected():
+    for d in (math.nan, math.inf, 0.0, -1.0):
+        for fn in (lambda: mean_power(d, PARAMS),
+                   lambda: mu_for_distance(d, PARAMS),
+                   lambda: expected_rate(d, PARAMS, RATES),
+                   lambda: expected_rates(np.array([100.0, d]), PARAMS, RATES)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                fn()
 
 
 def test_degenerate_thresholds_select_the_top_rate():

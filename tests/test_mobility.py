@@ -31,6 +31,9 @@ class _ConstRng:
     def __init__(self, frac):
         self.frac = frac
 
+    def random(self, size):
+        return np.full(size, float(self.frac))
+
     def uniform(self, low, high=None, size=None):
         if high is None:
             low, high = 0.0, low
@@ -72,6 +75,54 @@ def test_vehicle_count_follows_density():
     # Round-robin split of 55 over 2 lanes.
     assert ((fleet.direction == 1) & (fleet.lane == 0)).sum() == 28
     assert ((fleet.direction == 1) & (fleet.lane == 1)).sum() == 27
+
+
+def _init_scenario_lane_by_lane(cfg, rng):
+    """The exact oracle of init_scenario: one uniform call per draw, lane by
+    lane."""
+    xs, ys, speeds, dirs, lanes = [], [], [], [], []
+    for direction in (1, -1):
+        n_dir = cfg.vehicles_per_direction
+        for lane in range(cfg.lanes_per_direction):
+            n_lane = n_dir // cfg.lanes_per_direction
+            if lane < n_dir % cfg.lanes_per_direction:
+                n_lane += 1
+            if n_lane == 0:
+                continue
+            gaps = (1.0 + rng.uniform(0.0, 1.0, size=n_lane)) * cfg.safety_distance_m
+            total = gaps.sum()
+            if total > cfg.lane_length_m:
+                gaps *= cfg.lane_length_m / total
+            start = rng.uniform(0.0, cfg.lane_length_m)
+            pos = (start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))) % cfg.lane_length_m
+            xs.append(pos)
+            ys.append(np.full(n_lane, mobility._lane_y(direction, lane, cfg)))
+            speeds.append(cfg.v_min_mps
+                          + rng.uniform(0.0, 1.0, size=n_lane) * (cfg.v_max_mps - cfg.v_min_mps))
+            dirs.append(np.full(n_lane, direction, dtype=np.int64))
+            lanes.append(np.full(n_lane, lane, dtype=np.int64))
+    return Fleet(x=np.concatenate(xs), y=np.concatenate(ys),
+                 speed=np.concatenate(speeds), direction=np.concatenate(dirs),
+                 lane=np.concatenate(lanes))
+
+
+@pytest.mark.parametrize("sd", [150.0, 400.0])
+def test_init_scenario_equals_the_lane_by_lane_draws(sd):
+    # Densities from sparse to rescaled-to-close lanes; one lane per
+    # direction too, and a lane count that leaves a lane empty.
+    cases = [(d, {}) for d in (2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 25.0, 40.0, 60.0)]
+    cases += [(5.0, {"lanes_per_direction": 1}),
+              (0.4, {"lanes_per_direction": 3, "lane_length_m": 5_000.0})]
+    for density, kw in cases:
+        cfg = make_cfg(density=density, sd=sd, **kw)
+        for seed in range(50):
+            gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = init_scenario(cfg, gen)
+            want = _init_scenario_lane_by_lane(cfg, twin)
+            for name in ("x", "y", "speed", "direction", "lane"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_zero_noise_init_gives_minimum_gaps_and_speeds():

@@ -184,8 +184,7 @@ def _scalar_rate(cfg, d):
     return expected_rate(max(int(d * 4) / 4.0, 0.25), cfg.channel, cfg.rates)
 
 
-def test_rate_table_capacities_equal_the_scalar_expression(monkeypatch,
-                                                           default_cfg):
+def test_rate_table_capacities_equal_the_scalar_expression(default_cfg):
     cfg = default_cfg
     s = cfg.experiments.fragment_bytes
     r_m, far_m = 600.0, 100_000.0
@@ -202,21 +201,13 @@ def test_rate_table_capacities_equal_the_scalar_expression(monkeypatch,
     dts[:10] = 0.0
     dts[10:20] = 120.0
     assert expected_rate(far_m, cfg.channel, cfg.rates) == 0.0
-    calls = []
-    monkeypatch.setattr(simulator, "expected_rate",
-                        lambda *args: calls.append(1) or expected_rate(*args))
-    table = simulator._RateCache(cfg, far_m)
-    got = table.capacities(dist, dts, s)
-    # Each key is filled once, and only the keys read.
-    keys = {int(d * 4) for d in dist.tolist()}
-    assert len(calls) == len(keys)
-    assert table.capacities(dist, dts, s).tobytes() == got.tobytes()
-    assert len(calls) == len(keys)
+    table = simulator._rate_table(cfg, far_m)
+    got = simulator._link_capacities(table, dist, dts, s)
     rate_of = {}
     for d in dist:
         rate_of.setdefault(int(d * 4), _scalar_rate(cfg, d))
     rates = [rate_of[int(d * 4)] for d in dist]
-    assert table(dist).tolist() == rates
+    assert table[(dist * 4).astype(np.int64)].tolist() == rates
     want = [s * int(rate * t / (8.0 * s)) for rate, t in zip(rates, dts)]
     assert got.tolist() == want
     assert got[-1] == 0.0 and rates[-1] == 0.0

@@ -31,15 +31,19 @@ class ConfigError(Exception):
 
 
 def _real(value, path: str) -> float:
-    """value as a float; ConfigError naming path for a bool or a non-number.
+    """value as a float; ConfigError naming path for a bool, a non-number
+    or NaN.  An infinity is a number.
 
     YAML reads true/false as booleans, and float(True) would be 1.0.
     """
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if not math.isnan(number):
+                return number
     raise ConfigError(f"config key '{path}' must be a number, got {value!r}")
 
 
@@ -99,8 +103,6 @@ class ExperimentSettings:
     base_seed: int
     warmup_steps: int
     horizon_s: float
-    snapshots: int
-    snapshot_stride_s: float
     connection_density_per_km: float
     file_sizes_bytes: tuple
     fragment_bytes: float
@@ -122,7 +124,7 @@ class ExperimentSettings:
 
     def __post_init__(self):
         for name in ("seeds", "max_volume_seeds", "max_volume_direct_seeds",
-                     "cluster_seeds", "snapshots"):
+                     "cluster_seeds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         for name in ("base_seed", "warmup_steps", "max_volume_warmup_steps",
@@ -133,10 +135,14 @@ class ExperimentSettings:
             raise ConfigError("success_fraction must be in (0, 1]")
         for name in ("comm_ranges_m", "densities_per_km", "file_sizes_bytes",
                      "max_volume_densities", "cluster_densities"):
-            if len(getattr(self, name)) == 0:
+            grid = getattr(self, name)
+            if len(grid) == 0:
                 raise ConfigError(f"{name} must not be empty")
+            # Rows and records are keyed by grid value.
+            if len(set(grid)) != len(grid):
+                raise ConfigError(f"{name} lists a value twice")
         for name in ("comm_ranges_m", "densities_per_km", "safety_distance_m",
-                     "horizon_s", "snapshot_stride_s", "connection_density_per_km",
+                     "horizon_s", "connection_density_per_km",
                      "fragment_bytes", "nominal_mac_rate_bps",
                      "max_volume_densities", "max_volume_range_m", "max_volume_sd_m",
                      "cluster_densities", "cluster_range_m", "cluster_sd_m",
@@ -294,8 +300,6 @@ def resolve(raw: dict) -> Config:
             base_seed=exp.integer("base_seed"),
             warmup_steps=exp.integer("warmup_steps"),
             horizon_s=exp.real("horizon_s"),
-            snapshots=exp.integer("snapshots"),
-            snapshot_stride_s=exp.real("snapshot_stride_s"),
             connection_density_per_km=exp.real("connection_density_per_km"),
             file_sizes_bytes=tuple(v * MB for v in exp.reals("file_size_mb")),
             fragment_bytes=exp.real("fragment_mb") * MB,

@@ -100,13 +100,11 @@ def _pair_connection_times(dx, dy, dvx, comm_range_m):
 
 
 def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
-    """Warmed-up fleet snapshots for pair sampling, one list per seed, each
-    shared across ranges.
+    """The warmed-up fleet of every seed for pair sampling, each shared
+    across ranges.
 
-    Every seed is stepped in one mobility.warm_up_batch call per snapshot:
-    the first call takes warmup_steps and each later one the snapshot
-    stride, and every fleet is copied after each call.  A seed's snapshots
-    are exactly what stepping it alone gives.
+    Every seed is warmed up in one mobility.warm_up_batch call, and each
+    fleet is exactly what warming its seed up alone gives.
     """
     e = cfg.experiments
     mcfg = cfg.mobility(density, sd)
@@ -115,46 +113,35 @@ def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
         rng = _rng(e.base_seed, stream, _seed_key(density, 1000),
                    _seed_key(sd), seed_idx)
         members.append((mobility.init_scenario(mcfg, rng), mcfg, rng))
-    stride = max(int(round(e.snapshot_stride_s / mcfg.step_s)), 1)
-    snaps = [[] for _ in members]
-    for steps in [e.warmup_steps] + [stride] * (e.snapshots - 1):
-        mobility.warm_up_batch(members, steps)
-        for seed_snaps, (fleet, _, _) in zip(snaps, members):
-            seed_snaps.append(fleet.copy())
-    return snaps, mcfg
+    mobility.warm_up_batch(members, e.warmup_steps)
+    return [fleet for fleet, _, _ in members], mcfg
 
 
 def _pair_sweep(cfg: Config, stream: str, value_name: str,
                 pair_values) -> SweepResult:
     """Per-range mean of pair_values(dist, dts) over in-range opposite
     pairs, given their distances and horizon-capped residual connection
-    times; each seed's mean over its snapshots is one record.
+    times; each seed's mean over its warmed-up fleet is one record.
 
-    A seed none of whose snapshots has a pair in range gives no record, so
-    a range that no pair reaches in any seed gets the row value nan and
-    n_runs 0.
+    A seed with no pair in range gives no record, so a range that no pair
+    reaches in any seed gets the row value nan and n_runs 0.
     """
     e = cfg.experiments
     density = e.connection_density_per_km
     sd = e.safety_distance_m
     records = {(r_m,): [] for r_m in e.comm_ranges_m}
-    seed_snaps, mcfg = _snapshot_states(cfg, density, sd, stream)
-    for snaps in seed_snaps:
-        vals = {r_m: [] for r_m in e.comm_ranges_m}
-        for fleet in snaps:
-            # A snapshot's pairs serve every range.
-            dx, dy, dvx, dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)
-            for r_m in e.comm_ranges_m:
-                sel = dist <= r_m
-                if not np.any(sel):
-                    continue
-                dts = np.minimum(
-                    _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m),
-                    e.horizon_s)
-                vals[r_m].append(float(np.mean(pair_values(dist[sel], dts))))
+    fleets, mcfg = _snapshot_states(cfg, density, sd, stream)
+    for fleet in fleets:
+        # A fleet's pairs serve every range.
+        dx, dy, dvx, dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)
         for r_m in e.comm_ranges_m:
-            if vals[r_m]:
-                records[(r_m,)].append(float(np.mean(vals[r_m])))
+            sel = dist <= r_m
+            if not np.any(sel):
+                continue
+            dts = np.minimum(
+                _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m),
+                e.horizon_s)
+            records[(r_m,)].append(float(np.mean(pair_values(dist[sel], dts))))
     rows = []
     for r_m in e.comm_ranges_m:
         rec = records[(r_m,)]
@@ -171,7 +158,7 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
 def connection_time_sweep(cfg: Config) -> SweepResult:
     """Mean residual connection time of in-range opposite-direction pairs.
 
-    Sampled at snapshot instants after warm-up; unbounded or over-horizon
+    Sampled at the instant warm-up ends; unbounded or over-horizon
     predictions are capped at the experiment horizon.
     """
     return _pair_sweep(cfg, "connection", "avg_connection_time_s",
@@ -398,13 +385,21 @@ class WarmStart:
     comm_range_m: float
 
 
+def _fleet_size(cfg: Config, density: float, sd: float) -> int:
+    """Vehicles of the fleet init_scenario lays out at density and sd: the
+    vehicles_per_direction of each of the two directions."""
+    return 2 * cfg.mobility(density, sd).vehicles_per_direction
+
+
 def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float,
                 warmup_steps: int, stream: str) -> list[WarmStart]:
     """Populate and warm up the traffic of every (density, seed_idx) key at
     one SD and range on one RNG stream, in the order of keys.
 
     The keys are warmed up together (mobility.warm_up_batch), and each
-    key's traffic is exactly what warming it up alone gives.
+    key's traffic is exactly what warming it up alone gives.  The
+    experiments call it once per key batch: mobility.batches of the keys'
+    fleet sizes (_fleet_size), each one run of the batched warm-up.
     """
     starts = []
     for density, seed_idx in keys:
@@ -593,34 +588,15 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     return float(lo * s)
 
 
-# Rows of every max-volume trajectory stepped in the batch kernel before
-# its readers step on demand.  At the shipped config direct scenarios read
-# a median of 7 rows (max 15) and CFT scenarios a median of 22 (p90 34,
-# max 70), of 120.  In an interleaved scan (9 rounds, 2-core Xeon VM,
-# numpy 2.4.6) the max-volume time against K = 0 read 0.94 / 0.93 / 0.87 /
-# 0.87 / 0.88 / 0.92 at K = 8 / 16 / 24 / 32 / 48 / 64 for CFT alone at 2
-# seeds, and 0.92 / 0.90 / 0.87 / 0.89 / 0.92 / 0.97 for both schemes at
-# 6 and 12 seeds.
+# Rows of every max-volume trajectory stepped in the batch kernel, a key
+# batch at once, before its readers step on demand.  At the shipped config
+# direct scenarios read a median of 7 rows (max 15) and CFT scenarios a
+# median of 22 (p90 34, max 70), of 120.  In an interleaved scan (9 rounds,
+# 2-core Xeon VM, numpy 2.4.6) the max-volume time against K = 0 read 0.94
+# / 0.93 / 0.87 / 0.87 / 0.88 / 0.92 at K = 8 / 16 / 24 / 32 / 48 / 64 for
+# CFT alone at 2 seeds, and 0.92 / 0.90 / 0.87 / 0.89 / 0.92 / 0.97 for
+# both schemes at 6 and 12 seeds.
 HEAD_STEPS = 24
-
-
-def _transfer_scenarios(cfg: Config, requests):
-    """The TransferScenario of each (start, request_at) in requests, in
-    order, from build_transfer_scenario.
-
-    They are built in chunks of at most mobility.BATCH_VEHICLES vehicles
-    (mobility.batches), and the first HEAD_STEPS rows of a chunk's
-    trajectories are stepped together (Trajectory.step_together) before
-    any is read.  Only one chunk is alive at a time, and each scenario is
-    dropped from it as it is handed out.
-    """
-    for run in mobility.batches([start.fleet.n for start, _ in requests]):
-        chunk = [build_transfer_scenario(cfg, start, request_at)
-                 for start, request_at in requests[run]]
-        Trajectory.step_together([scen.trajectory for scen in chunk],
-                                 HEAD_STEPS)
-        while chunk:
-            yield chunk.pop(0)
 
 
 # Per scheme: the instant its request fires and the volume one scenario
@@ -639,13 +615,14 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
 
     One row per (scheme, density), scheme by scheme in the order given.
     Seed k of every scheme has the same RNG key, so it is warmed up once
-    and each scheme that runs seed k branches from it.  The warm-ups of
-    every (density, seed) of the call run first, together.  The scenarios
-    then come in chunks of at most mobility.BATCH_VEHICLES vehicles: the
-    first HEAD_STEPS rows of a chunk's trajectories are stepped together
-    in the batch kernel (mobility.warm_up_batch), and each trajectory is
-    stepped on demand past them, only as far as its readers look, up to
-    the experiment horizon.
+    and each scheme that runs seed k branches from it.  The (density,
+    seed) keys run one key batch at a time (mobility.batches of their
+    fleet sizes), so memory stays bounded whatever the seed count: a batch
+    is warmed up together, its scenarios are branched, the first
+    HEAD_STEPS rows of their trajectories are stepped together in the
+    batch kernel (Trajectory.step_together), and each scenario is let go
+    once it is scored.  Past those rows a trajectory is stepped on demand,
+    only as far as its readers look, up to the experiment horizon.
     """
     e = cfg.experiments
     r_m = e.max_volume_range_m
@@ -664,16 +641,20 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
     most_seeds = max((n_seeds[s] for s in schemes), default=0)
     keys = [(density, seed_idx) for density in e.max_volume_densities
             for seed_idx in range(most_seeds)]
-    starts = warm_starts(cfg, keys, sd, r_m, e.max_volume_warmup_steps,
-                         "max-volume")
-    runs = [(scheme, density, start)
-            for (density, seed_idx), start in zip(keys, starts)
-            for scheme in schemes if seed_idx < n_seeds[scheme]]
-    scenarios = _transfer_scenarios(
-        cfg, [(start, _SCHEMES[scheme][0]) for scheme, _, start in runs])
-    for (scheme, density, _), scen in zip(runs, scenarios):
-        records[(scheme, density)].append(
-            _SCHEMES[scheme][1](cfg, scen, density, r_m))
+    for run in mobility.batches([_fleet_size(cfg, d, sd) for d, _ in keys]):
+        starts = warm_starts(cfg, keys[run], sd, r_m,
+                             e.max_volume_warmup_steps, "max-volume")
+        scenarios = [(scheme, density,
+                      build_transfer_scenario(cfg, start, _SCHEMES[scheme][0]))
+                     for (density, seed_idx), start in zip(keys[run], starts)
+                     for scheme in schemes if seed_idx < n_seeds[scheme]]
+        del starts
+        Trajectory.step_together([scen.trajectory for _, _, scen in scenarios],
+                                 HEAD_STEPS)
+        while scenarios:
+            scheme, density, scen = scenarios.pop(0)
+            records[(scheme, density)].append(
+                _SCHEMES[scheme][1](cfg, scen, density, r_m))
     rows = []
     for (scheme, density), per_seed in records.items():
         # Largest volume still achieved by at least success_fraction of runs.
@@ -699,33 +680,35 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     its cluster off the same recruitment.  Runs whose file fits through
     the direct link record a cluster size of zero and are excluded from
     the mean (no cluster was formed), as are runs where recruitment could
-    not cover the file.  The warm-ups of every (density, seed) run first,
-    together.
+    not cover the file.  The (density, seed) keys run one key batch at a
+    time, as in max_transfer_volume, each let go before the next is warmed.
     """
     e = cfg.experiments
     r_m = e.cluster_range_m
     sd = e.cluster_sd_m
+    models = {density: cfg.models(r_m, density, e.cluster_horizon_s)
+              for density in e.cluster_densities}
+    records = {(density, v_bytes): [] for density in e.cluster_densities
+               for v_bytes in e.file_sizes_bytes}
     keys = [(density, seed_idx) for density in e.cluster_densities
             for seed_idx in range(e.cluster_seeds)]
-    starts = dict(zip(keys, warm_starts(cfg, keys, sd, r_m,
-                                        e.cluster_warmup_steps, "cluster")))
-    rows, records = [], {}
-    for density in e.cluster_densities:
-        models = cfg.models(r_m, density, e.cluster_horizon_s)
-        sizes = {v_bytes: [] for v_bytes in e.file_sizes_bytes}
-        for seed_idx in range(e.cluster_seeds):
-            fleet, head, resource, _ = request_instant(
-                starts[(density, seed_idx)], "encounter")
+    for run in mobility.batches([_fleet_size(cfg, d, sd) for d, _ in keys]):
+        starts = warm_starts(cfg, keys[run], sd, r_m, e.cluster_warmup_steps,
+                             "cluster")
+        for (density, _), start in zip(keys[run], starts):
+            fleet, head, resource, _ = request_instant(start, "encounter")
             states = _vehicle_states(fleet.x, fleet.y, fleet.vx)
             recruitment = recruit(states[head], states, e.fragment_bytes,
-                                  models, [resource])
+                                  models[density], [resource])
             for v_bytes in e.file_sizes_bytes:
-                sizes[v_bytes].append(form_cluster(recruitment, v_bytes).n_c)
-        for v_bytes in e.file_sizes_bytes:
-            formed = [n for n in sizes[v_bytes] if n > 0]
-            avg = float(np.mean(formed)) if formed else 0.0
-            records[(density, v_bytes)] = sizes[v_bytes]
-            rows.append((density, v_bytes, avg, len(formed)))
+                records[(density, v_bytes)].append(
+                    form_cluster(recruitment, v_bytes).n_c)
+        del starts, start
+    rows = []
+    for (density, v_bytes), sizes in records.items():
+        formed = [n for n in sizes if n > 0]
+        avg = float(np.mean(formed)) if formed else 0.0
+        rows.append((density, v_bytes, avg, len(formed)))
     return SweepResult(
         header=["density_per_km", "v_file_bytes", "avg_cluster_size",
                 "n_clustered_runs"],

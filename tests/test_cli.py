@@ -33,6 +33,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["throughput", "--set", "experiments.success_fraction=7"]) == 2
     assert main(["validate-config", "--set", "chanel.noise_dbm=-90"]) == 2
     assert "config error" in capsys.readouterr().err
+    # A NaN fails as a config error before any row is written.
+    for argv in (["validate-config", "--set", "mobility.step_s=nan"],
+                 ["throughput", "--set", "mac.slot_us=nan"],
+                 ["connection-time", "--set", "mobility.accel_mps2=nan"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert f"'{argv[-1].split('=')[0]}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_errors_exit_3(tmp_path, capsys):
@@ -109,27 +116,21 @@ def test_max_volume_runs_both_schemes(tmp_path):
 # SHA-256 of each stochastic sweep's CSV at three seeds per grid point.
 # The traffic, the metrics and the number format all feed these bytes, so
 # a change meant to keep the output as it is must keep every digest; a
-# change that moves one changes behaviour and says so.  Snapshots > 1
-# covers the stepping between pair-sweep snapshots.
+# change that moves one changes behaviour and says so.
 GOLDEN_CSVS = {
-    "max-volume": (
-        [], "e07c01ac7e43a4e6413f6d164a143b9dff58a6ccdec1bf6358f3e8ff6fae689c"),
-    "cluster-size": (
-        [], "9a45cd5704aef7671db1d8535a50c6123b540c1514b4126064429a714beb19b6"),
-    "connection-time": (
-        [], "e562373bd247ec7d01c583c17c74ebee2f14ab3426b4c2ae00cc9038c6ec6f33"),
-    "capacity": (
-        [], "82abbb6ad20455de0fe489ec5313c33316a76ccd90755f125d8444657852c5dc"),
-    "connection-time-3-snapshots": (
-        ["--set", "experiments.snapshots=3"],
-        "a1844f4f0833605fb70065bb6c8606172748055ff4d2695f5d7692522a34bd23"),
+    "max-volume":
+        "e07c01ac7e43a4e6413f6d164a143b9dff58a6ccdec1bf6358f3e8ff6fae689c",
+    "cluster-size":
+        "9a45cd5704aef7671db1d8535a50c6123b540c1514b4126064429a714beb19b6",
+    "connection-time":
+        "e562373bd247ec7d01c583c17c74ebee2f14ab3426b4c2ae00cc9038c6ec6f33",
+    "capacity":
+        "82abbb6ad20455de0fe489ec5313c33316a76ccd90755f125d8444657852c5dc",
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CSVS))
-def test_reduced_seed_csvs_keep_their_digests(tmp_path, case):
-    extra, digest = GOLDEN_CSVS[case]
-    command = case.removesuffix("-3-snapshots")
-    assert main([command, "--seeds", "3", "--out", str(tmp_path), *extra]) == 0
+@pytest.mark.parametrize("command", sorted(GOLDEN_CSVS))
+def test_reduced_seed_csvs_keep_their_digests(tmp_path, command):
+    assert main([command, "--seeds", "3", "--out", str(tmp_path)]) == 0
     csv = (tmp_path / f"{command}.csv").read_bytes()
-    assert hashlib.sha256(csv).hexdigest() == digest
+    assert hashlib.sha256(csv).hexdigest() == GOLDEN_CSVS[command]

@@ -56,7 +56,7 @@ def test_experiment_settings(default_cfg):
     assert e.safety_distance_m == 150.0
     assert e.connection_density_per_km == 5.0
     assert (e.seeds, e.base_seed, e.warmup_steps) == (30, 20240, 15)
-    assert (e.horizon_s, e.snapshots) == (120.0, 1)
+    assert e.horizon_s == 120.0
     assert e.file_sizes_bytes == tuple(v * MB for v in range(100, 1000, 100))
     assert e.fragment_bytes == MB
     assert e.nominal_mac_rate_bps == 8e6
@@ -144,14 +144,12 @@ def test_config_error_cases(tmp_path):
     "experiments.comm_range_m=[]",
     "mac.carrier_sense_factor=0",
     # out-of-range values
-    "experiments.snapshots=0",
     "experiments.warmup_steps=-5",
     "experiments.max_volume.warmup_steps=-1",
     "experiments.cluster_size.warmup_steps=-1",
     "experiments.horizon_s=0",
     "experiments.cluster_size.horizon_s=0",
     "experiments.fragment_mb=0",
-    "experiments.snapshot_stride_s=0",
     "experiments.nominal_mac_rate_mbps=0",
     "experiments.comm_range_m=[250, 0]",
     "experiments.density_per_km=[-5]",
@@ -174,14 +172,44 @@ def test_config_error_cases(tmp_path):
     "experiments.horizon_s=true",
     "mac.slot_us=true",
     "experiments.comm_range_m=[true]",
+    # a grid value given twice
+    "experiments.comm_range_m=[250, 300, 250]",
+    "experiments.file_size_mb=[100, 100.0]",
+    "experiments.max_volume.density_per_km=[5, 5]",
+    "experiments.cluster_size.density_per_km=[5, 10, 5]",
     # unknown keys: a misspelt key, a key beside a real one, a misspelt section
     "mobility.v_max_khm=100",
     "experiments.max_volume.seed=3",
     "chanel.noise_dbm=-90",
+    # keys that were removed
+    "experiments.snapshots=0",
+    "experiments.snapshot_stride_s=0",
 ])
 def test_invalid_values_are_config_errors(override):
     with pytest.raises(ConfigError):
         load_config(overrides=[override])
+
+
+@pytest.mark.parametrize("override,path", [
+    ("mobility.step_s=nan", "mobility.step_s"),
+    ("mobility.accel_mps2=.nan", "mobility.accel_mps2"),
+    ("mac.slot_us=nan", "mac.slot_us"),
+    ("experiments.comm_range_m=[250, .nan]", "experiments.comm_range_m[1]"),
+    ("channel.mu_profile=[[0, .nan, 1.0]]", "channel.mu_profile[0][1]"),
+    ("channel.mu_profile=[[0, .inf, .nan]]", "channel.mu_profile[0][2]"),
+])
+def test_nan_values_are_config_errors_naming_their_key(override, path):
+    # Every comparison with NaN is false, so no range check would catch it.
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides=[override])
+    assert f"'{path}'" in str(info.value)
+
+
+def test_infinite_values_are_numbers():
+    cfg = load_config(overrides=["channel.mu_profile=[[0, .inf, 1.0]]",
+                                 "experiments.horizon_s=.inf"])
+    assert cfg.channel.mu_profile == ((0.0, math.inf, 1.0),)
+    assert cfg.experiments.horizon_s == math.inf
 
 
 def _leaf_paths(node, prefix=""):

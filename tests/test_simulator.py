@@ -128,10 +128,10 @@ def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
     e = cfg.experiments
     for stream, sweep in (("connection", connection_time_sweep),
                           ("capability", capability_sweep)):
-        snaps, mcfg = simulator._snapshot_states(
+        fleets, mcfg = simulator._snapshot_states(
             cfg, e.connection_density_per_km, e.safety_distance_m, stream)
         standstill = 0
-        for fleet in (f for seed_snaps in snaps for f in seed_snaps):
+        for fleet in fleets:
             dx, dy, dvx, dist = simulator._cross_direction_pairs(
                 fleet, mcfg.lane_length_m)
             standstill += int(np.sum((dvx == 0.0) & (dist <= 250.0)))
@@ -144,12 +144,9 @@ def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
         assert "nan" not in (tmp_path / "out.csv").read_text()
 
 
-@pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("warmup_steps", [0, 15])
-def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, snapshots,
-                                                  warmup_steps):
-    cfg = load_config(overrides=[f"experiments.snapshots={snapshots}",
-                                 f"experiments.warmup_steps={warmup_steps}",
+def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, warmup_steps):
+    cfg = load_config(overrides=[f"experiments.warmup_steps={warmup_steps}",
                                  "experiments.seeds=4"])
     e = cfg.experiments
     density, sd = e.connection_density_per_km, e.safety_distance_m
@@ -161,20 +158,16 @@ def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, snapshots,
         return gens[-1]
 
     monkeypatch.setattr(simulator, "_rng", keeping)
-    seed_snaps, mcfg = simulator._snapshot_states(cfg, density, sd,
-                                                  "connection")
-    stride = round(e.snapshot_stride_s / mcfg.step_s)
-    assert len(seed_snaps) == len(gens) == 4
-    for seed_idx, (snaps, gen) in enumerate(zip(seed_snaps, gens)):
+    fleets, mcfg = simulator._snapshot_states(cfg, density, sd, "connection")
+    assert len(fleets) == len(gens) == 4
+    for seed_idx, (snap, gen) in enumerate(zip(fleets, gens)):
         rng = real_rng(e.base_seed, "connection",
                        simulator._seed_key(density, 1000),
                        simulator._seed_key(sd), seed_idx)
         fleet = mobility.init_scenario(mcfg, rng)
-        assert len(snaps) == snapshots
-        for k, snap in enumerate(snaps):
-            warm_up(fleet, mcfg, rng, stride if k else warmup_steps)
-            assert np.array_equal(snap.x, fleet.x)
-            assert np.array_equal(snap.speed, fleet.speed)
+        warm_up(fleet, mcfg, rng, warmup_steps)
+        assert np.array_equal(snap.x, fleet.x)
+        assert np.array_equal(snap.speed, fleet.speed)
         assert gen.bit_generator.state == rng.bit_generator.state
 
 
@@ -335,28 +328,50 @@ def _direct_oracle(cfg, scen, density, comm_range_m):
     return float(min(n, 1_000_000) * s)
 
 
-def _contact_scenarios(cfg, keys, warmup_steps):
-    e = cfg.experiments
-    starts = simulator.warm_starts(cfg, keys, e.max_volume_sd_m,
-                                   e.max_volume_range_m, warmup_steps,
-                                   "max-volume")
-    return simulator._transfer_scenarios(
-        cfg, [(start, "contact") for start in starts])
+def _on_each_scored(monkeypatch, check):
+    """Have max_transfer_volume call check(scheme, density, scen) on each
+    scenario it scores, as the scheme's scorer receives it: its first
+    HEAD_STEPS rows stepped together with its key batch's."""
+    def spy(scheme, score):
+        def scored(cfg, scen, density, comm_range_m):
+            check(scheme, density, scen)
+            return score(cfg, scen, density, comm_range_m)
+        return scored
+
+    monkeypatch.setattr(simulator, "_SCHEMES", {
+        scheme: (request_at, spy(scheme, score))
+        for scheme, (request_at, score) in simulator._SCHEMES.items()})
 
 
-def test_direct_volume_equals_the_realized_link_oracle(default_cfg):
+def _contact_cfg(densities, seeds, *overrides):
+    """The direct max-volume experiment over densities, seeds each, on a
+    short warm-up."""
+    return load_config(overrides=[
+        f"experiments.max_volume.density_per_km={list(densities)}",
+        f"experiments.max_volume.direct_seeds={seeds}",
+        "experiments.max_volume.warmup_steps=30", *overrides])
+
+
+def _contact_scenarios(monkeypatch, cfg, check):
+    """Run the direct max-volume experiment at cfg, calling
+    check(density, scen) on each contact scenario as it is scored."""
+    _on_each_scored(monkeypatch,
+                    lambda scheme, density, scen: check(density, scen))
+    max_transfer_volume(cfg, "direct")
+
+
+def test_direct_volume_equals_the_realized_link_oracle(monkeypatch,
+                                                       default_cfg):
     # 300 contact scenarios over the shipped densities, on a short warm-up
     # (criterion 8's digest covers the shipped one), bit for bit.
-    cfg = default_cfg
-    e = cfg.experiments
-    r_m = e.max_volume_range_m
-    keys = [(density, seed_idx) for density in e.max_volume_densities
-            for seed_idx in range(50)]
-    positive = 0
-    for (density, _), scen in zip(keys, _contact_scenarios(cfg, keys, 30)):
+    cfg = _contact_cfg(default_cfg.experiments.max_volume_densities, 50)
+    r_m = cfg.experiments.max_volume_range_m
+    volumes = []
+
+    def check(density, scen):
         want = _direct_oracle(cfg, scen, density, r_m)
         assert simulator._direct_max_volume(cfg, scen, density, r_m) == want
-        positive += want > 0.0
+        volumes.append(want)
         # A westbound resource out of range delivers nothing.
         t = scen.trajectory
         far = next(vid for vid in range(len(t.direction))
@@ -365,22 +380,35 @@ def test_direct_volume_equals_the_realized_link_oracle(default_cfg):
         away = dataclasses.replace(scen, resource_vid=far)
         assert simulator._direct_max_volume(cfg, away, density, r_m) == 0.0
         assert _direct_oracle(cfg, away, density, r_m) == 0.0
-    assert positive > 250
+
+    _contact_scenarios(monkeypatch, cfg, check)
+    assert len(volumes) == 300
+    assert sum(v > 0.0 for v in volumes) > 250
 
 
-def test_direct_volume_edge_links_equal_the_oracle(default_cfg):
+def _contact_scenario(monkeypatch, density, seed_idx, *overrides):
+    """The contact scenario of (density, seed_idx), as the direct
+    max-volume experiment scores it."""
+    scenarios = []
+    _contact_scenarios(monkeypatch,
+                       _contact_cfg([density], seed_idx + 1, *overrides),
+                       lambda density, scen: scenarios.append(scen))
+    return scenarios[seed_idx]
+
+
+def test_direct_volume_edge_links_equal_the_oracle(monkeypatch, default_cfg):
     # A zero-rate link, and a head and resource both at standstill: an
     # unbounded predicted capacity, so the trajectory's window decides.
     r_m = default_cfg.experiments.max_volume_range_m
-    dead = load_config(overrides=["rates.rates_mbps=[6]",
-                                  "rates.thresholds_snr=[1e300]"])
-    (scen,) = _contact_scenarios(dead, [(5.0, 0)], 30)
+    dead_rates = ["rates.rates_mbps=[6]", "rates.thresholds_snr=[1e300]"]
+    dead = load_config(overrides=dead_rates)
+    scen = _contact_scenario(monkeypatch, 5.0, 0, *dead_rates)
     assert _request_budget(dead, scen, 5.0, r_m).e_c_bps == 0.0
     assert _direct_oracle(dead, scen, 5.0, r_m) == 0.0
     assert simulator._direct_max_volume(dead, scen, 5.0, r_m) == 0.0
 
     still = load_config(overrides=["mobility.v_min_kmh=0"])
-    (scen,) = _contact_scenarios(still, [(7.0, 6)], 30)
+    scen = _contact_scenario(monkeypatch, 7.0, 6, "mobility.v_min_kmh=0")
     assert math.isinf(_request_budget(still, scen, 7.0, r_m).capacity_bytes)
     want = _direct_oracle(still, scen, 7.0, r_m)
     assert 0.0 < want < math.inf
@@ -488,17 +516,24 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     assert np.array_equal(traj.x, xs)
 
 
-# A bound of 400 vehicles splits every call below into several chunks.
+def _batch_cfg(seeds=3, direct_seeds=4, warmup_steps=60):
+    """Both transfer experiments at 5 and 10 veh/km on a short warm-up."""
+    return load_config(overrides=[
+        "experiments.max_volume.density_per_km=[5, 10]",
+        f"experiments.max_volume.seeds={seeds}",
+        f"experiments.max_volume.direct_seeds={direct_seeds}",
+        f"experiments.max_volume.warmup_steps={warmup_steps}",
+        f"experiments.cluster_size.seeds={seeds}",
+        f"experiments.cluster_size.warmup_steps={warmup_steps}",
+        "experiments.base_seed=17",
+    ])
+
+
+# A bound of 400 vehicles splits every call below into several key batches.
 @pytest.mark.parametrize("head_steps", [0, 1, simulator.HEAD_STEPS,
                                         "n_steps"])
 def test_batch_stepped_heads_equal_on_demand_rows(monkeypatch, head_steps):
-    cfg = load_config(overrides=[
-        "experiments.max_volume.density_per_km=[5, 10]",
-        "experiments.max_volume.seeds=3",
-        "experiments.max_volume.direct_seeds=4",
-        "experiments.max_volume.warmup_steps=60",
-        "experiments.base_seed=17",
-    ])
+    cfg = _batch_cfg()
     e = cfg.experiments
     n_steps = round(e.horizon_s / cfg.mobility_defaults["step_s"])
     head_steps = n_steps if head_steps == "n_steps" else head_steps
@@ -506,27 +541,105 @@ def test_batch_stepped_heads_equal_on_demand_rows(monkeypatch, head_steps):
     monkeypatch.setattr(simulator, "HEAD_STEPS", 0)
     on_demand = max_transfer_volume(cfg, "direct", "cft")
     monkeypatch.setattr(simulator, "HEAD_STEPS", head_steps)
-    assert max_transfer_volume(cfg, "direct", "cft") == on_demand
 
-    keys = [(5.0, 0), (10.0, 1), (10.0, 2), (5.0, 3)]
-    starts = simulator.warm_starts(cfg, keys, e.max_volume_sd_m,
-                                   e.max_volume_range_m, 15, "max-volume")
-    requests = [(start, request_at) for start in starts
-                for request_at in ("contact", "encounter")]
-    scenarios = list(simulator._transfer_scenarios(cfg, requests))
-    assert len(scenarios) == len(requests)
-    for scen, (start, request_at) in zip(scenarios, requests):
+    # Each scenario's eager record from its request instant, taken as it
+    # is built; a key batch's scenarios are scored in the order built.
+    built = []
+    build = simulator.build_transfer_scenario
+
+    def recording(cfg, start, request_at):
         fleet, head, resource, rng = simulator.request_instant(start,
                                                                request_at)
+        built.append((head, resource,
+                      _eager_record(fleet, start.mcfg, rng, n_steps)))
+        return build(cfg, start, request_at)
+
+    scored = []
+
+    def check(scheme, density, scen):
+        head, resource, (xs, sp) = built.pop(0)
         assert (scen.head_vid, scen.resource_vid) == (head, resource)
-        xs, sp = _eager_record(fleet, start.mcfg, rng, n_steps)
         traj = scen.trajectory
-        assert traj.x.shape == (head_steps + 1, fleet.n)
+        assert traj.x.shape == (head_steps + 1, xs.shape[1])
         assert np.array_equal(traj.x, xs[:head_steps + 1])
         assert np.array_equal(traj.speed, sp[:head_steps + 1])
         # On demand past the batch-stepped rows.
         traj.state(head, e.horizon_s)
         assert np.array_equal(traj.x, xs) and np.array_equal(traj.speed, sp)
+        scored.append(scheme)
+
+    monkeypatch.setattr(simulator, "build_transfer_scenario", recording)
+    _on_each_scored(monkeypatch, check)
+    assert max_transfer_volume(cfg, "direct", "cft") == on_demand
+    assert built == [] and sorted(scored) == ["cft"] * 6 + ["direct"] * 8
+
+
+def test_key_batches_leave_the_records_as_they_are(monkeypatch):
+    cfg = _batch_cfg()
+    warmed = []
+    real = simulator.warm_starts
+
+    def counting(cfg, keys, *args):
+        warmed.append(len(keys))
+        return real(cfg, keys, *args)
+
+    monkeypatch.setattr(simulator, "warm_starts", counting)
+    shipped = [max_transfer_volume(cfg, "direct", "cft"),
+               cluster_size_profile(cfg)]
+    assert warmed == [8, 6]              # one key batch per experiment
+    warmed.clear()
+    monkeypatch.setattr(mobility, "BATCH_VEHICLES", 400)
+    assert [max_transfer_volume(cfg, "direct", "cft"),
+            cluster_size_profile(cfg)] == shipped
+    assert warmed == [3, 2, 1, 1, 1] + [3, 1, 1, 1]
+
+
+@pytest.mark.parametrize("experiment", [
+    pytest.param(lambda cfg: max_transfer_volume(cfg, "direct", "cft"),
+                 id="max-volume"),
+    pytest.param(cluster_size_profile, id="cluster-size"),
+])
+def test_live_warm_starts_do_not_grow_with_the_seed_count(monkeypatch,
+                                                          experiment):
+    count = {"live": 0, "peak": 0}
+
+    def release():
+        count["live"] -= 1
+
+    real = simulator.warm_starts
+
+    def tracking(*args):
+        # The last key batch was let go before this one is warmed up.
+        assert count["live"] == 0
+        starts = real(*args)
+        for start in starts:
+            weakref.finalize(start, release)
+        count["live"] += len(starts)
+        count["peak"] = max(count["peak"], count["live"])
+        return starts
+
+    monkeypatch.setattr(simulator, "warm_starts", tracking)
+    # Up to three 5 veh/km fleets (110 vehicles) fit in a 400-vehicle batch.
+    monkeypatch.setattr(mobility, "BATCH_VEHICLES", 400)
+    peaks = []
+    for seeds in (4, 12):
+        count["peak"] = 0
+        experiment(_batch_cfg(seeds, seeds, warmup_steps=5))
+        assert count["live"] == 0
+        peaks.append(count["peak"])
+    assert peaks == [3, 3]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_key_sizes_are_the_fleets_init_scenario_builds(lanes):
+    # 5 veh/km on 11 km is 55 vehicles a direction, split 28/27 over two
+    # lanes and 19/18/18 over three; 0.1 veh/km leaves lanes empty.
+    cfg = load_config(overrides=[f"mobility.lanes_per_direction={lanes}"])
+    rng = np.random.default_rng(0)
+    for density in (0.1, 0.25, 1.0, 5.0, 5.5, 7.3, 10.0, 41.0):
+        for sd in (50.0, 150.0):
+            fleet = mobility.init_scenario(cfg.mobility(density, sd), rng)
+            assert simulator._fleet_size(cfg, density, sd) == fleet.n
 
 
 def test_only_fresh_trajectories_are_stepped_together(default_cfg):

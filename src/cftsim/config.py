@@ -150,6 +150,11 @@ class ExperimentSettings:
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # A max-volume trajectory records horizon_s of traffic.  The
+        # cluster-size horizon only bounds planning and may be infinite.
+        if math.isinf(self.horizon_s):
+            raise ConfigError(
+                "config key 'experiments.horizon_s' must be finite")
 
 
 @dataclass(frozen=True)

@@ -317,12 +317,9 @@ class Cluster:
         return hi - start * self.s_bytes
 
 
-def _same_heading(a: VehicleState, b: VehicleState) -> bool:
-    return a.vx * b.vx > 0.0
-
-
-# Relative and absolute slack of the numpy range prefilter in _in_earshot:
-# far wider than any rounding gap between np.hypot and math.hypot.
+# Relative and absolute slack of the numpy range prefilters, _in_earshot
+# and _may_join: far wider than any rounding gap between np.hypot and
+# math.hypot.
 _EARSHOT_REL = 1e-9
 _EARSHOT_ABS_M = 1e-6
 
@@ -350,6 +347,42 @@ def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
     return hit
 
 
+def _may_join(vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
+              head: VehicleState, resource: VehicleState,
+              models: Models) -> np.ndarray:
+    """Mask over vehicles: those the planner might admit as members.
+
+    A vehicle is admitted only with the head's heading, a resource budget
+    (prospective_link_budget) of some fragments and a plan
+    (_plannable_frags) of some.  The budget needs a resource contact of
+    positive length that opens before horizon_s, or one open now; the plan
+    needs a head window that opens before it (t_in < horizon_s).  Either
+    way the pair is within range_m at some t in [0, horizon_s).  So the
+    mask keeps the vehicles of the head's heading whose closest approach
+    under constant velocity over [0, horizon_s] comes within range_m of
+    the head and of the resource, up to _in_earshot's slack; every kept
+    vehicle is then scored by those scalar tests, which leaves admissions
+    exact.  It holds at horizon_s = inf, at zero relative speed (the
+    closest approach is now) and with vy != 0.
+    """
+    vx = np.array([v.vx for v in vehicles])
+    vy = np.array([v.vy for v in vehicles])
+    reach = models.range_m * (1.0 + _EARSHOT_REL) + _EARSHOT_ABS_M
+    may = vx * head.vx > 0.0
+    for other in (head, resource):
+        # Each pair as _relative(vehicle, other) sees it.
+        dx = ring_delta(x, other.x, models.ring_length_m)
+        dy = other.y - y
+        dvx = other.vx - vx
+        dvy = other.vy - vy
+        speed2 = dvx * dvx + dvy * dvy
+        t = np.divide(-(dx * dvx + dy * dvy), speed2,
+                      out=np.zeros_like(speed2), where=speed2 > 0.0)
+        np.clip(t, 0.0, models.horizon_s, out=t)
+        may &= np.hypot(dx + dvx * t, dy + dvy * t) <= reach
+    return may
+
+
 class Recruitment:
     """One request's cluster members in recruitment order, for every file.
 
@@ -360,7 +393,10 @@ class Recruitment:
     fragments to the nearest member at each handoff.  The head comes first
     when its own link to the resource has usable capacity.  Only vehicles
     travelling the head's way are eligible: an opposite vehicle leaves the
-    cluster neighbourhood before it could forward anything.
+    cluster neighbourhood before it could forward anything.  The
+    invitation stops once no vehicle it has yet to reach may join: none
+    of the head's heading comes within range of both the head and the
+    resource before the planning horizon (_may_join).
 
     Neither that order nor any member's planned_frags depends on the file
     size, only on the fragment size s_bytes, so one recruitment serves
@@ -405,7 +441,7 @@ class Recruitment:
     def _admissions(head: VehicleState, resource: VehicleState,
                     states: dict, s_bytes: float, models: Models):
         """Yield the members after the head, in recruitment order, until
-        the invitation has reached every vehicle it can.
+        no vehicle the invitation has yet to reach may join (_may_join).
 
         The generator holds no reference to its recruitment, so no cycle
         keeps a dropped recruitment, its scores and the traffic sources
@@ -416,9 +452,10 @@ class Recruitment:
                              if v.vid not in (head.vid, resource.vid)]
         x = np.array([v.x for v in vehicles])
         y = np.array([v.y for v in vehicles])
+        may_join = _may_join(vehicles, x, y, head, resource, models)
         anchors = np.array([0])
         waiting = np.arange(1, len(vehicles))
-        while waiting.size:
+        while may_join[waiting].any():
             # Next ring: anyone in earshot of a vehicle that already carries
             # the invitation.  The broadcast is omnidirectional, so vehicles
             # with nothing to offer, including oncoming ones, still relay it
@@ -428,11 +465,9 @@ class Recruitment:
                 return
             anchors = waiting[hit]
             waiting = waiting[~hit]
-            ring = [vehicles[i] for i in anchors]
+            ring = [vehicles[i] for i in anchors[may_join[anchors]]]
             ring.sort(key=lambda v: (_distance(resource, v, models), v.vid))
             for v in ring:
-                if not _same_heading(v, head):
-                    continue
                 budget = prospective_link_budget(v, resource, s_bytes, models)
                 # Anything beyond what the member can relay back to the head
                 # is dead weight; its planned share is capped accordingly.

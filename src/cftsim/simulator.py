@@ -555,7 +555,7 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     reads its cluster off one recruitment of the request.  The search
     assumes that success is monotone in the file size, and that can fail:
     at the shipped settings some seeds fail at one size yet succeed at a
-    larger one (ROADMAP item 4).  On such a seed the result is a size that
+    larger one (ROADMAP item 3).  On such a seed the result is a size that
     succeeds next to one that fails, set by the probe order; it need not
     lie below the first failing size.
     """

@@ -46,6 +46,13 @@ def predicted(fleet, models: Models) -> Ballistic:
     return Ballistic({v.vid: v for v in fleet}, models)
 
 
+def unstopped_invitation(vehicles, x, y, head, resource, models):
+    """protocol._may_join cut down to its heading test: the invitation
+    scores every vehicle of the head's heading it reaches and relays on
+    until it reaches nobody new."""
+    return np.array([v.vx * head.vx > 0.0 for v in vehicles])
+
+
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -33,10 +33,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["throughput", "--set", "experiments.success_fraction=7"]) == 2
     assert main(["validate-config", "--set", "chanel.noise_dbm=-90"]) == 2
     assert "config error" in capsys.readouterr().err
-    # A NaN fails as a config error before any row is written.
+    # A NaN, or an infinite max-volume trajectory, fails as a config error
+    # before any row is written.
     for argv in (["validate-config", "--set", "mobility.step_s=nan"],
                  ["throughput", "--set", "mac.slot_us=nan"],
-                 ["connection-time", "--set", "mobility.accel_mps2=nan"]):
+                 ["connection-time", "--set", "mobility.accel_mps2=nan"],
+                 ["max-volume", "--set", "experiments.horizon_s=.inf"]):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert f"'{argv[-1].split('=')[0]}'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -148,6 +148,7 @@ def test_config_error_cases(tmp_path):
     "experiments.max_volume.warmup_steps=-1",
     "experiments.cluster_size.warmup_steps=-1",
     "experiments.horizon_s=0",
+    "experiments.horizon_s=.inf",
     "experiments.cluster_size.horizon_s=0",
     "experiments.fragment_mb=0",
     "experiments.nominal_mac_rate_mbps=0",
@@ -207,9 +208,9 @@ def test_nan_values_are_config_errors_naming_their_key(override, path):
 
 def test_infinite_values_are_numbers():
     cfg = load_config(overrides=["channel.mu_profile=[[0, .inf, 1.0]]",
-                                 "experiments.horizon_s=.inf"])
+                                 "experiments.cluster_size.horizon_s=.inf"])
     assert cfg.channel.mu_profile == ((0.0, math.inf, 1.0),)
-    assert cfg.experiments.horizon_s == math.inf
+    assert cfg.experiments.cluster_horizon_s == math.inf
 
 
 def _leaf_paths(node, prefix=""):

@@ -1,10 +1,12 @@
 """Transfer protocol: budgets, recruitment, assignment, execution."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cftsim import protocol, simulator
 from cftsim.channel import expected_rate
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
@@ -17,7 +19,8 @@ from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
                              prospective_link_budget, recruit, run_cft,
                              run_direct_baseline, select_resource)
 
-from conftest import LANE_LENGTH_M, predicted, random_scene, single_rate_models
+from conftest import (LANE_LENGTH_M, predicted, random_scene,
+                      single_rate_models, unstopped_invitation)
 
 MB = 1_000_000.0
 
@@ -391,36 +394,23 @@ def test_member_that_never_meets_the_head_contributes_nothing():
 # --- one recruitment shared by every file size ------------------------------
 
 
-def _scalar_cluster(head, resource, fleet, v_bytes, models):
-    """Reference recruitment for one file of v_bytes in 1 MB fragments: the
-    per-size scalar ring loop.
+def _scalar_admissions(head, resource, fleet, models):
+    """Reference recruitment in 1 MB fragments: every member in order, from
+    the per-vehicle scalar ring loop, until the invitation reaches nobody
+    new.
 
     Every ring is found by testing each remaining vehicle against each
-    anchor with math.hypot, and recruitment starts afresh for each file.
+    anchor with math.hypot, and every vehicle of the head's heading that
+    it reaches is scored.
     """
-    members = []
-    covered = 0.0
-
-    def admit(v, budget):
-        nonlocal covered
-        if v.vid == head.vid:
-            plan = _derated_frags(budget, MB, models)
-        else:
-            plan = _plannable_frags(v, head, budget, MB, models)
-        if plan <= 0:
-            return False
-        members.append(ClusterMember(v.vid, budget, plan))
-        covered += MB * plan if not math.isinf(plan) else math.inf
-        return True
-
     try:
         head_budget = link_budget(head, resource, MB, models)
     except ValueError:
         head_budget = None
     if head_budget is not None and head_budget.capacity_bytes > 0:
-        admit(head, head_budget)
-    if covered >= v_bytes:
-        return members
+        plan = _derated_frags(head_budget, MB, models)
+        if plan > 0:
+            yield ClusterMember(head.vid, head_budget, plan)
 
     recruited = {head.vid, resource.vid}
     anchors = [head]
@@ -435,7 +425,7 @@ def _scalar_cluster(head, resource, fleet, v_bytes, models):
                     ring.append(v)
                     break
         if not ring:
-            raise InsufficientCapacityError
+            return
         def dist_to_resource(v):
             dx, dy, _, _ = _relative(resource, v, models)
             return (math.hypot(dx, dy), v.vid)
@@ -445,11 +435,25 @@ def _scalar_cluster(head, resource, fleet, v_bytes, models):
             if v.vx * head.vx <= 0.0:
                 continue
             budget = prospective_link_budget(v, resource, MB, models)
-            if not admit(v, budget):
-                continue
-            if covered >= v_bytes:
-                return members
+            plan = _plannable_frags(v, head, budget, MB, models)
+            if plan > 0:
+                yield ClusterMember(v.vid, budget, plan)
         anchors = ring
+
+
+def _scalar_cluster(head, resource, fleet, v_bytes, models):
+    """Reference cluster for one file of v_bytes: the shortest prefix of a
+    fresh reference recruitment that covers it, the head always kept."""
+    members = []
+    covered = 0.0
+    for m in _scalar_admissions(head, resource, fleet, models):
+        if covered >= v_bytes and m.vid != head.vid:
+            return members
+        members.append(m)
+        covered += MB * m.planned_frags
+    if covered < v_bytes:
+        raise InsufficientCapacityError
+    return members
 
 
 def _oracle_sizes(head, resource, fleet, models):
@@ -585,6 +589,150 @@ def test_shared_recruitment_keeps_the_inclusive_range_edge():
         near = vehicle(0, head_x + 1e-6, 0.0, 20.0)
         assert build_cluster(around(near, src, [near, far, src], models),
                              v_bytes).n_c == 2
+
+
+# --- where the invitation stops ---------------------------------------------
+
+
+def _exhausted(head, resource, fleet, models):
+    """Every member of the request's recruitment, read until its
+    invitation stops."""
+    recruitment = around(head, resource, fleet, models)
+    return recruitment.members + list(recruitment._pending)
+
+
+def _check_admissions(head, resource, fleet, models):
+    """The invitation admits exactly the reference recruitment's members,
+    in its order, down to the last; returns how many."""
+    got = _exhausted(head, resource, fleet, models)
+    want = list(_scalar_admissions(head, resource, fleet, models))
+    assert [(m.vid, m.budget, m.planned_frags) for m in got] == \
+        [(m.vid, m.budget, m.planned_frags) for m in want]
+    return len(got)
+
+
+def _warmed_request(cfg, experiment, density, seed_idx):
+    """A shipped transfer experiment's request: its head, resource and
+    fleet at the request instant, and its planning models."""
+    e = cfg.experiments
+    if experiment == "max-volume":
+        sd, r_m, steps = (e.max_volume_sd_m, e.max_volume_range_m,
+                          e.max_volume_warmup_steps)
+        models = cfg.models(r_m, density,
+                            plan_margin_s=e.max_volume_plan_margin_s)
+    else:
+        sd, r_m, steps = e.cluster_sd_m, e.cluster_range_m, e.cluster_warmup_steps
+        models = cfg.models(r_m, density, e.cluster_horizon_s)
+    start = simulator.warm_starts(cfg, [(density, seed_idx)], sd, r_m, steps,
+                                  experiment)[0]
+    fleet, head, resource, _ = simulator.request_instant(start, "encounter")
+    states = simulator._vehicle_states(fleet.x, fleet.y, fleet.vx)
+    return states[head], states[resource], states, models
+
+
+@pytest.mark.parametrize("experiment", ["max-volume", "cluster"])
+@pytest.mark.parametrize("density", [5.0, 10.0])
+def test_invitation_admits_the_reference_members_on_warmed_fleets(
+        default_cfg, experiment, density):
+    # Max-volume plans over 120 s with a plan margin, cluster-size over
+    # 3,600 s.
+    admitted = 0
+    for seed_idx in range(3):
+        admitted += _check_admissions(
+            *_warmed_request(default_cfg, experiment, density, seed_idx))
+    assert admitted > 0
+
+
+@pytest.mark.parametrize("horizon_s", [120.0, math.inf])
+@pytest.mark.parametrize("opens_s", [119.5, 120.5])
+def test_invitation_at_a_resource_contact_opening_near_the_horizon(
+        horizon_s, opens_s):
+    # The member rides with the head.  The resource closes on both at
+    # 25 m/s and comes into the member's range opens_s from now: inside a
+    # 120 s horizon that is 0.5 s of contact, 5 fragments at 80 Mbit/s.
+    models = single_rate_models(80e6, horizon_s=horizon_s)
+    head = vehicle(0, 0.0, 0.0, 20.0)
+    member = vehicle(1, 10.0, 0.0, 20.0)
+    src = vehicle(9, 260.0 + 25.0 * opens_s, 0.0, -5.0)
+    assert _check_admissions(head, src, [head, member, src], models) == \
+        (opens_s < horizon_s)
+
+
+@pytest.mark.parametrize("horizon_s", [120.0, math.inf])
+@pytest.mark.parametrize("opens_s", [117.0, 123.0])
+def test_invitation_at_a_head_contact_opening_near_the_horizon(
+        horizon_s, opens_s):
+    # The member rides with the resource far ahead and downloads from it
+    # at once.  The head gains on both at 19 m/s and meets the member
+    # opens_s from now: inside a 120 s horizon that is 3 s to forward 2
+    # fragments in.  Oncoming vehicles relay the invitation out to them.
+    models = single_rate_models(8e6, horizon_s=horizon_s)
+    head = vehicle(0, 0.0, 0.0, 20.0)
+    gap = 250.0 + 19.0 * opens_s
+    member = vehicle(1, gap, 0.0, 1.0)
+    src = vehicle(9, gap + 10.0, 0.0, 1.0)
+    relays = [vehicle(100 + i, 200.0 * i, 0.0, -30.0)
+              for i in range(1, int(gap // 200.0) + 1)]
+    fleet = [head, *relays, member, src]
+    assert _check_admissions(head, src, fleet, models) == (opens_s < horizon_s)
+
+
+def test_invitation_at_the_range_edge_with_zero_relative_speed():
+    # Head, resource and member share one velocity, and the member sits
+    # exactly range_m from the resource as math.hypot measures it, in
+    # another lane.  At this offset np.hypot can round that distance up,
+    # and _may_join's slack keeps the member anyway.
+    head = vehicle(0, 0.0, 0.0, 20.0)
+    src = vehicle(9, 100.0, 0.0, 20.0)
+    edge = vehicle(1, -138.533, -65.0, 20.0)
+    range_m = math.hypot(single_rate_models(8e6).ring_dx(edge.x, src.x),
+                         src.y - edge.y)
+    models = single_rate_models(8e6, range_m=range_m)
+    assert _check_admissions(head, src, [head, edge, src], models) == 2
+
+
+@pytest.mark.parametrize("horizon_s", [120.0, math.inf])
+def test_invitation_admits_the_reference_members_with_lateral_motion(
+        default_cfg, horizon_s):
+    gen = np.random.default_rng(90_909)
+    models = default_cfg.models(250.0, 5.0, horizon_s=horizon_s,
+                                plan_margin_s=1.0)
+    admitted = 0
+    for _ in range(100):
+        fleet, head, holders, _ = random_scene(gen)
+        # Lane changes and drift, with some pairs left at zero lateral
+        # speed.
+        fleet = [dataclasses.replace(v, vy=float(gen.choice([0.0, -1.5, 0.8])))
+                 for v in fleet]
+        head = fleet[head.vid]
+        resource = fleet[holders[0]]
+        admitted += _check_admissions(head, resource, fleet, models)
+    assert admitted > 0
+
+
+def test_invitation_stops_once_nobody_left_may_join(default_cfg,
+                                                     monkeypatch):
+    # Unmasked, the invitation of a shipped max-volume request relays ring
+    # by ring round the whole road; it stops as soon as no vehicle it has
+    # yet to reach may join, and admits the same members.
+    head, resource, states, models = _warmed_request(default_cfg,
+                                                     "max-volume", 10.0, 0)
+    passes = []
+    in_earshot = protocol._in_earshot
+
+    def counting(*args):
+        hit = in_earshot(*args)
+        passes.append(bool(hit.any()))
+        return hit
+
+    monkeypatch.setattr(protocol, "_in_earshot", counting)
+    members = _exhausted(head, resource, states, models)
+    stopped_after = len(passes)
+    passes.clear()
+    monkeypatch.setattr(protocol, "_may_join", unstopped_invitation)
+    assert _exhausted(head, resource, states, models) == members
+    rings = sum(passes)
+    assert 0 < stopped_after < rings
 
 
 def test_clusters_of_one_recruitment_do_not_share_members():

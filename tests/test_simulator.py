@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cftsim import mobility, simulator
+from cftsim import mobility, protocol, simulator
 from cftsim.channel import expected_rate
 from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
@@ -22,6 +22,7 @@ from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               connection_time_sweep, max_transfer_volume,
                               rate_curve, run_sweep, throughput_sweep,
                               write_csv)
+from conftest import unstopped_invitation
 from test_mobility import warm_up
 
 MB = 1_000_000.0
@@ -787,7 +788,7 @@ def test_max_volume_records_match_fresh_recruitment_per_probe():
     # Every probe of the search reads its cluster off one shared
     # recruitment; recruiting afresh per probe must give the same volumes,
     # also on seeds where success is not monotone in the file size and the
-    # result depends on which sizes are probed (ROADMAP item 4).
+    # result depends on which sizes are probed (ROADMAP item 3).
     cfg = load_config(overrides=[
         "experiments.max_volume.density_per_km=[5, 10]",
         "experiments.max_volume.seeds=6",
@@ -976,6 +977,18 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
                 seen.add("clustered" if out.n_c > 0 else out.mode)
     # direct 0, clustered n_c > 0, and 0 where recruitment ran out
     assert seen == {"direct", "clustered", "failed"}
+
+
+def test_cluster_profile_plans_over_an_infinite_horizon(monkeypatch):
+    # With no planning horizon, any vehicle of the head's heading that ever
+    # meets both the head and the resource may join.  The stopped
+    # invitation must still record what an unstopped one does.
+    cfg = load_config(overrides=["experiments.cluster_size.horizon_s=.inf",
+                                 "experiments.cluster_size.seeds=1"])
+    res = cluster_size_profile(cfg)
+    assert any(n > 0 for sizes in res.records.values() for n in sizes)
+    monkeypatch.setattr(protocol, "_may_join", unstopped_invitation)
+    assert cluster_size_profile(cfg) == res
 
 
 def test_run_sweep_dispatch(default_cfg):

@@ -1,19 +1,29 @@
 """Link lifetime prediction for vehicles moving at constant velocity.
 
-Two vehicles stay connected while their separation is at most the
-communication range R.  With relative position (dx, dy) and relative
-velocity (dvx, dvy) both treated as constant, the separation is
+Two vehicles are in range while their separation is at most the
+communication range R; in_range is the one scalar test of that.  With
+relative position (dx, dy) and relative velocity (dvx, dvy) both treated
+as constant, the squared separation is
 
     |d + v t|^2 = B t^2 + 2 A t + (dx^2 + dy^2)
 
 with A = dvx*dx + dvy*dy and B = dvx^2 + dvy^2, so range crossings are the
-roots of a quadratic and the residual connection time of an in-range pair
-has a closed form.
+roots of a quadratic.  range_window is the one scalar closed form of them;
+predict_connection_time reads an in-range pair's residual lifetime off it,
+and connection_times is its numpy form for in-range pairs, evaluated in the
+same order so that the two agree exactly.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+
+def in_range(dx: float, dy: float, comm_range_m: float) -> bool:
+    """Whether a pair at relative position (dx, dy) is within range now."""
+    return math.hypot(dx, dy) <= comm_range_m
 
 
 def predict_connection_time(dx: float, dy: float, dvx: float, dvy: float,
@@ -25,49 +35,56 @@ def predict_connection_time(dx: float, dy: float, dvx: float, dvy: float,
     their own horizon.  Raises ValueError if the pair is already out of
     range, where no residual lifetime is defined.
     """
-    if comm_range_m <= 0.0:
-        raise ValueError(f"communication range must be positive, got {comm_range_m}")
-    if dx * dx + dy * dy > comm_range_m * comm_range_m:
+    window = range_window(dx, dy, dvx, dvy, comm_range_m)
+    if not in_range(dx, dy, comm_range_m):
         raise ValueError(
             "pair is out of communication range; predict_connection_time "
             "requires an in-range pair"
         )
-    a = dvx * dx + dvy * dy
-    b = dvx * dvx + dvy * dvy
-    if b == 0.0:
-        return math.inf
-    cross = dvy * dx - dvx * dy
-    radicand = b * comm_range_m * comm_range_m - cross * cross
-    # In-range start guarantees a non-negative radicand up to rounding.
-    radicand = max(radicand, 0.0)
-    return (-a + math.sqrt(radicand)) / b
+    return window[1]
 
 
 def range_window(dx: float, dy: float, dvx: float, dvy: float,
                  comm_range_m: float) -> tuple[float, float] | None:
     """Future time window [t_in, t_out] during which the pair is in range.
 
-    Generalises predict_connection_time to pairs that are currently out of
-    range but approaching: for those the window starts at t_in > 0.  For an
-    in-range pair t_in is 0 and t_out is the residual connection time.
-    Returns None when the trajectories never come within range.  A stationary
-    in-range pair yields (0, inf).
+    A pair in range now gets exactly (0.0, t_out), its residual connection
+    time, never negative; a stationary one gets (0.0, inf).  A pair out of
+    range now but approaching gets t_in > 0, or 0.0 where rounding puts its
+    entry in the past.  Returns None when the trajectories never come
+    within range.
     """
     if comm_range_m <= 0.0:
         raise ValueError(f"communication range must be positive, got {comm_range_m}")
-    r2 = comm_range_m * comm_range_m
-    in_range = dx * dx + dy * dy <= r2
+    now = in_range(dx, dy, comm_range_m)
     b = dvx * dvx + dvy * dvy
     if b == 0.0:
-        return (0.0, math.inf) if in_range else None
+        return (0.0, math.inf) if now else None
     a = dvx * dx + dvy * dy
     cross = dvy * dx - dvx * dy
-    radicand = b * r2 - cross * cross
+    radicand = b * (comm_range_m * comm_range_m) - cross * cross
+    if now:
+        # In range now guarantees a non-negative radicand and t_out up to
+        # rounding.
+        return (0.0, max((-a + math.sqrt(max(radicand, 0.0))) / b, 0.0))
     if radicand < 0.0:
         return None
     root = math.sqrt(radicand)
-    t_in = (-a - root) / b
     t_out = (-a + root) / b
-    if t_out <= 0.0 and not in_range:
+    if t_out <= 0.0:
         return None
-    return (max(t_in, 0.0), t_out)
+    return (max((-a - root) / b, 0.0), t_out)
+
+
+def connection_times(dx, dy, dvx, dvy, comm_range_m: float) -> np.ndarray:
+    """predict_connection_time over arrays of in-range pairs, element by
+    element and exactly equal to it; inf for a pair with no relative
+    speed.  Pairs out of range are not detected."""
+    a = dvx * dx + dvy * dy
+    b = dvx * dvx + dvy * dvy
+    cross = dvy * dx - dvx * dy
+    radicand = np.maximum(b * (comm_range_m * comm_range_m) - cross * cross,
+                          0.0)
+    t_out = np.divide(-a + np.sqrt(radicand), b,
+                      out=np.full_like(b, np.inf), where=b != 0.0)
+    return np.maximum(t_out, 0.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelParams, RateTable, expected_rate
-from .connection import predict_connection_time, range_window
+from .connection import in_range, predict_connection_time, range_window
 from .mac import MacParams, throughput
 from .mobility import ring_delta
 
@@ -104,6 +104,11 @@ def _distance(a: VehicleState, b: VehicleState, models: Models) -> float:
     return math.hypot(dx, dy)
 
 
+def _in_range(a: VehicleState, b: VehicleState, models: Models) -> bool:
+    dx, dy, _, _ = _relative(a, b, models)
+    return in_range(dx, dy, models.range_m)
+
+
 def _contact(a: VehicleState, b: VehicleState, models: Models,
              range_m: float) -> tuple[float, float, float]:
     """Predicted contact of the pair within range_m: (t_start_s, delta_t_s,
@@ -112,12 +117,11 @@ def _contact(a: VehicleState, b: VehicleState, models: Models,
     to the horizon (empty at its t_in, or at 0 if none) and rated at its
     midpoint distance, as it has no meaningful present-distance rate."""
     dx, dy, dvx, dvy = _relative(a, b, models)
-    dist = math.hypot(dx, dy)
-    if dist <= range_m:
+    if in_range(dx, dy, range_m):
         # A zero-distance link would have an undefined rate; distances are
         # lane-separated in practice, but clamp defensively.
         return (0.0, predict_connection_time(dx, dy, dvx, dvy, range_m),
-                max(dist, 1e-6))
+                max(math.hypot(dx, dy), 1e-6))
     t_in, t_out = range_window(dx, dy, dvx, dvy, range_m) or (0.0, 0.0)
     t_out = min(t_out, models.horizon_s)
     if t_out <= t_in:
@@ -143,10 +147,10 @@ def link_budget(i: VehicleState, source: VehicleState, s_bytes: float,
                 models: Models) -> LinkBudget:
     """Capacity of the i <- source link over its remaining connection time
     (_contact), in fragments of s_bytes; the pair must be in range now."""
-    dist = _distance(i, source, models)
-    if dist > models.range_m:
+    if not _in_range(i, source, models):
         raise ValueError(
-            f"vehicles {i.vid} and {source.vid} are {dist:.1f} m apart, "
+            f"vehicles {i.vid} and {source.vid} are "
+            f"{_distance(i, source, models):.1f} m apart, "
             f"beyond the {models.range_m:.1f} m range"
         )
     return _budget_from_contact(i, source, s_bytes, models)
@@ -195,11 +199,11 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
         raise NoResourceError("no vehicle responded to the file request")
     scored = []
     for r in responders:
-        dist = _distance(request, r, models)
-        if dist > models.range_m:
+        if not _in_range(request, r, models):
             continue
         b = link_budget(request, r, s_bytes, models)
-        scored.append((-b.capacity_bytes, dist, r.vid, r, b))
+        scored.append((-b.capacity_bytes, _distance(request, r, models),
+                       r.vid, r, b))
     if not scored:
         raise NoResourceError("no responder within communication range")
     scored.sort(key=lambda t: t[:3])
@@ -332,7 +336,7 @@ def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
     x and y hold every vehicle's position.  A numpy pass over every
     (anchor, candidate) pair keeps the pairs within range up to a small
     slack; each kept candidate is then confirmed with the scalar test, so
-    the mask is exactly that of _distance(anchor, candidate) <= range_m.
+    the mask is exactly that of _in_range(anchor, candidate).
     """
     dx = ring_delta(x[anchors][:, None], x[waiting][None, :],
                     models.ring_length_m)
@@ -342,7 +346,7 @@ def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
     hit = np.zeros(waiting.size, dtype=bool)
     for j in np.nonzero(near.any(axis=0))[0]:
         v = vehicles[waiting[j]]
-        hit[j] = any(_distance(vehicles[a], v, models) <= models.range_m
+        hit[j] = any(_in_range(vehicles[a], v, models)
                      for a in anchors[near[:, j]])
     return hit
 
@@ -404,18 +408,16 @@ class Recruitment:
     prefix of the members that covers its file.  Members are admitted
     lazily, only as far as the largest file read so far needs.
 
-    head_budget is the head-resource link as select_resource scored it,
-    or None when the pair is out of range; states maps vid -> state over
-    the fleet.  scores memoises _evaluate_plan's MemberResults for every
-    file and traffic source read off this recruitment, keyed by (traffic
-    source, vid, frag_start, frag_count, assigned bytes), so it lives and
-    dies with it.
+    head_budget is the head-resource link as select_resource scored it;
+    states maps vid -> state over the fleet.  scores memoises
+    _evaluate_plan's MemberResults for every file and traffic source read
+    off this recruitment, keyed by (traffic source, vid, frag_start,
+    frag_count, assigned bytes), so it lives and dies with it.
     """
 
     def __init__(self, head: VehicleState, resource: VehicleState,
-                 head_budget: LinkBudget | None,
-                 fleet: Collection[VehicleState], s_bytes: float,
-                 models: Models):
+                 head_budget: LinkBudget, fleet: Collection[VehicleState],
+                 s_bytes: float, models: Models):
         _check_fragment_size(s_bytes)
         self.head = head
         self.resource = resource
@@ -424,10 +426,9 @@ class Recruitment:
         self.s_bytes = s_bytes
         self.models = models
         self.members: list[ClusterMember] = []
-        if self.head_budget is not None and self.head_budget.capacity_bytes > 0:
-            plan = _derated_frags(self.head_budget, s_bytes, models)
-            if plan > 0:
-                self.members.append(ClusterMember(head.vid, self.head_budget, plan))
+        plan = _derated_frags(head_budget, s_bytes, models)
+        if plan > 0:
+            self.members.append(ClusterMember(head.vid, head_budget, plan))
         # _covered[j] is the planned volume of the first _first + j members;
         # a cluster never drops the head, so it is at least _first long.
         self._first = len(self.members)
@@ -706,8 +707,7 @@ def _direct_outcome(recruitment: Recruitment | None,
     _check_volume(v_bytes)
     if recruitment is None:
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    link = recruitment.head_budget
-    if link is not None and link.capacity_bytes >= v_bytes:
+    if recruitment.head_budget.capacity_bytes >= v_bytes:
         return TransferOutcome(mode="direct", bytes_delivered=v_bytes)
     return None
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import mobility
 from .channel import expected_rate, expected_rates
 from .config import Config
+from .connection import connection_times
 from .mobility import Fleet, MobilityConfig
 from .protocol import (VehicleState, form_cluster, recruit, run_cft,
                        run_direct_baseline)
@@ -87,18 +88,6 @@ def _cross_direction_pairs(fleet: Fleet, length_m: float):
     return dx, dy, dvx, dist
 
 
-def _pair_connection_times(dx, dy, dvx, comm_range_m):
-    """Vectorised residual connection time for in-range opposite pairs;
-    inf for a pair with no relative speed (both at standstill), as
-    predict_connection_time gives."""
-    a = dvx * dx
-    b = dvx * dvx
-    radicand = b * comm_range_m**2 - (dvx * dy) ** 2
-    radicand = np.maximum(radicand, 0.0)
-    return np.divide(-a + np.sqrt(radicand), b, out=np.full_like(b, np.inf),
-                     where=b != 0.0)
-
-
 def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
     """The warmed-up fleet of every seed for pair sampling, each shared
     across ranges.
@@ -139,7 +128,7 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
             if not np.any(sel):
                 continue
             dts = np.minimum(
-                _pair_connection_times(dx[sel], dy[sel], dvx[sel], r_m),
+                connection_times(dx[sel], dy[sel], dvx[sel], 0.0, r_m),
                 e.horizon_s)
             records[(r_m,)].append(float(np.mean(pair_values(dist[sel], dts))))
     rows = []
@@ -451,32 +440,21 @@ def request_instant(start: WarmStart, request_at: str):
     fwd = np.nonzero(fleet.direction > 0)[0]
     bwd = np.nonzero(fleet.direction < 0)[0]
 
-    def choose_contact() -> tuple[int, int] | None:
+    if request_at == "contact":
         dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)[3]
         in_range = dist.reshape(fwd.size, bwd.size) <= comm_range_m
         has_holder = np.nonzero(in_range.any(axis=1))[0]
+        # At the shipped configs some oncoming pair is always in range; a
+        # config with none (say a range below the lane separation) raises.
         if has_holder.size == 0:
-            return None
+            raise RuntimeError(
+                "no oncoming contact found for a transfer scenario")
         mid = np.argmin(np.abs(
             fleet.x[fwd[has_holder]] - mcfg.lane_length_m / 2.0))
         row = has_holder[mid]
         candidates = bwd[np.nonzero(in_range[row])[0]]
-        return int(fwd[row]), int(candidates[rng.integers(candidates.size)])
-
-    if request_at == "contact":
-        picked = choose_contact()
-        for _ in range(MAX_REQUEST_WAIT_STEPS):
-            # Both directions always share some stretch of the ring, so
-            # this loop is a no-op in practice; it guards degenerate
-            # configs.
-            if picked is not None:
-                break
-            mobility.step(fleet, mcfg, rng)
-            picked = choose_contact()
-        if picked is None:
-            raise RuntimeError(
-                "no oncoming contact found for a transfer scenario")
-        head, resource = picked
+        head = int(fwd[row])
+        resource = int(candidates[rng.integers(candidates.size)])
     else:
         # Put the requester in the thick of its direction's traffic: the
         # vehicle minimizing mean ring distance to the rest (geometric

@@ -52,6 +52,14 @@ def test_runtime_errors_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_max_volume_with_no_pair_in_range_exits_3(tmp_path, capsys):
+    # A range below the lane separation leaves no request a holder.
+    rc = main(["max-volume", "--set", "experiments.max_volume.comm_range_m=4",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "no oncoming contact" in capsys.readouterr().err
+
+
 def test_validate_config_echoes_resolved_values(capsys):
     assert main(["validate-config"]) == 0
     out = capsys.readouterr().out

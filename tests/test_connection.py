@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cftsim.connection import predict_connection_time, range_window
+from cftsim.connection import (connection_times, in_range,
+                               predict_connection_time, range_window)
 
 R = 250.0
+# Ranges of the exact-equality scans: the shipped 250 m, wider ones, and
+# one whose square is not a whole number.
+SCAN_RANGES = (250.0, 300.0, 437.3, 600.0)
 
 
 def _separation_sq(dx, dy, dvx, dvy, t):
@@ -117,11 +121,30 @@ def test_prediction_grows_with_range():
             prev = cur
 
 
+def _scan_pairs(gen, r, n=5_000):
+    """n in-range pairs within r, every tenth of them at standstill."""
+    pairs = [_random_in_range_pair(gen, r) for _ in range(n)]
+    return [(dx, dy, 0.0, 0.0) if k % 10 == 0 else (dx, dy, dvx, dvy)
+            for k, (dx, dy, dvx, dvy) in enumerate(pairs)]
+
+
 def test_range_window_starts_now_for_an_in_range_pair():
-    t_in, t_out = range_window(50.0, 0.0, -20.0, 0.0, R)
-    assert t_in == 0.0
-    assert t_out == pytest.approx(
-        predict_connection_time(50.0, 0.0, -20.0, 0.0, R), rel=1e-12)
+    gen = np.random.default_rng(1006)
+    for r in SCAN_RANGES:
+        for pair in _scan_pairs(gen, r):
+            assert in_range(*pair[:2], r)
+            assert range_window(*pair, r) == (
+                0.0, predict_connection_time(*pair, r))
+
+
+def test_vectorised_times_equal_the_scalar_prediction():
+    gen = np.random.default_rng(1007)
+    for r in SCAN_RANGES:
+        pairs = _scan_pairs(gen, r)
+        want = [predict_connection_time(*pair, r) for pair in pairs]
+        got = connection_times(*np.array(pairs).T, r)
+        assert got.tolist() == want
+        assert math.inf in want
 
 
 def test_range_window_is_unbounded_for_a_stationary_in_range_pair():
@@ -162,3 +185,21 @@ def test_window_bounds_contain_only_in_range_instants():
             after = t_out + max(1e-3, 1e-6 * t_out)
             assert _separation_sq(dx, dy, dvx, dvy, after) > R * R
         checked += 1
+
+
+def test_range_edge_pair_is_in_range_for_a_non_negative_lifetime():
+    # Pairs at exactly the range edge, r = math.hypot(dx, dy), every tenth
+    # at standstill.  For some of them the squared distance exceeds r * r,
+    # so a squares test would put them out of range.
+    gen = np.random.default_rng(1008)
+    squares_disagree = 0
+    for k in range(10_000):
+        dx, dy = gen.uniform(-600.0, 600.0), gen.uniform(-20.0, 20.0)
+        dvx, dvy = (0.0, 0.0) if k % 10 == 0 else gen.uniform(-40.0, 40.0, 2)
+        r = math.hypot(dx, dy)
+        squares_disagree += dx * dx + dy * dy > r * r
+        assert in_range(dx, dy, r)
+        dt = predict_connection_time(dx, dy, dvx, dvy, r)
+        assert dt >= 0.0
+        assert range_window(dx, dy, dvx, dvy, r) == (0.0, dt)
+    assert squares_disagree > 0

@@ -10,7 +10,8 @@ from cftsim import protocol, simulator
 from cftsim.channel import expected_rate
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
-                             InsufficientCapacityError, MemberResult, Models,
+                             InsufficientCapacityError, LinkBudget,
+                             MemberResult, Models,
                              NoResourceError, Recruitment, VehicleState,
                              _derated_frags, _evaluate_plan,
                              _plannable_frags, _relative,
@@ -49,7 +50,8 @@ def test_non_positive_fragment_size_is_rejected(s_bytes, holders):
     with pytest.raises(ValueError):
         recruit(head, fleet, s_bytes, models, holders)
     with pytest.raises(ValueError):
-        Recruitment(head, src, None, fleet, s_bytes, models)
+        Recruitment(head, src, link_budget(head, src, MB, models), fleet,
+                    s_bytes, models)
 
 
 def test_link_budget_exact_division():
@@ -78,6 +80,45 @@ def test_link_budget_requires_an_in_range_pair():
     with pytest.raises(ValueError):
         link_budget(vehicle(0, 0.0), vehicle(1, 251.0), MB,
                     models)
+
+
+def _edge_pairs(n=10_000):
+    """(models, a, b) with b exactly at the edge of a's range: range_m is
+    the math.hypot distance of the pair's ring offset.  First the ring
+    offsets x = 210.526, 185.517 and 236.535 m with dy = 65 m, at which a
+    squared-distance test puts the pair out of that range; then n seeded
+    pairs around the ring, every tenth at standstill."""
+    base = single_rate_models(8e6)
+
+    def at_edge(a, b):
+        dx, dy, _, _ = _relative(a, b, base)
+        return dataclasses.replace(base, range_m=math.hypot(dx, dy)), a, b
+
+    for x in (210.526, 185.517, 236.535):
+        yield at_edge(vehicle(0, 0.0, 0.0, 25.0), vehicle(1, x, 65.0, -25.0))
+    gen = np.random.default_rng(2025)
+    lanes = (-7.5, -2.5, 2.5, 7.5)
+    for k in range(n):
+        xa = gen.uniform(0.0, LANE_LENGTH_M)
+        xb = (xa + gen.uniform(-600.0, 600.0)) % LANE_LENGTH_M
+        va, vb = (0.0, 0.0) if k % 10 == 0 else gen.uniform(-35.0, 35.0, 2)
+        yield at_edge(vehicle(0, xa, lanes[gen.integers(4)], va),
+                      vehicle(1, xb, lanes[gen.integers(4)], vb))
+
+
+def test_range_edge_pairs_get_a_budget_from_now():
+    squares_disagree = []
+    for models, a, b in _edge_pairs():
+        dx, dy, _, _ = _relative(a, b, models)
+        squares_disagree.append(
+            dx * dx + dy * dy > models.range_m * models.range_m)
+        budget = link_budget(a, b, MB, models)
+        assert budget.t_start_s == 0.0
+        assert budget.delta_t_s >= 0.0
+        assert prospective_link_budget(a, b, MB, models) == budget
+        window = Ballistic({0: a, 1: b}, models).window(0, 1, models.range_m)
+        assert window == (0.0, budget.delta_t_s)
+    assert all(squares_disagree[:3]) and any(squares_disagree[3:])
 
 
 def test_link_budget_matches_fragment_stepthrough(default_cfg):
@@ -233,11 +274,12 @@ def test_direct_feasibility_boundaries():
 
 def around(head, src, fleet, models):
     """The recruitment of a request for a file of 1 MB fragments held by
-    src, which need not be in range of the head: recruit's when it is."""
+    src, which need not be in range of the head: recruit's when it is, and
+    one whose head has an empty link to src when it is not."""
     try:
         head_budget = link_budget(head, src, MB, models)
     except ValueError:
-        head_budget = None
+        head_budget = LinkBudget(0.0, 0.0, 0, 0.0)
     return Recruitment(head, src, head_budget, fleet, MB, models)
 
 
@@ -757,7 +799,6 @@ def test_clusters_of_one_recruitment_do_not_share_members():
 
 
 def _member(vid, n_frags, e_c=8e6):
-    from cftsim.protocol import LinkBudget
     frag_time = n_frags * 8.0 * MB / e_c
     b = LinkBudget(delta_t_s=frag_time, e_c_bps=e_c, n_frags=n_frags,
                    capacity_bytes=n_frags * MB)

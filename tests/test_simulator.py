@@ -13,7 +13,7 @@ import pytest
 from cftsim import mobility, protocol, simulator
 from cftsim.channel import expected_rate
 from cftsim.config import load_config
-from cftsim.connection import predict_connection_time
+from cftsim.connection import in_range, predict_connection_time
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, VehicleState,
                              _evaluate_plan, link_budget, recruit, run_cft)
@@ -47,20 +47,23 @@ def test_write_csv_fixed_format(tmp_path):
 
 
 def test_vectorised_pair_times_match_scalar_prediction():
+    # Opposite pairs as the pair sweep sees them (lane offsets, dvy = 0),
+    # a twentieth at standstill: the numpy form the sweep calls equals
+    # predict_connection_time exactly on every in-range pair.
     gen = np.random.default_rng(77)
-    r = 250.0
-    for i in range(200):
-        dx = float(gen.uniform(-200.0, 200.0))
-        dy = float(gen.choice([-10.0, -5.0, 5.0, 10.0]))
-        dvx = float(-gen.uniform(33.4, 66.6))    # westbound minus eastbound
-        if i % 20 == 0:
-            dvx = 0.0                            # both at standstill: inf
-        want = predict_connection_time(dx, dy, dvx, 0.0, r)
+    for r in (250.0, 300.0, 437.3, 600.0):
+        dy = gen.choice([-10.0, -5.0, 5.0, 10.0], size=20_000)
+        dx = gen.uniform(-r, r, size=dy.size)
+        dvx = -gen.uniform(33.4, 66.6, size=dy.size)   # westbound - eastbound
+        dvx[::20] = 0.0
+        pairs = [p for p in zip(dx.tolist(), dy.tolist(), dvx.tolist())
+                 if in_range(p[0], p[1], r)]
+        want = [predict_connection_time(*p, 0.0, r) for p in pairs]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = simulator._pair_connection_times(
-                np.array([dx]), np.array([dy]), np.array([dvx]), r)
-        assert got[0] == pytest.approx(want, rel=1e-9)
+            got = simulator.connection_times(*np.array(pairs).T, 0.0, r)
+        assert got.tolist() == want
+        assert math.inf in want
 
 
 def test_rng_streams_are_stable_and_independent():
@@ -302,6 +305,22 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
         assert scen.trajectory.x.shape[0] > 1
         row_zero = [scen.trajectory.state(vid, 0.0) for vid in range(fleet.n)]
         assert row_zero == scen.states == _indexed_states(fleet)
+
+
+def test_contact_request_with_no_pair_in_range_raises_at_once(default_cfg,
+                                                             monkeypatch):
+    # A 4 m range, below the 5 m lane separation, puts no oncoming pair in
+    # range, so a contact request raises without stepping the traffic.
+    e = default_cfg.experiments
+    start = simulator.warm_starts(default_cfg, [(10.0, 0)], e.max_volume_sd_m,
+                                  4.0, 15, "max-volume")[0]
+
+    def step(*args):
+        raise AssertionError("mobility.step was called")
+
+    monkeypatch.setattr(mobility, "step", step)
+    with pytest.raises(RuntimeError, match="no oncoming contact"):
+        simulator.request_instant(start, "contact")
 
 
 def _request_budget(cfg, scen, density, comm_range_m):

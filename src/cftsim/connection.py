@@ -1,7 +1,8 @@
 """Link lifetime prediction for vehicles moving at constant velocity.
 
 Two vehicles are in range while their separation is at most the
-communication range R; in_range is the one scalar test of that.  With
+communication range R; in_range is the one scalar test of that, and
+in_range_mask its numpy form, equal to it element by element.  With
 relative position (dx, dy) and relative velocity (dvx, dvy) both treated
 as constant, the squared separation is
 
@@ -21,9 +22,38 @@ import math
 import numpy as np
 
 
+# Relative and absolute slack around a range within which np.hypot may
+# fall on the other side of it than math.hypot: far wider than any rounding
+# gap between the two.  Numpy range tests decide outside this band and
+# leave the inside to in_range.
+RANGE_SLACK_REL = 1e-9
+RANGE_SLACK_M = 1e-6
+
+
 def in_range(dx: float, dy: float, comm_range_m: float) -> bool:
     """Whether a pair at relative position (dx, dy) is within range now."""
     return math.hypot(dx, dy) <= comm_range_m
+
+
+def in_range_mask(dx, dy, comm_range_m: float, dist=None) -> np.ndarray:
+    """in_range over arrays (broadcast together), element by element and
+    exactly equal to it.  dist, if given, is np.hypot(dx, dy), so that a
+    caller that needs the distances anyway computes them once.
+
+    np.hypot can differ from math.hypot in the last bit, so np.hypot
+    decides only a distance outside the slack band around comm_range_m;
+    one inside it is tested with in_range.
+    """
+    if dist is None:
+        dist = np.hypot(dx, dy)
+    inside = dist <= comm_range_m
+    band = comm_range_m * RANGE_SLACK_REL + RANGE_SLACK_M
+    edge = np.nonzero(np.abs(dist - comm_range_m) <= band)
+    if edge[0].size:
+        dx, dy = np.broadcast_arrays(dx, dy)
+        for i in zip(*edge):
+            inside[i] = in_range(float(dx[i]), float(dy[i]), comm_range_m)
+    return inside
 
 
 def predict_connection_time(dx: float, dy: float, dvx: float, dvy: float,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelParams, RateTable, expected_rate
-from .connection import in_range, predict_connection_time, range_window
+from .connection import (RANGE_SLACK_M, RANGE_SLACK_REL, in_range,
+                         predict_connection_time, range_window)
 from .mac import MacParams, throughput
 from .mobility import ring_delta
 
@@ -321,13 +322,6 @@ class Cluster:
         return hi - start * self.s_bytes
 
 
-# Relative and absolute slack of the numpy range prefilters, _in_earshot
-# and _may_join: far wider than any rounding gap between np.hypot and
-# math.hypot.
-_EARSHOT_REL = 1e-9
-_EARSHOT_ABS_M = 1e-6
-
-
 def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
                 vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
                 models: Models) -> np.ndarray:
@@ -341,7 +335,7 @@ def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
     dx = ring_delta(x[anchors][:, None], x[waiting][None, :],
                     models.ring_length_m)
     dy = y[waiting][None, :] - y[anchors][:, None]
-    reach = models.range_m * (1.0 + _EARSHOT_REL) + _EARSHOT_ABS_M
+    reach = models.range_m * (1.0 + RANGE_SLACK_REL) + RANGE_SLACK_M
     near = np.hypot(dx, dy) <= reach
     hit = np.zeros(waiting.size, dtype=bool)
     for j in np.nonzero(near.any(axis=0))[0]:
@@ -364,14 +358,14 @@ def _may_join(vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
     way the pair is within range_m at some t in [0, horizon_s).  So the
     mask keeps the vehicles of the head's heading whose closest approach
     under constant velocity over [0, horizon_s] comes within range_m of
-    the head and of the resource, up to _in_earshot's slack; every kept
-    vehicle is then scored by those scalar tests, which leaves admissions
-    exact.  It holds at horizon_s = inf, at zero relative speed (the
-    closest approach is now) and with vy != 0.
+    the head and of the resource, up to connection's range slack; every
+    kept vehicle is then scored by those scalar tests, which leaves
+    admissions exact.  It holds at horizon_s = inf, at zero relative speed
+    (the closest approach is now) and with vy != 0.
     """
     vx = np.array([v.vx for v in vehicles])
     vy = np.array([v.vy for v in vehicles])
-    reach = models.range_m * (1.0 + _EARSHOT_REL) + _EARSHOT_ABS_M
+    reach = models.range_m * (1.0 + RANGE_SLACK_REL) + RANGE_SLACK_M
     may = vx * head.vx > 0.0
     for other in (head, resource):
         # Each pair as _relative(vehicle, other) sees it.

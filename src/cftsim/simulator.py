@@ -17,7 +17,7 @@ import numpy as np
 from . import mobility
 from .channel import expected_rate, expected_rates
 from .config import Config
-from .connection import connection_times
+from .connection import connection_times, in_range_mask
 from .mobility import Fleet, MobilityConfig
 from .protocol import (VehicleState, form_cluster, recruit, run_cft,
                        run_direct_baseline)
@@ -71,21 +71,38 @@ def write_csv(path: str, result: SweepResult) -> None:
 # Pair-population metrics: connection time and transmission capability
 
 
-def _cross_direction_pairs(fleet: Fleet, length_m: float):
-    """Relative kinematics of every pair of opposite-direction vehicles.
+# Slack of _opposite_pairs' band test on raw positions, in metres: far
+# wider than any rounding of ring_delta, so that the exact test decides.
+NEAR_SLACK_M = 1.0
 
-    Returns (dx, dy, dvx, dist) arrays, one entry per (eastbound, westbound)
-    pair; dvy is zero on a straight highway.
+
+def _opposite_pairs(fleet: Fleet, length_m: float, range_m: float):
+    """Every pair of opposite-direction vehicles within range_m, as
+    connection.in_range_mask tests it, eastbound index major and westbound
+    index minor.
+
+    Returns (east, west, dx, dy, dvx, dist): each pair's indices among the
+    eastbound and among the westbound vehicles, in vid order, its position
+    and velocity relative to the eastbound one, and its np.hypot distance;
+    dvy is zero on a straight highway.  Positions lie in [0, length_m), so
+    a band test on the raw |x_b - x_a| first keeps only the pairs whose
+    ring distance along x is within range_m + NEAR_SLACK_M; ring_delta,
+    the offsets, the distances and the exact test run on those alone.
     """
     fwd = fleet.direction > 0
     bwd = ~fwd
     xa, ya, va = fleet.x[fwd], fleet.y[fwd], fleet.vx[fwd]
     xb, yb, vb = fleet.x[bwd], fleet.y[bwd], fleet.vx[bwd]
-    dx = mobility.ring_delta(xa[:, None], xb[None, :], length_m).ravel()
-    dy = (yb[None, :] - ya[:, None]).ravel()
-    dvx = (vb[None, :] - va[:, None]).ravel()
+    gap = np.abs(xb[None, :] - xa[:, None])
+    reach = range_m + NEAR_SLACK_M
+    east, west = np.nonzero((gap <= reach) | (gap >= length_m - reach))
+    dx = mobility.ring_delta(xa[east], xb[west], length_m)
+    dy = yb[west] - ya[east]
     dist = np.hypot(dx, dy)
-    return dx, dy, dvx, dist
+    near = in_range_mask(dx, dy, range_m, dist)
+    east, west = east[near], west[near]
+    return (east, west, dx[near], dy[near], vb[west] - va[east],
+            dist[near])
 
 
 def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
@@ -109,8 +126,22 @@ def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
 def _pair_sweep(cfg: Config, stream: str, value_name: str,
                 pair_values) -> SweepResult:
     """Per-range mean of pair_values(dist, dts) over in-range opposite
-    pairs, given their distances and horizon-capped residual connection
-    times; each seed's mean over its warmed-up fleet is one record.
+    pairs, given their np.hypot distances and horizon-capped residual
+    connection times; each seed's mean over its warmed-up fleet is one
+    record.
+
+    Each seed's pairs within the longest range are enumerated once
+    (_opposite_pairs: a band test on raw positions cuts the fleet's pairs
+    to the near ones, and the exact test decides); the pairs within a
+    shorter range are among them.  Every seed's near pairs are
+    concatenated, each seed's contiguous and in its own order, eastbound
+    index major and westbound index minor.  Per range, one in_range_mask
+    selection and one connection_times and pair_values pass cover every
+    seed, and a seed's record is np.mean over its own slice: np.mean's
+    pairwise sum over that seed's pairs alone, in the order a pass over
+    that seed alone sums them, so the record is the same to the last bit
+    (np.add.reduceat would sum each slice left to right and round
+    differently).
 
     A seed with no pair in range gives no record, so a range that no pair
     reaches in any seed gets the row value nan and n_runs 0.
@@ -118,19 +149,24 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
     e = cfg.experiments
     density = e.connection_density_per_km
     sd = e.safety_distance_m
-    records = {(r_m,): [] for r_m in e.comm_ranges_m}
     fleets, mcfg = _snapshot_states(cfg, density, sd, stream)
-    for fleet in fleets:
-        # A fleet's pairs serve every range.
-        dx, dy, dvx, dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)
-        for r_m in e.comm_ranges_m:
-            sel = dist <= r_m
-            if not np.any(sel):
-                continue
-            dts = np.minimum(
-                connection_times(dx[sel], dy[sel], dvx[sel], 0.0, r_m),
-                e.horizon_s)
-            records[(r_m,)].append(float(np.mean(pair_values(dist[sel], dts))))
+    pairs = [_opposite_pairs(fleet, mcfg.lane_length_m, max(e.comm_ranges_m))
+             for fleet in fleets]
+    starts = np.cumsum([0] + [east.size for east, *_ in pairs])
+    dx, dy, dvx, dist = (np.concatenate([p[k] for p in pairs])
+                         for k in range(2, 6))
+    del pairs
+    records = {}
+    for r_m in e.comm_ranges_m:
+        sel = in_range_mask(dx, dy, r_m, dist)
+        dts = np.minimum(
+            connection_times(dx[sel], dy[sel], dvx[sel], 0.0, r_m),
+            e.horizon_s)
+        values = pair_values(dist[sel], dts)
+        # Seed k's selected pairs are values[edges[k]:edges[k + 1]].
+        edges = np.searchsorted(np.flatnonzero(sel), starts)
+        records[(r_m,)] = [float(np.mean(values[lo:hi]))
+                           for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     rows = []
     for r_m in e.comm_ranges_m:
         rec = records[(r_m,)]
@@ -319,7 +355,7 @@ class Trajectory:
         while k <= self.n_steps:
             x = self._x[k:self._k + 1]
             dx = mobility.ring_delta(x[:, vid_a], x[:, vid_b], self.length_m)
-            inside = (np.hypot(dx, dy) <= range_m).tolist()
+            inside = in_range_mask(dx, dy, range_m).tolist()
             for row, now_in in enumerate(inside, k):
                 if start is None and now_in:
                     start = row
@@ -441,18 +477,18 @@ def request_instant(start: WarmStart, request_at: str):
     bwd = np.nonzero(fleet.direction < 0)[0]
 
     if request_at == "contact":
-        dist = _cross_direction_pairs(fleet, mcfg.lane_length_m)[3]
-        in_range = dist.reshape(fwd.size, bwd.size) <= comm_range_m
-        has_holder = np.nonzero(in_range.any(axis=1))[0]
+        east, west = _opposite_pairs(fleet, mcfg.lane_length_m,
+                                     comm_range_m)[:2]
         # At the shipped configs some oncoming pair is always in range; a
         # config with none (say a range below the lane separation) raises.
-        if has_holder.size == 0:
+        if east.size == 0:
             raise RuntimeError(
                 "no oncoming contact found for a transfer scenario")
+        has_holder = np.unique(east)
         mid = np.argmin(np.abs(
             fleet.x[fwd[has_holder]] - mcfg.lane_length_m / 2.0))
         row = has_holder[mid]
-        candidates = bwd[np.nonzero(in_range[row])[0]]
+        candidates = bwd[west[east == row]]
         head = int(fwd[row])
         resource = int(candidates[rng.integers(candidates.size)])
     else:
@@ -472,7 +508,7 @@ def request_instant(start: WarmStart, request_at: str):
             dx = mobility.ring_delta(fleet.x[head], fleet.x[bwd],
                                      mcfg.lane_length_m)
             dy = fleet.y[bwd] - fleet.y[head]
-            return np.hypot(dx, dy) <= comm_range_m
+            return in_range_mask(dx, dy, comm_range_m)
 
         prev = holders_in_range()
         resource = None

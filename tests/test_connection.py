@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cftsim.connection import (connection_times, in_range,
+from cftsim.connection import (connection_times, in_range, in_range_mask,
                                predict_connection_time, range_window)
 
 R = 250.0
@@ -203,3 +203,34 @@ def test_range_edge_pair_is_in_range_for_a_non_negative_lifetime():
         assert dt >= 0.0
         assert range_window(dx, dy, dvx, dvy, r) == (0.0, dt)
     assert squares_disagree > 0
+
+
+def test_in_range_mask_equals_the_scalar_test():
+    # Lane pairs as the traffic sees them.  np.hypot differs from
+    # math.hypot in the last bit on some of them, and at the range edge
+    # R = math.hypot(dx, dy) a plain np.hypot test puts some of those out
+    # of range; the mask must agree with in_range on every one.
+    gen = np.random.default_rng(1009)
+    dx = gen.uniform(-600.0, 600.0, 1_000_000)
+    dy = gen.choice([-10.0, -5.0, 5.0, 10.0], size=dx.size)
+    dist = np.hypot(dx, dy)
+    pairs = list(zip(dx.tolist(), dy.tolist()))
+    exact = np.array([math.hypot(*pair) for pair in pairs])
+    differ = np.nonzero(dist != exact)[0]
+    assert differ.size > 0
+    np_out_at_edge = 0
+    for k in differ.tolist():
+        r = float(exact[k])
+        np_out_at_edge += bool(dist[k] > r)
+        one = slice(k, k + 1)
+        for edge in (r, float(np.nextafter(r, 0.0)), float(dist[k])):
+            want = [in_range(*pairs[k], edge)]
+            assert in_range_mask(dx[one], dy[one], edge).tolist() == want
+    assert np_out_at_edge > 0
+    for r in (250.0, 437.3, 600.0):
+        want = (exact <= r).tolist()      # in_range, pair by pair
+        assert in_range_mask(dx, dy, r).tolist() == want
+        assert in_range_mask(dx, dy, r, dist).tolist() == want
+    # A scalar dy broadcasts over dx, as a trajectory scan passes it.
+    k = next(k for k in differ.tolist() if dist[k] > exact[k])
+    assert in_range_mask(dx[k:k + 1], float(dy[k]), float(exact[k])).all()

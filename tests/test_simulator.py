@@ -13,7 +13,8 @@ import pytest
 from cftsim import mobility, protocol, simulator
 from cftsim.channel import expected_rate
 from cftsim.config import load_config
-from cftsim.connection import in_range, predict_connection_time
+from cftsim.connection import (connection_times, in_range, in_range_mask,
+                               predict_connection_time)
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, VehicleState,
                              _evaluate_plan, link_budget, recruit, run_cft)
@@ -136,9 +137,9 @@ def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
             cfg, e.connection_density_per_km, e.safety_distance_m, stream)
         standstill = 0
         for fleet in fleets:
-            dx, dy, dvx, dist = simulator._cross_direction_pairs(
-                fleet, mcfg.lane_length_m)
-            standstill += int(np.sum((dvx == 0.0) & (dist <= 250.0)))
+            dvx = simulator._opposite_pairs(fleet, mcfg.lane_length_m,
+                                            250.0)[4]
+            standstill += int(np.sum(dvx == 0.0))
         assert standstill > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -173,6 +174,139 @@ def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, warmup_steps):
         assert np.array_equal(snap.x, fleet.x)
         assert np.array_equal(snap.speed, fleet.speed)
         assert gen.bit_generator.state == rng.bit_generator.state
+
+
+def _full_matrix_pairs(fleet, length_m):
+    """(dx, dy, dvx) of every (eastbound, westbound) pair of the fleet,
+    eastbound index major, as one matrix raveled."""
+    fwd = fleet.direction > 0
+    bwd = ~fwd
+    xa, ya, va = fleet.x[fwd], fleet.y[fwd], fleet.vx[fwd]
+    xb, yb, vb = fleet.x[bwd], fleet.y[bwd], fleet.vx[bwd]
+    dx = mobility.ring_delta(xa[:, None], xb[None, :], length_m).ravel()
+    dy = (yb[None, :] - ya[:, None]).ravel()
+    dvx = (vb[None, :] - va[:, None]).ravel()
+    return dx, dy, dvx
+
+
+def _per_fleet_pair_sweep(cfg, stream, value_name, pair_values):
+    """simulator._pair_sweep as it ran fleet by fleet and range by range,
+    over every opposite pair of each fleet: its exact-equality oracle."""
+    e = cfg.experiments
+    density, sd = e.connection_density_per_km, e.safety_distance_m
+    records = {(r_m,): [] for r_m in e.comm_ranges_m}
+    fleets, mcfg = simulator._snapshot_states(cfg, density, sd, stream)
+    for fleet in fleets:
+        dx, dy, dvx = _full_matrix_pairs(fleet, mcfg.lane_length_m)
+        dist = np.hypot(dx, dy)
+        for r_m in e.comm_ranges_m:
+            sel = in_range_mask(dx, dy, r_m)
+            if not np.any(sel):
+                continue
+            dts = np.minimum(
+                connection_times(dx[sel], dy[sel], dvx[sel], 0.0, r_m),
+                e.horizon_s)
+            records[(r_m,)].append(float(np.mean(pair_values(dist[sel], dts))))
+    rows = []
+    for r_m in e.comm_ranges_m:
+        rec = records[(r_m,)]
+        mean = float(np.mean(rec)) if rec else math.nan
+        rows.append((r_m, density, sd, mean, len(rec)))
+    return SweepResult(
+        header=["comm_range_m", "density_per_km", "safety_distance_m",
+                value_name, "n_runs"],
+        rows=rows, records=records)
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["experiments.base_seed=7"],
+    ["experiments.base_seed=987654"],
+    ["experiments.connection_density_per_km=10"],
+    ["experiments.connection_density_per_km=7.3"],
+    ["mobility.lanes_per_direction=1"],
+    ["mobility.lanes_per_direction=3"],
+    # Out of order, and 4 m is below the lane separation: no pair, so the
+    # row is nan with n_runs 0.
+    ["experiments.comm_range_m=[600, 4, 250, 437.3, 100]"],
+    # Standstill pairs, capped at the horizon.
+    ["mobility.v_min_kmh=0"],
+    ["experiments.seeds=1"],
+], ids=lambda o: ",".join(o) or "shipped")
+def test_pair_sweeps_equal_the_per_fleet_oracle(monkeypatch, tmp_path,
+                                                 overrides):
+    cfg = load_config(overrides=overrides)
+    got = {metric: run_sweep(cfg, metric)
+           for metric in ("connection-time", "capacity")}
+    monkeypatch.setattr(simulator, "_pair_sweep", _per_fleet_pair_sweep)
+    for metric, res in got.items():
+        want = run_sweep(cfg, metric)
+        assert list(res.records.items()) == list(want.records.items())
+        write_csv(str(tmp_path / "got.csv"), res)
+        write_csv(str(tmp_path / "want.csv"), want)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+        if 4.0 in cfg.experiments.comm_ranges_m:
+            assert res.records[(4.0,)] == []
+
+
+@pytest.mark.parametrize("range_m", [4.0, 250.0, 600.0, 5_499.0, 6_000.0])
+def test_opposite_pairs_are_the_in_range_part_of_the_full_matrix(range_m):
+    # Ranges past half the 11 km ring keep every pair through the band
+    # test; 4 m, below the lane separation, keeps none.
+    cfg = load_config(overrides=["experiments.seeds=3"])
+    e = cfg.experiments
+    fleets, mcfg = simulator._snapshot_states(
+        cfg, e.connection_density_per_km, e.safety_distance_m, "connection")
+    for fleet in fleets:
+        dx, dy, dvx = _full_matrix_pairs(fleet, mcfg.lane_length_m)
+        n_west = int(np.sum(fleet.direction < 0))
+        keep = np.flatnonzero(in_range_mask(dx, dy, range_m))
+        east, west, *kinematics = simulator._opposite_pairs(
+            fleet, mcfg.lane_length_m, range_m)
+        assert east.tolist() == (keep // n_west).tolist()
+        assert west.tolist() == (keep % n_west).tolist()
+        for got, want in zip(kinematics,
+                             (dx, dy, dvx, np.hypot(dx, dy))):
+            assert got.tolist() == want[keep].tolist()
+        assert (range_m == 4.0) == (east.size == 0)
+        if range_m == 6_000.0:
+            assert east.size == dx.size
+
+
+def test_an_edge_pair_is_counted_by_both_pair_sweeps(monkeypatch,
+                                                     default_cfg):
+    # An opposite pair at R = math.hypot(dx, dy), in range by in_range,
+    # whose np.hypot distance lies past R: both sweeps must count it.
+    e = default_cfg.experiments
+    mcfg = default_cfg.mobility(e.connection_density_per_km,
+                                e.safety_distance_m)
+    length = mcfg.lane_length_m
+    gen = np.random.default_rng(2024)
+    xa = gen.uniform(0.0, length, 10_000)
+    xb = (xa + gen.uniform(-600.0, 600.0, xa.size)) % length
+    dy = gen.choice([-10.0, -5.0, 5.0, 10.0], size=xa.size)
+    dx = mobility.ring_delta(xa, xb, length)
+    k = next(k for k in range(xa.size)
+             if np.hypot(dx[k], dy[k]) > math.hypot(dx[k], dy[k]))
+    r = math.hypot(dx[k], dy[k])
+    fleet = mobility.Fleet(x=np.array([xa[k], xb[k]]),
+                           y=np.array([0.0, dy[k]]),
+                           speed=np.array([30.0, 25.0]),
+                           direction=np.array([1, -1]),
+                           lane=np.array([0, 0]))
+    monkeypatch.setattr(simulator, "_snapshot_states",
+                        lambda *args: ([fleet.copy()], mcfg))
+    cfg = load_config(overrides=[f"experiments.comm_range_m=[{r!r}]",
+                                 "experiments.seeds=1"])
+    assert cfg.experiments.comm_ranges_m == (r,)
+    dt = min(predict_connection_time(dx[k], dy[k], -55.0, 0.0, r),
+             e.horizon_s)
+    assert connection_time_sweep(cfg).records == {(r,): [dt]}
+    s = e.fragment_bytes
+    rate = _scalar_rate(cfg, float(np.hypot(dx[k], dy[k])))
+    assert capability_sweep(cfg).records == {
+        (r,): [s * int(rate * dt / (8.0 * s))]}
 
 
 def _scalar_rate(cfg, d):

@@ -2,9 +2,12 @@
 
 Two vehicles are in range while their separation is at most the
 communication range R; in_range is the one scalar test of that, and
-in_range_mask its numpy form, equal to it element by element.  With
-relative position (dx, dy) and relative velocity (dvx, dvy) both treated
-as constant, the squared separation is
+in_range_mask its numpy form, equal to it element by element.  Callers
+take a pair's offset along the ring from mobility.ring_delta; protocol's
+link checks ask in_range, and recruitment's rings, the pair sweeps and the
+request scans ask in_range_mask.  With relative position (dx, dy) and
+relative velocity (dvx, dvy) both treated as constant, the squared
+separation is
 
     |d + v t|^2 = B t^2 + 2 A t + (dx^2 + dy^2)
 

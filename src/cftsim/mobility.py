@@ -145,9 +145,10 @@ class Fleet:
                      self._order)
 
 
-def ring_delta(x_from: np.ndarray, x_to: np.ndarray, length: float) -> np.ndarray:
-    """Signed shortest displacement from x_from to x_to on the ring."""
-    d = np.asarray(x_to) - np.asarray(x_from)
+def ring_delta(x_from, x_to, length: float):
+    """Signed shortest displacement from x_from to x_to on the ring, for
+    floats or arrays (broadcast together) alike."""
+    d = x_to - x_from
     return (d + length / 2.0) % length - length / 2.0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelParams, RateTable, expected_rate
 from .connection import (RANGE_SLACK_M, RANGE_SLACK_REL, in_range,
-                         predict_connection_time, range_window)
+                         in_range_mask, predict_connection_time, range_window)
 from .mac import MacParams, throughput
 from .mobility import ring_delta
 
@@ -71,11 +71,6 @@ class Models:
     # half the members.  Zero keeps planning exactly at the budget.
     plan_margin_s: float = 0.0
 
-    def ring_dx(self, x_from: float, x_to: float) -> float:
-        d = x_to - x_from
-        half = self.ring_length_m / 2.0
-        return (d + half) % self.ring_length_m - half
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -95,7 +90,7 @@ class LinkBudget:
 
 
 def _relative(a: VehicleState, b: VehicleState, models: Models):
-    dx = models.ring_dx(a.x, b.x)
+    dx = ring_delta(a.x, b.x, models.ring_length_m)
     dy = b.y - a.y
     return dx, dy, b.vx - a.vx, b.vy - a.vy
 
@@ -175,14 +170,26 @@ def _mid_contact_distance(dx: float, dy: float, dvx: float, dvy: float,
     return max(math.hypot(dx + dvx * t_mid, dy + dvy * t_mid), 1e-6)
 
 
-def _mid_contact_throughput(dx: float, dy: float, dvx: float, dvy: float,
-                            t_in: float, t_out: float, models: Models) -> float:
-    """Forwarding MAC throughput in bit/s; zero when no rate is usable."""
-    d_mid = _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out)
-    rate = expected_rate(d_mid, models.channel, models.rates)
-    if rate <= 0:
-        return 0.0
-    return throughput(models.mac, rate)
+def _head_link(member: VehicleState, head: VehicleState, models: Models,
+               until_s: float) -> tuple[float, float, float] | None:
+    """The member-head contact a member forwards over: (t_in, t_out, r_thr),
+    or None when it never opens before until_s.
+
+    t_out is clipped to until_s and r_thr is the MAC throughput in bit/s
+    at the contact's midpoint distance, zero when no rate is usable.  A
+    contact that never closes keeps t_out = inf, with r_thr = inf.
+    """
+    dx, dy, dvx, dvy = _relative(member, head, models)
+    window = range_window(dx, dy, dvx, dvy, models.range_m)
+    if window is None or window[0] >= until_s:
+        return None
+    t_in, t_out = window
+    if math.isinf(t_out):
+        return t_in, t_out, math.inf
+    t_out = min(t_out, until_s)
+    rate = expected_rate(_mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out),
+                         models.channel, models.rates)
+    return t_in, t_out, throughput(models.mac, rate) if rate > 0 else 0.0
 
 
 def select_resource(request: VehicleState, responders: list[VehicleState],
@@ -256,21 +263,14 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
     plan = _derated_frags(budget, s_bytes, models)
     if plan <= 0:
         return 0.0
-    dx, dy, dvx, dvy = _relative(member, head, models)
-    window = range_window(dx, dy, dvx, dvy, models.range_m)
-    if window is None:
+    link = _head_link(member, head, models, models.horizon_s)
+    if link is None:
         return 0.0
-    t_in, t_out = window
-    if t_in >= models.horizon_s:
-        return 0.0
+    t_in, t_out, r_thr = link
     if math.isinf(t_out):
         return plan
-    t_out = min(t_out, models.horizon_s)
     e_c = budget.e_c_bps
-    if e_c <= 0:
-        return 0.0
-    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models)
-    if r_thr <= 0:
+    if e_c <= 0 or r_thr <= 0:
         return 0.0
     # Forwarding cannot start before the download ends (t_start + 8b/e_c)
     # nor before the contact opens (t_in), and must finish by t_out less
@@ -322,33 +322,26 @@ class Cluster:
         return hi - start * self.s_bytes
 
 
-def _in_earshot(anchors: np.ndarray, waiting: np.ndarray,
-                vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
-                models: Models) -> np.ndarray:
-    """Mask over vehicles[waiting]: within range of some vehicles[anchors].
+def _in_earshot(anchors: np.ndarray, waiting: np.ndarray, x: np.ndarray,
+                y: np.ndarray, models: Models) -> np.ndarray:
+    """Mask over waiting: within range of some anchor.
 
-    x and y hold every vehicle's position.  A numpy pass over every
-    (anchor, candidate) pair keeps the pairs within range up to a small
-    slack; each kept candidate is then confirmed with the scalar test, so
-    the mask is exactly that of _in_range(anchor, candidate).
+    x and y hold every vehicle's position, indexed by anchors and waiting.
+    in_range_mask tests every (anchor, candidate) pair, so the mask is
+    exactly that of _in_range(anchor, candidate): ring_delta gives each
+    pair the offset _relative gives it.
     """
     dx = ring_delta(x[anchors][:, None], x[waiting][None, :],
                     models.ring_length_m)
     dy = y[waiting][None, :] - y[anchors][:, None]
-    reach = models.range_m * (1.0 + RANGE_SLACK_REL) + RANGE_SLACK_M
-    near = np.hypot(dx, dy) <= reach
-    hit = np.zeros(waiting.size, dtype=bool)
-    for j in np.nonzero(near.any(axis=0))[0]:
-        v = vehicles[waiting[j]]
-        hit[j] = any(_in_range(vehicles[a], v, models)
-                     for a in anchors[near[:, j]])
-    return hit
+    return in_range_mask(dx, dy, models.range_m).any(axis=0)
 
 
-def _may_join(vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
+def _may_join(x: np.ndarray, y: np.ndarray, vx: np.ndarray, vy: np.ndarray,
               head: VehicleState, resource: VehicleState,
               models: Models) -> np.ndarray:
-    """Mask over vehicles: those the planner might admit as members.
+    """Mask over the vehicles whose positions and velocities x, y, vx and
+    vy hold: those the planner might admit as members.
 
     A vehicle is admitted only with the head's heading, a resource budget
     (prospective_link_budget) of some fragments and a plan
@@ -361,10 +354,10 @@ def _may_join(vehicles: list[VehicleState], x: np.ndarray, y: np.ndarray,
     the head and of the resource, up to connection's range slack; every
     kept vehicle is then scored by those scalar tests, which leaves
     admissions exact.  It holds at horizon_s = inf, at zero relative speed
-    (the closest approach is now) and with vy != 0.
+    (the closest approach is now) and with vy != 0.  This prefilter is
+    protocol's only range pass of its own; a ring's range test is
+    in_range_mask (_in_earshot).
     """
-    vx = np.array([v.vx for v in vehicles])
-    vy = np.array([v.vy for v in vehicles])
     reach = models.range_m * (1.0 + RANGE_SLACK_REL) + RANGE_SLACK_M
     may = vx * head.vx > 0.0
     for other in (head, resource):
@@ -394,7 +387,9 @@ class Recruitment:
     cluster neighbourhood before it could forward anything.  The
     invitation stops once no vehicle it has yet to reach may join: none
     of the head's heading comes within range of both the head and the
-    resource before the planning horizon (_may_join).
+    resource before the planning horizon (_may_join).  Each ring's range
+    test is connection.in_range_mask (_in_earshot), exactly the scalar
+    in_range each pair's link checks use.
 
     Neither that order nor any member's planned_frags depends on the file
     size, only on the fragment size s_bytes, so one recruitment serves
@@ -442,12 +437,12 @@ class Recruitment:
         keeps a dropped recruitment, its scores and the traffic sources
         their keys hold alive until the garbage collector runs.
         """
-        # The head first, then every candidate; positions as arrays.
+        # The head first, then every candidate; kinematics as arrays.
         vehicles = [head] + [v for v in states.values()
                              if v.vid not in (head.vid, resource.vid)]
-        x = np.array([v.x for v in vehicles])
-        y = np.array([v.y for v in vehicles])
-        may_join = _may_join(vehicles, x, y, head, resource, models)
+        x, y, vx, vy = np.array([(v.x, v.y, v.vx, v.vy)
+                                 for v in vehicles]).T
+        may_join = _may_join(x, y, vx, vy, head, resource, models)
         anchors = np.array([0])
         waiting = np.arange(1, len(vehicles))
         while may_join[waiting].any():
@@ -455,7 +450,7 @@ class Recruitment:
             # the invitation.  The broadcast is omnidirectional, so vehicles
             # with nothing to offer, including oncoming ones, still relay it
             # across gaps in the convoy.
-            hit = _in_earshot(anchors, waiting, vehicles, x, y, models)
+            hit = _in_earshot(anchors, waiting, x, y, models)
             if not hit.any():
                 return
             anchors = waiting[hit]
@@ -552,18 +547,12 @@ def forwarding_feasible(member: VehicleState, head: VehicleState,
     """
     if assigned_bytes <= 0:
         return True
-    dx, dy, dvx, dvy = _relative(member, head, models)
-    window = range_window(dx, dy, dvx, dvy, models.range_m)
-    if window is None:
+    link = _head_link(member, head, models, math.inf)
+    if link is None:
         return False
-    t_in, t_out = window
-    if math.isinf(t_out):
-        return True
-    dt = t_out - t_in
-    if dt <= 0:
-        return False
-    r_thr = _mid_contact_throughput(dx, dy, dvx, dvy, t_in, t_out, models)
-    return dt * r_thr / 8.0 >= assigned_bytes
+    t_in, t_out, r_thr = link
+    # A contact that never closes (t_out = r_thr = inf) carries any volume.
+    return (t_out - t_in) * r_thr / 8.0 >= assigned_bytes
 
 
 @dataclass(frozen=True)

@@ -137,11 +137,11 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
     concatenated, each seed's contiguous and in its own order, eastbound
     index major and westbound index minor.  Per range, one in_range_mask
     selection and one connection_times and pair_values pass cover every
-    seed, and a seed's record is np.mean over its own slice: np.mean's
-    pairwise sum over that seed's pairs alone, in the order a pass over
-    that seed alone sums them, so the record is the same to the last bit
-    (np.add.reduceat would sum each slice left to right and round
-    differently).
+    seed, and a seed's record is the mean of its own slice: np.add.reduce
+    (the pairwise sum np.mean takes) over that seed's pairs alone, in the
+    order a pass over that seed alone sums them, divided by their count,
+    so the record is the same to the last bit (np.add.reduceat would sum
+    each slice left to right and round differently).
 
     A seed with no pair in range gives no record, so a range that no pair
     reaches in any seed gets the row value nan and n_runs 0.
@@ -165,7 +165,7 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
         values = pair_values(dist[sel], dts)
         # Seed k's selected pairs are values[edges[k]:edges[k + 1]].
         edges = np.searchsorted(np.flatnonzero(sel), starts)
-        records[(r_m,)] = [float(np.mean(values[lo:hi]))
+        records[(r_m,)] = [float(np.add.reduce(values[lo:hi]) / (hi - lo))
                            for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     rows = []
     for r_m in e.comm_ranges_m:

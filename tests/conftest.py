@@ -46,11 +46,11 @@ def predicted(fleet, models: Models) -> Ballistic:
     return Ballistic({v.vid: v for v in fleet}, models)
 
 
-def unstopped_invitation(vehicles, x, y, head, resource, models):
+def unstopped_invitation(x, y, vx, vy, head, resource, models):
     """protocol._may_join cut down to its heading test: the invitation
     scores every vehicle of the head's heading it reaches and relays on
     until it reaches nobody new."""
-    return np.array([v.vx * head.vx > 0.0 for v in vehicles])
+    return vx * head.vx > 0.0
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -485,6 +485,52 @@ def test_ring_distance_helpers():
     assert ring_delta(np.array(10_900.0), np.array(100.0), 11_000.0) == 200.0
 
 
+def _ring_offset_oracle(x_from, x_to, length):
+    """The ring offset written out in Python floats, apart from
+    ring_delta: its exact-equality oracle."""
+    d = x_to - x_from
+    half = length / 2.0
+    return (d + half) % length - half
+
+
+@pytest.mark.parametrize("length", [11_000.0, 2_000.0, 3_000.7])
+def test_ring_delta_equals_the_ring_offset_oracle_bit_for_bit(length):
+    # Uniform pairs on and off the ring, pairs across the seam (x near 0
+    # and near L, and 0.0 and the last float below L), and pairs whose
+    # offset is exactly +L/2 or -L/2.
+    gen = np.random.default_rng(4_242)
+    n, k = 40_000, 5_000
+    seam = np.concatenate([gen.uniform(0.0, 1e-6, k),
+                           length - gen.uniform(0.0, 1e-6, k),
+                           [0.0, np.nextafter(length, 0.0)] * 8])
+    base = np.round(gen.uniform(0.0, length, k))
+    halves = base + np.where(gen.random(k) < 0.5, 0.5, -0.5) * length
+    exact = np.abs(halves - base) == length / 2.0
+    assert exact.mean() > 0.25
+    x_from = np.concatenate([gen.uniform(0.0, length, n),
+                             gen.uniform(-length, 2.0 * length, n),
+                             seam, gen.permutation(seam), base[exact]])
+    x_to = np.concatenate([gen.uniform(0.0, length, n),
+                           gen.uniform(-length, 2.0 * length, n),
+                           gen.permutation(seam), seam, halves[exact]])
+    assert x_from.size >= 100_000
+    want = np.array([_ring_offset_oracle(a, b, length)
+                     for a, b in zip(x_from.tolist(), x_to.tolist())])
+    on_floats = np.array([ring_delta(a, b, length)
+                          for a, b in zip(x_from.tolist(), x_to.tolist())])
+    on_arrays = ring_delta(x_from, x_to, length)
+    # Both signs of an exact half-ring offset map to -L/2.
+    assert np.all(want[-exact.sum():] == -length / 2.0)
+    bits = want.view(np.uint64)
+    assert np.array_equal(on_floats.view(np.uint64), bits)
+    assert np.array_equal(on_arrays.view(np.uint64), bits)
+    # Broadcast the way recruitment's rings call it: anchors by candidates.
+    grid = ring_delta(x_from[:300, None], x_to[None, -300:], length)
+    assert np.array_equal(grid.view(np.uint64), np.array(
+        [[_ring_offset_oracle(a, b, length) for b in x_to[-300:].tolist()]
+         for a in x_from[:300].tolist()]).view(np.uint64))
+
+
 def test_trajectories_are_deterministic_per_seed():
     cfg = make_cfg(density=6.0)
     a = init_scenario(cfg, np.random.default_rng(11))

@@ -9,12 +9,13 @@ import pytest
 from cftsim import protocol, simulator
 from cftsim.channel import expected_rate
 from cftsim.mac import throughput
+from cftsim.mobility import ring_delta
 from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
                              InsufficientCapacityError, LinkBudget,
                              MemberResult, Models,
                              NoResourceError, Recruitment, VehicleState,
                              _derated_frags, _evaluate_plan,
-                             _plannable_frags, _relative,
+                             _in_range, _plannable_frags, _relative,
                              assign_fragments, build_cluster, form_cluster,
                              forwarding_feasible, link_budget,
                              prospective_link_budget, recruit, run_cft,
@@ -239,7 +240,8 @@ def test_select_resource_matches_argmax_oracle(default_cfg):
             for i in range(12)
         ]
         def key(r):
-            dx, dy = models.ring_dx(req.x, r.x), r.y - req.y
+            dx = ring_delta(req.x, r.x, models.ring_length_m)
+            dy = r.y - req.y
             d = math.hypot(dx, dy)
             if d > models.range_m:
                 return None
@@ -598,7 +600,7 @@ def test_shared_recruitment_matches_fresh_recruitment_ring_scenes(default_cfg):
         fleet = _ring_scene(gen, 40, length_m)
         head = fleet[0]
         resource = min((v for v in fleet if v.vx < 0),
-                       key=lambda v: abs(models.ring_dx(head.x, v.x)))
+                       key=lambda v: abs(ring_delta(head.x, v.x, length_m)))
         found, _ = _check_scene(head, resource, fleet, models)
         assert found > 0
 
@@ -615,7 +617,7 @@ def test_shared_recruitment_keeps_the_inclusive_range_edge():
         head = vehicle(0, head_x, 0.0, 20.0)
         edge = vehicle(1, edge_x, 0.0, 19.0)
         src = vehicle(9, head_x + 125.0, 0.0, -5.0)   # between the two
-        assert models.ring_dx(head.x, edge.x) == 250.0
+        assert ring_delta(head.x, edge.x, ring_length_m) == 250.0
         fleet = [head, edge, src]
         _check_scene(head, src, fleet, models)
         v_bytes = 16 * MB                             # head alone: 15 MB
@@ -623,7 +625,7 @@ def test_shared_recruitment_keeps_the_inclusive_range_edge():
                                 v_bytes)
         assert [m.vid for m in cluster.members] == [0, 1]
         far = vehicle(1, edge_x + 1e-9, 0.0, 19.0)
-        assert models.ring_dx(head.x, far.x) > 250.0
+        assert ring_delta(head.x, far.x, ring_length_m) > 250.0
         with pytest.raises(InsufficientCapacityError):
             build_cluster(around(head, src, [head, far, src], models),
                           v_bytes)
@@ -631,6 +633,67 @@ def test_shared_recruitment_keeps_the_inclusive_range_edge():
         near = vehicle(0, head_x + 1e-6, 0.0, 20.0)
         assert build_cluster(around(near, src, [near, far, src], models),
                              v_bytes).n_c == 2
+
+
+def _hypot_roundings(gen, length_m, n=200_000):
+    """Seeded pairs ((xa, ya), (xb, yb)) across the ring's seam, 50-300 m
+    apart, at which np.hypot rounds the distance math.hypot gives: first
+    those it rounds up, then those it rounds down."""
+    lanes = np.array([-7.5, -2.5, 2.5, 7.5])
+    xa = gen.uniform(length_m - 150.0, length_m, n)
+    xb = (xa + gen.uniform(50.0, 300.0, n)) % length_m
+    ya, yb = lanes[gen.integers(4, size=n)], lanes[gen.integers(4, size=n)]
+    swap = gen.random(n) < 0.5
+    xa, xb = np.where(swap, xb, xa), np.where(swap, xa, xb)
+    dx, dy = ring_delta(xa, xb, length_m), yb - ya
+    up, down = [], []
+    for i, (d_np, d) in enumerate(zip(np.hypot(dx, dy).tolist(),
+                                      map(math.hypot, dx.tolist(),
+                                          dy.tolist()))):
+        if d_np != d:
+            pair = ((float(xa[i]), float(ya[i])), (float(xb[i]), float(yb[i])))
+            (up if d_np > d else down).append(pair)
+    return up, down
+
+
+def test_in_earshot_equals_the_scalar_range_test():
+    # Every (anchor, candidate) pair of seeded scenes on a 2,000 m ring,
+    # a fifth of each scene within 150 m of the seam.  Vehicles 0 and 1
+    # straddle the seam at an edge: range_m is their math.hypot distance,
+    # which np.hypot rounds up, or one ulp below it, which np.hypot rounds
+    # down to, so a plain np.hypot test gets that pair wrong.
+    gen = np.random.default_rng(31_337)
+    length_m = 2000.0
+    lanes = (-7.5, -2.5, 2.5, 7.5)
+    up, down = _hypot_roundings(gen, length_m)
+    assert len(up) >= 20 and len(down) >= 20
+    scenes = [(pair, False) for pair in up[:20]] + \
+        [(pair, True) for pair in down[:20]]
+    for ((xa, ya), (xb, yb)), ulp_below in scenes:
+        fleet = [vehicle(0, xa, ya), vehicle(1, xb, yb)]
+        for vid in range(2, 40):
+            x = (gen.uniform(-150.0, 150.0) % length_m if vid % 5 == 0
+                 else gen.uniform(0.0, length_m))
+            fleet.append(vehicle(vid, float(x), lanes[gen.integers(4)]))
+        dx, dy, _, _ = _relative(fleet[0], fleet[1],
+                                 single_rate_models(8e6,
+                                                    ring_length_m=length_m))
+        range_m = math.hypot(dx, dy)
+        if ulp_below:
+            range_m = math.nextafter(range_m, 0.0)
+        models = single_rate_models(8e6, range_m=range_m,
+                                    ring_length_m=length_m)
+        assert (np.hypot(dx, dy) <= range_m) != _in_range(fleet[0], fleet[1],
+                                                          models)
+        x = np.array([v.x for v in fleet])
+        y = np.array([v.y for v in fleet])
+        order = 2 + gen.permutation(38)
+        anchors = np.concatenate([[0], order[:12]])
+        waiting = np.concatenate([order[12:], [1]])
+        for a, w in ((anchors, waiting), (anchors[:1], waiting[-1:])):
+            assert protocol._in_earshot(a, w, x, y, models).tolist() == [
+                any(_in_range(fleet[i], fleet[j], models) for i in a)
+                for j in w]
 
 
 # --- where the invitation stops ---------------------------------------------
@@ -727,7 +790,7 @@ def test_invitation_at_the_range_edge_with_zero_relative_speed():
     head = vehicle(0, 0.0, 0.0, 20.0)
     src = vehicle(9, 100.0, 0.0, 20.0)
     edge = vehicle(1, -138.533, -65.0, 20.0)
-    range_m = math.hypot(single_rate_models(8e6).ring_dx(edge.x, src.x),
+    range_m = math.hypot(ring_delta(edge.x, src.x, LANE_LENGTH_M),
                          src.y - edge.y)
     models = single_rate_models(8e6, range_m=range_m)
     assert _check_admissions(head, src, [head, edge, src], models) == 2

@@ -49,12 +49,44 @@ SHIPPED_CSVS = {
 }
 
 
+# SHA-256 of every per-run record behind those CSVs, written out by
+# _canonical.  A CSV holds only order statistics or means of its records,
+# so a change can move records and leave the CSV byte-identical.  Taken on
+# Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
+SHIPPED_RECORDS = {
+    "connection-time":
+        "0341e3b84b13185eeae31d6ff664f538e544d97bb183b0e575e515a71062db56",
+    "capacity":
+        "6bdb95fd7cda1a61bd720611033bc7c89ed30202c56955f84eda950ec554193c",
+    "max-volume":
+        "4b0ca80720a1292844c5dbe6c7cfe71e756bb30a291c83dfb623374ba7a1500f",
+    "cluster-size":
+        "9491b1ff848c1f3e6bc327ace4bb859135b66db4c5d639106622dfb6c4cab078",
+}
+
+
+def _canonical(value) -> str:
+    """value written out exactly: floats by float.hex, other scalars by
+    str, and tuples and lists element by element, in order."""
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(_canonical(v) for v in value) + ")"
+    if isinstance(value, float):
+        return float.hex(value)
+    return str(value)
+
+
 def _assert_shipped_digest(tmp_path, command, result):
     path = tmp_path / f"{command}.csv"
     write_csv(str(path), result)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     print(f"{command}.csv sha256 {digest}")
     assert digest == SHIPPED_CSVS[command]
+    if command in SHIPPED_RECORDS:
+        text = "\n".join(f"{_canonical(key)}:{_canonical(runs)}"
+                         for key, runs in result.records.items())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{command} records sha256 {digest}")
+        assert digest == SHIPPED_RECORDS[command]
 
 
 @pytest.fixture(scope="module")

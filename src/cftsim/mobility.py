@@ -305,11 +305,10 @@ def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
     _advance(fleet, cfg, rng.uniform(-1.0, 1.0, size=fleet.n))
 
 
-# Most vehicles one batched warm-up steps at once.  The callers are
-# simulator.warm_starts (the max-volume and cluster-size warm-ups, which
-# run one key batch of at most this many vehicles at a time), the pair
-# sweeps' _snapshot_states, and Trajectory.step_together (the first rows
-# of a max-volume key batch's trajectories).
+# Most vehicles one batched warm-up steps at once.  simulator.warm_starts
+# cuts every seeded experiment's keys into key batches of at most this many
+# vehicles, and Trajectory.step_together steps the first rows of a
+# max-volume key batch's trajectories.
 # Warming up 240 keys (5-10 veh/km, 40 seeds each) for 300 steps took
 # 17-19 us per seed-step in batches of up to 2,000 vehicles and 12-14 us in
 # batches of up to 4,000, 8,000 or 16,000 (2-core Xeon VM, numpy 2.4.6).

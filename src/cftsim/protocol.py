@@ -246,19 +246,20 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
     """Fragments the member can download from the resource AND hand to the
     head, given both predicted contact windows.
 
-    A fragment is only useful if the member finishes downloading it while
-    it shares air time with the head to forward it.  With the member-head
-    contact window [t_in, t_out] and the download opening at t_start,
-    assigning b bytes puts the download end at t_done = t_start + 8b/e_c
-    and the forwarding end at t_done + 8b/r_thr, so b must satisfy
+    With the member-head contact window [t_in, t_out] and the download
+    opening at t_start, b bytes are downloaded by t_start + 8b/e_c.  A
+    member holds its fragments until the head contact opens, the rule
+    forwarding_feasible judges by: forwarding starts at max(t_start +
+    8b/e_c, t_in), takes 8b/r_thr, and must end by t_out - margin.  The
+    plan is the largest whole-fragment b that meets this, and at most the
+    budget less its margin (_derated_frags).  A member whose head contact
+    never opens before the horizon contributes nothing.
 
-        t_start + 8b/e_c >= t_in + margin   (in contact when trying to send)
-        t_start + 8b*(1/e_c + 1/r_thr) <= t_out - margin
-
-    Fragments held by a member that has already dropped out of contact, or
-    that never entered it, are lost: undershooting t_in is as fatal as
-    overshooting t_out.  Members whose two windows cannot satisfy both
-    bounds at once contribute nothing.
+    For example, at models(250, 5, plan_margin_s=1.75) with 1 MB fragments,
+    take the head at x = 0 (20 m/s), the member 400 m behind it in the same
+    lane (25 m/s) and the resource at x = -200 m, y = -2.5 m (-25 m/s).
+    Downloading the member's whole 60-fragment budget ends at 8.92 s, the
+    head contact opens at 30.0 s, and the member plans 48 fragments.
     """
     plan = _derated_frags(budget, s_bytes, models)
     if plan <= 0:

@@ -9,6 +9,7 @@ always retain the per-run records they were computed from.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,24 +106,6 @@ def _opposite_pairs(fleet: Fleet, length_m: float, range_m: float):
             dist[near])
 
 
-def _snapshot_states(cfg: Config, density: float, sd: float, stream: str):
-    """The warmed-up fleet of every seed for pair sampling, each shared
-    across ranges.
-
-    Every seed is warmed up in one mobility.warm_up_batch call, and each
-    fleet is exactly what warming its seed up alone gives.
-    """
-    e = cfg.experiments
-    mcfg = cfg.mobility(density, sd)
-    members = []
-    for seed_idx in range(e.seeds):
-        rng = _rng(e.base_seed, stream, _seed_key(density, 1000),
-                   _seed_key(sd), seed_idx)
-        members.append((mobility.init_scenario(mcfg, rng), mcfg, rng))
-    mobility.warm_up_batch(members, e.warmup_steps)
-    return [fleet for fleet, _, _ in members], mcfg
-
-
 def _pair_sweep(cfg: Config, stream: str, value_name: str,
                 pair_values) -> SweepResult:
     """Per-range mean of pair_values(dist, dts) over in-range opposite
@@ -130,7 +113,9 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
     connection times; each seed's mean over its warmed-up fleet is one
     record.
 
-    Each seed's pairs within the longest range are enumerated once
+    The fleets come from warm_starts, with no range in their RNG keys, one
+    key batch at a time, each let go once its near pairs are taken.  Each
+    seed's pairs within the longest range are enumerated once
     (_opposite_pairs: a band test on raw positions cuts the fleet's pairs
     to the near ones, and the exact test decides); the pairs within a
     shorter range are among them.  Every seed's near pairs are
@@ -149,9 +134,12 @@ def _pair_sweep(cfg: Config, stream: str, value_name: str,
     e = cfg.experiments
     density = e.connection_density_per_km
     sd = e.safety_distance_m
-    fleets, mcfg = _snapshot_states(cfg, density, sd, stream)
-    pairs = [_opposite_pairs(fleet, mcfg.lane_length_m, max(e.comm_ranges_m))
-             for fleet in fleets]
+    keys = [(density, seed_idx) for seed_idx in range(e.seeds)]
+    pairs = []
+    for batch in warm_starts(cfg, keys, sd, None, e.warmup_steps, stream):
+        pairs += [_opposite_pairs(start.fleet, start.mcfg.lane_length_m,
+                                  max(e.comm_ranges_m)) for _, start in batch]
+        del batch
     starts = np.cumsum([0] + [east.size for east, *_ in pairs])
     dx, dy, dvx, dist = (np.concatenate([p[k] for p in pairs])
                          for k in range(2, 6))
@@ -397,46 +385,52 @@ class TransferScenario:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """Warmed-up traffic of one transfer-scenario key, before any request.
+    """Warmed-up traffic of one experiment key, before any request.
 
     Every request branches from copies of the fleet and the generator, so
     the schemes of one key share a warm-up and each sees the same traffic
-    and the same point in the generator's stream.
+    and the same point in the generator's stream.  comm_range_m is the
+    range a request looks for its resource in; a pair sweep's warm start,
+    which no request branches from, has None.
     """
 
     fleet: Fleet
     mcfg: MobilityConfig
     rng: np.random.Generator
-    comm_range_m: float
+    comm_range_m: float | None
 
 
-def _fleet_size(cfg: Config, density: float, sd: float) -> int:
-    """Vehicles of the fleet init_scenario lays out at density and sd: the
-    vehicles_per_direction of each of the two directions."""
-    return 2 * cfg.mobility(density, sd).vehicles_per_direction
-
-
-def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float,
-                warmup_steps: int, stream: str) -> list[WarmStart]:
+def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float | None,
+                warmup_steps: int, stream: str
+                ) -> Iterator[list[tuple[tuple, WarmStart]]]:
     """Populate and warm up the traffic of every (density, seed_idx) key at
-    one SD and range on one RNG stream, in the order of keys.
+    one SD on one RNG stream, and yield it one key batch at a time.
 
-    The keys are warmed up together (mobility.warm_up_batch), and each
-    key's traffic is exactly what warming it up alone gives.  The
-    experiments call it once per key batch: mobility.batches of the keys'
-    fleet sizes (_fleet_size), each one run of the batched warm-up.
+    The keys are cut, in order, into mobility.batches of their fleet sizes.
+    A batch is warmed up together (mobility.warm_up_batch) only when the
+    caller asks for it, and comes as a list of (key, WarmStart) pairs; each
+    key's traffic is exactly what warming it up alone gives.  A caller that
+    lets each batch go before asking for the next holds one batch of
+    fleets at a time.  A key's RNG key is the stream, the density, the
+    range (none when comm_range_m is None, as in the pair sweeps), the SD
+    and the seed index.
     """
-    starts = []
-    for density, seed_idx in keys:
-        mcfg = cfg.mobility(density, sd)
-        rng = _rng(cfg.experiments.base_seed, stream, _seed_key(density, 1000),
-                   _seed_key(comm_range_m), _seed_key(sd), seed_idx)
-        starts.append(WarmStart(mobility.init_scenario(mcfg, rng), mcfg, rng,
-                                comm_range_m))
-    if starts:
-        mobility.warm_up_batch([(w.fleet, w.mcfg, w.rng) for w in starts],
+    ranges = () if comm_range_m is None else (_seed_key(comm_range_m),)
+    sizes = [2 * cfg.mobility(density, sd).vehicles_per_direction
+             for density, _ in keys]
+    for run in mobility.batches(sizes):
+        batch = []
+        for density, seed_idx in keys[run]:
+            mcfg = cfg.mobility(density, sd)
+            rng = _rng(cfg.experiments.base_seed, stream,
+                       _seed_key(density, 1000), *ranges, _seed_key(sd),
+                       seed_idx)
+            batch.append(((density, seed_idx),
+                          WarmStart(mobility.init_scenario(mcfg, rng), mcfg,
+                                    rng, comm_range_m)))
+        mobility.warm_up_batch([(w.fleet, w.mcfg, w.rng) for _, w in batch],
                                warmup_steps)
-    return starts
+        yield batch
 
 
 def _branch_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -630,13 +624,13 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
     One row per (scheme, density), scheme by scheme in the order given.
     Seed k of every scheme has the same RNG key, so it is warmed up once
     and each scheme that runs seed k branches from it.  The (density,
-    seed) keys run one key batch at a time (mobility.batches of their
-    fleet sizes), so memory stays bounded whatever the seed count: a batch
-    is warmed up together, its scenarios are branched, the first
-    HEAD_STEPS rows of their trajectories are stepped together in the
-    batch kernel (Trajectory.step_together), and each scenario is let go
-    once it is scored.  Past those rows a trajectory is stepped on demand,
-    only as far as its readers look, up to the experiment horizon.
+    seed) keys run one key batch of warm_starts at a time, so memory stays
+    bounded whatever the seed count: a batch's scenarios are branched, the
+    batch is let go, the first HEAD_STEPS rows of their trajectories are
+    stepped together in the batch kernel (Trajectory.step_together), and
+    each scenario is let go once it is scored.  Past those rows a
+    trajectory is stepped on demand, only as far as its readers look, up to
+    the experiment horizon.
     """
     e = cfg.experiments
     r_m = e.max_volume_range_m
@@ -655,14 +649,13 @@ def max_transfer_volume(cfg: Config, *schemes: str) -> SweepResult:
     most_seeds = max((n_seeds[s] for s in schemes), default=0)
     keys = [(density, seed_idx) for density in e.max_volume_densities
             for seed_idx in range(most_seeds)]
-    for run in mobility.batches([_fleet_size(cfg, d, sd) for d, _ in keys]):
-        starts = warm_starts(cfg, keys[run], sd, r_m,
-                             e.max_volume_warmup_steps, "max-volume")
+    for batch in warm_starts(cfg, keys, sd, r_m, e.max_volume_warmup_steps,
+                             "max-volume"):
         scenarios = [(scheme, density,
                       build_transfer_scenario(cfg, start, _SCHEMES[scheme][0]))
-                     for (density, seed_idx), start in zip(keys[run], starts)
+                     for (density, seed_idx), start in batch
                      for scheme in schemes if seed_idx < n_seeds[scheme]]
-        del starts
+        del batch
         Trajectory.step_together([scen.trajectory for _, _, scen in scenarios],
                                  HEAD_STEPS)
         while scenarios:
@@ -694,8 +687,8 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     its cluster off the same recruitment.  Runs whose file fits through
     the direct link record a cluster size of zero and are excluded from
     the mean (no cluster was formed), as are runs where recruitment could
-    not cover the file.  The (density, seed) keys run one key batch at a
-    time, as in max_transfer_volume, each let go before the next is warmed.
+    not cover the file.  The (density, seed) keys run one key batch of
+    warm_starts at a time, each let go before the next is warmed up.
     """
     e = cfg.experiments
     r_m = e.cluster_range_m
@@ -706,10 +699,9 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
                for v_bytes in e.file_sizes_bytes}
     keys = [(density, seed_idx) for density in e.cluster_densities
             for seed_idx in range(e.cluster_seeds)]
-    for run in mobility.batches([_fleet_size(cfg, d, sd) for d, _ in keys]):
-        starts = warm_starts(cfg, keys[run], sd, r_m, e.cluster_warmup_steps,
-                             "cluster")
-        for (density, _), start in zip(keys[run], starts):
+    for batch in warm_starts(cfg, keys, sd, r_m, e.cluster_warmup_steps,
+                             "cluster"):
+        for (density, _), start in batch:
             fleet, head, resource, _ = request_instant(start, "encounter")
             states = _vehicle_states(fleet.x, fleet.y, fleet.vx)
             recruitment = recruit(states[head], states, e.fragment_bytes,
@@ -717,7 +709,7 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
             for v_bytes in e.file_sizes_bytes:
                 records[(density, v_bytes)].append(
                     form_cluster(recruitment, v_bytes).n_c)
-        del starts, start
+        del batch, start
     rows = []
     for (density, v_bytes), sizes in records.items():
         formed = [n for n in sizes if n > 0]

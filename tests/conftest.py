@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cftsim import simulator
 from cftsim.channel import RateTable
 from cftsim.config import load_config
 from cftsim.protocol import Ballistic, Models, VehicleState
@@ -51,6 +52,15 @@ def unstopped_invitation(x, y, vx, vy, head, resource, models):
     scores every vehicle of the head's heading it reaches and relays on
     until it reaches nobody new."""
     return vx * head.vx > 0.0
+
+
+def warm_start(cfg, density, seed_idx, sd, comm_range_m, warmup_steps,
+               stream) -> simulator.WarmStart:
+    """The warm start of one experiment key, warmed up on its own: the one
+    pair of the one key batch simulator.warm_starts yields for it."""
+    [[(_, start)]] = simulator.warm_starts(cfg, [(density, seed_idx)], sd,
+                                           comm_range_m, warmup_steps, stream)
+    return start
 
 
 def rng(seed: int) -> np.random.Generator:

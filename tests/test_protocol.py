@@ -22,7 +22,7 @@ from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
                              run_direct_baseline, select_resource)
 
 from conftest import (LANE_LENGTH_M, predicted, random_scene,
-                      single_rate_models, unstopped_invitation)
+                      single_rate_models, unstopped_invitation, warm_start)
 
 MB = 1_000_000.0
 
@@ -371,11 +371,15 @@ def test_plan_margin_derates_member_budgets():
     assert derated.n_c == 2
 
 
-def test_late_short_contact_caps_the_member_at_its_window():
+@pytest.mark.parametrize("plan_margin_s,want", [(0.0, 24), (2.0, 23)])
+def test_late_short_contact_caps_the_member_at_its_window(plan_margin_s,
+                                                          want):
     # The member meets the head only after its download window has been
     # open for a while, and briefly: the usable share is what fits through
-    # the contact at the MAC forwarding rate, not the download budget.
-    models = single_rate_models(8e6, horizon_s=300.0)
+    # the contact, less the margin, at the MAC forwarding rate, not the
+    # download budget.
+    models = single_rate_models(8e6, horizon_s=300.0,
+                                plan_margin_s=plan_margin_s)
     head = vehicle(0, 0.0, 0.0, 20.0)
     chain = [vehicle(i, 200.0 * i, 0.0, -30.0) for i in (1, 2, 3)]
     member = vehicle(4, 800.0, 0.0, 2.0)         # head closes at 18 m/s
@@ -388,7 +392,8 @@ def test_late_short_contact_caps_the_member_at_its_window():
     # The contact (t_out - t_in ~ 27.8 s) ends before the member could
     # first fill its own pre-contact time, so the window alone binds.
     assert (t_out - t_in) * r_thr / 8.0 < t_in * 8e6 / 8.0
-    want = math.floor((t_out - t_in) * r_thr / 8.0 / MB)
+    usable_s = t_out - t_in - plan_margin_s
+    assert math.floor(usable_s * r_thr / 8.0 / MB) == want
     assert cluster.members[0].planned_frags == want
 
 
@@ -728,8 +733,7 @@ def _warmed_request(cfg, experiment, density, seed_idx):
     else:
         sd, r_m, steps = e.cluster_sd_m, e.cluster_range_m, e.cluster_warmup_steps
         models = cfg.models(r_m, density, e.cluster_horizon_s)
-    start = simulator.warm_starts(cfg, [(density, seed_idx)], sd, r_m, steps,
-                                  experiment)[0]
+    start = warm_start(cfg, density, seed_idx, sd, r_m, steps, experiment)
     fleet, head, resource, _ = simulator.request_instant(start, "encounter")
     states = simulator._vehicle_states(fleet.x, fleet.y, fleet.vx)
     return states[head], states[resource], states, models
@@ -1039,6 +1043,34 @@ def test_direct_baseline_is_scored_on_the_traffic():
     clustered = _evaluate_plan(cluster, recruitment, traffic)
     assert clustered.member_results == out.member_results
     assert len(recruitment.scores) == 1
+
+
+def test_forwarding_is_judged_after_a_late_download():
+    # The head contact is open now and closes at 5 s, as the member pulls
+    # away at 10 m/s; the resource window opens only at 20 s.  The member
+    # downloads its fragment by 21 s, when the head is out of reach, so it
+    # forwards nothing, though it could have within the first 5 s.
+    models = single_rate_models(8e6)
+    head = vehicle(0, 0.0, 0.0, 20.0)
+    member = vehicle(1, 200.0, 0.0, 30.0)
+    src = vehicle(9, 0.0, 0.0, 20.0)
+    assert forwarding_feasible(member, head, MB, models)
+
+    class LateResource(Ballistic):
+        def window(self, vid_a, vid_b, range_m):
+            assert (vid_a, vid_b) == (1, 9)
+            return (20.0, 30.0)
+
+    recruitment = around(head, src, [head, member, src], models)
+    cluster = assign_fragments(Cluster(head=0, resource=9,
+                                       members=[_member(1, 1)],
+                                       v_bytes=MB, s_bytes=MB))
+    out = _evaluate_plan(cluster, recruitment,
+                         LateResource(recruitment.states, models))
+    assert out.mode == "failed" and out.bytes_delivered == 0.0
+    assert out.member_results == [MemberResult(
+        vid=1, assigned_bytes=MB, downloaded_bytes=MB, forwarded_bytes=0.0,
+        download_done_s=21.0, forward_ok=False)]
 
 
 @pytest.mark.parametrize("read, holders", [

@@ -23,7 +23,7 @@ from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               connection_time_sweep, max_transfer_volume,
                               rate_curve, run_sweep, throughput_sweep,
                               write_csv)
-from conftest import unstopped_invitation
+from conftest import unstopped_invitation, warm_start
 from test_mobility import warm_up
 
 MB = 1_000_000.0
@@ -83,9 +83,10 @@ def test_seed_keys_are_exact(default_cfg):
     assert simulator._seed_key(1.001, 1000) == 1001   # int() gave 1.0's 1000
     with pytest.raises(ValueError):
         simulator._seed_key(250.9)                   # int() reused 250's stream
+    batches = simulator.warm_starts(default_cfg, [(5.0, 0)], 150.0, 250.9,
+                                    15, "max-volume")
     with pytest.raises(ValueError):
-        simulator.warm_starts(default_cfg, [(5.0, 0)], 150.0, 250.9, 15,
-                              "max-volume")
+        next(batches)
 
 
 @pytest.mark.parametrize("sweep,value_name", [
@@ -123,6 +124,15 @@ def test_a_range_no_pair_reaches_gives_nan_and_no_runs(tmp_path):
         assert lines[1] == "1.000000,5.000000,150.000000,nan,0"
 
 
+def _pair_sweep_starts(cfg, stream):
+    """Every seed's warm start of a pair sweep, in seed order."""
+    e = cfg.experiments
+    keys = [(e.connection_density_per_km, k) for k in range(e.seeds)]
+    return [start for batch in simulator.warm_starts(
+                cfg, keys, e.safety_distance_m, None, e.warmup_steps, stream)
+            for _, start in batch]
+
+
 def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
     # At v_min_kmh=0 an opposite pair can stand still in range, which the
     # scalar prediction gives an unbounded connection time; the sweeps cap
@@ -130,15 +140,12 @@ def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
     # and seed 0 of the capability stream hold such a pair.
     cfg = load_config(overrides=["mobility.v_min_kmh=0", "experiments.seeds=4",
                                  "experiments.comm_range_m=[250, 600]"])
-    e = cfg.experiments
     for stream, sweep in (("connection", connection_time_sweep),
                           ("capability", capability_sweep)):
-        fleets, mcfg = simulator._snapshot_states(
-            cfg, e.connection_density_per_km, e.safety_distance_m, stream)
         standstill = 0
-        for fleet in fleets:
-            dvx = simulator._opposite_pairs(fleet, mcfg.lane_length_m,
-                                            250.0)[4]
+        for start in _pair_sweep_starts(cfg, stream):
+            dvx = simulator._opposite_pairs(start.fleet,
+                                            start.mcfg.lane_length_m, 250.0)[4]
             standstill += int(np.sum(dvx == 0.0))
         assert standstill > 0
         with warnings.catch_warnings():
@@ -151,6 +158,7 @@ def test_a_standstill_pair_is_capped_at_the_horizon(tmp_path):
 
 @pytest.mark.parametrize("warmup_steps", [0, 15])
 def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, warmup_steps):
+    # A pair sweep's RNG key has no range in it.
     cfg = load_config(overrides=[f"experiments.warmup_steps={warmup_steps}",
                                  "experiments.seeds=4"])
     e = cfg.experiments
@@ -163,16 +171,17 @@ def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, warmup_steps):
         return gens[-1]
 
     monkeypatch.setattr(simulator, "_rng", keeping)
-    fleets, mcfg = simulator._snapshot_states(cfg, density, sd, "connection")
-    assert len(fleets) == len(gens) == 4
-    for seed_idx, (snap, gen) in enumerate(zip(fleets, gens)):
+    starts = _pair_sweep_starts(cfg, "connection")
+    assert len(starts) == len(gens) == 4
+    for seed_idx, (snap, gen) in enumerate(zip(starts, gens)):
+        assert snap.comm_range_m is None and snap.rng is gen
         rng = real_rng(e.base_seed, "connection",
                        simulator._seed_key(density, 1000),
                        simulator._seed_key(sd), seed_idx)
-        fleet = mobility.init_scenario(mcfg, rng)
-        warm_up(fleet, mcfg, rng, warmup_steps)
-        assert np.array_equal(snap.x, fleet.x)
-        assert np.array_equal(snap.speed, fleet.speed)
+        fleet = mobility.init_scenario(snap.mcfg, rng)
+        warm_up(fleet, snap.mcfg, rng, warmup_steps)
+        assert np.array_equal(snap.fleet.x, fleet.x)
+        assert np.array_equal(snap.fleet.speed, fleet.speed)
         assert gen.bit_generator.state == rng.bit_generator.state
 
 
@@ -191,12 +200,18 @@ def _full_matrix_pairs(fleet, length_m):
 
 def _per_fleet_pair_sweep(cfg, stream, value_name, pair_values):
     """simulator._pair_sweep as it ran fleet by fleet and range by range,
-    over every opposite pair of each fleet: its exact-equality oracle."""
+    over every opposite pair of each fleet: its exact-equality oracle.
+    Each seed's fleet is built and warmed up on its own, step by step."""
     e = cfg.experiments
     density, sd = e.connection_density_per_km, e.safety_distance_m
+    mcfg = cfg.mobility(density, sd)
     records = {(r_m,): [] for r_m in e.comm_ranges_m}
-    fleets, mcfg = simulator._snapshot_states(cfg, density, sd, stream)
-    for fleet in fleets:
+    for seed_idx in range(e.seeds):
+        rng = simulator._rng(e.base_seed, stream,
+                             simulator._seed_key(density, 1000),
+                             simulator._seed_key(sd), seed_idx)
+        fleet = mobility.init_scenario(mcfg, rng)
+        warm_up(fleet, mcfg, rng, e.warmup_steps)
         dx, dy, dvx = _full_matrix_pairs(fleet, mcfg.lane_length_m)
         dist = np.hypot(dx, dy)
         for r_m in e.comm_ranges_m:
@@ -255,10 +270,8 @@ def test_opposite_pairs_are_the_in_range_part_of_the_full_matrix(range_m):
     # Ranges past half the 11 km ring keep every pair through the band
     # test; 4 m, below the lane separation, keeps none.
     cfg = load_config(overrides=["experiments.seeds=3"])
-    e = cfg.experiments
-    fleets, mcfg = simulator._snapshot_states(
-        cfg, e.connection_density_per_km, e.safety_distance_m, "connection")
-    for fleet in fleets:
+    for start in _pair_sweep_starts(cfg, "connection"):
+        fleet, mcfg = start.fleet, start.mcfg
         dx, dy, dvx = _full_matrix_pairs(fleet, mcfg.lane_length_m)
         n_west = int(np.sum(fleet.direction < 0))
         keep = np.flatnonzero(in_range_mask(dx, dy, range_m))
@@ -295,8 +308,9 @@ def test_an_edge_pair_is_counted_by_both_pair_sweeps(monkeypatch,
                            speed=np.array([30.0, 25.0]),
                            direction=np.array([1, -1]),
                            lane=np.array([0, 0]))
-    monkeypatch.setattr(simulator, "_snapshot_states",
-                        lambda *args: ([fleet.copy()], mcfg))
+    injected = simulator.WarmStart(fleet, mcfg, None, None)
+    monkeypatch.setattr(simulator, "warm_starts",
+                        lambda *args: iter([[((5.0, 0), injected)]]))
     cfg = load_config(overrides=[f"experiments.comm_range_m=[{r!r}]",
                                  "experiments.seeds=1"])
     assert cfg.experiments.comm_ranges_m == (r,)
@@ -400,8 +414,8 @@ def test_rate_curve_spans_the_default_grid(default_cfg):
 def _scenario(cfg, density, sd, r_m, warmup_steps, seed_idx,
               request_at="contact"):
     """A max-volume transfer scenario warmed up on its own."""
-    start = simulator.warm_starts(cfg, [(density, seed_idx)], sd, r_m,
-                                  warmup_steps, "max-volume")[0]
+    start = warm_start(cfg, density, seed_idx, sd, r_m, warmup_steps,
+                       "max-volume")
     return build_transfer_scenario(cfg, start, request_at)
 
 
@@ -429,9 +443,8 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
     e = cfg.experiments
     r_m = e.max_volume_range_m
     for density, seed_idx in ((5.0, 0), (10.0, 1)):
-        start = simulator.warm_starts(cfg, [(density, seed_idx)],
-                                      e.max_volume_sd_m, r_m, 30,
-                                      "max-volume")[0]
+        start = warm_start(cfg, density, seed_idx, e.max_volume_sd_m, r_m, 30,
+                           "max-volume")
         fleet = simulator.request_instant(start, request_at)[0]
         scen = build_transfer_scenario(cfg, start, request_at)
         simulator._direct_max_volume(cfg, scen, density, r_m)
@@ -446,8 +459,8 @@ def test_contact_request_with_no_pair_in_range_raises_at_once(default_cfg,
     # A 4 m range, below the 5 m lane separation, puts no oncoming pair in
     # range, so a contact request raises without stepping the traffic.
     e = default_cfg.experiments
-    start = simulator.warm_starts(default_cfg, [(10.0, 0)], e.max_volume_sd_m,
-                                  4.0, 15, "max-volume")[0]
+    start = warm_start(default_cfg, 10.0, 0, e.max_volume_sd_m, 4.0, 15,
+                       "max-volume")
 
     def step(*args):
         raise AssertionError("mobility.step was called")
@@ -612,8 +625,8 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     # once from the same request instant, and no unstepped row may show.
     e = default_cfg.experiments
     r_m = e.max_volume_range_m
-    start = simulator.warm_starts(default_cfg, [(10.0, 2)], e.max_volume_sd_m,
-                                  r_m, 15, "max-volume")[0]
+    start = warm_start(default_cfg, 10.0, 2, e.max_volume_sd_m, r_m, 15,
+                       "max-volume")
     fleet, head, resource, rng = simulator.request_instant(start, request_at)
     mcfg = start.mcfg
     n_steps = int(round(e.horizon_s / mcfg.step_s))
@@ -733,9 +746,10 @@ def test_key_batches_leave_the_records_as_they_are(monkeypatch):
     warmed = []
     real = simulator.warm_starts
 
-    def counting(cfg, keys, *args):
-        warmed.append(len(keys))
-        return real(cfg, keys, *args)
+    def counting(*args):
+        for batch in real(*args):
+            warmed.append(len(batch))
+            yield batch
 
     monkeypatch.setattr(simulator, "warm_starts", counting)
     shipped = [max_transfer_volume(cfg, "direct", "cft"),
@@ -748,52 +762,69 @@ def test_key_batches_leave_the_records_as_they_are(monkeypatch):
     assert warmed == [3, 2, 1, 1, 1] + [3, 1, 1, 1]
 
 
-@pytest.mark.parametrize("experiment", [
+def _pair_sweep_cfg(seeds):
+    return load_config(overrides=[f"experiments.seeds={seeds}"])
+
+
+@pytest.mark.parametrize("experiment,make_cfg", [
     pytest.param(lambda cfg: max_transfer_volume(cfg, "direct", "cft"),
+                 lambda seeds: _batch_cfg(seeds, seeds, warmup_steps=5),
                  id="max-volume"),
-    pytest.param(cluster_size_profile, id="cluster-size"),
+    pytest.param(cluster_size_profile,
+                 lambda seeds: _batch_cfg(seeds, seeds, warmup_steps=5),
+                 id="cluster-size"),
+    pytest.param(connection_time_sweep, _pair_sweep_cfg, id="connection-time"),
+    pytest.param(capability_sweep, _pair_sweep_cfg, id="capacity"),
 ])
 def test_live_warm_starts_do_not_grow_with_the_seed_count(monkeypatch,
-                                                          experiment):
+                                                          experiment,
+                                                          make_cfg):
+    # Counted as each warm start is built: a key batch still held while
+    # the next is built would lift the peak above one batch.
     count = {"live": 0, "peak": 0}
 
     def release():
         count["live"] -= 1
 
-    real = simulator.warm_starts
+    real = simulator.WarmStart
 
     def tracking(*args):
-        # The last key batch was let go before this one is warmed up.
-        assert count["live"] == 0
-        starts = real(*args)
-        for start in starts:
-            weakref.finalize(start, release)
-        count["live"] += len(starts)
+        start = real(*args)
+        weakref.finalize(start, release)
+        count["live"] += 1
         count["peak"] = max(count["peak"], count["live"])
-        return starts
+        return start
 
-    monkeypatch.setattr(simulator, "warm_starts", tracking)
+    monkeypatch.setattr(simulator, "WarmStart", tracking)
     # Up to three 5 veh/km fleets (110 vehicles) fit in a 400-vehicle batch.
     monkeypatch.setattr(mobility, "BATCH_VEHICLES", 400)
     peaks = []
     for seeds in (4, 12):
         count["peak"] = 0
-        experiment(_batch_cfg(seeds, seeds, warmup_steps=5))
+        experiment(make_cfg(seeds))
         assert count["live"] == 0
         peaks.append(count["peak"])
     assert peaks == [3, 3]
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
-def test_key_sizes_are_the_fleets_init_scenario_builds(lanes):
+def test_key_sizes_are_the_fleets_init_scenario_builds(monkeypatch, lanes):
     # 5 veh/km on 11 km is 55 vehicles a direction, split 28/27 over two
     # lanes and 19/18/18 over three; 0.1 veh/km leaves lanes empty.
     cfg = load_config(overrides=[f"mobility.lanes_per_direction={lanes}"])
-    rng = np.random.default_rng(0)
-    for density in (0.1, 0.25, 1.0, 5.0, 5.5, 7.3, 10.0, 41.0):
-        for sd in (50.0, 150.0):
-            fleet = mobility.init_scenario(cfg.mobility(density, sd), rng)
-            assert simulator._fleet_size(cfg, density, sd) == fleet.n
+    cut = []
+    real = mobility.batches
+    monkeypatch.setattr(mobility, "batches",
+                        lambda sizes: cut.append(list(sizes)) or real(sizes))
+    keys = [(density, 0) for density in
+            (0.1, 0.25, 1.0, 5.0, 5.5, 7.3, 10.0, 41.0)]
+    for sd in (50.0, 150.0):
+        cut.clear()
+        starts = [start for batch in simulator.warm_starts(
+                      cfg, keys, sd, None, 0, "connection")
+                  for _, start in batch]
+        # warm_starts cuts the keys by their sizes before it builds a fleet.
+        assert cut[0] == [start.fleet.n for start in starts]
 
 
 def test_only_fresh_trajectories_are_stepped_together(default_cfg):
@@ -1116,9 +1147,9 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
         models = cfg.models(e.cluster_range_m, density, e.cluster_horizon_s)
         for seed_idx in range(e.cluster_seeds):
             fleet, head, resource, _ = simulator.request_instant(
-                simulator.warm_starts(cfg, [(density, seed_idx)],
-                                      e.cluster_sd_m, e.cluster_range_m,
-                                      e.cluster_warmup_steps, "cluster")[0],
+                warm_start(cfg, density, seed_idx, e.cluster_sd_m,
+                           e.cluster_range_m, e.cluster_warmup_steps,
+                           "cluster"),
                 "encounter")
             states = simulator._vehicle_states(fleet.x, fleet.y, fleet.vx)
             traffic = Ballistic({v.vid: v for v in states}, models)

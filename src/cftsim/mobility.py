@@ -12,6 +12,7 @@ lane's least speed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -50,6 +51,8 @@ class MobilityConfig:
             raise ValueError("lane_length_m and step_s must be positive")
         if self.lanes_per_direction < 1:
             raise ValueError("need at least one lane per direction")
+        if not 0.0 <= self.accel_mps2 < math.inf:
+            raise ValueError("accel_mps2 must be finite and not negative")
         # Keeps a stepped position within the interval _wrap handles.
         if self.v_max_mps * self.step_s > self.lane_length_m / 2.0:
             raise ValueError("a vehicle may not drive over half a lap in "
@@ -216,9 +219,21 @@ def init_scenario(cfg: MobilityConfig, rng: np.random.Generator) -> Fleet:
 
 def _lane_gaps(x: np.ndarray, order: np.ndarray, g: LaneGroups,
                length: float) -> np.ndarray:
-    """Room ahead of each slot, with the lanes laid out by order."""
+    """Room ahead of each slot, with the lanes laid out by order.
+
+    A difference of positions in [0, length) lies in (-length, length), so
+    only a negative one is wrapped, by adding length as % would.  A zero
+    gap may come out as -0.0, which none of the tests on gaps tells from
+    +0.0.  ``_wrap`` can leave a position at exactly length, the point 0.0
+    is; a gap from 0.0 to it reads length where % reads 0.  A kept order
+    with such a gap fails the check of ``_brake_to_leaders`` by a whole
+    lap, so only a sorted lane whose vehicles all sit on that point sees
+    it.
+    """
     x_ord = x[order]
-    return _wrap((x_ord[g.ahead] - x_ord) * g.slot_direction, length)
+    gaps = (x_ord[g.ahead] - x_ord) * g.slot_direction
+    np.add(gaps, length, out=gaps, where=gaps < 0.0)
+    return gaps
 
 
 def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
@@ -231,11 +246,12 @@ def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
     Pointer jumping computes it for all lanes at once: each pass takes the
     minimum with the slot pointed at, then points every slot twice as far,
     so k passes cover 2**k vehicles of each chain.  The loop stops at the
-    first pass that changes nothing, since no later pass can then change
-    anything, and after at most ``LaneGroups.passes`` passes.  A lane with
-    no gap over SD is one chain round the whole lane, so every vehicle
-    takes the lane's least speed.  The minimum does no arithmetic, so each
-    new speed is one of the pre-step speeds bit for bit.
+    first pass after the first that changes nothing, since no later pass
+    can then change anything, and after at most ``LaneGroups.passes``
+    passes.  A lane with no gap over SD is one chain round the whole lane,
+    so every vehicle takes the lane's least speed.  The minimum does no
+    arithmetic, so each new speed is one of the pre-step speeds bit for
+    bit.
 
     The order the last pass laid out is kept on the fleet and reused while
     a cheap check of the new gaps shows it still holds; otherwise every
@@ -264,21 +280,48 @@ def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
     fleet._order = order
     nxt = np.where(gaps <= sd, g.ahead, g.slot)
     m = fleet.speed[order]
-    for _ in range(g.passes):
+    for k in range(g.passes):
         m_next = np.minimum(m, m[nxt])
-        # NaN != NaN, so a NaN speed runs the loop to its cap.
-        if not (m_next != m).any():
+        # The first pass skips the check: a pass after the chains settle
+        # changes nothing.  NaN != NaN, so a NaN speed runs the loop to
+        # its cap.
+        if k and not (m_next != m).any():
             break
         m = m_next
         nxt = nxt[nxt]
     fleet.speed[order] = m
 
 
-def _advance(fleet: Fleet, cfg: MobilityConfig, gamma: np.ndarray) -> None:
-    """One step of ``step``, given each vehicle's noise draw in [-1, 1]."""
-    fleet.speed += gamma * cfg.accel_mps2 * cfg.step_s
-    np.clip(fleet.speed, cfg.v_min_mps, cfg.v_max_mps, out=fleet.speed)
-    fleet.x += fleet.vx * cfg.step_s
+def _kicks(u: np.ndarray, cfg: MobilityConfig) -> np.ndarray:
+    """Speed changes from uniform draws u in [0, 1), in place.
+
+    The noise is rng.uniform(-1.0, 1.0), which draws u and returns
+    -1 + 2u; the doubling is exact, so 2u - 1 is the same number.  A kick
+    is (noise * accel_mps2) * step_s, in that order.
+    """
+    u *= 2.0
+    u -= 1.0
+    u *= cfg.accel_mps2
+    u *= cfg.step_s
+    return u
+
+
+def _advance(fleet: Fleet, cfg: MobilityConfig, kick: np.ndarray,
+             heading: np.ndarray) -> None:
+    """One step of ``step``, given each vehicle's speed change from
+    ``_kicks`` and its heading, direction * step_s.
+
+    It draws nothing: ``step`` draws one row of noise per call, and
+    ``warm_up_batch`` a block of rows per generator call.  speed * heading
+    is the velocity times step_s bit for bit: multiplying by +/-1 is exact
+    and rounding is symmetric in sign.  The clip to [v_min, v_max] passes
+    a NaN speed on.
+    """
+    speed = fleet.speed
+    speed += kick
+    np.maximum(speed, cfg.v_min_mps, out=speed)
+    np.minimum(speed, cfg.v_max_mps, out=speed)
+    fleet.x += speed * heading
     _wrap(fleet.x, cfg.lane_length_m)
     _brake_to_leaders(fleet, cfg.safety_distance_m, cfg.lane_length_m)
 
@@ -301,8 +344,13 @@ def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
     next and reused while a check of the new gaps confirms it (no zero
     gap, one lap per lane); otherwise the lanes are sorted afresh.  Either
     way the step's result is the same.
+
+    The noise is one ``rng.random(n)`` call: the n draws that
+    ``rng.uniform(-1.0, 1.0, n)`` makes, so the generator ends where that
+    call leaves it.
     """
-    _advance(fleet, cfg, rng.uniform(-1.0, 1.0, size=fleet.n))
+    _advance(fleet, cfg, _kicks(rng.random(fleet.n), cfg),
+             fleet.direction * cfg.step_s)
 
 
 # Most vehicles one batched warm-up steps at once.  simulator.warm_starts
@@ -310,12 +358,21 @@ def step(fleet: Fleet, cfg: MobilityConfig, rng: np.random.Generator) -> None:
 # vehicles, and Trajectory.step_together steps the first rows of a
 # max-volume key batch's trajectories.
 # Warming up 240 keys (5-10 veh/km, 40 seeds each) for 300 steps took
-# 17-19 us per seed-step in batches of up to 2,000 vehicles and 12-14 us in
-# batches of up to 4,000, 8,000 or 16,000 (2-core Xeon VM, numpy 2.4.6).
-# Much larger batches cost time and memory: the shipped max-volume call's
-# 1,200 warm-ups as one batch ran 14.3 s against 11.8 s and lifted its
-# peak RSS from 68 to 95 MB.
+# 6-9 us per seed-step in batches of up to 2,000 vehicles, 5-7 us in
+# batches of up to 4,000 and 5-6 us in batches of up to 8,000 or 16,000
+# (best of 3, four runs each, 2-core Xeon VM, numpy 2.4.6).  Much larger
+# batches cost time and memory: the shipped max-volume sweep's 1,200 keys
+# as one batch ran 5.4-6.9 s against 4.7-5.1 s and lifted its peak RSS
+# from 65 to 311 MB.
 BATCH_VEHICLES = 4_000
+
+# Steps of noise a batched warm-up draws per generator call: each member's
+# generator fills a block of up to this many rows, one per step.  The
+# block holds NOISE_ROWS * 8 bytes per vehicle of the batch, 1 MB at
+# BATCH_VEHICLES; tracemalloc puts the peak of a 300-step warm-up at 0.73
+# MB against 0.23 MB with one row per call at 1,980 vehicles, and at 0.49
+# MB against 0.15 MB at 1,320.
+NOISE_ROWS = 32
 
 
 def batches(sizes: Sequence[int]) -> list[slice]:
@@ -340,12 +397,16 @@ def warm_up_batch(
     members holds (fleet, cfg, rng) triples whose configs agree in all but
     density_per_km.  Consecutive members are stepped together, in batches
     of at most BATCH_VEHICLES vehicles (``batches``; a larger member is a
-    batch of its own): every step draws each member's noise from its own
-    generator, the same draws ``step`` makes, and then runs the kinematics
-    and the braking pass once over the lanes of the batch.  Each member's x and
-    speed are written back into its fleet.  record, if given, holds one
-    (x_rows, speed_rows) pair of arrays per member, with a row per step:
-    row j receives the member's x and speed after step j + 1.
+    batch of its own): every step runs the kinematics and the braking pass
+    once over the lanes of the batch.  Each member's noise comes from its
+    own generator in blocks of up to NOISE_ROWS steps, one
+    ``rng.random((rows, n))`` call per block: the draws ``step`` makes, in
+    the order it makes them.  The last block holds only the steps left, so
+    every generator ends exactly where ``steps`` calls of ``step`` leave
+    it.  Each member's x and speed are written back into its fleet.
+    record, if given, holds one (x_rows, speed_rows) pair of arrays per
+    member, with a row per step: row j receives the member's x and speed
+    after step j + 1.
     """
     if not members:
         raise ValueError("a batched warm-up needs at least one member")
@@ -377,18 +438,17 @@ def _warm_up_together(members: Sequence, cfg: MobilityConfig, steps: int,
     member = np.repeat(np.arange(len(fleets)), np.diff(bounds))
     batch = Fleet(joined("x"), joined("y"), joined("speed"),
                   joined("direction"), lane + member * (lane.max() + 1))
-    gamma = np.empty(batch.n)
-    for j in range(steps):
-        # rng.uniform(-1.0, 1.0) draws u and returns -1 + 2u; the doubling
-        # is exact, so this is the same number.
+    heading = batch.direction * cfg.step_s
+    kicks = np.empty((min(steps, NOISE_ROWS), batch.n))
+    for first in range(0, steps, NOISE_ROWS):
+        block = kicks[:steps - first]
         for (_, _, rng), (lo, hi) in zip(members, spans):
-            rng.random(out=gamma[lo:hi])
-        gamma *= 2.0
-        gamma -= 1.0
-        _advance(batch, cfg, gamma)
-        for (x_rows, speed_rows), (lo, hi) in zip(record, spans):
-            x_rows[j] = batch.x[lo:hi]
-            speed_rows[j] = batch.speed[lo:hi]
+            block[:, lo:hi] = rng.random((len(block), hi - lo))
+        for j, kick in enumerate(_kicks(block, cfg), first):
+            _advance(batch, cfg, kick, heading)
+            for (x_rows, speed_rows), (lo, hi) in zip(record, spans):
+                x_rows[j] = batch.x[lo:hi]
+                speed_rows[j] = batch.speed[lo:hi]
     for fleet, (lo, hi) in zip(fleets, spans):
         fleet.x[:] = batch.x[lo:hi]
         fleet.speed[:] = batch.speed[lo:hi]

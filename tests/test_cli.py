@@ -41,6 +41,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  ["max-volume", "--set", "experiments.horizon_s=.inf"]):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert f"'{argv[-1].split('=')[0]}'" in capsys.readouterr().err
+    # So does a negative or infinite random acceleration bound.
+    for value in ("-2", ".inf"):
+        for argv in (["validate-config"], ["cluster-size", "--seeds", "1"]):
+            assert main([*argv, "--set", f"mobility.accel_mps2={value}",
+                         "--out", str(tmp_path)]) == 2
+            assert "accel_mps2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

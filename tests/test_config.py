@@ -163,6 +163,9 @@ def test_config_error_cases(tmp_path):
     "experiments.base_seed=-1",
     "mac.backoff_window=0",
     "mac.slot_us=0",
+    # a random acceleration bound that is negative or infinite
+    "mobility.accel_mps2=-2",
+    "mobility.accel_mps2=.inf",
     # integer keys given a float or a bool
     "experiments.seeds=2.7",
     "experiments.seeds=true",
@@ -204,6 +207,12 @@ def test_nan_values_are_config_errors_naming_their_key(override, path):
     with pytest.raises(ConfigError) as info:
         load_config(overrides=[override])
     assert f"'{path}'" in str(info.value)
+
+
+def test_zero_acceleration_is_legal():
+    # Coasting fleets: the mobility tests step fleets without noise.
+    assert load_config(overrides=["mobility.accel_mps2=0"]).mobility(
+        5.0, 150.0).accel_mps2 == 0.0
 
 
 def test_infinite_values_are_numbers():

@@ -286,6 +286,16 @@ def _tied(cfg, seed):
                  lane=np.zeros(5, dtype=np.int64))
 
 
+def _coincident(cfg, seed):
+    """One lane of three where the rear vehicle catches the one ahead of
+    it exactly on the second step: a zero gap.  The sort puts the lower
+    id behind; the kept order has the other one behind."""
+    return Fleet(x=np.array([500.0, 300.0, 100.0]), y=np.full(3, 2.5),
+                 speed=np.array([20.0, 120.0, 20.0]),
+                 direction=np.ones(3, dtype=np.int64),
+                 lane=np.zeros(3, dtype=np.int64))
+
+
 # id: (config, fleet builder, whether some lane must close a cycle)
 ORACLE_CASES = {
     "d5-sd150": (make_cfg(5.0, 150.0), _scenario, False),
@@ -307,25 +317,46 @@ ORACLE_CASES = {
     "tied-gaps-cycle": (
         make_cfg(5.0, 1_000.0, lane_length_m=1_000.0, accel_mps2=0.0),
         _tied, True),
+    "zero-gap": (make_cfg(5.0, 50.0, lane_length_m=1_000.0, accel_mps2=0.0,
+                          v_min_mps=0.0, v_max_mps=200.0),
+                 _coincident, False),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_step_matches_scalar_sweep_exactly(case):
+# Batched, the fleet runs through warm_up_batch, whose noise comes in
+# blocks of NOISE_ROWS steps: 500 steps cross many block edges, and the
+# sparse, cycle, zero-gap and tied cases sort their lanes afresh within a
+# block.
+@pytest.mark.parametrize("case, batched", [
+    *(pytest.param(case, False, id=case) for case in sorted(ORACLE_CASES)),
+    *(pytest.param(case, True, id=f"{case}-batched")
+      for case in sorted(ORACLE_CASES)),
+])
+def test_step_matches_scalar_sweep_exactly(case, batched):
     cfg, build, must_cycle = ORACLE_CASES[case]
     fleet = build(cfg, 3)
     ref = fleet.copy()
     gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
+    steps = 500
+    if batched:
+        x_rows, speed_rows = np.empty((2, steps, fleet.n))
+        warm_up_batch([(fleet, cfg, gen)], steps, [(x_rows, speed_rows)])
     cycles = 0
-    for _ in range(500):
-        step(fleet, cfg, gen)
+    for j in range(steps):
+        if not batched:
+            step(fleet, cfg, gen)
+            x_rows, speed_rows = fleet.x[None], fleet.speed[None]
         _reference_step(ref, cfg, ref_gen)
-        assert np.array_equal(fleet.x, ref.x)
-        assert np.array_equal(fleet.speed, ref.speed)
+        row = j if batched else 0
+        assert np.array_equal(x_rows[row], ref.x)
+        assert np.array_equal(speed_rows[row], ref.speed)
         for direction in (1, -1):
             for lane in range(cfg.lanes_per_direction):
-                gaps = _lane_gaps(fleet, direction, lane, cfg)[1]
+                gaps = _lane_gaps(ref, direction, lane, cfg)[1]
                 cycles += gaps.size > 1 and gaps.max() <= cfg.safety_distance_m
+    assert np.array_equal(fleet.x, ref.x)
+    assert np.array_equal(fleet.speed, ref.speed)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
     if must_cycle:
         assert cycles > 0
 
@@ -378,16 +409,6 @@ def _overtaken(cfg, seed):
     return fleet, swap
 
 
-def _coincident(cfg, seed):
-    """One lane of three where the rear vehicle catches the one ahead of
-    it exactly on the second step: a zero gap.  The sort puts the lower
-    id behind; the kept order has the other one behind."""
-    return Fleet(x=np.array([500.0, 300.0, 100.0]), y=np.full(3, 2.5),
-                 speed=np.array([20.0, 120.0, 20.0]),
-                 direction=np.ones(3, dtype=np.int64),
-                 lane=np.zeros(3, dtype=np.int64))
-
-
 def _as_is(build):
     return lambda cfg, seed: (build(cfg, seed), None)
 
@@ -397,9 +418,7 @@ def _as_is(build):
 KEPT_ORDER_CASES = {
     "d10-sd150": (make_cfg(10.0, 150.0), _as_is(_scenario), True),
     "forced-overtake-d10-sd150": (make_cfg(10.0, 150.0), _overtaken, True),
-    "zero-gap": (make_cfg(5.0, 50.0, lane_length_m=1_000.0, accel_mps2=0.0,
-                          v_min_mps=0.0, v_max_mps=200.0),
-                 _as_is(_coincident), False),
+    "zero-gap": (ORACLE_CASES["zero-gap"][0], _as_is(_coincident), False),
     "tied-widest-gaps": (ORACLE_CASES["tied-gaps-cycle"][0], _as_is(_tied),
                          True),
     "one-vehicle-lane": (make_cfg(5.0, 150.0), _as_is(_sparse), False),
@@ -542,21 +561,29 @@ def test_trajectories_are_deterministic_per_seed():
     assert np.array_equal(a.speed, b.speed)
 
 
+# A batched warm-up draws its noise in blocks of NOISE_ROWS steps; these
+# step counts end a warm-up before, on and after a block's edge.
+BLOCK_EDGE_STEPS = [0, 1, mobility.NOISE_ROWS - 1, mobility.NOISE_ROWS,
+                    mobility.NOISE_ROWS + 1, 2 * mobility.NOISE_ROWS + 5]
+MIXED_KEYS = [(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)]
+
+
 # At 10 veh/km, SD 250 m and 400 m reach the cycle case.  A bound of 400
 # vehicles splits the mixed members (110, 220, 220, 110) into two batches,
 # and one of 100 puts each in a batch of its own.
 @pytest.mark.parametrize("sd", [150.0, 250.0, 400.0])
-@pytest.mark.parametrize("keys, bound", [
-    pytest.param([(5.0, 1)], mobility.BATCH_VEHICLES, id="one"),
-    pytest.param([(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)],
-                 mobility.BATCH_VEHICLES, id="mixed"),
-    pytest.param([(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)], 400,
-                 id="mixed-split"),
-    pytest.param([(5.0, 1), (10.0, 2), (10.0, 3), (5.0, 4)], 100,
-                 id="mixed-alone"),
+@pytest.mark.parametrize("keys, bound, steps", [
+    pytest.param([(5.0, 1)], mobility.BATCH_VEHICLES, 200, id="one"),
+    pytest.param(MIXED_KEYS, mobility.BATCH_VEHICLES, 200, id="mixed"),
+    pytest.param(MIXED_KEYS, 400, 200, id="mixed-split"),
+    pytest.param(MIXED_KEYS, 100, 200, id="mixed-alone"),
+    *(pytest.param(MIXED_KEYS, bound, steps, id=f"{name}-{steps}-steps")
+      for name, bound in [("mixed", mobility.BATCH_VEHICLES),
+                          ("mixed-split", 400)]
+      for steps in BLOCK_EDGE_STEPS),
 ])
 def test_batched_warm_up_equals_per_seed_warm_up(monkeypatch, keys, bound,
-                                                 sd):
+                                                 steps, sd):
     monkeypatch.setattr(mobility, "BATCH_VEHICLES", bound)
 
     def members():
@@ -568,9 +595,9 @@ def test_batched_warm_up_equals_per_seed_warm_up(monkeypatch, keys, bound,
         return out
 
     batch, alone = members(), members()
-    warm_up_batch(batch, 200)
+    warm_up_batch(batch, steps)
     for fleet, cfg, gen in alone:
-        warm_up(fleet, cfg, gen, 200)
+        warm_up(fleet, cfg, gen, steps)
     for (fleet, _, gen), (want, _, want_gen) in zip(batch, alone):
         assert np.array_equal(fleet.x, want.x)
         assert np.array_equal(fleet.speed, want.speed)
@@ -579,10 +606,15 @@ def test_batched_warm_up_equals_per_seed_warm_up(monkeypatch, keys, bound,
 
 # A bound of 250 vehicles puts each of the members (110, 220, 110) in a
 # batch of its own.
-@pytest.mark.parametrize("bound", [mobility.BATCH_VEHICLES, 250])
-def test_batched_steps_record_every_row(monkeypatch, bound):
+@pytest.mark.parametrize("bound, steps", [
+    *(pytest.param(bound, 40, id=str(bound))
+      for bound in (mobility.BATCH_VEHICLES, 250)),
+    *(pytest.param(bound, steps, id=f"{bound}-{steps}-steps")
+      for bound in (mobility.BATCH_VEHICLES, 250)
+      for steps in BLOCK_EDGE_STEPS),
+])
+def test_batched_steps_record_every_row(monkeypatch, bound, steps):
     monkeypatch.setattr(mobility, "BATCH_VEHICLES", bound)
-    steps = 40
 
     def members():
         out = []
@@ -605,6 +637,49 @@ def test_batched_steps_record_every_row(monkeypatch, bound):
         assert np.array_equal(fleet.x, want.x)
         assert np.array_equal(fleet.speed, want.speed)
         assert gen.bit_generator.state == want_gen.bit_generator.state
+
+
+def _mirrored(fleet, cfg):
+    """The fleet seen in a mirror across the ring's origin and the median:
+    x -> (L - x) mod L, y -> -y, direction -> -direction."""
+    return Fleet((cfg.lane_length_m - fleet.x) % cfg.lane_length_m, -fleet.y,
+                 fleet.speed.copy(), -fleet.direction, fleet.lane.copy())
+
+
+MIRROR_STEPS = 300
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["step", "batched"])
+@pytest.mark.parametrize("sd", [150.0, 250.0, 400.0])
+def test_a_mirrored_fleet_steps_as_the_mirror_image(batched, sd):
+    # The rules know no left or right, so stepping the mirror image of a
+    # fleet with the same draws gives the mirror image of the stepped
+    # fleet.  A speed never depends on a position's rounding unless a gap
+    # lands within a rounding of SD, so speeds agree bit for bit.  L - x is
+    # not exact in floats: each step rounds every move and wrap of both
+    # fleets by at most half a float spacing at 2L, so positions may drift
+    # (2 * MIRROR_STEPS + 2) spacings apart, counting the mirror at the
+    # start and at the end.  The worst case measured is 4.7e-11 m.
+    tol = (2 * MIRROR_STEPS + 2) * np.spacing(2.0 * CFG.mobility(5.0, sd)
+                                              .lane_length_m)
+    members = []
+    for density in (5.0, 7.0, 10.0):
+        cfg = make_cfg(density, sd)
+        fleet = init_scenario(cfg, np.random.default_rng(int(density)))
+        members.append((fleet, cfg, np.random.default_rng(100 + int(density))))
+        members.append((_mirrored(fleet, cfg), cfg,
+                        np.random.default_rng(100 + int(density))))
+    if batched:
+        warm_up_batch(members, MIRROR_STEPS)
+    else:
+        for fleet, cfg, gen in members:
+            warm_up(fleet, cfg, gen, MIRROR_STEPS)
+    for (fleet, cfg, _), (mirror, _, _) in zip(members[::2], members[1::2]):
+        assert np.array_equal(mirror.speed, fleet.speed)
+        image = _mirrored(fleet, cfg)
+        assert np.array_equal(mirror.y, image.y)
+        drift = np.abs(ring_delta(mirror.x, image.x, cfg.lane_length_m))
+        assert drift.max() <= tol
 
 
 def test_lane_groups_are_built_once_per_layout():
@@ -674,3 +749,7 @@ def test_config_validation():
         make_cfg(lanes_per_direction=0)
     with pytest.raises(ValueError):       # over half a lap in one step
         make_cfg(lane_length_m=1_000.0, v_max_mps=600.0)
+    for accel in (-2.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            make_cfg(accel_mps2=accel)
+    make_cfg(accel_mps2=0.0)

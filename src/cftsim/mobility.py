@@ -221,14 +221,12 @@ def _lane_gaps(x: np.ndarray, order: np.ndarray, g: LaneGroups,
                length: float) -> np.ndarray:
     """Room ahead of each slot, with the lanes laid out by order.
 
-    A difference of positions in [0, length) lies in (-length, length), so
-    only a negative one is wrapped, by adding length as % would.  A zero
-    gap may come out as -0.0, which none of the tests on gaps tells from
-    +0.0.  ``_wrap`` can leave a position at exactly length, the point 0.0
-    is; a gap from 0.0 to it reads length where % reads 0.  A kept order
-    with such a gap fails the check of ``_brake_to_leaders`` by a whole
-    lap, so only a sorted lane whose vehicles all sit on that point sees
-    it.
+    Positions lie in [0, length] (``_wrap``), so a difference lies in
+    [-length, length], and only a negative one is wrapped, as % would.  A
+    zero gap may read -0.0, which no test on gaps tells from +0.0.  A gap
+    from a vehicle at 0.0 to one at length reads length where % reads 0:
+    a kept order with it fails the check by a whole lap, and a sorted lane
+    has it only when all its vehicles sit on that point.
     """
     x_ord = x[order]
     gaps = (x_ord[g.ahead] - x_ord) * g.slot_direction
@@ -250,8 +248,7 @@ def _brake_to_leaders(fleet: Fleet, sd: float, length: float) -> None:
     can then change anything, and after at most ``LaneGroups.passes``
     passes.  A lane with no gap over SD is one chain round the whole lane,
     so every vehicle takes the lane's least speed.  The minimum does no
-    arithmetic, so each new speed is one of the pre-step speeds bit for
-    bit.
+    arithmetic, so each new speed is a pre-step speed bit for bit.
 
     The order the last pass laid out is kept on the fleet and reused while
     a cheap check of the new gaps shows it still holds; otherwise every

@@ -209,12 +209,6 @@ def test_nan_values_are_config_errors_naming_their_key(override, path):
     assert f"'{path}'" in str(info.value)
 
 
-def test_zero_acceleration_is_legal():
-    # Coasting fleets: the mobility tests step fleets without noise.
-    assert load_config(overrides=["mobility.accel_mps2=0"]).mobility(
-        5.0, 150.0).accel_mps2 == 0.0
-
-
 def test_infinite_values_are_numbers():
     cfg = load_config(overrides=["channel.mu_profile=[[0, .inf, 1.0]]",
                                  "experiments.cluster_size.horizon_s=.inf"])

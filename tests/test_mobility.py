@@ -343,13 +343,14 @@ def test_step_matches_scalar_sweep_exactly(case, batched):
         warm_up_batch([(fleet, cfg, gen)], steps, [(x_rows, speed_rows)])
     cycles = 0
     for j in range(steps):
-        if not batched:
+        if batched:
+            x, speed = x_rows[j], speed_rows[j]
+        else:
             step(fleet, cfg, gen)
-            x_rows, speed_rows = fleet.x[None], fleet.speed[None]
+            x, speed = fleet.x, fleet.speed
         _reference_step(ref, cfg, ref_gen)
-        row = j if batched else 0
-        assert np.array_equal(x_rows[row], ref.x)
-        assert np.array_equal(speed_rows[row], ref.speed)
+        assert np.array_equal(x, ref.x)
+        assert np.array_equal(speed, ref.speed)
         for direction in (1, -1):
             for lane in range(cfg.lanes_per_direction):
                 gaps = _lane_gaps(ref, direction, lane, cfg)[1]

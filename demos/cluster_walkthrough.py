@@ -52,7 +52,7 @@ def main() -> None:
     # and are scored on the same constant-velocity prediction of the scene,
     # so the second file reuses the first one's member scores.
     recruitment = recruit(head, FLEET, 1.0 * MB, models, HOLDERS)
-    traffic = Ballistic(recruitment.states, recruitment.models)
+    traffic = Ballistic(recruitment.snapshot, recruitment.models)
     narrate(head, recruitment, traffic, 20.0 * MB)
     narrate(head, recruitment, traffic, 120.0 * MB)
 

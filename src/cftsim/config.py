@@ -92,6 +92,28 @@ class _Section(dict):
                 yield from value.unread()
 
 
+# The config key under experiments of every real ExperimentSettings field
+# that must be finite: all of them but cluster_horizon_s.
+_REAL_KEYS = {
+    "comm_ranges_m": "comm_range_m",
+    "densities_per_km": "density_per_km",
+    "safety_distance_m": "safety_distance_m",
+    "horizon_s": "horizon_s",
+    "connection_density_per_km": "connection_density_per_km",
+    "file_sizes_bytes": "file_size_mb",
+    "fragment_bytes": "fragment_mb",
+    "nominal_mac_rate_bps": "nominal_mac_rate_mbps",
+    "success_fraction": "success_fraction",
+    "max_volume_densities": "max_volume.density_per_km",
+    "max_volume_range_m": "max_volume.comm_range_m",
+    "max_volume_sd_m": "max_volume.safety_distance_m",
+    "max_volume_plan_margin_s": "max_volume.plan_margin_s",
+    "cluster_densities": "cluster_size.density_per_km",
+    "cluster_range_m": "cluster_size.comm_range_m",
+    "cluster_sd_m": "cluster_size.safety_distance_m",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Sweep grids and run-scale knobs for the experiment suite."""
@@ -123,6 +145,15 @@ class ExperimentSettings:
     cluster_horizon_s: float
 
     def __post_init__(self):
+        # Every real setting sizes a fleet, a grid, a file or a recorded
+        # trajectory.  The cluster-size horizon only bounds planning and
+        # may be infinite.
+        for name, key in _REAL_KEYS.items():
+            value = getattr(self, name)
+            if not all(map(math.isfinite,
+                           value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(
+                    f"config key 'experiments.{key}' must be finite")
         for name in ("seeds", "max_volume_seeds", "max_volume_direct_seeds",
                      "cluster_seeds"):
             if getattr(self, name) < 1:
@@ -150,11 +181,6 @@ class ExperimentSettings:
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        # A max-volume trajectory records horizon_s of traffic.  The
-        # cluster-size horizon only bounds planning and may be infinite.
-        if math.isinf(self.horizon_s):
-            raise ConfigError(
-                "config key 'experiments.horizon_s' must be finite")
 
 
 @dataclass(frozen=True)

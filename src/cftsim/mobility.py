@@ -116,7 +116,7 @@ def _lane_groups(direction: bytes, lane: bytes) -> LaneGroups:
 class Fleet:
     """State of all vehicles: parallel arrays indexed by vehicle id."""
 
-    x: np.ndarray          # position along the ring, m, in [0, lane_length)
+    x: np.ndarray          # position along the ring, m, in [0, lane_length]
     y: np.ndarray          # lateral position, m (fixed per lane)
     speed: np.ndarray      # m/s, non-negative
     direction: np.ndarray  # +1 or -1, sign of travel along x

@@ -15,6 +15,7 @@ import bisect
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,53 @@ class VehicleState:
     y: float
     vx: float
     vy: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """Every vehicle's kinematics at one instant, as parallel arrays.
+
+    Row i is vehicle vid[i], at position (x[i], y[i]) with velocity
+    (vx[i], vy[i]); the simulator's snapshots hold vid i in row i.
+    snapshot[vid] builds that vehicle's VehicleState from float() of each
+    element, the values .tolist() gives, so that VehicleStates exist only
+    for the vehicles protocol scores one at a time.
+    """
+
+    vid: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+
+    @classmethod
+    def of(cls, states: Collection[VehicleState]) -> Snapshot:
+        """The snapshot of hand-built states, one row each in their order;
+        ValueError when a vehicle id repeats."""
+        vid = [v.vid for v in states]
+        if len(set(vid)) != len(vid):
+            raise ValueError("a vehicle id appears twice in the fleet")
+        return cls(np.array(vid, dtype=np.int64),
+                   *np.array([(v.x, v.y, v.vx, v.vy) for v in states],
+                             dtype=float).reshape(-1, 4).T)
+
+    @cached_property
+    def _rows(self) -> dict:
+        return dict(zip(self.vid.tolist(), range(self.vid.size)))
+
+    def __len__(self) -> int:
+        return self.vid.size
+
+    def __contains__(self, vid: int) -> bool:
+        return vid in self._rows
+
+    def __getitem__(self, vid: int) -> VehicleState:
+        return self.row(self._rows[vid])
+
+    def row(self, i: int) -> VehicleState:
+        return VehicleState(int(self.vid[i]), float(self.x[i]),
+                            float(self.y[i]), float(self.vx[i]),
+                            float(self.vy[i]))
 
 
 @dataclass(frozen=True)
@@ -323,19 +371,56 @@ class Cluster:
         return hi - start * self.s_bytes
 
 
-def _in_earshot(anchors: np.ndarray, waiting: np.ndarray, x: np.ndarray,
-                y: np.ndarray, models: Models) -> np.ndarray:
-    """Mask over waiting: within range of some anchor.
+# Slack of a band test on positions, in metres: far wider than any
+# rounding of ring_delta, so that the exact test decides.
+NEAR_SLACK_M = 1.0
 
-    x and y hold every vehicle's position, indexed by anchors and waiting.
-    in_range_mask tests every (anchor, candidate) pair, so the mask is
-    exactly that of _in_range(anchor, candidate): ring_delta gives each
-    pair the offset _relative gives it.
+
+def _earshot(x: np.ndarray, y: np.ndarray, models: Models) -> np.ndarray:
+    """The neighbour pass: a square mask over the vehicles whose positions
+    x and y hold, [a, c] true when c is in earshot of a != c, exactly as
+    _in_range(a, c) tests it.
+
+    A band test on the positions mod ring_length_m first keeps the pairs
+    within range_m + NEAR_SLACK_M of each other along x, either way round
+    the ring: on the sorted positions, each vehicle's band ahead of it and
+    its band across the seam, the latter cut to start past the former, so
+    that each pair comes once even on a ring shorter than twice that
+    reach, and positions may lie outside [0, ring_length_m).  Each such
+    pair is then tested both ways exactly as the scalar test does it
+    (ring_delta from anchor to candidate, the y offset, in_range_mask):
+    ring_delta(a, c) need not be -ring_delta(c, a) in floats, so at the
+    range edge the relation can be one-way.
     """
-    dx = ring_delta(x[anchors][:, None], x[waiting][None, :],
-                    models.ring_length_m)
-    dy = y[waiting][None, :] - y[anchors][:, None]
-    return in_range_mask(dx, dy, models.range_m).any(axis=0)
+    n, length = x.size, models.ring_length_m
+    reach = models.range_m + NEAR_SLACK_M
+    at = x % length
+    order = np.argsort(at)
+    at = at[order]
+    ahead = np.searchsorted(at, at + reach, side="right")
+    seam = np.maximum(np.searchsorted(at, at + (length - reach)), ahead)
+    # Sorted rows i < j near row i: [i + 1, ahead[i]) and [seam[i], n).
+    first = np.concatenate((np.arange(1, n + 1), seam))
+    count = np.concatenate((ahead, np.full(n, n))) - first
+    i = np.tile(np.arange(n), 2).repeat(count)
+    j = np.arange(i.size) - np.repeat(np.cumsum(count) - count - first, count)
+    a = order[np.concatenate((i, j))]
+    c = order[np.concatenate((j, i))]
+    heard = np.zeros(n * n, dtype=bool)
+    heard[a * n + c] = in_range_mask(ring_delta(x[a], x[c], length),
+                                     y[c] - y[a], models.range_m)
+    return heard.reshape(n, n)
+
+
+def _next_ring(heard: np.ndarray, ring: np.ndarray,
+               reached: np.ndarray) -> np.ndarray:
+    """The indices of the vehicles in earshot of some vehicle of ring, by
+    heard (from _earshot), that reached does not mark yet; they are marked
+    there."""
+    hit = heard[ring].any(axis=0)
+    hit &= ~reached
+    reached |= hit
+    return np.flatnonzero(hit)
 
 
 def _may_join(x: np.ndarray, y: np.ndarray, vx: np.ndarray, vy: np.ndarray,
@@ -357,7 +442,7 @@ def _may_join(x: np.ndarray, y: np.ndarray, vx: np.ndarray, vy: np.ndarray,
     admissions exact.  It holds at horizon_s = inf, at zero relative speed
     (the closest approach is now) and with vy != 0.  This prefilter is
     protocol's only range pass of its own; a ring's range test is
-    in_range_mask (_in_earshot).
+    in_range_mask (_earshot).
     """
     reach = models.range_m * (1.0 + RANGE_SLACK_REL) + RANGE_SLACK_M
     may = vx * head.vx > 0.0
@@ -388,9 +473,10 @@ class Recruitment:
     cluster neighbourhood before it could forward anything.  The
     invitation stops once no vehicle it has yet to reach may join: none
     of the head's heading comes within range of both the head and the
-    resource before the planning horizon (_may_join).  Each ring's range
-    test is connection.in_range_mask (_in_earshot), exactly the scalar
-    in_range each pair's link checks use.
+    resource before the planning horizon (_may_join).  Once a first ring
+    is needed, one neighbour pass (_earshot) finds who is in earshot of
+    whom, exactly as the scalar in_range each pair's link checks use, and
+    each ring is a lookup in it (_next_ring).
 
     Neither that order nor any member's planned_frags depends on the file
     size, only on the fragment size s_bytes, so one recruitment serves
@@ -399,20 +485,21 @@ class Recruitment:
     lazily, only as far as the largest file read so far needs.
 
     head_budget is the head-resource link as select_resource scored it;
-    states maps vid -> state over the fleet.  scores memoises
-    _evaluate_plan's MemberResults for every file and traffic source read
-    off this recruitment, keyed by (traffic source, vid, frag_start,
-    frag_count, assigned bytes), so it lives and dies with it.
+    snapshot holds the fleet at the request instant, and VehicleStates
+    are built from it only for the vehicles scored one at a time.  scores
+    memoises _evaluate_plan's MemberResults for every file and traffic
+    source read off this recruitment, keyed by (traffic source, vid,
+    frag_start, frag_count, assigned bytes), so it lives and dies with it.
     """
 
     def __init__(self, head: VehicleState, resource: VehicleState,
-                 head_budget: LinkBudget, fleet: Collection[VehicleState],
+                 head_budget: LinkBudget, snapshot: Snapshot,
                  s_bytes: float, models: Models):
         _check_fragment_size(s_bytes)
         self.head = head
         self.resource = resource
         self.head_budget = head_budget
-        self.states = {v.vid: v for v in fleet}
+        self.snapshot = snapshot
         self.s_bytes = s_bytes
         self.models = models
         self.members: list[ClusterMember] = []
@@ -424,13 +511,13 @@ class Recruitment:
         self._first = len(self.members)
         self._covered = [s_bytes * self.members[0].planned_frags
                          if self.members else 0.0]
-        self._pending = self._admissions(head, resource, self.states, s_bytes,
+        self._pending = self._admissions(head, resource, snapshot, s_bytes,
                                          models)
         self.scores: dict[tuple, MemberResult] = {}
 
     @staticmethod
     def _admissions(head: VehicleState, resource: VehicleState,
-                    states: dict, s_bytes: float, models: Models):
+                    snapshot: Snapshot, s_bytes: float, models: Models):
         """Yield the members after the head, in recruitment order, until
         no vehicle the invitation has yet to reach may join (_may_join).
 
@@ -438,27 +525,32 @@ class Recruitment:
         keeps a dropped recruitment, its scores and the traffic sources
         their keys hold alive until the garbage collector runs.
         """
-        # The head first, then every candidate; kinematics as arrays.
-        vehicles = [head] + [v for v in states.values()
-                             if v.vid not in (head.vid, resource.vid)]
-        x, y, vx, vy = np.array([(v.x, v.y, v.vx, v.vy)
-                                 for v in vehicles]).T
-        may_join = _may_join(x, y, vx, vy, head, resource, models)
-        anchors = np.array([0])
-        waiting = np.arange(1, len(vehicles))
-        while may_join[waiting].any():
+        # The head in row 0, then every candidate.
+        rest = (snapshot.vid != head.vid) & (snapshot.vid != resource.vid)
+        fleet = Snapshot(*(np.concatenate(([getattr(head, name)],
+                                           getattr(snapshot, name)[rest]))
+                           for name in ("vid", "x", "y", "vx", "vy")))
+        may_join = _may_join(fleet.x, fleet.y, fleet.vx, fleet.vy, head,
+                             resource, models)
+        left = np.count_nonzero(may_join[1:])  # may join, not reached yet
+        heard = None
+        reached = np.zeros(len(fleet), dtype=bool)
+        reached[0] = True
+        ring = np.array([0])
+        while left:
+            if heard is None:
+                heard = _earshot(fleet.x, fleet.y, models)
             # Next ring: anyone in earshot of a vehicle that already carries
             # the invitation.  The broadcast is omnidirectional, so vehicles
             # with nothing to offer, including oncoming ones, still relay it
             # across gaps in the convoy.
-            hit = _in_earshot(anchors, waiting, x, y, models)
-            if not hit.any():
+            ring = _next_ring(heard, ring, reached)
+            if not ring.size:
                 return
-            anchors = waiting[hit]
-            waiting = waiting[~hit]
-            ring = [vehicles[i] for i in anchors[may_join[anchors]]]
-            ring.sort(key=lambda v: (_distance(resource, v, models), v.vid))
-            for v in ring:
+            joining = ring[may_join[ring]]
+            left -= joining.size
+            for v in sorted(map(fleet.row, joining), key=lambda v: (
+                    _distance(resource, v, models), v.vid)):
                 budget = prospective_link_budget(v, resource, s_bytes, models)
                 # Anything beyond what the member can relay back to the head
                 # is dead weight; its planned share is capped accordingly.
@@ -499,8 +591,9 @@ def build_cluster(recruitment: Recruitment, v_bytes: float) -> Cluster:
     """
     n = recruitment.covering_prefix(v_bytes)
     return Cluster(recruitment.head.vid, recruitment.resource.vid,
-                   [replace(m) for m in recruitment.members[:n]], v_bytes,
-                   recruitment.s_bytes)
+                   [ClusterMember(m.vid, m.budget, m.planned_frags)
+                    for m in recruitment.members[:n]],
+                   v_bytes, recruitment.s_bytes)
 
 
 def assign_fragments(cluster: Cluster) -> Cluster:
@@ -587,21 +680,21 @@ class TransferOutcome:
 
 @dataclass(frozen=True, eq=False)
 class Ballistic:
-    """Constant-velocity traffic from a snapshot of states (vid ->
-    VehicleState), a traffic source like simulator.Trajectory; a pair's
-    window is its contact as its link budget predicts it (_contact).  It
-    keys recruitments' scores, so it must not hold a recruitment."""
+    """Constant-velocity traffic from a Snapshot, a traffic source like
+    simulator.Trajectory; a pair's window is its contact as its link
+    budget predicts it (_contact).  It keys recruitments' scores, so it
+    must not hold a recruitment."""
 
-    states: dict
+    snapshot: Snapshot
     models: Models
 
     def window(self, vid_a: int, vid_b: int, range_m: float):
         t_start_s, duration_s, _ = _contact(
-            self.states[vid_a], self.states[vid_b], self.models, range_m)
+            self.snapshot[vid_a], self.snapshot[vid_b], self.models, range_m)
         return t_start_s, t_start_s + duration_s
 
     def state(self, vid: int, t_s: float) -> VehicleState:
-        s = self.states[vid]
+        s = self.snapshot[vid]
         return replace(s, x=s.x + s.vx * t_s, y=s.y + s.vy * t_s)
 
 
@@ -665,20 +758,24 @@ def _evaluate_plan(cluster: Cluster, recruitment: Recruitment,
     )
 
 
-def recruit(request: VehicleState, fleet: Collection[VehicleState],
-            s_bytes: float, models: Models,
-            holders: list[int]) -> Recruitment | None:
+def recruit(request: VehicleState,
+            fleet: Snapshot | Collection[VehicleState], s_bytes: float,
+            models: Models, holders: list[int]) -> Recruitment | None:
     """Answer a file request once, for every file of fragment size s_bytes.
 
     Selects the resource among the holders in fleet (select_resource,
     which depends on the fragment size only) and returns the recruitment
-    around it, or None when no holder is within range.
+    around it, or None when no holder is within range.  fleet is a
+    Snapshot; a collection of VehicleStates is converted to one here.
     """
     _check_fragment_size(s_bytes)
-    wanted = set(holders) - {request.vid}
+    if not isinstance(fleet, Snapshot):
+        fleet = Snapshot.of(fleet)
     try:
         resource, head_budget = select_resource(
-            request, [v for v in fleet if v.vid in wanted], s_bytes, models)
+            request, [fleet[vid] for vid in sorted(set(holders))
+                      if vid != request.vid and vid in fleet],
+            s_bytes, models)
     except NoResourceError:
         return None
     return Recruitment(request, resource, head_budget, fleet, s_bytes, models)

@@ -20,8 +20,8 @@ from .channel import expected_rate, expected_rates
 from .config import Config
 from .connection import connection_times, in_range_mask
 from .mobility import Fleet, MobilityConfig
-from .protocol import (VehicleState, form_cluster, recruit, run_cft,
-                       run_direct_baseline)
+from .protocol import (NEAR_SLACK_M, Snapshot, VehicleState, form_cluster,
+                       recruit, run_cft, run_direct_baseline)
 # Not called here: perfbench/tracing.py times link_budget at this lookup site.
 from .protocol import link_budget  # noqa: F401
 
@@ -72,11 +72,6 @@ def write_csv(path: str, result: SweepResult) -> None:
 # Pair-population metrics: connection time and transmission capability
 
 
-# Slack of _opposite_pairs' band test on raw positions, in metres: far
-# wider than any rounding of ring_delta, so that the exact test decides.
-NEAR_SLACK_M = 1.0
-
-
 def _opposite_pairs(fleet: Fleet, length_m: float, range_m: float):
     """Every pair of opposite-direction vehicles within range_m, as
     connection.in_range_mask tests it, eastbound index major and westbound
@@ -85,10 +80,11 @@ def _opposite_pairs(fleet: Fleet, length_m: float, range_m: float):
     Returns (east, west, dx, dy, dvx, dist): each pair's indices among the
     eastbound and among the westbound vehicles, in vid order, its position
     and velocity relative to the eastbound one, and its np.hypot distance;
-    dvy is zero on a straight highway.  Positions lie in [0, length_m), so
-    a band test on the raw |x_b - x_a| first keeps only the pairs whose
-    ring distance along x is within range_m + NEAR_SLACK_M; ring_delta,
-    the offsets, the distances and the exact test run on those alone.
+    dvy is zero on a straight highway.  Positions lie in [0, length_m]
+    (a wrap can give length_m itself), so a band test on the raw
+    |x_b - x_a| first keeps only the pairs whose ring distance along x is
+    within range_m + NEAR_SLACK_M; ring_delta, the offsets, the distances
+    and the exact test run on those alone.
     """
     fwd = fleet.direction > 0
     bwd = ~fwd
@@ -355,11 +351,10 @@ class Trajectory:
                                                  k * self.dt_s)
 
 
-def _vehicle_states(x: np.ndarray, y: np.ndarray, vx: np.ndarray) -> list:
-    """Every vehicle's VehicleState, indexed by vid, from its position and
-    signed speed."""
-    return [VehicleState(vid, xi, yi, vxi, 0.0) for vid, (xi, yi, vxi) in
-            enumerate(zip(x.tolist(), y.tolist(), vx.tolist()))]
+def _snapshot(x: np.ndarray, y: np.ndarray, vx: np.ndarray) -> Snapshot:
+    """The fleet's Snapshot, vid i in row i, from its positions and signed
+    speeds; vy is zero on a straight highway."""
+    return Snapshot(np.arange(x.size), x, y, vx, np.zeros(x.size))
 
 
 @dataclass
@@ -367,10 +362,9 @@ class TransferScenario:
     """One request: the head and resource vids, and the trajectory from its
     instant on.
 
-    states lists every vehicle's VehicleState at the request instant, the
-    trajectory's row 0.  It is built on first read, so a scheme that reads
-    a few vehicles through trajectory.state(vid, 0.0), which gives equal
-    states, never builds it.
+    snapshot holds every vehicle at the request instant, the trajectory's
+    row 0, and is built on first read; every scheme plans on it, and
+    snapshot[vid] equals trajectory.state(vid, 0.0).
     """
 
     head_vid: int
@@ -378,9 +372,9 @@ class TransferScenario:
     trajectory: Trajectory
 
     @cached_property
-    def states(self) -> list:
+    def snapshot(self) -> Snapshot:
         t = self.trajectory
-        return _vehicle_states(t.x[0], t.y, t.speed[0] * t.direction)
+        return _snapshot(t.x[0].copy(), t.y, t.speed[0] * t.direction)
 
 
 @dataclass(frozen=True)
@@ -541,18 +535,19 @@ def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
     """Largest file, in bytes, the head-resource link alone delivers: what
     protocol.run_direct_baseline delivers on the trajectory when asked for
     the link's predicted capacity (0.0 out of range).  The request reads
-    only the head and the resource, so scen.states is never built.
+    only the head's and the resource's rows of scen.snapshot; the
+    recruitment's invitation never starts.
     """
-    t = scen.trajectory
-    pair = [t.state(scen.head_vid, 0.0), t.state(scen.resource_vid, 0.0)]
-    recruitment = recruit(pair[0], pair, cfg.experiments.fragment_bytes,
+    snap = scen.snapshot
+    recruitment = recruit(snap[scen.head_vid], snap,
+                          cfg.experiments.fragment_bytes,
                           cfg.models(comm_range_m, density),
                           [scen.resource_vid])
     if recruitment is None:
         return 0.0
     return run_direct_baseline(recruitment,
                                recruitment.head_budget.capacity_bytes,
-                               t).bytes_delivered
+                               scen.trajectory).bytes_delivered
 
 
 def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
@@ -571,7 +566,8 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     s = e.fragment_bytes
     models = cfg.models(comm_range_m, density,
                         plan_margin_s=e.max_volume_plan_margin_s)
-    recruitment = recruit(scen.states[scen.head_vid], scen.states, s, models,
+    snap = scen.snapshot
+    recruitment = recruit(snap[scen.head_vid], snap, s, models,
                           [scen.resource_vid])
 
     def ok(frags: int) -> bool:
@@ -703,8 +699,8 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
                              "cluster"):
         for (density, _), start in batch:
             fleet, head, resource, _ = request_instant(start, "encounter")
-            states = _vehicle_states(fleet.x, fleet.y, fleet.vx)
-            recruitment = recruit(states[head], states, e.fragment_bytes,
+            snap = _snapshot(fleet.x, fleet.y, fleet.vx)
+            recruitment = recruit(snap[head], snap, e.fragment_bytes,
                                   models[density], [resource])
             for v_bytes in e.file_sizes_bytes:
                 records[(density, v_bytes)].append(

@@ -9,7 +9,7 @@ import pytest
 from cftsim import simulator
 from cftsim.channel import RateTable
 from cftsim.config import load_config
-from cftsim.protocol import Ballistic, Models, VehicleState
+from cftsim.protocol import Ballistic, Models, Snapshot, VehicleState
 
 DEFAULT_CFG = load_config()
 MB = 1_000_000.0
@@ -44,7 +44,15 @@ def single_rate_models(rate_bps: float, range_m: float = 250.0,
 def predicted(fleet, models: Models) -> Ballistic:
     """The planner's constant-velocity prediction of fleet, as the traffic
     source run_cft scores a plan against."""
-    return Ballistic({v.vid: v for v in fleet}, models)
+    return Ballistic(Snapshot.of(fleet), models)
+
+
+def vehicle_states(x, y, vx) -> list:
+    """Every vehicle's VehicleState, indexed by vid, from its position and
+    signed speed, through .tolist(): the oracle of a simulator Snapshot's
+    rows."""
+    return [VehicleState(vid, xi, yi, vxi, 0.0) for vid, (xi, yi, vxi) in
+            enumerate(zip(x.tolist(), y.tolist(), vx.tolist()))]
 
 
 def unstopped_invitation(x, y, vx, vy, head, resource, models):

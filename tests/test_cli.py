@@ -50,6 +50,38 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# Every real experiment setting but the cluster-size planning horizon set
+# to infinity, each through a command it used to crash or to run with.
+INFINITE_SETTINGS = [
+    ("connection-time", "experiments.comm_range_m=[250,.inf]"),
+    ("connection-time", "experiments.density_per_km=[5,.inf]"),
+    ("connection-time", "experiments.safety_distance_m=.inf"),
+    ("max-volume", "experiments.horizon_s=.inf"),
+    ("connection-time", "experiments.connection_density_per_km=.inf"),
+    ("cluster-size", "experiments.file_size_mb=[10,.inf]"),
+    ("cluster-size", "experiments.fragment_mb=.inf"),
+    ("throughput", "experiments.nominal_mac_rate_mbps=.inf"),
+    ("max-volume", "experiments.success_fraction=.inf"),
+    ("max-volume", "experiments.max_volume.density_per_km=[5,.inf]"),
+    ("max-volume", "experiments.max_volume.comm_range_m=.inf"),
+    ("max-volume", "experiments.max_volume.safety_distance_m=.inf"),
+    ("max-volume", "experiments.max_volume.plan_margin_s=.inf"),
+    ("cluster-size", "experiments.cluster_size.density_per_km=[5,.inf]"),
+    ("cluster-size", "experiments.cluster_size.comm_range_m=.inf"),
+    ("cluster-size", "experiments.cluster_size.safety_distance_m=.inf"),
+]
+
+
+@pytest.mark.parametrize("command,setting", INFINITE_SETTINGS,
+                         ids=[s.split("=")[0] for _, s in INFINITE_SETTINGS])
+def test_an_infinite_setting_exits_2(tmp_path, capsys, command, setting):
+    key = setting.split("=")[0]
+    for argv in (["validate-config"], [command, "--seeds", "1"]):
+        assert main([*argv, "--set", setting, "--out", str(tmp_path)]) == 2
+        assert f"'{key}' must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

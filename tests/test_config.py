@@ -6,8 +6,10 @@ import math
 import pytest
 import yaml
 
-from cftsim.config import (ConfigError, apply_overrides, default_config_path,
-                           describe, load_config, load_raw, resolve)
+from cftsim import config
+from cftsim.config import (ConfigError, ExperimentSettings, apply_overrides,
+                           default_config_path, describe, load_config,
+                           load_raw, resolve)
 
 MB = 1_000_000.0
 
@@ -192,6 +194,16 @@ def test_config_error_cases(tmp_path):
 def test_invalid_values_are_config_errors(override):
     with pytest.raises(ConfigError):
         load_config(overrides=[override])
+
+
+def test_every_real_experiment_setting_but_the_cluster_horizon_is_finite():
+    # The finiteness rule names each real setting's config key; a new real
+    # setting must join it, or be the one exception.
+    real = {f.name for f in dataclasses.fields(ExperimentSettings)
+            if f.type in ("float", "tuple")}
+    assert set(config._REAL_KEYS) == real - {"cluster_horizon_s"}
+    cfg = load_config(overrides=["experiments.cluster_size.horizon_s=.inf"])
+    assert math.isinf(cfg.experiments.cluster_horizon_s)
 
 
 @pytest.mark.parametrize("override,path", [

@@ -13,7 +13,8 @@ from cftsim.mobility import ring_delta
 from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
                              InsufficientCapacityError, LinkBudget,
                              MemberResult, Models,
-                             NoResourceError, Recruitment, VehicleState,
+                             NoResourceError, Recruitment, Snapshot,
+                             VehicleState,
                              _derated_frags, _evaluate_plan,
                              _in_range, _plannable_frags, _relative,
                              assign_fragments, build_cluster, form_cluster,
@@ -22,7 +23,8 @@ from cftsim.protocol import (Ballistic, Cluster, ClusterMember,
                              run_direct_baseline, select_resource)
 
 from conftest import (LANE_LENGTH_M, predicted, random_scene,
-                      single_rate_models, unstopped_invitation, warm_start)
+                      single_rate_models, unstopped_invitation,
+                      vehicle_states, warm_start)
 
 MB = 1_000_000.0
 
@@ -51,8 +53,8 @@ def test_non_positive_fragment_size_is_rejected(s_bytes, holders):
     with pytest.raises(ValueError):
         recruit(head, fleet, s_bytes, models, holders)
     with pytest.raises(ValueError):
-        Recruitment(head, src, link_budget(head, src, MB, models), fleet,
-                    s_bytes, models)
+        Recruitment(head, src, link_budget(head, src, MB, models),
+                    Snapshot.of(fleet), s_bytes, models)
 
 
 def test_link_budget_exact_division():
@@ -117,7 +119,7 @@ def test_range_edge_pairs_get_a_budget_from_now():
         assert budget.t_start_s == 0.0
         assert budget.delta_t_s >= 0.0
         assert prospective_link_budget(a, b, MB, models) == budget
-        window = Ballistic({0: a, 1: b}, models).window(0, 1, models.range_m)
+        window = Ballistic(Snapshot.of([a, b]), models).window(0, 1, models.range_m)
         assert window == (0.0, budget.delta_t_s)
     assert all(squares_disagree[:3]) and any(squares_disagree[3:])
 
@@ -182,7 +184,7 @@ def test_predicted_window_is_the_budget_window(src, want):
     b = prospective_link_budget(member, src, MB, models)
     if want[0] == 0.0 and want[1] > 0.0:        # in range now
         assert link_budget(member, src, MB, models) == b
-    t_in, t_out = Ballistic({1: member, 9: src}, models).window(
+    t_in, t_out = Ballistic(Snapshot.of([member, src]), models).window(
         1, 9, models.range_m)
     assert (t_in, t_out) == (b.t_start_s, b.t_start_s + b.delta_t_s)
     assert t_out - t_in == b.delta_t_s
@@ -204,7 +206,7 @@ def test_predicted_window_is_the_budget_window_in_random_scenes(default_cfg):
             recruitment.covering_prefix(1e12)    # admit every member
         except InsufficientCapacityError:
             pass
-        traffic = Ballistic(recruitment.states, recruitment.models)
+        traffic = Ballistic(recruitment.snapshot, recruitment.models)
         for m in recruitment.members:
             b = m.budget
             t_in, t_out = traffic.window(m.vid, recruitment.resource.vid,
@@ -282,7 +284,8 @@ def around(head, src, fleet, models):
         head_budget = link_budget(head, src, MB, models)
     except ValueError:
         head_budget = LinkBudget(0.0, 0.0, 0, 0.0)
-    return Recruitment(head, src, head_budget, fleet, MB, models)
+    return Recruitment(head, src, head_budget, Snapshot.of(fleet), MB,
+                       models)
 
 
 def _three_member_scene():
@@ -661,12 +664,40 @@ def _hypot_roundings(gen, length_m, n=200_000):
     return up, down
 
 
-def test_in_earshot_equals_the_scalar_range_test():
-    # Every (anchor, candidate) pair of seeded scenes on a 2,000 m ring,
-    # a fifth of each scene within 150 m of the seam.  Vehicles 0 and 1
-    # straddle the seam at an edge: range_m is their math.hypot distance,
-    # which np.hypot rounds up, or one ulp below it, which np.hypot rounds
-    # down to, so a plain np.hypot test gets that pair wrong.
+def _check_earshot(fleet, models):
+    """The neighbour pass over fleet equals _in_range for every ordered
+    pair of distinct vehicles; returns its mask."""
+    heard = protocol._earshot(np.array([v.x for v in fleet]),
+                              np.array([v.y for v in fleet]), models)
+    assert heard.tolist() == [[a is not c and _in_range(a, c, models)
+                               for c in fleet] for a in fleet]
+    return heard
+
+
+def _one_way_pair(gen, length_m):
+    """A pair ((xa, ya), (xb, yb)) near the ring's seam whose two ring
+    offsets are not each other's negation in floats, and the range at
+    which only the pair's nearer direction is in range."""
+    lanes = np.array([-7.5, -2.5, 2.5, 7.5])
+    while True:
+        xa = float(gen.uniform(length_m - 150.0, length_m))
+        xb = float((xa + gen.uniform(50.0, 300.0)) % length_m)
+        ya, yb = (float(v) for v in lanes[gen.integers(4, size=2)])
+        there = math.hypot(ring_delta(xa, xb, length_m), yb - ya)
+        back = math.hypot(ring_delta(xb, xa, length_m), ya - yb)
+        if there != back:
+            return ((xa, ya), (xb, yb)), min(there, back)
+
+
+def test_neighbour_pass_equals_the_scalar_range_test():
+    # Seeded scenes of 40 vehicles on a 2,000 m ring, a fifth of each
+    # scene within 150 m of the seam.  Vehicles 0 and 1 straddle the seam
+    # at an edge: range_m is their math.hypot distance, which np.hypot
+    # rounds up, or one ulp below it, which np.hypot rounds down to, so a
+    # plain np.hypot test gets that pair wrong; or their two ring offsets
+    # round apart and range_m puts only one direction in range.  Each
+    # scene is tested as built, then with every position moved by a
+    # whole number of laps, out of [0, length_m).
     gen = np.random.default_rng(31_337)
     length_m = 2000.0
     lanes = (-7.5, -2.5, 2.5, 7.5)
@@ -674,7 +705,9 @@ def test_in_earshot_equals_the_scalar_range_test():
     assert len(up) >= 20 and len(down) >= 20
     scenes = [(pair, False) for pair in up[:20]] + \
         [(pair, True) for pair in down[:20]]
-    for ((xa, ya), (xb, yb)), ulp_below in scenes:
+    scenes += [_one_way_pair(gen, length_m) for _ in range(20)]
+    for pair, edge in scenes:
+        (xa, ya), (xb, yb) = pair
         fleet = [vehicle(0, xa, ya), vehicle(1, xb, yb)]
         for vid in range(2, 40):
             x = (gen.uniform(-150.0, 150.0) % length_m if vid % 5 == 0
@@ -683,32 +716,51 @@ def test_in_earshot_equals_the_scalar_range_test():
         dx, dy, _, _ = _relative(fleet[0], fleet[1],
                                  single_rate_models(8e6,
                                                     ring_length_m=length_m))
-        range_m = math.hypot(dx, dy)
-        if ulp_below:
-            range_m = math.nextafter(range_m, 0.0)
+        if isinstance(edge, bool):
+            range_m = math.hypot(dx, dy)
+            if edge:
+                range_m = math.nextafter(range_m, 0.0)
+        else:
+            range_m = edge
         models = single_rate_models(8e6, range_m=range_m,
                                     ring_length_m=length_m)
-        assert (np.hypot(dx, dy) <= range_m) != _in_range(fleet[0], fleet[1],
-                                                          models)
-        x = np.array([v.x for v in fleet])
-        y = np.array([v.y for v in fleet])
-        order = 2 + gen.permutation(38)
-        anchors = np.concatenate([[0], order[:12]])
-        waiting = np.concatenate([order[12:], [1]])
-        for a, w in ((anchors, waiting), (anchors[:1], waiting[-1:])):
-            assert protocol._in_earshot(a, w, x, y, models).tolist() == [
-                any(_in_range(fleet[i], fleet[j], models) for i in a)
-                for j in w]
+        if isinstance(edge, bool):
+            assert (np.hypot(dx, dy) <= range_m) != _in_range(
+                fleet[0], fleet[1], models)
+        heard = _check_earshot(fleet, models)
+        if not isinstance(edge, bool):
+            assert heard[0, 1] != heard[1, 0]
+        laps = gen.integers(-3, 4, size=len(fleet))
+        _check_earshot([dataclasses.replace(v, x=v.x + float(k) * length_m)
+                        for v, k in zip(fleet, laps)], models)
+
+
+@pytest.mark.parametrize("length_m", [120.0, 300.0, 501.0, 502.0, 503.0])
+def test_neighbour_pass_on_a_ring_shorter_than_twice_the_reach(length_m):
+    # At 250 m the band reaches 251 m either way, so on these rings one
+    # vehicle's band ahead and its band across the seam overlap, or cover
+    # the ring more than once; every pair must still be tested exactly.
+    gen = np.random.default_rng(int(length_m))
+    models = single_rate_models(8e6, range_m=250.0, ring_length_m=length_m)
+    for n in (1, 2, 9, 30):
+        fleet = [vehicle(vid, float(gen.uniform(-2.0, 3.0) * length_m),
+                         float(gen.choice([-7.5, -2.5, 2.5, 7.5])))
+                 for vid in range(n)]
+        _check_earshot(fleet, models)
 
 
 # --- where the invitation stops ---------------------------------------------
 
 
+def _exhausted_members(recruitment):
+    """Every member of a recruitment, read until its invitation stops."""
+    return recruitment.members + list(recruitment._pending)
+
+
 def _exhausted(head, resource, fleet, models):
     """Every member of the request's recruitment, read until its
     invitation stops."""
-    recruitment = around(head, resource, fleet, models)
-    return recruitment.members + list(recruitment._pending)
+    return _exhausted_members(around(head, resource, fleet, models))
 
 
 def _check_admissions(head, resource, fleet, models):
@@ -735,7 +787,7 @@ def _warmed_request(cfg, experiment, density, seed_idx):
         models = cfg.models(r_m, density, e.cluster_horizon_s)
     start = warm_start(cfg, density, seed_idx, sd, r_m, steps, experiment)
     fleet, head, resource, _ = simulator.request_instant(start, "encounter")
-    states = simulator._vehicle_states(fleet.x, fleet.y, fleet.vx)
+    states = vehicle_states(fleet.x, fleet.y, fleet.vx)
     return states[head], states[resource], states, models
 
 
@@ -819,6 +871,91 @@ def test_invitation_admits_the_reference_members_with_lateral_motion(
     assert admitted > 0
 
 
+def _seam_scene(gen, length_m):
+    """A request scene on a ring of length_m round its seam: the head, 2-9
+    eastbound vehicles within 600 m of it and 1-3 oncoming holders within
+    300 m, every position moved by a whole number of laps, some out of
+    [0, length_m)."""
+    lanes = (2.5, 7.5)
+    fleet = []
+    for vid in range(int(gen.integers(3, 11))):
+        x = (length_m - 50.0 + (gen.uniform(-600.0, 600.0) if vid else 0.0))
+        fleet.append(vehicle(vid, x, float(gen.choice(lanes)),
+                             float(gen.uniform(16.7, 33.3))))
+    holders = []
+    for _ in range(int(gen.integers(1, 4))):
+        holders.append(len(fleet))
+        fleet.append(vehicle(len(fleet),
+                             length_m - 50.0 + gen.uniform(-300.0, 300.0),
+                             -float(gen.choice(lanes)),
+                             -float(gen.uniform(16.7, 33.3))))
+    laps = gen.integers(-2, 3, size=len(fleet))
+    fleet = [dataclasses.replace(v, x=v.x + float(k) * length_m)
+             for v, k in zip(fleet, laps)]
+    return fleet, fleet[0], holders
+
+
+def _shuffled_snapshot(fleet, gen):
+    """The Snapshot of fleet, built from arrays in a shuffled row order."""
+    rows = [fleet[i] for i in gen.permutation(len(fleet))]
+    return Snapshot(np.array([v.vid for v in rows]),
+                    *(np.array([getattr(v, name) for v in rows])
+                      for name in ("x", "y", "vx", "vy")))
+
+
+def test_a_fleet_with_a_repeated_vehicle_id_is_rejected():
+    models, head, src, fleet = _three_member_scene()
+    twice = fleet + [vehicle(1, 50.0, 0.0, 20.0)]
+    with pytest.raises(ValueError):
+        Snapshot.of(twice)
+    with pytest.raises(ValueError):
+        recruit(head, twice, MB, models, [9])
+
+
+@pytest.mark.parametrize("scene", ["random", "ring", "seam-2000",
+                                   "seam-11000"])
+def test_recruit_on_a_snapshot_equals_recruit_on_its_states(default_cfg,
+                                                            scene):
+    gen = np.random.default_rng(4_242)
+    admitted = 0
+    for k in range(60 if scene != "ring" else 10):
+        length_m = LANE_LENGTH_M
+        if scene == "random":
+            fleet, head, holders, _ = random_scene(gen)
+        elif scene == "ring":
+            length_m = 3000.0
+            fleet = _ring_scene(gen, 40, length_m)
+            head = fleet[0]
+            holders = [v.vid for v in fleet if v.vx < 0]
+        else:
+            length_m = float(scene.split("-")[1])
+            fleet, head, holders = _seam_scene(gen, length_m)
+        models = dataclasses.replace(
+            default_cfg.models(250.0, 5.0, horizon_s=120.0,
+                               plan_margin_s=1.0),
+            ring_length_m=length_m)
+        if k % 2:
+            # Lane changes and drift.
+            fleet = [dataclasses.replace(
+                v, vy=float(gen.choice([0.0, -1.5, 0.8]))) for v in fleet]
+            head = fleet[head.vid]
+        snapshot = _shuffled_snapshot(fleet, gen)
+        assert [snapshot[v.vid] for v in fleet] == fleet
+        from_states = recruit(head, fleet, MB, models, holders)
+        from_snapshot = recruit(head, snapshot, MB, models, holders)
+        if from_states is None:
+            assert from_snapshot is None
+            continue
+        assert from_snapshot.resource == from_states.resource
+        members = [(m.vid, m.budget, m.planned_frags)
+                   for m in _exhausted_members(from_states)]
+        assert [(m.vid, m.budget, m.planned_frags)
+                for m in _exhausted_members(from_snapshot)] == members
+        admitted += _check_admissions(head, from_states.resource, fleet,
+                                      models)
+    assert admitted > 0
+
+
 def test_invitation_stops_once_nobody_left_may_join(default_cfg,
                                                      monkeypatch):
     # Unmasked, the invitation of a shipped max-volume request relays ring
@@ -826,22 +963,24 @@ def test_invitation_stops_once_nobody_left_may_join(default_cfg,
     # yet to reach may join, and admits the same members.
     head, resource, states, models = _warmed_request(default_cfg,
                                                      "max-volume", 10.0, 0)
-    passes = []
-    in_earshot = protocol._in_earshot
+    rings = []
+    next_ring = protocol._next_ring
 
     def counting(*args):
-        hit = in_earshot(*args)
-        passes.append(bool(hit.any()))
-        return hit
+        ring = next_ring(*args)
+        rings.append(ring.size)
+        return ring
 
-    monkeypatch.setattr(protocol, "_in_earshot", counting)
+    monkeypatch.setattr(protocol, "_next_ring", counting)
     members = _exhausted(head, resource, states, models)
-    stopped_after = len(passes)
-    passes.clear()
+    stopped = list(rings)
+    rings.clear()
     monkeypatch.setattr(protocol, "_may_join", unstopped_invitation)
     assert _exhausted(head, resource, states, models) == members
-    rings = sum(passes)
-    assert 0 < stopped_after < rings
+    # Every ring of the stopped invitation reached somebody.
+    assert all(stopped)
+    assert 0 < len(stopped) < sum(size > 0 for size in rings)
+    assert members
 
 
 def test_clusters_of_one_recruitment_do_not_share_members():
@@ -1000,7 +1139,7 @@ def test_run_cft_marks_shortfalls_failed():
 
     recruitment = recruit(head, fleet, MB, models, [9])
     out = run_cft(recruitment, 30 * MB,
-                  HalvedWindows(recruitment.states, recruitment.models))
+                  HalvedWindows(recruitment.snapshot, recruitment.models))
     assert out.mode == "failed"
     assert out.bytes_delivered == 15 * MB
 
@@ -1030,7 +1169,7 @@ def test_direct_baseline_is_scored_on_the_traffic():
             return (0.0, 5.0)
 
     recruitment = recruit(head, fleet, MB, models, [9])
-    traffic = HalvedWindows(recruitment.states, recruitment.models)
+    traffic = HalvedWindows(recruitment.snapshot, recruitment.models)
     out = run_direct_baseline(recruitment, 10 * MB, traffic)
     assert out.mode == "failed"
     assert out.bytes_delivered == 5 * MB
@@ -1066,7 +1205,7 @@ def test_forwarding_is_judged_after_a_late_download():
                                        members=[_member(1, 1)],
                                        v_bytes=MB, s_bytes=MB))
     out = _evaluate_plan(cluster, recruitment,
-                         LateResource(recruitment.states, models))
+                         LateResource(recruitment.snapshot, models))
     assert out.mode == "failed" and out.bytes_delivered == 0.0
     assert out.member_results == [MemberResult(
         vid=1, assigned_bytes=MB, downloaded_bytes=MB, forwarded_bytes=0.0,

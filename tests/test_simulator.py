@@ -16,14 +16,14 @@ from cftsim.config import load_config
 from cftsim.connection import (connection_times, in_range, in_range_mask,
                                predict_connection_time)
 from cftsim.mac import throughput
-from cftsim.protocol import (Ballistic, Cluster, VehicleState,
+from cftsim.protocol import (Ballistic, Cluster, Snapshot, VehicleState,
                              _evaluate_plan, link_budget, recruit, run_cft)
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
                               rate_curve, run_sweep, throughput_sweep,
                               write_csv)
-from conftest import unstopped_invitation, warm_start
+from conftest import unstopped_invitation, vehicle_states, warm_start
 from test_mobility import warm_up
 
 MB = 1_000_000.0
@@ -287,6 +287,21 @@ def test_opposite_pairs_are_the_in_range_part_of_the_full_matrix(range_m):
             assert east.size == dx.size
 
 
+def test_opposite_pairs_at_the_top_of_the_position_range():
+    # A wrap can put a vehicle at exactly the ring length: an eastbound
+    # vehicle there and a westbound one at 0.0 are one point of the ring.
+    length = 11_000.0
+    fleet = mobility.Fleet(x=np.array([length, 0.0]), y=np.array([2.5, -2.5]),
+                           speed=np.array([25.0, 20.0]),
+                           direction=np.array([1, -1]),
+                           lane=np.array([0, 0]))
+    east, west, dx, dy, dvx, dist = simulator._opposite_pairs(fleet, length,
+                                                              250.0)
+    assert (east.tolist(), west.tolist()) == ([0], [0])
+    assert (dx.tolist(), dy.tolist(), dvx.tolist(), dist.tolist()) == (
+        [0.0], [-5.0], [-45.0], [5.0])
+
+
 def test_an_edge_pair_is_counted_by_both_pair_sweeps(monkeypatch,
                                                      default_cfg):
     # An opposite pair at R = math.hypot(dx, dy), in range by in_range,
@@ -420,15 +435,15 @@ def _scenario(cfg, density, sd, r_m, warmup_steps, seed_idx,
 
 
 def _head_resource_distance(scen, cfg):
-    head = scen.states[scen.head_vid]
-    res = scen.states[scen.resource_vid]
+    head = scen.snapshot[scen.head_vid]
+    res = scen.snapshot[scen.resource_vid]
     dx = mobility.ring_delta(head.x, res.x, cfg.mobility_defaults["lane_length_m"])
     return math.hypot(dx, res.y - head.y)
 
 
 def _indexed_states(fleet):
-    """Every vehicle's VehicleState read index by index: the oracle of
-    simulator._vehicle_states."""
+    """Every vehicle's VehicleState read index by index: the oracle of a
+    TransferScenario's snapshot rows."""
     return [VehicleState(vid=i, x=float(fleet.x[i]), y=float(fleet.y[i]),
                          vx=float(fleet.vx[i]), vy=0.0)
             for i in range(fleet.n)]
@@ -436,9 +451,8 @@ def _indexed_states(fleet):
 
 @pytest.mark.parametrize("request_at", ["contact", "encounter"])
 def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
-    # The direct scheme reads the head and the resource through
-    # trajectory.state(vid, 0.0) and never builds the fleet-wide list;
-    # both give equal VehicleStates, also after the trajectory stepped on.
+    # Every scheme plans on the snapshot; its rows equal the trajectory's
+    # states at 0 s, also after the trajectory stepped on.
     cfg = default_cfg
     e = cfg.experiments
     r_m = e.max_volume_range_m
@@ -448,10 +462,38 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
         fleet = simulator.request_instant(start, request_at)[0]
         scen = build_transfer_scenario(cfg, start, request_at)
         simulator._direct_max_volume(cfg, scen, density, r_m)
-        assert "states" not in vars(scen)
         assert scen.trajectory.x.shape[0] > 1
         row_zero = [scen.trajectory.state(vid, 0.0) for vid in range(fleet.n)]
-        assert row_zero == scen.states == _indexed_states(fleet)
+        snap = scen.snapshot
+        assert len(snap) == fleet.n
+        assert row_zero == [snap[vid] for vid in range(fleet.n)] == \
+            _indexed_states(fleet)
+
+
+def _bits(state):
+    return (state.vid, *map(float.hex, (state.x, state.y, state.vx,
+                                        state.vy)))
+
+
+@pytest.mark.parametrize("experiment", ["max-volume", "cluster"])
+def test_snapshot_rows_equal_the_listed_states_bit_for_bit(default_cfg,
+                                                            experiment):
+    # Each snapshot row is the VehicleState the .tolist() values give, the
+    # sign of a zero included, whether the snapshot is the cluster-size
+    # sweep's or a transfer scenario's.
+    cfg = default_cfg
+    e = cfg.experiments
+    sd, r_m, steps = ((e.max_volume_sd_m, e.max_volume_range_m,
+                       e.max_volume_warmup_steps) if experiment == "max-volume"
+                      else (e.cluster_sd_m, e.cluster_range_m,
+                            e.cluster_warmup_steps))
+    for density, seed_idx in ((5.0, 0), (10.0, 1)):
+        start = warm_start(cfg, density, seed_idx, sd, r_m, steps, experiment)
+        fleet = simulator.request_instant(start, "encounter")[0]
+        want = [_bits(v) for v in vehicle_states(fleet.x, fleet.y, fleet.vx)]
+        for snap in (simulator._snapshot(fleet.x, fleet.y, fleet.vx),
+                     build_transfer_scenario(cfg, start, "encounter").snapshot):
+            assert [_bits(snap[vid]) for vid in range(fleet.n)] == want
 
 
 def test_contact_request_with_no_pair_in_range_raises_at_once(default_cfg,
@@ -590,7 +632,7 @@ def test_transfer_scenario_is_deterministic(default_cfg):
     horizon_s = default_cfg.experiments.horizon_s
     for scen in (a, b):                  # step both to the horizon
         scen.trajectory.state(scen.head_vid, horizon_s)
-    assert a.trajectory.x.shape == (121, len(a.states))
+    assert a.trajectory.x.shape == (121, len(a.snapshot))
     assert np.array_equal(a.trajectory.x, b.trajectory.x)
     assert np.array_equal(a.trajectory.speed, b.trajectory.speed)
 
@@ -838,8 +880,8 @@ def test_contact_request_catches_an_ongoing_pass(default_cfg):
     for seed in range(4):
         scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, seed,
                          request_at="contact")
-        head = scen.states[scen.head_vid]
-        res = scen.states[scen.resource_vid]
+        head = scen.snapshot[scen.head_vid]
+        res = scen.snapshot[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
         assert _head_resource_distance(scen, default_cfg) <= 250.0
         t_in, t_out = scen.trajectory.window(
@@ -851,8 +893,8 @@ def test_encounter_request_fires_as_the_resource_enters_range(default_cfg):
     for seed in range(4):
         scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, seed,
                          request_at="encounter")
-        head = scen.states[scen.head_vid]
-        res = scen.states[scen.resource_vid]
+        head = scen.snapshot[scen.head_vid]
+        res = scen.snapshot[scen.resource_vid]
         assert head.vx > 0.0 and res.vx < 0.0
         d = _head_resource_distance(scen, default_cfg)
         # Fresh contact: in range now, but by at most one step's closing
@@ -871,7 +913,7 @@ def test_trajectory_state_reads_the_step_grid(default_cfg):
     scen = _scenario(default_cfg, 5.0, 150.0, 250.0, 15, 0)
     traj = scen.trajectory
     s0 = traj.state(scen.head_vid, 0.0)
-    init = scen.states[scen.head_vid]
+    init = scen.snapshot[scen.head_vid]
     assert (s0.x, s0.y, s0.vx) == (init.x, init.y, init.vx)
     assert traj.state(scen.resource_vid, 0.0).vx < 0.0
     beyond = traj.state(scen.head_vid, 1e9)      # clamps to the last step
@@ -940,14 +982,14 @@ def _fresh_recruitment_volume(cfg, density, seed_idx):
                      e.max_volume_warmup_steps, seed_idx,
                      request_at="encounter")
     models = cfg.models(r_m, density, plan_margin_s=e.max_volume_plan_margin_s)
-    head = scen.states[scen.head_vid]
+    head = scen.snapshot[scen.head_vid]
 
     def delivered(recruitment, frags):
         out = run_cft(recruitment, frags * s, scen.trajectory)
         return out.bytes_delivered >= frags * s
 
     def ok(frags):
-        return delivered(recruit(head, scen.states, s, models,
+        return delivered(recruit(head, scen.snapshot, s, models,
                                  [scen.resource_vid]), frags)
 
     if not ok(1):
@@ -963,7 +1005,7 @@ def _fresh_recruitment_volume(cfg, density, seed_idx):
             lo = mid
         else:
             hi = mid
-    shared = recruit(head, scen.states, s, models, [scen.resource_vid])
+    shared = recruit(head, scen.snapshot, s, models, [scen.resource_vid])
     gaps = [k for k in range(1, lo) if not delivered(shared, k)]
     return float(lo * s), (gaps[0] if gaps else None)
 
@@ -1016,11 +1058,11 @@ def test_memoised_member_scores_equal_a_fresh_recruitment(monkeypatch):
                             plan_margin_s=e.max_volume_plan_margin_s)
 
         def fresh():
-            return recruit(scen.states[scen.head_vid], scen.states, s, models,
+            return recruit(scen.snapshot[scen.head_vid], scen.snapshot, s, models,
                            [scen.resource_vid])
 
         def sources(recruitment):
-            return (Ballistic(recruitment.states, recruitment.models),
+            return (Ballistic(recruitment.snapshot, recruitment.models),
                     scen.trajectory)
 
         shared = fresh()
@@ -1049,9 +1091,9 @@ def test_a_dropped_recruitment_is_freed_at_once():
                      request_at="encounter")
     models = cfg.models(r_m, 10.0)
     for predicted in (False, True):
-        recruitment = recruit(scen.states[scen.head_vid], scen.states,
+        recruitment = recruit(scen.snapshot[scen.head_vid], scen.snapshot,
                               e.fragment_bytes, models, [scen.resource_vid])
-        traffic = (Ballistic(recruitment.states, recruitment.models)
+        traffic = (Ballistic(recruitment.snapshot, recruitment.models)
                    if predicted else scen.trajectory)
         run_cft(recruitment, 300 * MB, traffic)
         assert recruitment.scores
@@ -1082,10 +1124,10 @@ def test_members_forward_independently_of_each_other():
         scen = _scenario(cfg, 10.0, e.max_volume_sd_m, r_m,
                          e.max_volume_warmup_steps, seed_idx,
                          request_at="encounter")
-        recruitment = recruit(scen.states[scen.head_vid], scen.states, s,
+        recruitment = recruit(scen.snapshot[scen.head_vid], scen.snapshot, s,
                               models, [scen.resource_vid])
 
-        for traffic in (Ballistic(recruitment.states, recruitment.models),
+        for traffic in (Ballistic(recruitment.snapshot, recruitment.models),
                         scen.trajectory):
             for v_bytes in (100 * MB, 200 * MB, 300 * MB, 400 * MB):
                 out = run_cft(recruitment, v_bytes, traffic)
@@ -1098,7 +1140,7 @@ def test_members_forward_independently_of_each_other():
                     # A fresh recruitment, so no memoised score is read.
                     alone = _evaluate_plan(
                         Cluster(c.head, c.resource, [m], v_bytes, s),
-                        recruit(scen.states[scen.head_vid], scen.states, s,
+                        recruit(scen.snapshot[scen.head_vid], scen.snapshot, s,
                                 models, [scen.resource_vid]),
                         traffic)
                     assert alone.member_results == [got]
@@ -1151,8 +1193,8 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
                            e.cluster_range_m, e.cluster_warmup_steps,
                            "cluster"),
                 "encounter")
-            states = simulator._vehicle_states(fleet.x, fleet.y, fleet.vx)
-            traffic = Ballistic({v.vid: v for v in states}, models)
+            states = vehicle_states(fleet.x, fleet.y, fleet.vx)
+            traffic = Ballistic(Snapshot.of(states), models)
             for v_bytes in e.file_sizes_bytes:
                 # A fresh recruitment per file size, as one request each.
                 out = run_cft(recruit(states[head], states, e.fragment_bytes,

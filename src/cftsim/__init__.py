@@ -16,7 +16,7 @@ from .mac import (MacParams, avg_slot_length, contention_pmf, p_success,
 from .mobility import (Fleet, MobilityConfig, init_scenario, step,
                        warm_up_batch)
 from .protocol import (Ballistic, Cluster, LinkBudget, Models, Recruitment,
-                       TransferOutcome, VehicleState,
+                       Snapshot, TransferOutcome, VehicleState,
                        assign_fragments, build_cluster, form_cluster,
                        forwarding_feasible, link_budget,
                        prospective_link_budget, recruit, run_cft,

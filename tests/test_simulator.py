@@ -441,14 +441,6 @@ def _head_resource_distance(scen, cfg):
     return math.hypot(dx, res.y - head.y)
 
 
-def _indexed_states(fleet):
-    """Every vehicle's VehicleState read index by index: the oracle of a
-    TransferScenario's snapshot rows."""
-    return [VehicleState(vid=i, x=float(fleet.x[i]), y=float(fleet.y[i]),
-                         vx=float(fleet.vx[i]), vy=0.0)
-            for i in range(fleet.n)]
-
-
 @pytest.mark.parametrize("request_at", ["contact", "encounter"])
 def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
     # Every scheme plans on the snapshot; its rows equal the trajectory's
@@ -467,7 +459,7 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
         snap = scen.snapshot
         assert len(snap) == fleet.n
         assert row_zero == [snap[vid] for vid in range(fleet.n)] == \
-            _indexed_states(fleet)
+            vehicle_states(fleet.x, fleet.y, fleet.vx)
 
 
 def _bits(state):

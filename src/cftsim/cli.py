@@ -12,16 +12,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import simulator
-from .config import ConfigError, describe, load_config
+from .config import (SEED_COUNT, ConfigError, ExperimentSettings, describe,
+                     load_config)
 
 METRIC_COMMANDS = tuple(simulator.SWEEPS)
 
 # Every seed count in the config; --seeds N sets each of them to N.
-SEED_KEYS = ("experiments.seeds", "experiments.max_volume.seeds",
-             "experiments.max_volume.direct_seeds",
-             "experiments.cluster_size.seeds")
+SEED_KEYS = tuple(f"experiments.{f.metadata['key']}"
+                  for f in fields(ExperimentSettings)
+                  if f.metadata["kind"] is SEED_COUNT)
 
 
 class UsageError(Exception):

@@ -8,9 +8,11 @@ so the rest of the package never sees mixed units.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import yaml
@@ -47,11 +49,20 @@ def _real(value, path: str) -> float:
     raise ConfigError(f"config key '{path}' must be a number, got {value!r}")
 
 
+def _list(value, path: str, length: int | None = None) -> list:
+    """value, which must be a list (of length items, when length is given);
+    else a ConfigError naming path."""
+    if isinstance(value, list) and length in (None, len(value)):
+        return value
+    what = "a list" if length is None else f"a list of {length}"
+    raise ConfigError(f"config key '{path}' must be {what}, got {value!r}")
+
+
 class _Section(dict):
     """A config mapping that records the keys looked up in it.
 
     Every key is required: looking up a missing one is a ConfigError that
-    names its dotted path.
+    names its dotted path, and so is a value of the wrong shape.
     """
 
     def __init__(self, raw: dict, path: str = ""):
@@ -66,13 +77,21 @@ class _Section(dict):
         self.read.add(key)
         return super().__getitem__(key)
 
-    def integer(self, key):
-        """The value at key, which must not be a float or a bool."""
+    def section(self, key):
+        """The mapping at key."""
         value = self[key]
-        if isinstance(value, (bool, float)):
+        if not isinstance(value, _Section):
+            raise ConfigError(f"config key '{self.path}{key}' must be a "
+                              f"section of keys, got {value!r}")
+        return value
+
+    def integer(self, key):
+        """The int at key: not a float, a bool, a string, a list or null."""
+        value = self[key]
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(
                 f"config key '{self.path}{key}' must be an integer, got {value!r}")
-        return int(value)
+        return value
 
     def real(self, key):
         """The value at key as a float; a bool is not a number here."""
@@ -80,8 +99,9 @@ class _Section(dict):
 
     def reals(self, key):
         """The list at key as a tuple of floats, each checked as by real."""
-        return tuple(_real(v, f"{self.path}{key}[{i}]")
-                     for i, v in enumerate(self[key]))
+        path = f"{self.path}{key}"
+        return tuple(_real(v, f"{path}[{i}]")
+                     for i, v in enumerate(_list(self[key], path)))
 
     def unread(self):
         """Dotted paths of the keys nothing looked up."""
@@ -92,95 +112,83 @@ class _Section(dict):
                 yield from value.unread()
 
 
-# The config key under experiments of every real ExperimentSettings field
-# that must be finite: all of them but cluster_horizon_s.
-_REAL_KEYS = {
-    "comm_ranges_m": "comm_range_m",
-    "densities_per_km": "density_per_km",
-    "safety_distance_m": "safety_distance_m",
-    "horizon_s": "horizon_s",
-    "connection_density_per_km": "connection_density_per_km",
-    "file_sizes_bytes": "file_size_mb",
-    "fragment_bytes": "fragment_mb",
-    "nominal_mac_rate_bps": "nominal_mac_rate_mbps",
-    "success_fraction": "success_fraction",
-    "max_volume_densities": "max_volume.density_per_km",
-    "max_volume_range_m": "max_volume.comm_range_m",
-    "max_volume_sd_m": "max_volume.safety_distance_m",
-    "max_volume_plan_margin_s": "max_volume.plan_margin_s",
-    "cluster_densities": "cluster_size.density_per_km",
-    "cluster_range_m": "cluster_size.comm_range_m",
-    "cluster_sd_m": "cluster_size.safety_distance_m",
-}
+@dataclass(frozen=True)
+class Kind:
+    """How an experiments setting is read, scaled to SI and checked."""
+
+    read: str           # the _Section reader: "real", "reals" or "integer"
+    ok: Callable        # the rule every value must meet, and...
+    rule: str           # ...that rule in words, after "must"
+    scale: float = 1    # config unit to SI; an int times 1 stays an int
+    finite: bool = True
+
+
+# A grid is a list of distinct values: rows and records are keyed by them.
+GRID = Kind("reals", lambda v: v > 0, "be positive")
+GRID_MB = replace(GRID, scale=MB)
+POSITIVE = replace(GRID, read="real")
+POSITIVE_MB = replace(POSITIVE, scale=MB)
+POSITIVE_MBPS = replace(POSITIVE, scale=1e6)
+SEED_COUNT = Kind("integer", lambda v: v >= 1, "be at least 1")
+COUNT = Kind("integer", lambda v: v >= 0, "not be negative")   # steps, base seed
+PLAN_MARGIN = replace(COUNT, read="real")
+FRACTION = Kind("real", lambda v: 0 < v <= 1, "be in (0, 1]")
+# Only bounds planning, so unlike every other real setting it does not size
+# a fleet, a grid, a file or a recorded trajectory.
+PLANNING_HORIZON = replace(POSITIVE, finite=False)
+
+
+def _setting(key: str, kind: Kind):
+    """A field read from experiments.<key>, a dotted path."""
+    return field(metadata={"key": key, "kind": kind})
 
 
 @dataclass(frozen=True)
 class ExperimentSettings:
-    """Sweep grids and run-scale knobs for the experiment suite."""
+    """Sweep grids and run-scale knobs for the experiment suite.
 
-    comm_ranges_m: tuple
-    densities_per_km: tuple
-    safety_distance_m: float
-    seeds: int
-    base_seed: int
-    warmup_steps: int
-    horizon_s: float
-    connection_density_per_km: float
-    file_sizes_bytes: tuple
-    fragment_bytes: float
-    nominal_mac_rate_bps: float
-    success_fraction: float
-    max_volume_densities: tuple
-    max_volume_range_m: float
-    max_volume_sd_m: float
-    max_volume_warmup_steps: int
-    max_volume_seeds: int
-    max_volume_direct_seeds: int
-    max_volume_plan_margin_s: float
-    cluster_densities: tuple
-    cluster_range_m: float
-    cluster_sd_m: float
-    cluster_warmup_steps: int
-    cluster_seeds: int
-    cluster_horizon_s: float
+    Each field declares its config key under experiments and its kind;
+    resolve reads and __post_init__ checks every field by them.
+    """
+
+    comm_ranges_m: tuple = _setting("comm_range_m", GRID)
+    densities_per_km: tuple = _setting("density_per_km", GRID)
+    safety_distance_m: float = _setting("safety_distance_m", POSITIVE)
+    seeds: int = _setting("seeds", SEED_COUNT)
+    base_seed: int = _setting("base_seed", COUNT)
+    warmup_steps: int = _setting("warmup_steps", COUNT)
+    horizon_s: float = _setting("horizon_s", POSITIVE)
+    connection_density_per_km: float = _setting("connection_density_per_km", POSITIVE)
+    file_sizes_bytes: tuple = _setting("file_size_mb", GRID_MB)
+    fragment_bytes: float = _setting("fragment_mb", POSITIVE_MB)
+    nominal_mac_rate_bps: float = _setting("nominal_mac_rate_mbps", POSITIVE_MBPS)
+    success_fraction: float = _setting("success_fraction", FRACTION)
+    max_volume_densities: tuple = _setting("max_volume.density_per_km", GRID)
+    max_volume_range_m: float = _setting("max_volume.comm_range_m", POSITIVE)
+    max_volume_sd_m: float = _setting("max_volume.safety_distance_m", POSITIVE)
+    max_volume_warmup_steps: int = _setting("max_volume.warmup_steps", COUNT)
+    max_volume_seeds: int = _setting("max_volume.seeds", SEED_COUNT)
+    max_volume_direct_seeds: int = _setting("max_volume.direct_seeds", SEED_COUNT)
+    max_volume_plan_margin_s: float = _setting("max_volume.plan_margin_s", PLAN_MARGIN)
+    cluster_densities: tuple = _setting("cluster_size.density_per_km", GRID)
+    cluster_range_m: float = _setting("cluster_size.comm_range_m", POSITIVE)
+    cluster_sd_m: float = _setting("cluster_size.safety_distance_m", POSITIVE)
+    cluster_warmup_steps: int = _setting("cluster_size.warmup_steps", COUNT)
+    cluster_seeds: int = _setting("cluster_size.seeds", SEED_COUNT)
+    cluster_horizon_s: float = _setting("cluster_size.horizon_s", PLANNING_HORIZON)
 
     def __post_init__(self):
-        # Every real setting sizes a fleet, a grid, a file or a recorded
-        # trajectory.  The cluster-size horizon only bounds planning and
-        # may be infinite.
-        for name, key in _REAL_KEYS.items():
-            value = getattr(self, name)
-            if not all(map(math.isfinite,
-                           value if isinstance(value, tuple) else (value,))):
-                raise ConfigError(
-                    f"config key 'experiments.{key}' must be finite")
-        for name in ("seeds", "max_volume_seeds", "max_volume_direct_seeds",
-                     "cluster_seeds"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        for name in ("base_seed", "warmup_steps", "max_volume_warmup_steps",
-                     "cluster_warmup_steps", "max_volume_plan_margin_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
-        if not 0.0 < self.success_fraction <= 1.0:
-            raise ConfigError("success_fraction must be in (0, 1]")
-        for name in ("comm_ranges_m", "densities_per_km", "file_sizes_bytes",
-                     "max_volume_densities", "cluster_densities"):
-            grid = getattr(self, name)
-            if len(grid) == 0:
-                raise ConfigError(f"{name} must not be empty")
-            # Rows and records are keyed by grid value.
-            if len(set(grid)) != len(grid):
-                raise ConfigError(f"{name} lists a value twice")
-        for name in ("comm_ranges_m", "densities_per_km", "safety_distance_m",
-                     "horizon_s", "connection_density_per_km",
-                     "fragment_bytes", "nominal_mac_rate_bps",
-                     "max_volume_densities", "max_volume_range_m", "max_volume_sd_m",
-                     "cluster_densities", "cluster_range_m", "cluster_sd_m",
-                     "cluster_horizon_s"):
-            value = getattr(self, name)
-            if min(value if isinstance(value, tuple) else (value,)) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            kind, value = f.metadata["kind"], getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            for broken, must in (
+                    (kind.finite and math.inf in map(abs, values), "be finite"),
+                    (not values, "not be empty"),
+                    (len(set(values)) != len(values), "not list a value twice"),
+                    (not all(map(kind.ok, values)), kind.rule)):
+                if broken:
+                    raise ConfigError(f"config key 'experiments."
+                                      f"{f.metadata['key']}' must {must}")
 
 
 @dataclass(frozen=True)
@@ -267,11 +275,11 @@ def resolve(raw: dict) -> Config:
     """
     raw = _Section(raw)
     try:
-        mob = raw["mobility"]
-        cha = raw["channel"]
-        rat = raw["rates"]
-        mac = raw["mac"]
-        exp = raw["experiments"]
+        mob = raw.section("mobility")
+        cha = raw.section("channel")
+        rat = raw.section("rates")
+        mac = raw.section("mac")
+        exp = raw.section("experiments")
 
         mobility_defaults = {
             "lane_length_m": mob.real("lane_length_km") * 1000.0,
@@ -284,12 +292,13 @@ def resolve(raw: dict) -> Config:
         }
 
         def band(i, row):
-            lo, hi, m = row
             at = f"channel.mu_profile[{i}]"
+            lo, hi, m = _list(row, at, 3)
             hi = math.inf if hi in ("inf", ".inf", None) else _real(hi, f"{at}[1]")
             return (_real(lo, f"{at}[0]"), hi, _real(m, f"{at}[2]"))
 
-        profile = tuple(band(i, row) for i, row in enumerate(cha["mu_profile"]))
+        profile = tuple(band(i, row) for i, row in
+                        enumerate(_list(cha["mu_profile"], "channel.mu_profile")))
         channel = ChannelParams(
             tx_power_w=cha.real("tx_power_w"),
             noise_w=watts_from_dbm(cha.real("noise_dbm")),
@@ -321,35 +330,15 @@ def resolve(raw: dict) -> Config:
         if cs_factor <= 0:
             raise ConfigError("carrier_sense_factor must be positive")
 
-        mv = exp["max_volume"]
-        cl = exp["cluster_size"]
-        settings = ExperimentSettings(
-            comm_ranges_m=exp.reals("comm_range_m"),
-            densities_per_km=exp.reals("density_per_km"),
-            safety_distance_m=exp.real("safety_distance_m"),
-            seeds=exp.integer("seeds"),
-            base_seed=exp.integer("base_seed"),
-            warmup_steps=exp.integer("warmup_steps"),
-            horizon_s=exp.real("horizon_s"),
-            connection_density_per_km=exp.real("connection_density_per_km"),
-            file_sizes_bytes=tuple(v * MB for v in exp.reals("file_size_mb")),
-            fragment_bytes=exp.real("fragment_mb") * MB,
-            nominal_mac_rate_bps=exp.real("nominal_mac_rate_mbps") * 1e6,
-            success_fraction=exp.real("success_fraction"),
-            max_volume_densities=mv.reals("density_per_km"),
-            max_volume_range_m=mv.real("comm_range_m"),
-            max_volume_sd_m=mv.real("safety_distance_m"),
-            max_volume_warmup_steps=mv.integer("warmup_steps"),
-            max_volume_seeds=mv.integer("seeds"),
-            max_volume_direct_seeds=mv.integer("direct_seeds"),
-            max_volume_plan_margin_s=mv.real("plan_margin_s"),
-            cluster_densities=cl.reals("density_per_km"),
-            cluster_range_m=cl.real("comm_range_m"),
-            cluster_sd_m=cl.real("safety_distance_m"),
-            cluster_warmup_steps=cl.integer("warmup_steps"),
-            cluster_seeds=cl.integer("seeds"),
-            cluster_horizon_s=cl.real("horizon_s"),
-        )
+        values = {}
+        for f in fields(ExperimentSettings):
+            *sections, key = f.metadata["key"].split(".")
+            kind = f.metadata["kind"]
+            value = getattr(functools.reduce(_Section.section, sections, exp),
+                            kind.read)(key)
+            values[f.name] = (tuple(v * kind.scale for v in value)
+                              if kind.read == "reals" else value * kind.scale)
+        settings = ExperimentSettings(**values)
 
         cfg = Config(
             channel=channel,

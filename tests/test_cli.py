@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from cftsim.cli import METRIC_COMMANDS, main
+from cftsim.cli import METRIC_COMMANDS, SEED_KEYS, main
 
 
 def _read_csv(path):
@@ -17,6 +17,12 @@ def _read_csv(path):
 def test_command_roster_is_stable():
     assert METRIC_COMMANDS == ("connection-time", "throughput", "capacity",
                                "max-volume", "cluster-size", "rate-curve")
+
+
+def test_seed_keys_are_the_four_seed_counts():
+    assert SEED_KEYS == ("experiments.seeds", "experiments.max_volume.seeds",
+                         "experiments.max_volume.direct_seeds",
+                         "experiments.cluster_size.seeds")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -47,6 +53,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
             assert main([*argv, "--set", f"mobility.accel_mps2={value}",
                          "--out", str(tmp_path)]) == 2
             assert "accel_mps2" in capsys.readouterr().err
+    # So does a value of the wrong shape: a string or a number where a list
+    # belongs, a value where a section belongs, or a string, a list or null
+    # for an integer.  Each message names the key.
+    for setting, key in (
+            ("experiments.comm_range_m='25'", "experiments.comm_range_m"),
+            ("experiments.max_volume.density_per_km='57'",
+             "experiments.max_volume.density_per_km"),
+            ("experiments.comm_range_m=250", "experiments.comm_range_m"),
+            ("rates.rates_mbps=6", "rates.rates_mbps"),
+            ("channel.mu_profile=[[0, 1]]", "channel.mu_profile[0]"),
+            ("experiments.max_volume=5", "experiments.max_volume"),
+            ("experiments.cluster_size=[1]", "experiments.cluster_size"),
+            ("mobility=3", "mobility"),
+            ("experiments.seeds=abc", "experiments.seeds"),
+            ("experiments.seeds=[3]", "experiments.seeds"),
+            ("experiments.seeds=null", "experiments.seeds")):
+        for argv in (["validate-config"], ["throughput"]):
+            assert main([*argv, "--set", setting, "--out", str(tmp_path)]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

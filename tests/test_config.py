@@ -6,7 +6,6 @@ import math
 import pytest
 import yaml
 
-from cftsim import config
 from cftsim.config import (ConfigError, ExperimentSettings, apply_overrides,
                            default_config_path, describe, load_config,
                            load_raw, resolve)
@@ -190,6 +189,24 @@ def test_config_error_cases(tmp_path):
     # keys that were removed
     "experiments.snapshots=0",
     "experiments.snapshot_stride_s=0",
+    # a string or a number where a list belongs
+    "experiments.comm_range_m='25'",
+    "experiments.max_volume.density_per_km='57'",
+    "experiments.comm_range_m=250",
+    "rates.rates_mbps=6",
+    "rates.thresholds_snr='0.5'",
+    "channel.mu_profile=5",
+    # a mu_profile band of the wrong length or shape
+    "channel.mu_profile=[[0, 1]]",
+    "channel.mu_profile=[5]",
+    # a value where a section belongs
+    "experiments.max_volume=5",
+    "experiments.cluster_size=[1]",
+    "mobility=3",
+    # integer keys given a string, a list or null
+    "experiments.seeds=abc",
+    "experiments.seeds=[3]",
+    "experiments.seeds=null",
 ])
 def test_invalid_values_are_config_errors(override):
     with pytest.raises(ConfigError):
@@ -197,13 +214,23 @@ def test_invalid_values_are_config_errors(override):
 
 
 def test_every_real_experiment_setting_but_the_cluster_horizon_is_finite():
-    # The finiteness rule names each real setting's config key; a new real
-    # setting must join it, or be the one exception.
-    real = {f.name for f in dataclasses.fields(ExperimentSettings)
-            if f.type in ("float", "tuple")}
-    assert set(config._REAL_KEYS) == real - {"cluster_horizon_s"}
-    cfg = load_config(overrides=["experiments.cluster_size.horizon_s=.inf"])
-    assert math.isinf(cfg.experiments.cluster_horizon_s)
+    # Each setting declares its key under experiments and its kind.  Every
+    # declared key is in the shipped file, and every real setting rejects an
+    # infinity, naming its key, but the cluster-size planning horizon.
+    shipped = set(_leaf_paths(load_raw()))
+    for f in dataclasses.fields(ExperimentSettings):
+        key, kind = f"experiments.{f.metadata['key']}", f.metadata["kind"]
+        assert key in shipped
+        if kind.read == "integer":
+            continue
+        override = f"{key}={'[5, .inf]' if kind.read == 'reals' else '.inf'}"
+        if f.name == "cluster_horizon_s":
+            cfg = load_config(overrides=[override])
+            assert math.isinf(cfg.experiments.cluster_horizon_s)
+        else:
+            with pytest.raises(ConfigError) as info:
+                load_config(overrides=[override])
+            assert f"'{key}' must be finite" in str(info.value)
 
 
 @pytest.mark.parametrize("override,path", [
@@ -216,6 +243,30 @@ def test_every_real_experiment_setting_but_the_cluster_horizon_is_finite():
 ])
 def test_nan_values_are_config_errors_naming_their_key(override, path):
     # Every comparison with NaN is false, so no range check would catch it.
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides=[override])
+    assert f"'{path}'" in str(info.value)
+
+
+@pytest.mark.parametrize("override,path", [
+    ("experiments.comm_range_m='25'", "experiments.comm_range_m"),
+    ("experiments.max_volume.density_per_km='57'",
+     "experiments.max_volume.density_per_km"),
+    ("experiments.comm_range_m=250", "experiments.comm_range_m"),
+    ("rates.rates_mbps=6", "rates.rates_mbps"),
+    ("rates.thresholds_snr='0.5'", "rates.thresholds_snr"),
+    ("channel.mu_profile=5", "channel.mu_profile"),
+    ("channel.mu_profile=[[0, .inf, 1.0], [0, 1]]", "channel.mu_profile[1]"),
+    ("channel.mu_profile=[5]", "channel.mu_profile[0]"),
+    ("experiments.max_volume=5", "experiments.max_volume"),
+    ("experiments.cluster_size=[1]", "experiments.cluster_size"),
+    ("mobility=3", "mobility"),
+    ("experiments.seeds=abc", "experiments.seeds"),
+    ("experiments.seeds=[3]", "experiments.seeds"),
+    ("experiments.seeds=null", "experiments.seeds"),
+])
+def test_misshapen_values_are_config_errors_naming_their_key(override, path):
+    # A string is iterable, so a list reader would split it into characters.
     with pytest.raises(ConfigError) as info:
         load_config(overrides=[override])
     assert f"'{path}'" in str(info.value)

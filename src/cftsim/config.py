@@ -8,7 +8,6 @@ so the rest of the package never sees mixed units.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections.abc import Callable
@@ -26,10 +25,25 @@ ENV_CONFIG = "CFTSIM_CONFIG"
 
 KB = 1024.0          # packet sizes
 MB = 1_000_000.0     # file sizes
+# Densities key RNG streams in 1/DENSITY_KEY_SCALE veh/km, lengths in metres.
+DENSITY_KEY_SCALE = 1000
 
 
 class ConfigError(Exception):
     """Invalid or unreadable configuration."""
+
+
+def _whole(value: float, scale: int) -> bool:
+    """Whether value is a whole multiple of 1/scale, to rounding error."""
+    scaled = value * scale
+    return math.isclose(scaled, round(scaled), rel_tol=1e-9, abs_tol=1e-9)
+
+
+def seed_key(value: float, scale: int = 1) -> int:
+    """RNG key of a grid value in units of 1/scale; ValueError unless whole."""
+    if not _whole(value, scale):
+        raise ValueError(f"{value} is not a whole multiple of 1/{scale}")
+    return round(value * scale)
 
 
 def _real(value, path: str) -> float:
@@ -41,7 +55,7 @@ def _real(value, path: str) -> float:
     if not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # an int past float
             pass
         else:
             if not math.isnan(number):
@@ -58,84 +72,134 @@ def _list(value, path: str, length: int | None = None) -> list:
     raise ConfigError(f"config key '{path}' must be {what}, got {value!r}")
 
 
-class _Section(dict):
-    """A config mapping that records the keys looked up in it.
+def _integer(value, path: str) -> int:
+    """value, which must be an int, not a float, a bool, a string, a list
+    or null; else a ConfigError naming path."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key '{path}' must be an integer, got {value!r}")
+    return value
 
-    Every key is required: looking up a missing one is a ConfigError that
-    names its dotted path, and so is a value of the wrong shape.
-    """
 
-    def __init__(self, raw: dict, path: str = ""):
-        super().__init__({k: _Section(v, f"{path}{k}.") if isinstance(v, dict)
-                          else v for k, v in raw.items()})
-        self.path = path
-        self.read = set()
+def _reals(value, path: str) -> tuple:
+    """The list value as a tuple of floats, each checked as by _real."""
+    return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
 
-    def __getitem__(self, key):
-        if key not in self:
-            raise ConfigError(f"missing config key '{self.path}{key}'")
-        self.read.add(key)
-        return super().__getitem__(key)
 
-    def section(self, key):
-        """The mapping at key."""
-        value = self[key]
-        if not isinstance(value, _Section):
-            raise ConfigError(f"config key '{self.path}{key}' must be a "
-                              f"section of keys, got {value!r}")
-        return value
-
-    def integer(self, key):
-        """The int at key: not a float, a bool, a string, a list or null."""
-        value = self[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(
-                f"config key '{self.path}{key}' must be an integer, got {value!r}")
-        return value
-
-    def real(self, key):
-        """The value at key as a float; a bool is not a number here."""
-        return _real(self[key], f"{self.path}{key}")
-
-    def reals(self, key):
-        """The list at key as a tuple of floats, each checked as by real."""
-        path = f"{self.path}{key}"
-        return tuple(_real(v, f"{path}[{i}]")
-                     for i, v in enumerate(_list(self[key], path)))
-
-    def unread(self):
-        """Dotted paths of the keys nothing looked up."""
-        for key, value in self.items():
-            if key not in self.read:
-                yield f"{self.path}{key}"
-            elif isinstance(value, _Section):
-                yield from value.unread()
+def _bands(value, path: str) -> tuple:
+    """The list value as a tuple of (lo, hi, mu) bands: each value read and
+    checked by its BAND kind, hi above lo, and a null hi infinite."""
+    bands = []
+    for i, row in enumerate(_list(value, path)):
+        at = f"{path}[{i}]"
+        lo, hi, mu = _list(row, at, 3)
+        band = tuple(_value(v, f"{at}[{k}]", kind) for k, (v, kind) in enumerate(
+            zip((lo, math.inf if hi in (".inf", None) else hi, mu), BAND)))
+        if band[1] <= band[0]:
+            raise ConfigError(f"config key '{at}[1]' must be above {at}[0]")
+        bands.append(band)
+    return tuple(bands)
 
 
 @dataclass(frozen=True)
 class Kind:
-    """How an experiments setting is read, scaled to SI and checked."""
+    """How a config key is read, converted to SI and checked."""
 
-    read: str           # the _Section reader: "real", "reals" or "integer"
-    ok: Callable        # the rule every value must meet, and...
+    read: Callable      # (value, dotted path) -> a number or a tuple of them
+    ok: Callable        # the rule every SI value must meet, and...
     rule: str           # ...that rule in words, after "must"
-    scale: float = 1    # config unit to SI; an int times 1 stays an int
+    scale: Callable = lambda v: v   # config unit to SI, one value at a time
     finite: bool = True
 
 
+def _value(value, path: str, kind: Kind):
+    """value, of the key at path, read, converted to SI and checked by
+    kind; else a ConfigError naming path."""
+    read = kind.read(value, path)
+    values = read if isinstance(read, tuple) else (read,)
+    try:
+        si = tuple(map(kind.scale, values))
+    except OverflowError:       # 10.0 ** x, for x from a huge dBm
+        si = (math.inf,)
+    if not si:
+        must = "not be empty"
+    elif kind.finite and math.inf in map(abs, si):
+        must = "be finite"
+    elif len(set(si)) != len(si):
+        must = "not list a value twice"
+    elif not all(map(kind.ok, si)):
+        must = kind.rule
+    else:
+        return si if isinstance(read, tuple) else si[0]
+    raise ConfigError(f"config key '{path}' must {must}")
+
+
 # A grid is a list of distinct values: rows and records are keyed by them.
-GRID = Kind("reals", lambda v: v > 0, "be positive")
-GRID_MB = replace(GRID, scale=MB)
-POSITIVE = replace(GRID, read="real")
-POSITIVE_MB = replace(POSITIVE, scale=MB)
-POSITIVE_MBPS = replace(POSITIVE, scale=1e6)
-SEED_COUNT = Kind("integer", lambda v: v >= 1, "be at least 1")
-COUNT = Kind("integer", lambda v: v >= 0, "not be negative")   # steps, base seed
-PLAN_MARGIN = replace(COUNT, read="real")
-FRACTION = Kind("real", lambda v: 0 < v <= 1, "be in (0, 1]")
+GRID = Kind(_reals, lambda v: v > 0, "be positive")
+GRID_MB = replace(GRID, scale=lambda v: v * MB)
+GRID_MBPS = replace(GRID, scale=lambda v: v * 1e6)
+POSITIVE = replace(GRID, read=_real)
+POSITIVE_MB = replace(POSITIVE, scale=GRID_MB.scale)
+POSITIVE_MBPS = replace(POSITIVE, scale=GRID_MBPS.scale)
+MICROSECONDS = replace(POSITIVE, scale=lambda v: v * 1e-6)
+ONE_OR_MORE = Kind(_integer, lambda v: v >= 1, "be at least 1")
+SEED_COUNT = replace(ONE_OR_MORE)   # its own object: --seeds sets each one
+COUNT = Kind(_integer, lambda v: v >= 0, "not be negative")   # steps, base seed
+NOT_NEGATIVE = replace(COUNT, read=_real)
+KMH = replace(NOT_NEGATIVE, scale=lambda v: v / 3.6)
+FRACTION = Kind(_real, lambda v: 0 < v <= 1, "be in (0, 1]")
 # Only bounds planning, so unlike every other real setting it does not size
 # a fleet, a grid, a file or a recorded trajectory.
 PLANNING_HORIZON = replace(POSITIVE, finite=False)
+# A value that keys RNG streams (seed_key) is whole in its key unit.
+WHOLE_METRES = replace(POSITIVE, ok=lambda v: v > 0 and _whole(v, 1),
+                       rule="be positive and in whole metres")
+DENSITY_GRID = replace(
+    GRID, ok=lambda v: v > 0 and _whole(v, DENSITY_KEY_SCALE),
+    rule=f"be positive and in whole 1/{DENSITY_KEY_SCALE} veh/km")
+DENSITY = replace(DENSITY_GRID, read=_real)
+# A mu_profile band's lo_m, hi_m and mu, which _bands checks one by one.
+BAND = (NOT_NEGATIVE, replace(POSITIVE, finite=False), POSITIVE)
+
+# Every config key, in describe's order: section, then SI name, then (key
+# under the section, kind).  The experiments section is added below, from
+# ExperimentSettings' fields.
+KEYS = {
+    "mobility": {
+        "lane_length_m": ("lane_length_km", replace(POSITIVE, scale=lambda v: v * 1000.0)),
+        "lane_width_m": ("lane_width_m", POSITIVE),
+        "lanes_per_direction": ("lanes_per_direction", ONE_OR_MORE),
+        "v_min_mps": ("v_min_kmh", KMH),
+        "v_max_mps": ("v_max_kmh", KMH),
+        "accel_mps2": ("accel_mps2", NOT_NEGATIVE),
+        "step_s": ("step_s", POSITIVE),
+    },
+    "channel": {
+        "tx_power_w": ("tx_power_w", POSITIVE),
+        "noise_w": ("noise_dbm", Kind(_real, lambda w: w > 0, "be above 0 W", watts_from_dbm)),
+        "tx_gain": ("tx_gain", POSITIVE),
+        "rx_gain": ("rx_gain", POSITIVE),
+        "tx_height_m": ("tx_height_m", POSITIVE),
+        "rx_height_m": ("rx_height_m", POSITIVE),
+        "path_loss_exp": ("path_loss_exp", POSITIVE),
+        "system_loss": ("system_loss", replace(ONE_OR_MORE, read=_real)),
+        "mu_profile": ("mu_profile", Kind(_bands, lambda band: True, "", finite=False)),
+    },
+    "rates": {
+        "rates_bps": ("rates_mbps", GRID_MBPS),
+        "thresholds_snr": ("thresholds_snr", GRID),
+    },
+    "mac": {
+        "w": ("backoff_window", ONE_OR_MORE),
+        "lp_bits": ("packet_kb", replace(POSITIVE, scale=lambda v: v * KB * 8.0)),
+        "t_slot_s": ("slot_us", MICROSECONDS),
+        "t_rts_s": ("rts_us", MICROSECONDS),
+        "t_cts_s": ("cts_us", MICROSECONDS),
+        "t_difs_s": ("difs_us", MICROSECONDS),
+        "t_sifs_s": ("sifs_us", MICROSECONDS),
+        "t_ack_s": ("ack_us", MICROSECONDS),
+        "carrier_sense_factor": ("carrier_sense_factor", POSITIVE),
+    },
+}
 
 
 def _setting(key: str, kind: Kind):
@@ -147,48 +211,39 @@ def _setting(key: str, kind: Kind):
 class ExperimentSettings:
     """Sweep grids and run-scale knobs for the experiment suite.
 
-    Each field declares its config key under experiments and its kind;
-    resolve reads and __post_init__ checks every field by them.
+    Each field declares its config key under experiments and its kind, by
+    which resolve, the only code that builds one, reads and checks it.
     """
 
     comm_ranges_m: tuple = _setting("comm_range_m", GRID)
     densities_per_km: tuple = _setting("density_per_km", GRID)
-    safety_distance_m: float = _setting("safety_distance_m", POSITIVE)
+    safety_distance_m: float = _setting("safety_distance_m", WHOLE_METRES)
     seeds: int = _setting("seeds", SEED_COUNT)
     base_seed: int = _setting("base_seed", COUNT)
     warmup_steps: int = _setting("warmup_steps", COUNT)
     horizon_s: float = _setting("horizon_s", POSITIVE)
-    connection_density_per_km: float = _setting("connection_density_per_km", POSITIVE)
+    connection_density_per_km: float = _setting("connection_density_per_km", DENSITY)
     file_sizes_bytes: tuple = _setting("file_size_mb", GRID_MB)
     fragment_bytes: float = _setting("fragment_mb", POSITIVE_MB)
     nominal_mac_rate_bps: float = _setting("nominal_mac_rate_mbps", POSITIVE_MBPS)
     success_fraction: float = _setting("success_fraction", FRACTION)
-    max_volume_densities: tuple = _setting("max_volume.density_per_km", GRID)
-    max_volume_range_m: float = _setting("max_volume.comm_range_m", POSITIVE)
-    max_volume_sd_m: float = _setting("max_volume.safety_distance_m", POSITIVE)
+    max_volume_densities: tuple = _setting("max_volume.density_per_km", DENSITY_GRID)
+    max_volume_range_m: float = _setting("max_volume.comm_range_m", WHOLE_METRES)
+    max_volume_sd_m: float = _setting("max_volume.safety_distance_m", WHOLE_METRES)
     max_volume_warmup_steps: int = _setting("max_volume.warmup_steps", COUNT)
     max_volume_seeds: int = _setting("max_volume.seeds", SEED_COUNT)
     max_volume_direct_seeds: int = _setting("max_volume.direct_seeds", SEED_COUNT)
-    max_volume_plan_margin_s: float = _setting("max_volume.plan_margin_s", PLAN_MARGIN)
-    cluster_densities: tuple = _setting("cluster_size.density_per_km", GRID)
-    cluster_range_m: float = _setting("cluster_size.comm_range_m", POSITIVE)
-    cluster_sd_m: float = _setting("cluster_size.safety_distance_m", POSITIVE)
+    max_volume_plan_margin_s: float = _setting("max_volume.plan_margin_s", NOT_NEGATIVE)
+    cluster_densities: tuple = _setting("cluster_size.density_per_km", DENSITY_GRID)
+    cluster_range_m: float = _setting("cluster_size.comm_range_m", WHOLE_METRES)
+    cluster_sd_m: float = _setting("cluster_size.safety_distance_m", WHOLE_METRES)
     cluster_warmup_steps: int = _setting("cluster_size.warmup_steps", COUNT)
     cluster_seeds: int = _setting("cluster_size.seeds", SEED_COUNT)
     cluster_horizon_s: float = _setting("cluster_size.horizon_s", PLANNING_HORIZON)
 
-    def __post_init__(self):
-        for f in fields(self):
-            kind, value = f.metadata["kind"], getattr(self, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            for broken, must in (
-                    (kind.finite and math.inf in map(abs, values), "be finite"),
-                    (not values, "not be empty"),
-                    (len(set(values)) != len(values), "not list a value twice"),
-                    (not all(map(kind.ok, values)), kind.rule)):
-                if broken:
-                    raise ConfigError(f"config key 'experiments."
-                                      f"{f.metadata['key']}' must {must}")
+
+KEYS["experiments"] = {f.name: (f.metadata["key"], f.metadata["kind"])
+                       for f in fields(ExperimentSettings)}
 
 
 @dataclass(frozen=True)
@@ -268,98 +323,65 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return raw
 
 
+def _at(raw: dict, path: str):
+    """The value at the dotted path of raw; a ConfigError names a missing
+    key, or a value where a section of keys belongs."""
+    node, parts = raw, path.split(".")
+    for i, key in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(f"config key '{'.'.join(parts[:i])}' must be a "
+                              f"section of keys, got {node!r}")
+        if key not in node:
+            raise ConfigError(f"missing config key '{'.'.join(parts[:i + 1])}'")
+        node = node[key]
+    return node
+
+
+def _paths(node: dict, prefix: str = ""):
+    """The dotted path of every key in node that holds no section of keys."""
+    for key, value in node.items():
+        if isinstance(value, dict) and value:
+            yield from _paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+def _built(section: str, make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError as a ConfigError naming section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"config section '{section}': {e}") from e
+
+
 def resolve(raw: dict) -> Config:
     """Convert a raw config document to typed SI-unit objects.
 
-    A key this function never reads is a ConfigError.
+    Every key of KEYS is read, converted and checked by its kind, and any
+    other key is a ConfigError.
     """
-    raw = _Section(raw)
-    try:
-        mob = raw.section("mobility")
-        cha = raw.section("channel")
-        rat = raw.section("rates")
-        mac = raw.section("mac")
-        exp = raw.section("experiments")
-
-        mobility_defaults = {
-            "lane_length_m": mob.real("lane_length_km") * 1000.0,
-            "lane_width_m": mob.real("lane_width_m"),
-            "lanes_per_direction": mob.integer("lanes_per_direction"),
-            "v_min_mps": mob.real("v_min_kmh") / 3.6,
-            "v_max_mps": mob.real("v_max_kmh") / 3.6,
-            "accel_mps2": mob.real("accel_mps2"),
-            "step_s": mob.real("step_s"),
-        }
-
-        def band(i, row):
-            at = f"channel.mu_profile[{i}]"
-            lo, hi, m = _list(row, at, 3)
-            hi = math.inf if hi in ("inf", ".inf", None) else _real(hi, f"{at}[1]")
-            return (_real(lo, f"{at}[0]"), hi, _real(m, f"{at}[2]"))
-
-        profile = tuple(band(i, row) for i, row in
-                        enumerate(_list(cha["mu_profile"], "channel.mu_profile")))
-        channel = ChannelParams(
-            tx_power_w=cha.real("tx_power_w"),
-            noise_w=watts_from_dbm(cha.real("noise_dbm")),
-            tx_gain=cha.real("tx_gain"),
-            rx_gain=cha.real("rx_gain"),
-            tx_height_m=cha.real("tx_height_m"),
-            rx_height_m=cha.real("rx_height_m"),
-            path_loss_exp=cha.real("path_loss_exp"),
-            system_loss=cha.real("system_loss"),
-            mu_profile=profile,
-        )
-
-        rates = RateTable(
-            rates_bps=tuple(r * 1e6 for r in rat.reals("rates_mbps")),
-            thresholds_snr=rat.reals("thresholds_snr"),
-        )
-
-        mac_defaults = {
-            "w": mac.integer("backoff_window"),
-            "lp_bits": mac.real("packet_kb") * KB * 8.0,
-            "t_slot_s": mac.real("slot_us") * 1e-6,
-            "t_rts_s": mac.real("rts_us") * 1e-6,
-            "t_cts_s": mac.real("cts_us") * 1e-6,
-            "t_difs_s": mac.real("difs_us") * 1e-6,
-            "t_sifs_s": mac.real("sifs_us") * 1e-6,
-            "t_ack_s": mac.real("ack_us") * 1e-6,
-        }
-        cs_factor = mac.real("carrier_sense_factor")
-        if cs_factor <= 0:
-            raise ConfigError("carrier_sense_factor must be positive")
-
-        values = {}
-        for f in fields(ExperimentSettings):
-            *sections, key = f.metadata["key"].split(".")
-            kind = f.metadata["kind"]
-            value = getattr(functools.reduce(_Section.section, sections, exp),
-                            kind.read)(key)
-            values[f.name] = (tuple(v * kind.scale for v in value)
-                              if kind.read == "reals" else value * kind.scale)
-        settings = ExperimentSettings(**values)
-
-        cfg = Config(
-            channel=channel,
-            rates=rates,
-            mac_defaults=mac_defaults,
-            carrier_sense_factor=cs_factor,
-            mobility_defaults=mobility_defaults,
-            experiments=settings,
-        )
-        # Instantiating one mobility and one MAC config exercises their
-        # validation too.
-        cfg.mobility(settings.densities_per_km[0], settings.safety_distance_m)
-        cfg.mac_for(settings.comm_ranges_m[0], settings.densities_per_km[0])
-        unknown = list(raw.unread())
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cfg
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid configuration: {e}") from e
+    si = {section: {} for section in KEYS}
+    for section, keys in KEYS.items():
+        for name, (key, kind) in keys.items():
+            path = f"{section}.{key}"
+            si[section][name] = _value(_at(raw, path), path, kind)
+    settings = ExperimentSettings(**si["experiments"])
+    cfg = Config(
+        channel=_built("channel", ChannelParams, **si["channel"]),
+        rates=_built("rates", RateTable, **si["rates"]),
+        carrier_sense_factor=si["mac"].pop("carrier_sense_factor"),
+        mac_defaults=si["mac"],
+        mobility_defaults=si["mobility"],
+        experiments=settings,
+    )
+    _built("mobility", cfg.mobility, settings.densities_per_km[0],
+           settings.safety_distance_m)
+    declared = {f"{section}.{key}" for section, keys in KEYS.items()
+                for key, _ in keys.values()}
+    unknown = [path for path in _paths(raw) if path not in declared]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return cfg
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> Config:
@@ -369,28 +391,15 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     return resolve(raw)
 
 
-def _field_lines(params):
-    """One "  name = value" line per dataclass field, tuples as lists."""
-    for f in fields(params):
-        v = getattr(params, f.name)
-        v = list(v) if isinstance(v, tuple) else v
-        yield f"  {f.name} = {format(v, '.6e' if f.name == 'noise_w' else '')}"
-
-
 def describe(cfg: Config) -> str:
-    """Human-readable echo of the resolved SI-unit parameters."""
-    lines = [
-        "mobility:",
-        *(f"  {k} = {v}" for k, v in cfg.mobility_defaults.items()),
-        "channel:",
-        *_field_lines(cfg.channel),
-        "rates:",
-        f"  rates_bps = {list(cfg.rates.rates_bps)}",
-        f"  thresholds_snr = {list(cfg.rates.thresholds_snr)}",
-        "mac:",
-        *(f"  {k} = {v}" for k, v in cfg.mac_defaults.items()),
-        f"  carrier_sense_factor = {cfg.carrier_sense_factor}",
-        "experiments:",
-        *_field_lines(cfg.experiments),
-    ]
+    """Human-readable echo of the resolved SI-unit parameters, one
+    "  name = value" line per value (tuples as lists) under its section."""
+    mac = {**cfg.mac_defaults, "carrier_sense_factor": cfg.carrier_sense_factor}
+    lines = []
+    for section, values in zip(KEYS, (cfg.mobility_defaults, vars(cfg.channel),
+                                      vars(cfg.rates), mac, vars(cfg.experiments))):
+        lines.append(f"{section}:")
+        for name, v in values.items():
+            v = list(v) if isinstance(v, tuple) else v
+            lines.append(f"  {name} = {format(v, '.6e' if name == 'noise_w' else '')}")
     return "\n".join(lines)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mobility
 from .channel import expected_rate, expected_rates
-from .config import Config
+from .config import DENSITY_KEY_SCALE, Config, seed_key
 from .connection import connection_times, in_range_mask
 from .mobility import Fleet, MobilityConfig
 from .protocol import (NEAR_SLACK_M, Snapshot, VehicleState, form_cluster,
@@ -34,15 +34,6 @@ MAX_REQUEST_WAIT_STEPS = 900
 def _rng(base_seed: int, stream: str, *key: int) -> np.random.Generator:
     parts = [int(base_seed), _STREAMS[stream], *key]
     return np.random.default_rng(np.random.SeedSequence(parts))
-
-
-def _seed_key(value: float, scale: int = 1) -> int:
-    """RNG key of a grid value in units of 1/scale; ValueError unless whole."""
-    scaled = value * scale
-    key = round(scaled)
-    if not math.isclose(scaled, key, rel_tol=1e-9, abs_tol=1e-9):
-        raise ValueError(f"{value} is not a whole multiple of 1/{scale}")
-    return key
 
 
 @dataclass
@@ -409,7 +400,7 @@ def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float | None,
     range (none when comm_range_m is None, as in the pair sweeps), the SD
     and the seed index.
     """
-    ranges = () if comm_range_m is None else (_seed_key(comm_range_m),)
+    ranges = () if comm_range_m is None else (seed_key(comm_range_m),)
     sizes = [2 * cfg.mobility(density, sd).vehicles_per_direction
              for density, _ in keys]
     for run in mobility.batches(sizes):
@@ -417,8 +408,8 @@ def warm_starts(cfg: Config, keys, sd: float, comm_range_m: float | None,
         for density, seed_idx in keys[run]:
             mcfg = cfg.mobility(density, sd)
             rng = _rng(cfg.experiments.base_seed, stream,
-                       _seed_key(density, 1000), *ranges, _seed_key(sd),
-                       seed_idx)
+                       seed_key(density, DENSITY_KEY_SCALE), *ranges,
+                       seed_key(sd), seed_idx)
             batch.append(((density, seed_idx),
                           WarmStart(mobility.init_scenario(mcfg, rng), mcfg,
                                     rng, comm_range_m)))

@@ -107,6 +107,43 @@ def test_an_infinite_setting_exits_2(tmp_path, capsys, command, setting):
     assert list(tmp_path.iterdir()) == []
 
 
+# Values that no rule outside experiments checked, and values no RNG stream
+# could be keyed by, each through a command it crashed or ran to a wrong
+# result with.  Each names its key, or its section for a rule across keys.
+REJECTED_SETTINGS = [
+    ("throughput", "mac.packet_kb=.inf", "mac.packet_kb"),
+    ("rate-curve", "channel.noise_dbm=.inf", "channel.noise_dbm"),
+    ("connection-time", "mobility.lane_length_km=.inf", "mobility.lane_length_km"),
+    ("rate-curve", "channel.mu_profile=[]", "channel.mu_profile"),
+    ("throughput", "mac.slot_us=0", "mac.slot_us"),
+    ("rate-curve", "channel.tx_power_w=0", "channel.tx_power_w"),
+    ("connection-time", "mobility.step_s=0", "mobility.step_s"),
+    ("rate-curve", "rates.rates_mbps=[]", "rates.rates_mbps"),
+    ("throughput", "mac.carrier_sense_factor=0", "mac.carrier_sense_factor"),
+    ("rate-curve", "channel.tx_gain=-1", "channel.tx_gain"),
+    ("rate-curve", "channel.tx_height_m=0", "channel.tx_height_m"),
+    ("rate-curve", "channel.path_loss_exp=-4", "channel.path_loss_exp"),
+    ("connection-time", "mobility.lane_width_m=0", "mobility.lane_width_m"),
+    ("rate-curve", "channel.mu_profile=[[0, .inf, .inf]]", "channel.mu_profile[0][2]"),
+    ("cluster-size", "experiments.cluster_size.comm_range_m=250.5",
+     "experiments.cluster_size.comm_range_m"),
+    ("capacity", "experiments.safety_distance_m=150.5",
+     "experiments.safety_distance_m"),
+    ("connection-time", "mobility.v_min_kmh=130", "mobility"),
+    ("rate-curve", "rates.rates_mbps=[6, 9]", "rates"),
+]
+
+
+@pytest.mark.parametrize("command,setting,name", REJECTED_SETTINGS,
+                         ids=[s for _, s, _ in REJECTED_SETTINGS])
+def test_a_rejected_setting_exits_2_naming_its_key(tmp_path, capsys, command,
+                                                   setting, name):
+    for argv in (["validate-config"], [command, "--seeds", "1"]):
+        assert main([*argv, "--set", setting, "--out", str(tmp_path)]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

@@ -6,9 +6,9 @@ import math
 import pytest
 import yaml
 
-from cftsim.config import (ConfigError, ExperimentSettings, apply_overrides,
-                           default_config_path, describe, load_config,
-                           load_raw, resolve)
+from cftsim.config import (KEYS, ConfigError, _integer, _reals,
+                           apply_overrides, default_config_path, describe,
+                           load_config, load_raw, resolve)
 
 MB = 1_000_000.0
 
@@ -207,30 +207,74 @@ def test_config_error_cases(tmp_path):
     "experiments.seeds=abc",
     "experiments.seeds=[3]",
     "experiments.seeds=null",
+    # model values that are infinite, empty, not positive or out of range
+    "mac.packet_kb=.inf",
+    "channel.noise_dbm=.inf",
+    "mobility.lane_length_km=.inf",
+    "channel.mu_profile=[]",
+    "channel.tx_power_w=0",
+    "mobility.step_s=0",
+    "rates.rates_mbps=[]",
+    "channel.tx_gain=-1",
+    "channel.tx_height_m=0",
+    "channel.path_loss_exp=-4",
+    "mobility.lane_width_m=0",
+    # mu_profile band values: lo, hi and mu out of range
+    "channel.mu_profile=[[-1, .inf, 1.0]]",
+    "channel.mu_profile=[[.inf, .inf, 1.0]]",
+    "channel.mu_profile=[[5, 5, 1.0]]",
+    "channel.mu_profile=[[0, .inf, 0]]",
+    "channel.mu_profile=[[0, .inf, .inf]]",
+    # values that cannot key an RNG stream
+    "experiments.cluster_size.comm_range_m=250.5",
+    "experiments.safety_distance_m=150.5",
+    "experiments.max_volume.density_per_km=[5, 5.0001]",
+    "experiments.connection_density_per_km=7.0005",
+    # rules across the keys of a section
+    "mobility.v_min_kmh=130",
+    "rates.rates_mbps=[6, 9]",
 ])
 def test_invalid_values_are_config_errors(override):
     with pytest.raises(ConfigError):
         load_config(overrides=[override])
 
 
-def test_every_real_experiment_setting_but_the_cluster_horizon_is_finite():
-    # Each setting declares its key under experiments and its kind.  Every
-    # declared key is in the shipped file, and every real setting rejects an
-    # infinity, naming its key, but the cluster-size planning horizon.
-    shipped = set(_leaf_paths(load_raw()))
-    for f in dataclasses.fields(ExperimentSettings):
-        key, kind = f"experiments.{f.metadata['key']}", f.metadata["kind"]
-        assert key in shipped
-        if kind.read == "integer":
-            continue
-        override = f"{key}={'[5, .inf]' if kind.read == 'reals' else '.inf'}"
-        if f.name == "cluster_horizon_s":
-            cfg = load_config(overrides=[override])
+# The declared keys whose kind lets 0 through; every other key must be
+# positive (or, for a count, at least 1).
+ZERO_KEYS = {"mobility.v_min_kmh", "mobility.v_max_kmh", "mobility.accel_mps2",
+             "channel.noise_dbm", "experiments.base_seed",
+             "experiments.warmup_steps", "experiments.max_volume.warmup_steps",
+             "experiments.cluster_size.warmup_steps",
+             "experiments.max_volume.plan_margin_s"}
+
+
+def test_every_declared_key_is_shipped_and_checked_by_its_kind():
+    # KEYS declares each key of the five sections once, with its SI name
+    # and kind.  The declared keys are the shipped file's leaf keys.  Each
+    # one rejects an infinity, naming its key, but the cluster-size planning
+    # horizon, and each one but ZERO_KEYS rejects 0.  mu_profile is read
+    # band by band, with a kind per band value: its cases are below.
+    declared = {f"{section}.{key}": kind for section, keys in KEYS.items()
+                for key, kind in keys.values()}
+    assert set(declared) == set(_leaf_paths(load_raw()))
+    del declared["channel.mu_profile"]
+    for path, kind in declared.items():
+        listed = kind.read is _reals
+        if path == "experiments.cluster_size.horizon_s":
+            cfg = load_config(overrides=[f"{path}=.inf"])
             assert math.isinf(cfg.experiments.cluster_horizon_s)
         else:
             with pytest.raises(ConfigError) as info:
-                load_config(overrides=[override])
-            assert f"'{key}' must be finite" in str(info.value)
+                load_config(overrides=[f"{path}={'[5, .inf]' if listed else '.inf'}"])
+            must = "be an integer" if kind.read is _integer else "be finite"
+            assert f"'{path}' must {must}" in str(info.value)
+        zero = "[0]" if listed else "0"
+        if path in ZERO_KEYS:
+            assert kind.ok(kind.scale(0))
+        else:
+            with pytest.raises(ConfigError) as info:
+                load_config(overrides=[f"{path}={zero}"])
+            assert f"'{path}' must" in str(info.value)
 
 
 @pytest.mark.parametrize("override,path", [
@@ -264,9 +308,41 @@ def test_nan_values_are_config_errors_naming_their_key(override, path):
     ("experiments.seeds=abc", "experiments.seeds"),
     ("experiments.seeds=[3]", "experiments.seeds"),
     ("experiments.seeds=null", "experiments.seeds"),
+    ("mac.packet_kb=.inf", "mac.packet_kb"),
+    ("channel.noise_dbm=.inf", "channel.noise_dbm"),
+    ("mobility.lane_length_km=.inf", "mobility.lane_length_km"),
+    ("channel.mu_profile=[]", "channel.mu_profile"),
+    ("mac.slot_us=0", "mac.slot_us"),
+    ("channel.tx_power_w=0", "channel.tx_power_w"),
+    ("mobility.step_s=0", "mobility.step_s"),
+    ("rates.rates_mbps=[]", "rates.rates_mbps"),
+    ("mac.carrier_sense_factor=0", "mac.carrier_sense_factor"),
+    ("channel.tx_gain=-1", "channel.tx_gain"),
+    ("channel.tx_height_m=0", "channel.tx_height_m"),
+    ("channel.path_loss_exp=-4", "channel.path_loss_exp"),
+    ("mobility.lane_width_m=0", "mobility.lane_width_m"),
+    ("channel.mu_profile=[[-1, .inf, 1.0]]", "channel.mu_profile[0][0]"),
+    ("channel.mu_profile=[[.inf, .inf, 1.0]]", "channel.mu_profile[0][0]"),
+    ("channel.mu_profile=[[0, 90.5, 1.0], [90.5, 90.5, 1.0]]",
+     "channel.mu_profile[1][1]"),
+    ("channel.mu_profile=[[0, .inf, 0]]", "channel.mu_profile[0][2]"),
+    ("channel.mu_profile=[[0, .inf, .inf]]", "channel.mu_profile[0][2]"),
+    ("experiments.cluster_size.comm_range_m=250.5",
+     "experiments.cluster_size.comm_range_m"),
+    ("experiments.safety_distance_m=150.5", "experiments.safety_distance_m"),
+    ("experiments.max_volume.density_per_km=[5, 5.0001]",
+     "experiments.max_volume.density_per_km"),
+    ("experiments.connection_density_per_km=7.0005",
+     "experiments.connection_density_per_km"),
+    # An integer past the largest float is not a number.
+    (f"mobility.step_s=1{'0' * 309}", "mobility.step_s"),
+    # A rule across keys names the section.
+    ("mobility.v_min_kmh=130", "mobility"),
+    ("rates.rates_mbps=[6, 9]", "rates"),
 ])
 def test_misshapen_values_are_config_errors_naming_their_key(override, path):
     # A string is iterable, so a list reader would split it into characters.
+    # Every value a kind rejects is named by its key too.
     with pytest.raises(ConfigError) as info:
         load_config(overrides=[override])
     assert f"'{path}'" in str(info.value)

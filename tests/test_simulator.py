@@ -12,7 +12,7 @@ import pytest
 
 from cftsim import mobility, protocol, simulator
 from cftsim.channel import expected_rate
-from cftsim.config import load_config
+from cftsim.config import load_config, seed_key
 from cftsim.connection import (connection_times, in_range, in_range_mask,
                                predict_connection_time)
 from cftsim.mac import throughput
@@ -78,11 +78,11 @@ def test_rng_streams_are_stable_and_independent():
 def test_seed_keys_are_exact(default_cfg):
     # Shipped integer grids keep the keys int() gave them.
     for d in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
-        assert simulator._seed_key(d, 1000) == int(d * 1000)
-    assert simulator._seed_key(250.0) == 250
-    assert simulator._seed_key(1.001, 1000) == 1001   # int() gave 1.0's 1000
+        assert seed_key(d, 1000) == int(d * 1000)
+    assert seed_key(250.0) == 250
+    assert seed_key(1.001, 1000) == 1001   # int() gave 1.0's 1000
     with pytest.raises(ValueError):
-        simulator._seed_key(250.9)                   # int() reused 250's stream
+        seed_key(250.9)                   # int() reused 250's stream
     batches = simulator.warm_starts(default_cfg, [(5.0, 0)], 150.0, 250.9,
                                     15, "max-volume")
     with pytest.raises(ValueError):
@@ -176,8 +176,8 @@ def test_batched_snapshots_equal_per_seed_warm_up(monkeypatch, warmup_steps):
     for seed_idx, (snap, gen) in enumerate(zip(starts, gens)):
         assert snap.comm_range_m is None and snap.rng is gen
         rng = real_rng(e.base_seed, "connection",
-                       simulator._seed_key(density, 1000),
-                       simulator._seed_key(sd), seed_idx)
+                       seed_key(density, 1000),
+                       seed_key(sd), seed_idx)
         fleet = mobility.init_scenario(snap.mcfg, rng)
         warm_up(fleet, snap.mcfg, rng, warmup_steps)
         assert np.array_equal(snap.fleet.x, fleet.x)
@@ -208,8 +208,8 @@ def _per_fleet_pair_sweep(cfg, stream, value_name, pair_values):
     records = {(r_m,): [] for r_m in e.comm_ranges_m}
     for seed_idx in range(e.seeds):
         rng = simulator._rng(e.base_seed, stream,
-                             simulator._seed_key(density, 1000),
-                             simulator._seed_key(sd), seed_idx)
+                             seed_key(density, 1000),
+                             seed_key(sd), seed_idx)
         fleet = mobility.init_scenario(mcfg, rng)
         warm_up(fleet, mcfg, rng, e.warmup_steps)
         dx, dy, dvx = _full_matrix_pairs(fleet, mcfg.lane_length_m)

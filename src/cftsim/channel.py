@@ -30,7 +30,8 @@ class ChannelParams:
                       d**alpha path loss as squared factors
     path_loss_exp     path loss exponent alpha
     system_loss       system loss factor L >= 1
-    mu_profile        distance-banded Nakagami shape values
+    mu_profile        distance-banded Nakagami shape values, as (lo_m,
+                      hi_m, mu) bands that partition [0, inf) in order
     """
 
     tx_power_w: float
@@ -50,11 +51,17 @@ class ChannelParams:
             raise ValueError("noise_w must be positive")
         if self.system_loss < 1.0:
             raise ValueError("system_loss must be >= 1")
+        end = 0.0
         for lo, hi, mu in self.mu_profile:
             if mu <= 0.0:
                 raise ValueError("mu values must be positive")
+            if lo != end:
+                raise ValueError(f"mu profile band [{lo}, {hi}) must start at {end}")
             if hi <= lo:
                 raise ValueError("mu profile bands must have positive width")
+            end = hi
+        if end != np.inf:
+            raise ValueError(f"mu profile must end at inf, not at {end}")
 
 
 def mean_power(distance_m: float, params: ChannelParams) -> float:
@@ -77,12 +84,12 @@ def _check_distance(distance_m) -> None:
 
 
 def mu_for_distance(distance_m: float, params: ChannelParams) -> float:
-    """Nakagami shape for the band containing the distance."""
+    """Nakagami shape for the band containing the distance: the first band
+    whose upper edge lies above it, as the bands partition [0, inf)."""
     _check_distance(distance_m)
-    for lo, hi, mu in params.mu_profile:
-        if lo <= distance_m < hi:
+    for _, hi, mu in params.mu_profile:
+        if distance_m < hi:
             return mu
-    return params.mu_profile[-1][2]
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,8 @@ def expected_rates(distances_m, params: ChannelParams,
 
     Every step is the scalar one taken elementwise.  d**alpha is Python's
     ``**`` per element, which is libm's pow: numpy's vectorised pow is not
-    bit-exact against it.  The Nakagami shape takes the first band that
-    contains the distance, as mu_for_distance does.
+    bit-exact against it.  The Nakagami shape takes the first band whose
+    upper edge lies above the distance, as mu_for_distance does.
     """
     d = np.asarray(distances_m, dtype=float)
     bad = ~((d > 0.0) & (d < np.inf))
@@ -175,9 +182,8 @@ def expected_rates(distances_m, params: ChannelParams,
     p = params
     path = np.array([x**p.path_loss_exp for x in d.tolist()])
     omega = _gain(p) / (path * p.system_loss)
-    mu = np.full(d.size, float(p.mu_profile[-1][2]))
-    for lo, hi, band_mu in reversed(p.mu_profile):
-        mu[(lo <= d) & (d < hi)] = band_mu
+    _, hi, band_mu = np.array(p.mu_profile, dtype=float).T
+    mu = band_mu[np.searchsorted(hi, d, side="right")]
     scale = (mu / omega) * p.noise_w
     tails = gammaincc(mu[:, None], scale[:, None] * np.array(table.thresholds_snr))
     probs = tails - np.column_stack((tails[:, 1:], np.zeros(d.size)))

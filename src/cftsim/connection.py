@@ -31,6 +31,9 @@ import numpy as np
 # leave the inside to in_range.
 RANGE_SLACK_REL = 1e-9
 RANGE_SLACK_M = 1e-6
+# Slack of a band test on positions, in metres: far wider than any
+# rounding of ring_delta, so that the exact test decides.
+NEAR_SLACK_M = 1.0
 
 
 def in_range(dx: float, dy: float, comm_range_m: float) -> bool:

@@ -114,47 +114,39 @@ def collision_duration(params: MacParams) -> float:
     return params.t_rts_s + params.t_difs_s
 
 
-def avg_slot_length(n: int, zeta: float, params: MacParams,
-                    data_rate_bps: float) -> float:
-    """Expected slot duration T with n contenders.
-
-    T = P_idle * t_slot + P_s * T_s + P_c * T_c where P_idle = (1-zeta)^n,
-    P_s is the unconditional single-transmission probability and P_c the
-    collision probability.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one contender, got n={n}")
+def _slot_terms(n: int, zeta: float, params: MacParams
+                ) -> tuple[float, float, float]:
+    """The rate-free terms of a slot with n contenders: P_idle * t_slot,
+    P_s and P_c * T_c, where P_idle = (1-zeta)^n, P_s is the unconditional
+    single-transmission probability and P_c the collision probability."""
+    p_one = p_success(n, zeta)      # checks n and zeta before the power
     p_idle = (1.0 - zeta) ** n
     p_tr = 1.0 - p_idle
-    p_s = p_tr * p_success(n, zeta)
-    p_c = p_tr - p_s
-    return (p_idle * params.t_slot_s
-            + p_s * success_duration(params, data_rate_bps)
-            + p_c * collision_duration(params))
+    p_s = p_tr * p_one
+    return (p_idle * params.t_slot_s, p_s,
+            (p_tr - p_s) * collision_duration(params))
+
+
+def avg_slot_length(n: int, zeta: float, params: MacParams,
+                    data_rate_bps: float) -> float:
+    """Expected slot duration T = P_idle * t_slot + P_s * T_s + P_c * T_c
+    with n contenders (_slot_terms)."""
+    idle, p_s, collided = _slot_terms(n, zeta, params)
+    return idle + p_s * success_duration(params, data_rate_bps) + collided
 
 
 @functools.lru_cache(maxsize=256)
-def _rate_free_terms(params: MacParams) -> tuple[float, tuple]:
-    """The terms of throughput that do not depend on the data rate.
-
-    Returns the constant prefix t_rts + t_sifs + t_cts + t_sifs of T_s,
-    and per entry of contention_pmf its mass, P_idle * t_slot, P_s,
-    P_c * T_c and P_s * L_p; a draw of n = 0 contenders counts as n = 1.
-    """
+def _rate_free_terms(params: MacParams) -> tuple:
+    """The terms of throughput that do not depend on the data rate: per
+    entry of contention_pmf its mass, the _slot_terms and P_s * L_p; a
+    draw of n = 0 contenders counts as n = 1."""
     zeta = transmission_prob(params.w)
-    t_c = collision_duration(params)
     ns, masses = contention_pmf(params)
     terms = []
     for n, mass in zip(ns.tolist(), masses.tolist()):
-        n = max(n, 1)
-        p_idle = (1.0 - zeta) ** n
-        p_tr = 1.0 - p_idle
-        p_s = p_tr * p_success(n, zeta)
-        p_c = p_tr - p_s
-        terms.append((mass, p_idle * params.t_slot_s, p_s, p_c * t_c,
-                      p_s * params.lp_bits))
-    prefix = params.t_rts_s + params.t_sifs_s + params.t_cts_s + params.t_sifs_s
-    return prefix, tuple(terms)
+        idle, p_s, collided = _slot_terms(max(n, 1), zeta, params)
+        terms.append((mass, idle, p_s, collided, p_s * params.lp_bits))
+    return tuple(terms)
 
 
 def throughput(params: MacParams, data_rate_bps: float) -> float:
@@ -170,12 +162,8 @@ def throughput(params: MacParams, data_rate_bps: float) -> float:
     per MacParams and kept in a bounded cache (_rate_free_terms); a call
     computes only T_s and the sum over n.
     """
-    if data_rate_bps <= 0:
-        raise ValueError("data rate must be positive")
-    prefix, terms = _rate_free_terms(params)
-    t_s = (prefix + params.lp_bits / data_rate_bps
-           + params.t_sifs_s + params.t_ack_s + params.t_difs_s)
+    t_s = success_duration(params, data_rate_bps)
     total = 0.0
-    for mass, idle, p_s, collided, payload in terms:
+    for mass, idle, p_s, collided, payload in _rate_free_terms(params):
         total += mass * (payload / (idle + p_s * t_s + collided))
     return total

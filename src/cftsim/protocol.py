@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelParams, RateTable, expected_rate
-from .connection import (RANGE_SLACK_M, RANGE_SLACK_REL, in_range,
-                         in_range_mask, predict_connection_time, range_window)
+from .connection import (NEAR_SLACK_M, RANGE_SLACK_M, RANGE_SLACK_REL,
+                         in_range, in_range_mask, predict_connection_time,
+                         range_window)
 from .mac import MacParams, throughput
 from .mobility import ring_delta
 
@@ -174,19 +175,6 @@ def _contact(a: VehicleState, b: VehicleState, models: Models,
             _mid_contact_distance(dx, dy, dvx, dvy, t_in, t_out))
 
 
-def _budget_from_contact(i: VehicleState, source: VehicleState,
-                         s_bytes: float, models: Models) -> LinkBudget:
-    """The i <- source link's capacity over its predicted contact."""
-    t_start_s, duration_s, d_m = _contact(i, source, models, models.range_m)
-    e_c = expected_rate(d_m, models.channel, models.rates)
-    if math.isinf(duration_s):
-        return LinkBudget(duration_s, e_c, math.inf, math.inf, t_start_s)
-    if e_c <= 0.0:
-        return LinkBudget(duration_s, e_c, 0, 0.0, t_start_s)
-    n = int(e_c * duration_s / (8.0 * s_bytes))
-    return LinkBudget(duration_s, e_c, n, n * s_bytes, t_start_s)
-
-
 def link_budget(i: VehicleState, source: VehicleState, s_bytes: float,
                 models: Models) -> LinkBudget:
     """Capacity of the i <- source link over its remaining connection time
@@ -197,14 +185,21 @@ def link_budget(i: VehicleState, source: VehicleState, s_bytes: float,
             f"{_distance(i, source, models):.1f} m apart, "
             f"beyond the {models.range_m:.1f} m range"
         )
-    return _budget_from_contact(i, source, s_bytes, models)
+    return prospective_link_budget(i, source, s_bytes, models)
 
 
 def prospective_link_budget(i: VehicleState, source: VehicleState,
                             s_bytes: float, models: Models) -> LinkBudget:
     """Capacity of a link that may only open in the future, over its
     contact as _contact predicts it; link_budget's for a pair in range."""
-    return _budget_from_contact(i, source, s_bytes, models)
+    t_start_s, duration_s, d_m = _contact(i, source, models, models.range_m)
+    e_c = expected_rate(d_m, models.channel, models.rates)
+    if math.isinf(duration_s):
+        return LinkBudget(duration_s, e_c, math.inf, math.inf, t_start_s)
+    if e_c <= 0.0:
+        return LinkBudget(duration_s, e_c, 0, 0.0, t_start_s)
+    n = int(e_c * duration_s / (8.0 * s_bytes))
+    return LinkBudget(duration_s, e_c, n, n * s_bytes, t_start_s)
 
 
 def _mid_contact_distance(dx: float, dy: float, dvx: float, dvy: float,
@@ -281,8 +276,6 @@ class ClusterMember:
 def _derated_frags(budget: LinkBudget, s_bytes: float, models: Models) -> float:
     """Budget fragment count minus the planning safety margin."""
     if math.isinf(budget.n_frags):
-        return budget.n_frags
-    if models.plan_margin_s <= 0.0:
         return budget.n_frags
     margin = math.ceil(models.plan_margin_s * budget.e_c_bps / (8.0 * s_bytes))
     return max(budget.n_frags - margin, 0)
@@ -369,11 +362,6 @@ class Cluster:
             return 0.0
         hi = min((start + count) * self.s_bytes, self.v_bytes)
         return hi - start * self.s_bytes
-
-
-# Slack of a band test on positions, in metres: far wider than any
-# rounding of ring_delta, so that the exact test decides.
-NEAR_SLACK_M = 1.0
 
 
 def _earshot(x: np.ndarray, y: np.ndarray, models: Models) -> np.ndarray:

@@ -18,10 +18,10 @@ import numpy as np
 from . import mobility
 from .channel import expected_rate, expected_rates
 from .config import DENSITY_KEY_SCALE, Config, seed_key
-from .connection import connection_times, in_range_mask
+from .connection import NEAR_SLACK_M, connection_times, in_range_mask
 from .mobility import Fleet, MobilityConfig
-from .protocol import (NEAR_SLACK_M, Snapshot, VehicleState, form_cluster,
-                       recruit, run_cft, run_direct_baseline)
+from .protocol import (Snapshot, VehicleState, form_cluster, recruit, run_cft,
+                       run_direct_baseline)
 # Not called here: perfbench/tracing.py times link_budget at this lookup site.
 from .protocol import link_budget  # noqa: F401
 

@@ -251,10 +251,24 @@ def test_channel_params_validation():
         dataclasses.replace(PARAMS, tx_power_w=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(PARAMS, system_loss=0.5)
-    with pytest.raises(ValueError):
-        dataclasses.replace(PARAMS, mu_profile=((0.0, 100.0, -1.0),))
-    with pytest.raises(ValueError):
-        dataclasses.replace(PARAMS, mu_profile=((100.0, 100.0, 1.0),))
+    with pytest.raises(ValueError, match="mu values must be positive"):
+        dataclasses.replace(PARAMS, mu_profile=((0.0, math.inf, -1.0),))
+    with pytest.raises(ValueError, match="positive width"):
+        dataclasses.replace(PARAMS, mu_profile=((0.0, 0.0, 1.0),
+                                                (0.0, math.inf, 1.0)))
+
+
+@pytest.mark.parametrize("profile,message", [
+    (((0.0, 90.5, 1.0), (100.0, math.inf, 0.84)), "must start at 90.5"),
+    (((0.0, 90.5, 1.0), (80.0, math.inf, 0.84)), "must start at 90.5"),
+    (((10.0, math.inf, 1.0),), "must start at 0.0"),
+    (((0.0, 90.5, 1.0), (90.5, 588.0, 0.84)), "must end at inf"),
+], ids=["gap", "overlap", "first-band-not-at-0", "last-band-not-at-inf"])
+def test_mu_profile_must_partition_the_distances(profile, message):
+    # Both lookups take the first band whose upper edge lies above the
+    # distance, which is the band containing it only on a partition.
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(PARAMS, mu_profile=profile)
 
 
 def _chi2_stat(counts, probs, n):

@@ -131,6 +131,9 @@ REJECTED_SETTINGS = [
      "experiments.safety_distance_m"),
     ("connection-time", "mobility.v_min_kmh=130", "mobility"),
     ("rate-curve", "rates.rates_mbps=[6, 9]", "rates"),
+    ("rate-curve", "channel.mu_profile=[[10, .inf, 1.0]]", "channel"),
+    ("rate-curve", "channel.mu_profile=[[0, 90.5, 1.0], [100, .inf, 0.84]]",
+     "channel"),
 ]
 
 

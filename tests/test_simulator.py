@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cftsim import mobility, protocol, simulator
+from cftsim.cli import SEED_KEYS
 from cftsim.channel import expected_rate
 from cftsim.config import load_config, seed_key
 from cftsim.connection import (connection_times, in_range, in_range_mask,
@@ -794,6 +795,19 @@ def test_key_batches_leave_the_records_as_they_are(monkeypatch):
     assert [max_transfer_volume(cfg, "direct", "cft"),
             cluster_size_profile(cfg)] == shipped
     assert warmed == [3, 2, 1, 1, 1] + [3, 1, 1, 1]
+
+
+def test_fewer_seeds_give_a_prefix_of_the_records():
+    # Each seed's record depends on its key alone, not on how many seeds
+    # run beside it, so this relation survives any re-pin of the digests.
+    for metric in ("connection-time", "capacity", "cluster-size", "max-volume"):
+        few, more = (run_sweep(load_config(overrides=[
+            f"{key}={seeds}" for key in SEED_KEYS]), metric).records
+            for seeds in (3, 7))
+        assert few.keys() == more.keys()
+        assert any(few.values())
+        for key, runs in few.items():
+            assert more[key][:len(runs)] == runs, (metric, key)
 
 
 def _pair_sweep_cfg(seeds):

@@ -346,12 +346,12 @@ def _paths(node: dict, prefix: str = ""):
             yield f"{prefix}{key}"
 
 
-def _built(section: str, make: Callable, *args, **kwargs):
-    """make(*args, **kwargs), with its ValueError as a ConfigError naming section."""
+def _built(where: str, make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError as a ConfigError saying where."""
     try:
         return make(*args, **kwargs)
     except ValueError as e:
-        raise ConfigError(f"config section '{section}': {e}") from e
+        raise ConfigError(f"config {where}: {e}") from e
 
 
 def resolve(raw: dict) -> Config:
@@ -367,15 +367,23 @@ def resolve(raw: dict) -> Config:
             si[section][name] = _value(_at(raw, path), path, kind)
     settings = ExperimentSettings(**si["experiments"])
     cfg = Config(
-        channel=_built("channel", ChannelParams, **si["channel"]),
-        rates=_built("rates", RateTable, **si["rates"]),
+        channel=_built("section 'channel'", ChannelParams, **si["channel"]),
+        rates=_built("section 'rates'", RateTable, **si["rates"]),
         carrier_sense_factor=si["mac"].pop("carrier_sense_factor"),
         mac_defaults=si["mac"],
         mobility_defaults=si["mobility"],
         experiments=settings,
     )
-    _built("mobility", cfg.mobility, settings.densities_per_km[0],
-           settings.safety_distance_m)
+    # Every fleet an experiment simulates, named by its density key; the
+    # throughput grid, densities_per_km, is analytic and sizes no fleet.
+    s = settings
+    for key, densities, sd in (
+            ("connection_density_per_km", (s.connection_density_per_km,), s.safety_distance_m),
+            ("max_volume.density_per_km", s.max_volume_densities, s.max_volume_sd_m),
+            ("cluster_size.density_per_km", s.cluster_densities, s.cluster_sd_m)):
+        for density in densities:
+            _built(f"section 'mobility' at 'experiments.{key}' = {density:g}",
+                   cfg.mobility, density, sd)
     declared = {f"{section}.{key}" for section, keys in KEYS.items()
                 for key, _ in keys.values()}
     unknown = [path for path in _paths(raw) if path not in declared]

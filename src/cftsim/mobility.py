@@ -24,10 +24,10 @@ class MobilityConfig:
     """Scenario parameters for the highway mobility model.
 
     density_per_km counts vehicles per km per direction of travel; each
-    direction gets floor(density * length_km) vehicles spread round-robin
-    over its lanes.  Speeds are in m/s.  lane_length_m is the ring
-    circumference of each lane, accel_mps2 bounds the random acceleration,
-    and step_s is the update interval.
+    direction gets floor(density * length_km) vehicles, at least one,
+    spread round-robin over its lanes.  Speeds are in m/s.  lane_length_m
+    is the ring circumference of each lane, accel_mps2 bounds the random
+    acceleration, and step_s is the update interval.
     """
 
     density_per_km: float
@@ -57,6 +57,9 @@ class MobilityConfig:
         if self.v_max_mps * self.step_s > self.lane_length_m / 2.0:
             raise ValueError("a vehicle may not drive over half a lap in "
                              "one step")
+        if self.vehicles_per_direction < 1:
+            raise ValueError(f"{self.density_per_km:g} veh/km leaves no "
+                             f"vehicle on a {self.lane_length_m:g} m lane")
 
     @property
     def vehicles_per_direction(self) -> int:

@@ -27,10 +27,6 @@ from .mac import MacParams, throughput
 from .mobility import ring_delta
 
 
-class NoResourceError(Exception):
-    """No reachable vehicle holds the requested file."""
-
-
 class InsufficientCapacityError(Exception):
     """Recruitment exhausted the fleet before covering the file."""
 
@@ -237,17 +233,16 @@ def _head_link(member: VehicleState, head: VehicleState, models: Models,
 
 def select_resource(request: VehicleState, responders: list[VehicleState],
                     s_bytes: float, models: Models
-                    ) -> tuple[VehicleState, LinkBudget]:
+                    ) -> tuple[VehicleState, LinkBudget] | None:
     """Pick the downloading source among responding file holders.
 
     The responder whose link to the request vehicle has the largest
     whole-fragment capacity wins; ties go to the nearer responder, then to
     the smaller vehicle id.  Only responders within communication range are
     considered (a broadcast cannot reach the others).  Returns the winner
-    and the budget of its link to the request vehicle.
+    and the budget of its link to the request vehicle, or None when no
+    responder is within range, none responding included.
     """
-    if not responders:
-        raise NoResourceError("no vehicle responded to the file request")
     scored = []
     for r in responders:
         if not _in_range(request, r, models):
@@ -256,7 +251,7 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
         scored.append((-b.capacity_bytes, _distance(request, r, models),
                        r.vid, r, b))
     if not scored:
-        raise NoResourceError("no responder within communication range")
+        return None
     scored.sort(key=lambda t: t[:3])
     return scored[0][3:]
 
@@ -759,43 +754,33 @@ def recruit(request: VehicleState,
     _check_fragment_size(s_bytes)
     if not isinstance(fleet, Snapshot):
         fleet = Snapshot.of(fleet)
-    try:
-        resource, head_budget = select_resource(
-            request, [fleet[vid] for vid in sorted(set(holders))
-                      if vid != request.vid and vid in fleet],
-            s_bytes, models)
-    except NoResourceError:
+    chosen = select_resource(
+        request, [fleet[vid] for vid in sorted(set(holders))
+                  if vid != request.vid and vid in fleet],
+        s_bytes, models)
+    if chosen is None:
         return None
-    return Recruitment(request, resource, head_budget, fleet, s_bytes, models)
-
-
-def _direct_outcome(recruitment: Recruitment | None,
-                    v_bytes: float) -> TransferOutcome | None:
-    """A failed outcome when no holder is reachable, a direct one when the
-    resource link carries the file, and None when it needs more."""
-    _check_volume(v_bytes)
-    if recruitment is None:
-        return TransferOutcome(mode="failed", bytes_delivered=0.0)
-    if recruitment.head_budget.capacity_bytes >= v_bytes:
-        return TransferOutcome(mode="direct", bytes_delivered=v_bytes)
-    return None
+    return Recruitment(request, *chosen, fleet, s_bytes, models)
 
 
 def form_cluster(recruitment: Recruitment | None,
                  v_bytes: float) -> Cluster | TransferOutcome:
     """Plan one file of v_bytes up to the point where its cluster size is
-    fixed.
+    fixed: CFT's first step, the head-resource link, decides whether a
+    cluster is needed.
 
-    Returns the final outcome when no cluster forms: direct when the
-    resource link alone carries the file, failed with zero bytes when no
-    holder is reachable (recruitment None) or recruitment cannot cover the
-    file.  Otherwise returns the cluster; fragment assignment and delivery
-    never change its members.  Both results have n_c, which is 0 for an
-    outcome.
+    Returns the final outcome when no cluster forms: failed with zero
+    bytes when no holder is reachable (recruitment None), direct when the
+    resource link's predicted capacity alone carries the file, and failed
+    with zero bytes when recruitment cannot cover it.  Otherwise returns
+    the cluster; fragment assignment and delivery never change its
+    members.  Both results have n_c, which is 0 for an outcome.
     """
-    outcome = _direct_outcome(recruitment, v_bytes)
-    if outcome is not None:
-        return outcome
+    _check_volume(v_bytes)
+    if recruitment is None:
+        return TransferOutcome(mode="failed", bytes_delivered=0.0)
+    if recruitment.head_budget.capacity_bytes >= v_bytes:
+        return TransferOutcome(mode="direct", bytes_delivered=v_bytes)
     try:
         return build_cluster(recruitment, v_bytes)
     except InsufficientCapacityError:
@@ -831,8 +816,9 @@ def run_direct_baseline(recruitment: Recruitment | None, v_bytes: float,
     it delivers the whole file.  The outcome has no cluster (n_c 0), and
     member_results holds the head's MemberResult.
     """
-    attempt = _direct_outcome(recruitment, v_bytes)
-    if attempt is None or attempt.mode != "direct":
+    _check_volume(v_bytes)
+    if (recruitment is None
+            or recruitment.head_budget.capacity_bytes < v_bytes):
         return TransferOutcome(mode="failed", bytes_delivered=0.0)
     link, s_bytes = recruitment.head_budget, recruitment.s_bytes
     # A link that never closes (head and resource at standstill) covers an

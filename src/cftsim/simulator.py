@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -342,30 +341,20 @@ class Trajectory:
                                                  k * self.dt_s)
 
 
-def _snapshot(x: np.ndarray, y: np.ndarray, vx: np.ndarray) -> Snapshot:
-    """The fleet's Snapshot, vid i in row i, from its positions and signed
-    speeds; vy is zero on a straight highway."""
-    return Snapshot(np.arange(x.size), x, y, vx, np.zeros(x.size))
-
-
 @dataclass
 class TransferScenario:
-    """One request: the head and resource vids, and the trajectory from its
-    instant on.
+    """One request: the head and resource vids, the snapshot
+    request_instant took, and the trajectory from its instant on.
 
     snapshot holds every vehicle at the request instant, the trajectory's
-    row 0, and is built on first read; every scheme plans on it, and
-    snapshot[vid] equals trajectory.state(vid, 0.0).
+    row 0; every scheme plans on it, and snapshot[vid] equals
+    trajectory.state(vid, 0.0).
     """
 
     head_vid: int
     resource_vid: int
+    snapshot: Snapshot
     trajectory: Trajectory
-
-    @cached_property
-    def snapshot(self) -> Snapshot:
-        t = self.trajectory
-        return _snapshot(t.x[0].copy(), t.y, t.speed[0] * t.direction)
 
 
 @dataclass(frozen=True)
@@ -443,9 +432,12 @@ def request_instant(start: WarmStart, request_at: str):
       the clock when it discovers the resource, which happens at first
       beacon contact.
 
-    Returns (fleet, head, resource, rng): the branch's fleet at that
-    instant, the head and resource vids, and the generator that steps the
-    same traffic on from it.
+    Returns (snapshot, head, resource, fleet, rng).  snapshot is the one
+    Snapshot of the request, which every scheme plans on: every vehicle at
+    the instant, vid i in row i, with vy zero on a straight highway and x
+    a copy, so stepping the fleet on leaves it as it was.  head and
+    resource are vids; fleet and rng are the branch's fleet at the instant
+    and the generator that step the same traffic on from it.
     """
     if request_at not in ("contact", "encounter"):
         raise ValueError(f"unknown request_at '{request_at}'")
@@ -503,20 +495,23 @@ def request_instant(start: WarmStart, request_at: str):
             raise RuntimeError(
                 "no oncoming vehicle entered range for a transfer scenario")
 
-    return fleet, head, resource, rng
+    snapshot = Snapshot(np.arange(fleet.n), fleet.x.copy(), fleet.y,
+                        fleet.vx, np.zeros(fleet.n))
+    return snapshot, head, resource, fleet, rng
 
 
 def build_transfer_scenario(cfg: Config, start: WarmStart,
-                            request_at: str = "contact") -> TransferScenario:
+                            request_at: str) -> TransferScenario:
     """The traffic of a max-volume request instant, branched from start.
 
-    The request instant comes from request_instant.  The trajectory from
-    it on validates predicted transfers; it is stepped only as far as its
-    readers look, and the experiment horizon caps how far that may be.
+    The request instant and its snapshot come from request_instant.  The
+    trajectory from it on validates predicted transfers; it is stepped
+    only as far as its readers look, and the experiment horizon caps how
+    far that may be.
     """
-    fleet, head, resource, rng = request_instant(start, request_at)
+    snapshot, head, resource, fleet, rng = request_instant(start, request_at)
     return TransferScenario(
-        head_vid=head, resource_vid=resource,
+        head_vid=head, resource_vid=resource, snapshot=snapshot,
         trajectory=Trajectory(fleet, start.mcfg, rng,
                               cfg.experiments.horizon_s))
 
@@ -689,8 +684,7 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     for batch in warm_starts(cfg, keys, sd, r_m, e.cluster_warmup_steps,
                              "cluster"):
         for (density, _), start in batch:
-            fleet, head, resource, _ = request_instant(start, "encounter")
-            snap = _snapshot(fleet.x, fleet.y, fleet.vx)
+            snap, head, resource, _, _ = request_instant(start, "encounter")
             recruitment = recruit(snap[head], snap, e.fragment_bytes,
                                   models[density], [resource])
             for v_bytes in e.file_sizes_bytes:

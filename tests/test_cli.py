@@ -130,6 +130,10 @@ REJECTED_SETTINGS = [
     ("capacity", "experiments.safety_distance_m=150.5",
      "experiments.safety_distance_m"),
     ("connection-time", "mobility.v_min_kmh=130", "mobility"),
+    ("connection-time", "experiments.connection_density_per_km=0.05",
+     "experiments.connection_density_per_km"),
+    ("cluster-size", "experiments.cluster_size.density_per_km=[0.05]",
+     "experiments.cluster_size.density_per_km"),
     ("rate-curve", "rates.rates_mbps=[6, 9]", "rates"),
     ("rate-curve", "channel.mu_profile=[[10, .inf, 1.0]]", "channel"),
     ("rate-curve", "channel.mu_profile=[[0, 90.5, 1.0], [100, .inf, 0.84]]",

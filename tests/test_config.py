@@ -108,10 +108,14 @@ def test_overrides_follow_dotted_paths():
 
 
 def test_override_changes_a_resolved_value():
+    # The throughput grid is analytic: unlike a simulated experiment's
+    # density, it may leave a fleet no vehicle.
     cfg = load_config(overrides=["experiments.seeds=7",
-                                 "mobility.v_max_kmh=100"])
+                                 "mobility.v_max_kmh=100",
+                                 "experiments.density_per_km=[0.05]"])
     assert cfg.experiments.seeds == 7
     assert cfg.mobility_defaults["v_max_mps"] == pytest.approx(100.0 / 3.6)
+    assert cfg.experiments.densities_per_km == (0.05,)
 
 
 def test_env_var_selects_the_config_file(tmp_path, monkeypatch):
@@ -230,6 +234,10 @@ def test_config_error_cases(tmp_path):
     "experiments.safety_distance_m=150.5",
     "experiments.max_volume.density_per_km=[5, 5.0001]",
     "experiments.connection_density_per_km=7.0005",
+    # densities that leave a simulated fleet no vehicle per direction
+    "experiments.connection_density_per_km=0.05",
+    "experiments.max_volume.density_per_km=[5, 0.05]",
+    "experiments.cluster_size.density_per_km=[0.05]",
     # rules across the keys of a section
     "mobility.v_min_kmh=130",
     "rates.rates_mbps=[6, 9]",

@@ -452,7 +452,7 @@ def test_request_states_equal_trajectory_row_zero(default_cfg, request_at):
     for density, seed_idx in ((5.0, 0), (10.0, 1)):
         start = warm_start(cfg, density, seed_idx, e.max_volume_sd_m, r_m, 30,
                            "max-volume")
-        fleet = simulator.request_instant(start, request_at)[0]
+        fleet = simulator.request_instant(start, request_at)[3]
         scen = build_transfer_scenario(cfg, start, request_at)
         simulator._direct_max_volume(cfg, scen, density, r_m)
         assert scen.trajectory.x.shape[0] > 1
@@ -472,8 +472,8 @@ def _bits(state):
 def test_snapshot_rows_equal_the_listed_states_bit_for_bit(default_cfg,
                                                             experiment):
     # Each snapshot row is the VehicleState the .tolist() values give, the
-    # sign of a zero included, whether the snapshot is the cluster-size
-    # sweep's or a transfer scenario's.
+    # sign of a zero included, in request_instant's snapshot, which the
+    # cluster-size sweep reads, and in a transfer scenario's.
     cfg = default_cfg
     e = cfg.experiments
     sd, r_m, steps = ((e.max_volume_sd_m, e.max_volume_range_m,
@@ -482,9 +482,9 @@ def test_snapshot_rows_equal_the_listed_states_bit_for_bit(default_cfg,
                             e.cluster_warmup_steps))
     for density, seed_idx in ((5.0, 0), (10.0, 1)):
         start = warm_start(cfg, density, seed_idx, sd, r_m, steps, experiment)
-        fleet = simulator.request_instant(start, "encounter")[0]
+        snap, _, _, fleet, _ = simulator.request_instant(start, "encounter")
         want = [_bits(v) for v in vehicle_states(fleet.x, fleet.y, fleet.vx)]
-        for snap in (simulator._snapshot(fleet.x, fleet.y, fleet.vx),
+        for snap in (snap,
                      build_transfer_scenario(cfg, start, "encounter").snapshot):
             assert [_bits(snap[vid]) for vid in range(fleet.n)] == want
 
@@ -662,7 +662,7 @@ def test_on_demand_reads_equal_an_eager_record(default_cfg, request_at):
     r_m = e.max_volume_range_m
     start = warm_start(default_cfg, 10.0, 2, e.max_volume_sd_m, r_m, 15,
                        "max-volume")
-    fleet, head, resource, rng = simulator.request_instant(start, request_at)
+    _, head, resource, fleet, rng = simulator.request_instant(start, request_at)
     mcfg = start.mcfg
     n_steps = int(round(e.horizon_s / mcfg.step_s))
     xs, sp = _eager_record(fleet, mcfg, rng, n_steps)
@@ -750,8 +750,8 @@ def test_batch_stepped_heads_equal_on_demand_rows(monkeypatch, head_steps):
     build = simulator.build_transfer_scenario
 
     def recording(cfg, start, request_at):
-        fleet, head, resource, rng = simulator.request_instant(start,
-                                                               request_at)
+        _, head, resource, fleet, rng = simulator.request_instant(start,
+                                                                  request_at)
         built.append((head, resource,
                       _eager_record(fleet, start.mcfg, rng, n_steps)))
         return build(cfg, start, request_at)
@@ -1194,7 +1194,7 @@ def test_cluster_profile_matches_the_full_pipeline(monkeypatch):
     for density in e.cluster_densities:
         models = cfg.models(e.cluster_range_m, density, e.cluster_horizon_s)
         for seed_idx in range(e.cluster_seeds):
-            fleet, head, resource, _ = simulator.request_instant(
+            _, head, resource, fleet, _ = simulator.request_instant(
                 warm_start(cfg, density, seed_idx, e.cluster_sd_m,
                            e.cluster_range_m, e.cluster_warmup_steps,
                            "cluster"),

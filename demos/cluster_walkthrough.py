@@ -10,7 +10,8 @@ ranges, and each member hands its share over after the pass.
 import math
 
 from cftsim.config import load_config
-from cftsim.protocol import Ballistic, VehicleState, recruit, run_cft
+from cftsim.protocol import (Ballistic, VehicleState, assign_fragments,
+                             recruit, run_cft)
 
 MB = 1_000_000.0
 
@@ -34,13 +35,14 @@ def narrate(head, recruitment, traffic, v_bytes):
         return
     print(f"  cluster of {out.n_c} (head + {out.n_c - 1} helpers), "
           f"resource vehicle {out.cluster.resource}")
-    for m, r in zip(out.cluster.members, out.member_results):
-        frags = f"fragments {m.frag_start}..{m.frag_start + m.frag_count - 1}"
+    counts = assign_fragments(out.cluster)
+    for m, count, r in zip(out.cluster.members, counts, out.member_results):
+        frags = f"fragments {m.frag_start}..{m.frag_start + count - 1}"
         role = "head  " if m.vid == head.vid else "member"
         hand = "keeps them" if m.vid == head.vid else (
             "forwards in time" if r.forward_ok else "misses the handover")
         print(f"  {role} vehicle {m.vid}: {frags} "
-              f"({m.frag_count} of budget {m.budget.n_frags}), "
+              f"({count} of budget {m.budget.n_frags}), "
               f"downloads {r.downloaded_bytes / MB:.0f} MB, {hand}")
 
 

@@ -256,16 +256,19 @@ def select_resource(request: VehicleState, responders: list[VehicleState],
     return scored[0][3:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterMember:
+    """A recruitment's member, fixed at admission.  planned_frags is what
+    the planner may schedule on it: its budget less the planning margin,
+    and for any member but the head, no more than it can forward to the
+    head.  frag_start, the sum of the plans admitted before it, is where
+    its fragments start in every cluster that holds it (infinite only past
+    an infinite plan, which covers every file, so no cluster holds it)."""
+
     vid: int
     budget: LinkBudget
-    # Fragments the planner may schedule on this member: its budget less
-    # the planning margin, and for any member but the head, no more than
-    # it can forward to the head.
     planned_frags: float
-    frag_start: int = 0
-    frag_count: int = 0
+    frag_start: int
 
 
 def _derated_frags(budget: LinkBudget, s_bytes: float, models: Models) -> float:
@@ -322,7 +325,7 @@ def _plannable_frags(member: VehicleState, head: VehicleState,
         cap_bytes = usable_s / (8.0 / e_c + 8.0 / r_thr)
     if cap_bytes <= 0:
         return 0.0
-    return min(plan, float(math.floor(cap_bytes / s_bytes)))
+    return min(plan, math.floor(cap_bytes / s_bytes))
 
 
 @dataclass
@@ -335,7 +338,8 @@ class Cluster:
     request vehicle itself appears as the first member when it has usable
     direct capacity, since its own download needs no forwarding.  That
     order does not depend on the file size: every cluster of one request
-    is a prefix of the same Recruitment.
+    is a prefix of the same Recruitment, and holds its ClusterMembers
+    themselves.
     """
 
     head: int
@@ -347,9 +351,6 @@ class Cluster:
     @property
     def n_c(self) -> int:
         return len(self.members)
-
-    def total_planned_bytes(self) -> float:
-        return sum(self.s_bytes * m.planned_frags for m in self.members)
 
     def fragment_bytes(self, start: int, count: int) -> float:
         """Actual byte size of fragments [start, start+count), 0-indexed."""
@@ -464,15 +465,17 @@ class Recruitment:
     Neither that order nor any member's planned_frags depends on the file
     size, only on the fragment size s_bytes, so one recruitment serves
     every file size: build_cluster reads each cluster as the shortest
-    prefix of the members that covers its file.  Members are admitted
-    lazily, only as far as the largest file read so far needs.
+    prefix of the members that covers its file.  There every member but
+    the last carries its whole plan, so a member's fragments start at the
+    same frag_start in every cluster, fixed at admission.  Members are
+    admitted lazily, only as far as the largest file read so far needs.
 
     head_budget is the head-resource link as select_resource scored it;
     snapshot holds the fleet at the request instant, and VehicleStates
     are built from it only for the vehicles scored one at a time.  scores
     memoises _evaluate_plan's MemberResults for every file and traffic
     source read off this recruitment, keyed by (traffic source, vid,
-    frag_start, frag_count, assigned bytes), so it lives and dies with it.
+    frag_start, count, assigned bytes), so it lives and dies with it.
     """
 
     def __init__(self, head: VehicleState, resource: VehicleState,
@@ -488,21 +491,22 @@ class Recruitment:
         self.members: list[ClusterMember] = []
         plan = _derated_frags(head_budget, s_bytes, models)
         if plan > 0:
-            self.members.append(ClusterMember(head.vid, head_budget, plan))
+            self.members.append(ClusterMember(head.vid, head_budget, plan, 0))
         # _covered[j] is the planned volume of the first _first + j members;
         # a cluster never drops the head, so it is at least _first long.
         self._first = len(self.members)
-        self._covered = [s_bytes * self.members[0].planned_frags
-                         if self.members else 0.0]
+        self._covered = [s_bytes * plan]
         self._pending = self._admissions(head, resource, snapshot, s_bytes,
-                                         models)
+                                         models, plan)
         self.scores: dict[tuple, MemberResult] = {}
 
     @staticmethod
     def _admissions(head: VehicleState, resource: VehicleState,
-                    snapshot: Snapshot, s_bytes: float, models: Models):
+                    snapshot: Snapshot, s_bytes: float, models: Models,
+                    frag_start: int):
         """Yield the members after the head, in recruitment order, until
         no vehicle the invitation has yet to reach may join (_may_join).
+        frag_start is the head's plan, 0 when the head is no member.
 
         The generator holds no reference to its recruitment, so no cycle
         keeps a dropped recruitment, its scores and the traffic sources
@@ -539,7 +543,8 @@ class Recruitment:
                 # is dead weight; its planned share is capped accordingly.
                 plan = _plannable_frags(v, head, budget, s_bytes, models)
                 if plan > 0:
-                    yield ClusterMember(v.vid, budget, plan)
+                    yield ClusterMember(v.vid, budget, plan, frag_start)
+                    frag_start += plan
 
     def covering_prefix(self, v_bytes: float) -> int:
         """Member count of the minimal cluster that covers v_bytes.
@@ -566,44 +571,27 @@ def build_cluster(recruitment: Recruitment, v_bytes: float) -> Cluster:
 
     It is the shortest prefix of the recruitment whose summed usable
     capacities cover the file, which makes it minimal; the recruitment
-    order itself is shared by every file size.  Each call returns fresh
-    ClusterMembers, so assigning fragments to one cluster leaves every
-    other cluster of the same recruitment untouched.  Raises
-    InsufficientCapacityError when every reachable candidate together
-    still cannot cover the file.
+    order itself is shared by every file size, and so are its members.
+    Raises InsufficientCapacityError when every reachable candidate
+    together still cannot cover the file.
     """
     n = recruitment.covering_prefix(v_bytes)
     return Cluster(recruitment.head.vid, recruitment.resource.vid,
-                   [ClusterMember(m.vid, m.budget, m.planned_frags)
-                    for m in recruitment.members[:n]],
-                   v_bytes, recruitment.s_bytes)
+                   recruitment.members[:n], v_bytes, recruitment.s_bytes)
 
 
-def assign_fragments(cluster: Cluster) -> Cluster:
-    """Assign contiguous fragment ranges to members in recruitment order.
+def assign_fragments(cluster: Cluster) -> list[int]:
+    """Each member's fragment count: the fragments [frag_start, frag_start
+    + count) of the file are its own.
 
-    Each member takes as many of the remaining fragments as its budget
-    allows; the final member of the cover may take fewer than its maximum.
-    Returns the same cluster with frag_start/frag_count filled in.
+    A member takes its whole plan, or what is left of the file's
+    ceil(v_bytes / s_bytes) fragments from its frag_start on, if fewer;
+    so the last member of the cover takes the rest, and the ranges
+    partition the file.
     """
-    if cluster.total_planned_bytes() < cluster.v_bytes:
-        raise ValueError("cluster does not cover the file")
     n_total = math.ceil(cluster.v_bytes / cluster.s_bytes)
-    next_frag = 0
-    for m in cluster.members:
-        if next_frag >= n_total:
-            m.frag_start, m.frag_count = next_frag, 0
-            continue
-        remaining = n_total - next_frag
-        take = remaining if math.isinf(m.planned_frags) \
-            else min(int(m.planned_frags), remaining)
-        m.frag_start, m.frag_count = next_frag, take
-        next_frag += take
-    if next_frag < n_total:
-        # Coverage in bytes guarantees coverage in whole fragments:
-        # sum(n_i) * s >= V implies sum(n_i) >= ceil(V/s).
-        raise AssertionError("fragment assignment failed to cover the file")
-    return cluster
+    return [max(int(min(m.planned_frags, n_total - m.frag_start)), 0)
+            for m in cluster.members]
 
 
 def forwarding_feasible(member: VehicleState, head: VehicleState,
@@ -681,15 +669,17 @@ class Ballistic:
         return replace(s, x=s.x + s.vx * t_s, y=s.y + s.vy * t_s)
 
 
-def _evaluate_plan(cluster: Cluster, recruitment: Recruitment,
+def _evaluate_plan(cluster: Cluster, counts: list, recruitment: Recruitment,
                    traffic) -> TransferOutcome:
     """Score a fragment plan member by member against a traffic source.
 
-    traffic.window(vid, resource, range_m) gives each member's window with
-    the resource, and traffic.state(vid, t_s) its state and the head's when
-    it is ready to forward.  Download shortfalls (window shorter than the
-    assigned fragments need) and forwarding failures both reduce delivered
-    bytes; any shortfall demotes the outcome to failed.
+    counts[i] is the fragment count of cluster.members[i], from its
+    frag_start on (assign_fragments).  traffic.window(vid, resource,
+    range_m) gives each member's window with the resource, and
+    traffic.state(vid, t_s) its state and the head's when it is ready to
+    forward.  Download shortfalls (window shorter than the assigned
+    fragments need) and forwarding failures both reduce delivered bytes;
+    any shortfall demotes the outcome to failed.
 
     Each member is scored on its own: every member forwards to the head at
     once, at the full mac.throughput rate (see forwarding_feasible), so no
@@ -703,9 +693,9 @@ def _evaluate_plan(cluster: Cluster, recruitment: Recruitment,
     delivered = 0.0
     results = []
     frag_bits = 8.0 * cluster.s_bytes
-    for m in cluster.members:
-        assigned = cluster.fragment_bytes(m.frag_start, m.frag_count)
-        key = (traffic, m.vid, m.frag_start, m.frag_count, assigned)
+    for m, count in zip(cluster.members, counts):
+        assigned = cluster.fragment_bytes(m.frag_start, count)
+        key = (traffic, m.vid, m.frag_start, count, assigned)
         result = scores.get(key)
         if result is None:
             b = m.budget
@@ -716,10 +706,10 @@ def _evaluate_plan(cluster: Cluster, recruitment: Recruitment,
                 frags_possible = 0
             elif math.isinf(window):
                 # A contact that never closes downloads everything assigned.
-                frags_possible = m.frag_count
+                frags_possible = count
             else:
                 frags_possible = int(b.e_c_bps * window / frag_bits)
-            frags_got = min(m.frag_count, frags_possible)
+            frags_got = min(count, frags_possible)
             downloaded = cluster.fragment_bytes(m.frag_start, frags_got)
             t_done = t_in + (frags_got * frag_bits / b.e_c_bps
                              if b.e_c_bps > 0 else 0.0)
@@ -800,8 +790,8 @@ def run_cft(recruitment: Recruitment | None, v_bytes: float,
     planned = form_cluster(recruitment, v_bytes)
     if isinstance(planned, TransferOutcome):
         return planned
-    assign_fragments(planned)
-    return _evaluate_plan(planned, recruitment, traffic)
+    counts = assign_fragments(planned)
+    return _evaluate_plan(planned, counts, recruitment, traffic)
 
 
 def run_direct_baseline(recruitment: Recruitment | None, v_bytes: float,
@@ -824,10 +814,10 @@ def run_direct_baseline(recruitment: Recruitment | None, v_bytes: float,
     # A link that never closes (head and resource at standstill) covers an
     # unbounded file; the window traffic gives then bounds what arrives.
     n_frags = v_bytes / s_bytes
-    head = ClusterMember(recruitment.head.vid, link, link.n_frags, 0,
-                         n_frags if math.isinf(n_frags) else math.ceil(n_frags))
+    head = ClusterMember(recruitment.head.vid, link, link.n_frags, 0)
     scored = _evaluate_plan(
         Cluster(head.vid, recruitment.resource.vid, [head], v_bytes, s_bytes),
+        [n_frags if math.isinf(n_frags) else math.ceil(n_frags)],
         recruitment, traffic)
     return TransferOutcome(
         mode="direct" if scored.mode == "clustered" else "failed",

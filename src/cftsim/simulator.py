@@ -19,8 +19,8 @@ from .channel import expected_rate, expected_rates
 from .config import DENSITY_KEY_SCALE, Config, seed_key
 from .connection import NEAR_SLACK_M, connection_times, in_range_mask
 from .mobility import Fleet, MobilityConfig
-from .protocol import (Snapshot, VehicleState, form_cluster, recruit, run_cft,
-                       run_direct_baseline)
+from .protocol import (Models, Recruitment, Snapshot, VehicleState,
+                       form_cluster, recruit, run_cft, run_direct_baseline)
 # Not called here: perfbench/tracing.py times link_budget at this lookup site.
 from .protocol import link_budget  # noqa: F401
 
@@ -348,11 +348,12 @@ class TransferScenario:
 
     snapshot holds every vehicle at the request instant, the trajectory's
     row 0; every scheme plans on it, and snapshot[vid] equals
-    trajectory.state(vid, 0.0).
+    trajectory.state(vid, 0.0).  resource_vid is None when the request
+    cannot fire (request_instant).
     """
 
-    head_vid: int
-    resource_vid: int
+    head_vid: int | None
+    resource_vid: int | None
     snapshot: Snapshot
     trajectory: Trajectory
 
@@ -437,7 +438,9 @@ def request_instant(start: WarmStart, request_at: str):
     the instant, vid i in row i, with vy zero on a straight highway and x
     a copy, so stepping the fleet on leaves it as it was.  head and
     resource are vids; fleet and rng are the branch's fleet at the instant
-    and the generator that step the same traffic on from it.
+    and the generator that step the same traffic on from it.  resource is
+    None when the request cannot fire: at "contact" no oncoming pair is in
+    range (head is None too), at "encounter" none entered range in time.
     """
     if request_at not in ("contact", "encounter"):
         raise ValueError(f"unknown request_at '{request_at}'")
@@ -451,17 +454,16 @@ def request_instant(start: WarmStart, request_at: str):
         east, west = _opposite_pairs(fleet, mcfg.lane_length_m,
                                      comm_range_m)[:2]
         # At the shipped configs some oncoming pair is always in range; a
-        # config with none (say a range below the lane separation) raises.
-        if east.size == 0:
-            raise RuntimeError(
-                "no oncoming contact found for a transfer scenario")
-        has_holder = np.unique(east)
-        mid = np.argmin(np.abs(
-            fleet.x[fwd[has_holder]] - mcfg.lane_length_m / 2.0))
-        row = has_holder[mid]
-        candidates = bwd[west[east == row]]
-        head = int(fwd[row])
-        resource = int(candidates[rng.integers(candidates.size)])
+        # sparse fleet, or a range below the lane separation, may have none.
+        head = resource = None
+        if east.size:
+            has_holder = np.unique(east)
+            mid = np.argmin(np.abs(
+                fleet.x[fwd[has_holder]] - mcfg.lane_length_m / 2.0))
+            row = has_holder[mid]
+            candidates = bwd[west[east == row]]
+            head = int(fwd[row])
+            resource = int(candidates[rng.integers(candidates.size)])
     else:
         # Put the requester in the thick of its direction's traffic: the
         # vehicle minimizing mean ring distance to the rest (geometric
@@ -491,9 +493,6 @@ def request_instant(start: WarmStart, request_at: str):
                 resource = int(bwd[fresh[rng.integers(fresh.size)]])
                 break
             prev = now
-        if resource is None:
-            raise RuntimeError(
-                "no oncoming vehicle entered range for a transfer scenario")
 
     snapshot = Snapshot(np.arange(fleet.n), fleet.x.copy(), fleet.y,
                         fleet.vx, np.zeros(fleet.n))
@@ -516,19 +515,26 @@ def build_transfer_scenario(cfg: Config, start: WarmStart,
                               cfg.experiments.horizon_s))
 
 
+def _recruit(snapshot: Snapshot, head: int | None, resource: int | None,
+             s_bytes: float, models: Models) -> Recruitment | None:
+    """recruit's answer to head's request for the file resource holds; None,
+    as for no holder in range, when the request cannot fire (resource None)."""
+    if resource is None:
+        return None
+    return recruit(snapshot[head], snapshot, s_bytes, models, [resource])
+
+
 def _direct_max_volume(cfg: Config, scen: TransferScenario, density: float,
                        comm_range_m: float) -> float:
     """Largest file, in bytes, the head-resource link alone delivers: what
     protocol.run_direct_baseline delivers on the trajectory when asked for
-    the link's predicted capacity (0.0 out of range).  The request reads
-    only the head's and the resource's rows of scen.snapshot; the
-    recruitment's invitation never starts.
+    the link's predicted capacity (0.0 when no request fires).  The
+    request reads only the head's and the resource's rows of
+    scen.snapshot; the recruitment's invitation never starts.
     """
-    snap = scen.snapshot
-    recruitment = recruit(snap[scen.head_vid], snap,
-                          cfg.experiments.fragment_bytes,
-                          cfg.models(comm_range_m, density),
-                          [scen.resource_vid])
+    recruitment = _recruit(scen.snapshot, scen.head_vid, scen.resource_vid,
+                           cfg.experiments.fragment_bytes,
+                           cfg.models(comm_range_m, density))
     if recruitment is None:
         return 0.0
     return run_direct_baseline(recruitment,
@@ -552,9 +558,8 @@ def _cft_max_volume(cfg: Config, scen: TransferScenario, density: float,
     s = e.fragment_bytes
     models = cfg.models(comm_range_m, density,
                         plan_margin_s=e.max_volume_plan_margin_s)
-    snap = scen.snapshot
-    recruitment = recruit(snap[scen.head_vid], snap, s, models,
-                          [scen.resource_vid])
+    recruitment = _recruit(scen.snapshot, scen.head_vid, scen.resource_vid,
+                           s, models)
 
     def ok(frags: int) -> bool:
         v_bytes = frags * s
@@ -669,8 +674,9 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
     its cluster off the same recruitment.  Runs whose file fits through
     the direct link record a cluster size of zero and are excluded from
     the mean (no cluster was formed), as are runs where recruitment could
-    not cover the file.  The (density, seed) keys run one key batch of
-    warm_starts at a time, each let go before the next is warmed up.
+    not cover the file or the request could not fire.  The (density, seed)
+    keys run one key batch of warm_starts at a time, each let go before the
+    next is warmed up.
     """
     e = cfg.experiments
     r_m = e.cluster_range_m
@@ -685,8 +691,8 @@ def cluster_size_profile(cfg: Config) -> SweepResult:
                              "cluster"):
         for (density, _), start in batch:
             snap, head, resource, _, _ = request_instant(start, "encounter")
-            recruitment = recruit(snap[head], snap, e.fragment_bytes,
-                                  models[density], [resource])
+            recruitment = _recruit(snap, head, resource, e.fragment_bytes,
+                                   models[density])
             for v_bytes in e.file_sizes_bytes:
                 records[(density, v_bytes)].append(
                     form_cluster(recruitment, v_bytes).n_c)

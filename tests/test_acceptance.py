@@ -19,7 +19,8 @@ from cftsim.config import load_config
 from cftsim.connection import predict_connection_time
 from cftsim.mac import (avg_slot_length, collision_duration, p_success,
                         success_duration, transmission_prob)
-from cftsim.protocol import recruit, run_cft, run_direct_baseline
+from cftsim.protocol import (assign_fragments, recruit, run_cft,
+                             run_direct_baseline)
 from cftsim.simulator import (capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
                               rate_curve, throughput_sweep, write_csv)
@@ -343,9 +344,9 @@ def test_criterion_10_protocol_invariants_randomized(default_cfg, monkeypatch):
             assert sum(planned) >= v_bytes                    # coverage
             assert sum(planned[:-1]) < v_bytes                # minimality
             seen = []
-            for m in c.members:
-                assert m.frag_count <= m.budget.n_frags       # no overdraw
-                seen.extend(range(m.frag_start, m.frag_start + m.frag_count))
+            for m, count in zip(c.members, assign_fragments(c)):
+                assert count <= m.budget.n_frags              # no overdraw
+                seen.extend(range(m.frag_start, m.frag_start + count))
             assert seen == list(range(math.ceil(v_bytes / MB)))  # partition
             assert out.bytes_delivered == v_bytes
     print(f"criterion 10: outcomes {modes}")

@@ -159,12 +159,21 @@ def test_runtime_errors_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_max_volume_with_no_pair_in_range_exits_3(tmp_path, capsys):
-    # A range below the lane separation leaves no request a holder.
-    rc = main(["max-volume", "--set", "experiments.max_volume.comm_range_m=4",
-               "--out", str(tmp_path)])
-    assert rc == 3
-    assert "no oncoming contact" in capsys.readouterr().err
+def test_max_volume_request_that_cannot_fire_delivers_nothing(tmp_path,
+                                                             capsys):
+    # A range below the lane separation leaves no request a holder, and a
+    # sparse fleet has no oncoming pair in range at the contact request.
+    # Such a run delivers nothing, and the command still writes its CSV.
+    for setting, empty in (("experiments.max_volume.comm_range_m=4",
+                            {"direct", "cft"}),
+                           ("experiments.max_volume.density_per_km=[0.1]",
+                            {"direct"})):
+        assert main(["max-volume", "--seeds", "1", "--set", setting,
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_csv(tmp_path / "max-volume.csv")
+        volume = header.index("max_volume_bytes")
+        assert {float(r[volume]) for r in rows if r[0] in empty} == {0.0}
 
 
 def test_validate_config_echoes_resolved_values(capsys):

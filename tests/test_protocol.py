@@ -33,14 +33,13 @@ def vehicle(vid, x, y=0.0, vx=0.0, vy=0.0):
 
 
 def test_cluster_fragment_accounting():
-    c = assign_fragments(Cluster(0, 9, [_member(0, 12)], 10.5 * MB, MB))
-    assert c.members[0].frag_count == 11
+    c = Cluster(0, 9, [_member(0, 12)], 10.5 * MB, MB)
+    assert assign_fragments(c) == [11]
     assert c.fragment_bytes(0, 1) == MB
     assert c.fragment_bytes(10, 1) == 0.5 * MB   # short final fragment
     assert c.fragment_bytes(0, 11) == 10.5 * MB
     assert c.fragment_bytes(3, 0) == 0.0
-    empty = assign_fragments(Cluster(0, 9, [_member(0, 12)], 0.0, MB))
-    assert empty.members[0].frag_count == 0
+    assert assign_fragments(Cluster(0, 9, [_member(0, 12)], 0.0, MB)) == [0]
 
 
 @pytest.mark.parametrize("s_bytes", [0.0, -MB, math.nan],
@@ -314,7 +313,7 @@ def test_cluster_of_three_exact_partition():
     cluster = build_cluster(around(head, src, fleet, models), 30 * MB)
     assert [m.vid for m in cluster.members] == [0, 1, 2]
     assert cluster.n_c == 3
-    assert cluster.total_planned_bytes() == 30 * MB
+    assert sum(MB * m.planned_frags for m in cluster.members) == 30 * MB
 
 
 def test_cluster_recruitment_is_a_minimal_prefix():
@@ -457,10 +456,12 @@ def _scalar_admissions(head, resource, fleet, models):
         head_budget = link_budget(head, resource, MB, models)
     except ValueError:
         head_budget = None
+    frag_start = 0                  # the plans of the members so far
     if head_budget is not None and head_budget.capacity_bytes > 0:
         plan = _derated_frags(head_budget, MB, models)
         if plan > 0:
-            yield ClusterMember(head.vid, head_budget, plan)
+            yield ClusterMember(head.vid, head_budget, plan, frag_start)
+            frag_start += plan
 
     recruited = {head.vid, resource.vid}
     anchors = [head]
@@ -487,7 +488,8 @@ def _scalar_admissions(head, resource, fleet, models):
             budget = prospective_link_budget(v, resource, MB, models)
             plan = _plannable_frags(v, head, budget, MB, models)
             if plan > 0:
-                yield ClusterMember(v.vid, budget, plan)
+                yield ClusterMember(v.vid, budget, plan, frag_start)
+                frag_start += plan
         anchors = ring
 
 
@@ -548,8 +550,7 @@ def _check_reads(head, resource, fleet, models, order):
             failed.append(v_bytes)
             continue
         assert (got.head, got.resource) == (head.vid, resource.vid)
-        assert [(m.vid, m.budget, m.planned_frags) for m in got.members] == \
-            [(m.vid, m.budget, m.planned_frags) for m in want], v_bytes
+        assert got.members == want, v_bytes
     return failed
 
 
@@ -766,8 +767,7 @@ def _check_admissions(head, resource, fleet, models):
     in its order, down to the last; returns how many."""
     got = _exhausted(head, resource, fleet, models)
     want = list(_scalar_admissions(head, resource, fleet, models))
-    assert [(m.vid, m.budget, m.planned_frags) for m in got] == \
-        [(m.vid, m.budget, m.planned_frags) for m in want]
+    assert got == want
     return len(got)
 
 
@@ -945,10 +945,8 @@ def test_recruit_on_a_snapshot_equals_recruit_on_its_states(default_cfg,
             assert from_snapshot is None
             continue
         assert from_snapshot.resource == from_states.resource
-        members = [(m.vid, m.budget, m.planned_frags)
-                   for m in _exhausted_members(from_states)]
-        assert [(m.vid, m.budget, m.planned_frags)
-                for m in _exhausted_members(from_snapshot)] == members
+        assert _exhausted_members(from_snapshot) == \
+            _exhausted_members(from_states)
         admitted += _check_admissions(head, from_states.resource, fleet,
                                       models)
     assert admitted > 0
@@ -981,74 +979,131 @@ def test_invitation_stops_once_nobody_left_may_join(default_cfg,
     assert members
 
 
-def test_clusters_of_one_recruitment_do_not_share_members():
+def _ranges(cluster):
+    """Each member's fragment range as (start, count)."""
+    return [(m.frag_start, count)
+            for m, count in zip(cluster.members, assign_fragments(cluster))]
+
+
+def test_clusters_of_one_recruitment_share_members_and_ranges():
+    # Every cluster of a recruitment holds the recruitment's own members,
+    # and assigning one file moves no range of another.
     models, head, src, fleet = _three_member_scene()
     recruitment = around(head, src, fleet, models)
-    big = assign_fragments(build_cluster(recruitment, 30 * MB))
-    before = [(m.frag_start, m.frag_count) for m in big.members]
-    small = assign_fragments(build_cluster(recruitment, 15 * MB))
+    big = build_cluster(recruitment, 30 * MB)
+    before = _ranges(big)
+    small = build_cluster(recruitment, 15 * MB)
     for cluster, n_frags in ((big, 30), (small, 15)):
         assert (cluster.v_bytes, cluster.s_bytes) == (n_frags * MB, MB)
+        assert all(m is r for m, r in zip(cluster.members,
+                                          recruitment.members))
         seen = []
-        for m in cluster.members:
-            seen.extend(range(m.frag_start, m.frag_start + m.frag_count))
+        for start, count in _ranges(cluster):
+            seen.extend(range(start, start + count))
         assert seen == list(range(n_frags))            # exact partition
-    assert [(m.frag_start, m.frag_count) for m in big.members] == before
+    assert _ranges(big) == before
     assert before == [(0, 10), (10, 10), (20, 10)]
-    assert [(m.frag_start, m.frag_count) for m in small.members] == \
-        [(0, 10), (10, 5)]
+    assert _ranges(small) == [(0, 10), (10, 5)]
 
 
 # --- fragment assignment ----------------------------------------------------
 
 
-def _member(vid, n_frags, e_c=8e6):
+def _member(vid, n_frags, frag_start=0, e_c=8e6):
     frag_time = n_frags * 8.0 * MB / e_c
     b = LinkBudget(delta_t_s=frag_time, e_c_bps=e_c, n_frags=n_frags,
                    capacity_bytes=n_frags * MB)
-    return ClusterMember(vid=vid, budget=b, planned_frags=n_frags)
+    return ClusterMember(vid=vid, budget=b, planned_frags=n_frags,
+                         frag_start=frag_start)
+
+
+def _walked_ranges(cluster):
+    """Reference assignment: the stateful loop assign_fragments replaced.
+    Members in order each take as many of the fragments still unassigned
+    as their plan allows, from where the previous member stopped; (start,
+    count) per member."""
+    n_total = math.ceil(cluster.v_bytes / cluster.s_bytes)
+    next_frag = 0
+    ranges = []
+    for m in cluster.members:
+        if next_frag >= n_total:
+            ranges.append((next_frag, 0))
+            continue
+        remaining = n_total - next_frag
+        take = remaining if math.isinf(m.planned_frags) \
+            else min(int(m.planned_frags), remaining)
+        ranges.append((next_frag, take))
+        next_frag += take
+    return ranges
+
+
+def _check_assignment(cluster):
+    """assign_fragments gives the reference's counts exactly, and each
+    member with fragments the reference's start; the ranges partition the
+    file's fragments in order."""
+    counts = assign_fragments(cluster)
+    walked = _walked_ranges(cluster)
+    assert counts == [count for _, count in walked]
+    assert [(m.frag_start, count) for m, count in zip(cluster.members, counts)
+            if count] == [r for r in walked if r[1]]
+    seen = []
+    for m, count in zip(cluster.members, counts):
+        assert 0 <= count <= m.planned_frags
+        seen.extend(range(m.frag_start, m.frag_start + count))
+    assert seen == list(range(math.ceil(cluster.v_bytes / cluster.s_bytes)))
 
 
 def test_assignment_gives_everything_to_a_big_member():
     cluster = Cluster(head=0, resource=9, members=[_member(0, 12)],
                       v_bytes=10 * MB, s_bytes=MB)
-    assign_fragments(cluster)
+    assert assign_fragments(cluster) == [10]
     assert cluster.members[0].frag_start == 0
-    assert cluster.members[0].frag_count == 10
 
 
 def test_assignment_splits_contiguously():
     cluster = Cluster(head=0, resource=9,
-                      members=[_member(0, 3), _member(1, 5)],
+                      members=[_member(0, 3), _member(1, 5, 3)],
                       v_bytes=8 * MB, s_bytes=MB)
-    assign_fragments(cluster)
-    assert (cluster.members[0].frag_start, cluster.members[0].frag_count) == (0, 3)
-    assert (cluster.members[1].frag_start, cluster.members[1].frag_count) == (3, 5)
-
-
-def test_assignment_rejects_uncovered_files():
-    cluster = Cluster(head=0, resource=9, members=[_member(0, 3)],
-                      v_bytes=4 * MB, s_bytes=MB)
-    with pytest.raises(ValueError):
-        assign_fragments(cluster)
+    assert _ranges(cluster) == [(0, 3), (3, 5)]
 
 
 def test_assignment_partitions_randomized_clusters():
     gen = np.random.default_rng(808)
     for _ in range(300):
         n_members = int(gen.integers(1, 9))
-        members = [_member(i, int(gen.integers(1, 30)))
-                   for i in range(n_members)]
-        total = int(sum(m.budget.n_frags for m in members))
-        n_frags = int(gen.integers(1, total + 1))
-        cluster = Cluster(head=0, resource=99, members=members,
-                          v_bytes=n_frags * MB, s_bytes=MB)
-        assign_fragments(cluster)
-        seen = []
-        for m in cluster.members:
-            assert 0 <= m.frag_count <= m.budget.n_frags
-            seen.extend(range(m.frag_start, m.frag_start + m.frag_count))
-        assert seen == list(range(n_frags))   # exact partition, in order
+        plans = [int(gen.integers(1, 30)) for _ in range(n_members)]
+        members = [_member(i, n, sum(plans[:i])) for i, n in enumerate(plans)]
+        n_frags = int(gen.integers(1, sum(plans) + 1))
+        _check_assignment(Cluster(head=0, resource=99, members=members,
+                                  v_bytes=n_frags * MB, s_bytes=MB))
+
+
+@pytest.mark.parametrize("experiment", ["max-volume", "cluster"])
+@pytest.mark.parametrize("density", [5.0, 10.0])
+def test_clusters_are_recruitment_prefixes_on_warmed_fleets(default_cfg,
+                                                            density,
+                                                            experiment):
+    # Every cluster read at 50-900 MB off warmed requests holds the
+    # recruitment's own first n_c members, each starting at the plans
+    # recruited before it, and is assigned as the reference loop does.
+    read = 0
+    for seed_idx in range(4):
+        head, resource, states, models = _warmed_request(
+            default_cfg, experiment, density, seed_idx)
+        recruitment = around(head, resource, states, models)
+        for v_bytes in np.arange(50, 901, 50) * MB:
+            try:
+                cluster = build_cluster(recruitment, v_bytes)
+            except InsufficientCapacityError:
+                continue
+            members, n_c = recruitment.members, cluster.n_c
+            assert n_c <= len(members)
+            assert all(m is r for m, r in zip(cluster.members, members))
+            assert [m.frag_start for m in cluster.members] == \
+                [sum(r.planned_frags for r in members[:i]) for i in range(n_c)]
+            _check_assignment(cluster)
+            read += n_c > 2
+    assert read > 0            # some clusters had several helpers
 
 
 # --- forwarding -------------------------------------------------------------
@@ -1176,8 +1231,9 @@ def test_direct_baseline_is_scored_on_the_traffic():
         vid=0, assigned_bytes=10 * MB, downloaded_bytes=5 * MB,
         forwarded_bytes=5 * MB, download_done_s=5.0, forward_ok=True)]
     # A cluster of the same file reads the head's score off the memo.
-    cluster = assign_fragments(build_cluster(recruitment, 10 * MB))
-    clustered = _evaluate_plan(cluster, recruitment, traffic)
+    cluster = build_cluster(recruitment, 10 * MB)
+    clustered = _evaluate_plan(cluster, assign_fragments(cluster),
+                               recruitment, traffic)
     assert clustered.member_results == out.member_results
     assert len(recruitment.scores) == 1
 
@@ -1199,10 +1255,9 @@ def test_forwarding_is_judged_after_a_late_download():
             return (20.0, 30.0)
 
     recruitment = around(head, src, [head, member, src], models)
-    cluster = assign_fragments(Cluster(head=0, resource=9,
-                                       members=[_member(1, 1)],
-                                       v_bytes=MB, s_bytes=MB))
-    out = _evaluate_plan(cluster, recruitment,
+    cluster = Cluster(head=0, resource=9, members=[_member(1, 1)],
+                      v_bytes=MB, s_bytes=MB)
+    out = _evaluate_plan(cluster, [1], recruitment,
                          LateResource(recruitment.snapshot, models))
     assert out.mode == "failed" and out.bytes_delivered == 0.0
     assert out.member_results == [MemberResult(

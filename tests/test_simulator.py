@@ -18,7 +18,8 @@ from cftsim.connection import (connection_times, in_range, in_range_mask,
                                predict_connection_time)
 from cftsim.mac import throughput
 from cftsim.protocol import (Ballistic, Cluster, Snapshot, VehicleState,
-                             _evaluate_plan, link_budget, recruit, run_cft)
+                             _evaluate_plan, assign_fragments, link_budget,
+                             recruit, run_cft)
 from cftsim.simulator import (SweepResult, build_transfer_scenario,
                               capability_sweep, cluster_size_profile,
                               connection_time_sweep, max_transfer_volume,
@@ -489,20 +490,34 @@ def test_snapshot_rows_equal_the_listed_states_bit_for_bit(default_cfg,
             assert [_bits(snap[vid]) for vid in range(fleet.n)] == want
 
 
-def test_contact_request_with_no_pair_in_range_raises_at_once(default_cfg,
-                                                             monkeypatch):
+def test_a_request_with_no_pair_in_range_fires_none(default_cfg,
+                                                    monkeypatch):
     # A 4 m range, below the 5 m lane separation, puts no oncoming pair in
-    # range, so a contact request raises without stepping the traffic.
+    # range.  A contact request then fires none without stepping the
+    # traffic; an encounter request fires none after waiting its steps out.
     e = default_cfg.experiments
     start = warm_start(default_cfg, 10.0, 0, e.max_volume_sd_m, 4.0, 15,
                        "max-volume")
+    steps = []
+    monkeypatch.setattr(mobility, "step", lambda *args: steps.append(args))
+    _, head, resource, _, _ = simulator.request_instant(start, "contact")
+    assert (head, resource, steps) == (None, None, [])
+    monkeypatch.setattr(simulator, "MAX_REQUEST_WAIT_STEPS", 3)
+    _, head, resource, _, _ = simulator.request_instant(start, "encounter")
+    assert head is not None and resource is None and len(steps) == 3
 
-    def step(*args):
-        raise AssertionError("mobility.step was called")
 
-    monkeypatch.setattr(mobility, "step", step)
-    with pytest.raises(RuntimeError, match="no oncoming contact"):
-        simulator.request_instant(start, "contact")
+def test_a_cluster_size_request_that_cannot_fire_forms_no_cluster(
+        monkeypatch):
+    # At a 4 m range no holder ever enters range, so every run records n_c
+    # 0, which the mean leaves out like any run that formed no cluster.
+    monkeypatch.setattr(simulator, "MAX_REQUEST_WAIT_STEPS", 5)
+    res = cluster_size_profile(load_config(overrides=[
+        "experiments.cluster_size.comm_range_m=4",
+        "experiments.cluster_size.seeds=2",
+        "experiments.file_size_mb=[100, 400]"]))
+    assert all(sizes == [0, 0] for sizes in res.records.values())
+    assert {row[2:] for row in res.rows} == {(0.0, 0)}
 
 
 def _request_budget(cfg, scen, density, comm_range_m):
@@ -1140,12 +1155,13 @@ def test_members_forward_independently_of_each_other():
                 if out.cluster is None:
                     continue
                 c = out.cluster
-                for m, got in zip(c.members, out.member_results):
+                for m, count, got in zip(c.members, assign_fragments(c),
+                                         out.member_results):
                     if m.vid == c.head:
                         continue
                     # A fresh recruitment, so no memoised score is read.
                     alone = _evaluate_plan(
-                        Cluster(c.head, c.resource, [m], v_bytes, s),
+                        Cluster(c.head, c.resource, [m], v_bytes, s), [count],
                         recruit(scen.snapshot[scen.head_vid], scen.snapshot, s,
                                 models, [scen.resource_vid]),
                         traffic)
